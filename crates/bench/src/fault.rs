@@ -1,13 +1,13 @@
 //! Overload-behavior trajectory: client-observed latency and shed rate
 //! under 1×/2×/4× offered load for each [`OverloadPolicy`].
 //!
-//! The server is a single worker running a fixed-cost model (a calibrated
-//! sleep per dispatch), so its capacity is known exactly. An **open-loop**
-//! submitter offers requests on a fixed schedule — like real ingress
-//! traffic, it does not slow down because the server is behind — and every
-//! request's latency is measured from its *scheduled* arrival time, so
-//! time a blocked submitter spends parked counts against the policy that
-//! parked it.
+//! The server is a one-worker, one-tenant pool running a fixed-cost model
+//! (a calibrated sleep per dispatch), so its capacity is known exactly. An
+//! **open-loop** submitter offers requests on a fixed schedule — like real
+//! ingress traffic, it does not slow down because the server is behind —
+//! and every request's latency is measured from its *scheduled* arrival
+//! time, so time a blocked submitter spends parked counts against the
+//! policy that parked it.
 //!
 //! The trajectory this reproduces is the PR's acceptance criterion:
 //!
@@ -26,7 +26,7 @@
 use std::sync::mpsc;
 use std::time::{Duration, Instant};
 
-use circnn_serve::{OverloadPolicy, ServeConfig, ServeError, ServeModel, Server};
+use circnn_serve::{MultiServer, OverloadPolicy, ServeError, ServeModel, TenantConfig};
 
 /// Fixed-cost model: sleeps `delay` per dispatch, then echoes. With
 /// `max_batch = 1` the server's capacity is exactly `1 / delay`.
@@ -108,20 +108,21 @@ pub fn measure(
     service_time: Duration,
 ) -> FaultPoint {
     const LEN: usize = 8;
-    let server = Server::start(
-        FixedCost {
-            len: LEN,
-            delay: service_time,
-        },
-        ServeConfig {
-            max_batch: 1,
-            max_wait: Duration::ZERO,
-            queue_capacity: 32,
-            workers: 1,
-            overload: policy,
-        },
-    )
-    .expect("valid config");
+    let pool = MultiServer::start(1).expect("one worker");
+    let tenant = pool
+        .add_tenant(
+            FixedCost {
+                len: LEN,
+                delay: service_time,
+            },
+            TenantConfig {
+                max_batch: 1,
+                max_wait: Duration::ZERO,
+                queue_capacity: 32,
+                overload: policy,
+            },
+        )
+        .expect("valid config");
 
     let interval = service_time / overload;
     let offered_rps = 1.0 / interval.as_secs_f64();
@@ -155,7 +156,7 @@ pub fn measure(
         if let Some(wait) = due.checked_duration_since(Instant::now()) {
             std::thread::sleep(wait);
         }
-        match server.submit(vec![0.25; LEN]) {
+        match tenant.submit(vec![0.25; LEN]) {
             Ok(handle) => tx.send((due, handle)).expect("collector alive"),
             Err(ServeError::Overloaded) => rejected += 1,
             Err(e) => panic!("unexpected submit error: {e}"),
@@ -163,7 +164,8 @@ pub fn measure(
     }
     drop(tx);
     let (completed, shed, mut latencies) = collector.join().expect("collector");
-    let stats = server.shutdown();
+    pool.shutdown();
+    let stats = tenant.stats().expect("the tenant stays registered");
     debug_assert_eq!(stats.shed, shed, "server-side shed count agrees");
     debug_assert_eq!(stats.rejected, rejected, "server-side reject count");
 

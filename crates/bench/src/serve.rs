@@ -1,7 +1,8 @@
-//! Serving-layer trajectory: batched dynamic-batching server versus
-//! one-request-per-call dispatch, across offered-load points.
+//! Serving-layer trajectory: a one-tenant [`MultiServer`] pool with dynamic
+//! batching versus one-request-per-call dispatch, across offered-load
+//! points.
 //!
-//! Each point floods the server from `clients` concurrent closed-loop
+//! Each point floods the tenant from `clients` concurrent closed-loop
 //! client threads (each keeps a window of in-flight requests, so offered
 //! load scales with the client count) and measures end-to-end request
 //! throughput twice over the **same** operator:
@@ -14,11 +15,10 @@
 //!
 //! The `serve` binary wraps [`run`] and writes `BENCH_serve.json`.
 
-use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use circnn_core::BlockCirculantMatrix;
-use circnn_serve::{ServeConfig, ServeStats, Server};
+use circnn_serve::{MultiServer, ServeStats, TenantConfig, TenantHandle};
 use circnn_tensor::init::seeded_rng;
 
 /// One measured offered-load point.
@@ -53,25 +53,19 @@ impl ServePoint {
     }
 }
 
-/// Floods `server` from `clients` threads × `requests` each (window of 8
+/// Floods `tenant` from `clients` threads × `requests` each (window of 8
 /// in-flight per client) and returns (wall seconds, final stats).
-fn flood(
-    server: &Server<BlockCirculantMatrix>,
-    n: usize,
-    clients: usize,
-    requests: usize,
-) -> (f64, ServeStats) {
+fn flood(tenant: &TenantHandle, n: usize, clients: usize, requests: usize) -> (f64, ServeStats) {
     const WINDOW: usize = 8;
     let t0 = Instant::now();
     std::thread::scope(|s| {
         for c in 0..clients {
-            let server = &server;
             s.spawn(move || {
                 let mut rng = seeded_rng(0xC11E47 + c as u64);
                 let mut window = std::collections::VecDeque::new();
                 for _ in 0..requests {
                     let x = circnn_tensor::init::uniform(&mut rng, &[n], -1.0, 1.0);
-                    window.push_back(server.submit(x.data().to_vec()).expect("accepting"));
+                    window.push_back(tenant.submit(x.data().to_vec()).expect("accepting"));
                     if window.len() >= WINDOW {
                         window
                             .pop_front()
@@ -86,7 +80,8 @@ fn flood(
             });
         }
     });
-    (t0.elapsed().as_secs_f64(), server.stats())
+    let stats = tenant.stats().expect("the tenant stays registered");
+    (t0.elapsed().as_secs_f64(), stats)
 }
 
 /// Measures one offered-load point over a fresh `(m, n, k)` operator.
@@ -103,50 +98,36 @@ pub fn measure(
         BlockCirculantMatrix::random(&mut seeded_rng((m + n + k) as u64), m, n, k)
             .expect("valid shape")
     };
-    let batched_cfg = ServeConfig {
+    let batched_cfg = TenantConfig {
         max_batch: 32,
         max_wait: Duration::from_micros(300),
         queue_capacity: 256,
-        workers,
         ..Default::default()
     };
-    let unbatched_cfg = ServeConfig {
+    let unbatched_cfg = TenantConfig {
         max_batch: 1,
         max_wait: Duration::ZERO,
         queue_capacity: 256,
-        workers,
         ..Default::default()
     };
-
-    // The stats are cumulative and the warm-up flood is untimed, so the
-    // published occupancy/latency come from before/after deltas of the
-    // timed flood only.
-    let delta_requests =
-        |before: &ServeStats, after: &ServeStats| (after.requests - before.requests).max(1) as f64;
-    let delta_latency_us = |before: &ServeStats, after: &ServeStats| {
-        let sum_after = after.mean_latency_us * after.requests as f64;
-        let sum_before = before.mean_latency_us * before.requests as f64;
-        (sum_after - sum_before) / delta_requests(before, after)
+    // One mode: a fresh one-tenant pool, an untimed warm-up flood (sizes
+    // every worker's workspace), then the timed flood. The stats are
+    // cumulative, so the published occupancy/latency come from
+    // before/after deltas of the timed flood only.
+    let run = |cfg| {
+        let pool = MultiServer::start(workers).expect("at least one worker");
+        let tenant = pool.add_tenant(mk(), cfg).expect("valid config");
+        let (_, before) = flood(&tenant, n, clients, 4.max(requests_per_client / 10));
+        let (secs, after) = flood(&tenant, n, clients, requests_per_client);
+        pool.shutdown();
+        let requests = (after.requests - before.requests).max(1) as f64;
+        let occupancy = requests / (after.batches - before.batches).max(1) as f64;
+        let latency_sum_us = after.mean_latency_us * after.requests as f64
+            - before.mean_latency_us * before.requests as f64;
+        (total / secs, occupancy, latency_sum_us / requests)
     };
-
-    let server = Server::start_shared(Arc::new(mk()), batched_cfg).expect("valid config");
-    // Warm-up sizes every worker's workspace before the timed flood.
-    let (_, _) = flood(&server, n, clients, 4.max(requests_per_client / 10));
-    let before = server.stats();
-    let (secs, after) = flood(&server, n, clients, requests_per_client);
-    let batched_rps = total / secs;
-    let occupancy =
-        delta_requests(&before, &after) / (after.batches - before.batches).max(1) as f64;
-    let batched_latency_us = delta_latency_us(&before, &after);
-    server.shutdown();
-
-    let server = Server::start_shared(Arc::new(mk()), unbatched_cfg).expect("valid config");
-    let (_, _) = flood(&server, n, clients, 4.max(requests_per_client / 10));
-    let before = server.stats();
-    let (secs, after) = flood(&server, n, clients, requests_per_client);
-    let unbatched_rps = total / secs;
-    let unbatched_latency_us = delta_latency_us(&before, &after);
-    server.shutdown();
+    let (batched_rps, occupancy, batched_latency_us) = run(batched_cfg);
+    let (unbatched_rps, _, unbatched_latency_us) = run(unbatched_cfg);
 
     ServePoint {
         m,

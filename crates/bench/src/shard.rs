@@ -19,7 +19,7 @@ use circnn_serve::TenantConfig;
 use circnn_shard::topology::{segment_ranges, split_operator, ClusterSpec, ShardSpec};
 use circnn_shard::{RouterConfig, RouterServer, ShardRouter};
 use circnn_tensor::init::seeded_rng;
-use circnn_wire::{ClientConfig, ModelRegistry, WireClient, WireConfig, WireServer};
+use circnn_wire::{ClientConfig, EventConfig, EventServer, ModelRegistry, WireClient};
 
 /// One measured serving configuration.
 #[derive(Debug, Clone)]
@@ -96,7 +96,7 @@ fn boot_shards(
     w: &BlockCirculantMatrix,
     shards: usize,
     replicas: usize,
-) -> (Vec<Vec<WireServer>>, ClusterSpec) {
+) -> (Vec<Vec<EventServer>>, ClusterSpec) {
     let slices = split_operator(w, shards).expect("splittable");
     let mut servers = Vec::new();
     let mut spec = ClusterSpec { shards: Vec::new() };
@@ -109,7 +109,7 @@ fn boot_shards(
                 .add_segment("op", slice.clone(), TenantConfig::default())
                 .expect("register segment");
             let server =
-                WireServer::bind("127.0.0.1:0", registry, WireConfig::default()).expect("bind");
+                EventServer::bind("127.0.0.1:0", registry, EventConfig::default()).expect("bind");
             addrs.push(server.local_addr());
             shard_servers.push(server);
         }
@@ -165,7 +165,7 @@ fn measure_sharded(
     router
         .add_sharded_model("op", w.cols(), &segment_ranges(&slices))
         .expect("register");
-    let front = RouterServer::bind("127.0.0.1:0", Arc::clone(&router), WireConfig::default())
+    let front = RouterServer::bind("127.0.0.1:0", Arc::clone(&router), EventConfig::default())
         .expect("bind front");
     let mut client = WireClient::connect(front.local_addr()).expect("connect");
     let (rps, p50_us) = drive(&mut client, w, batch, requests);
@@ -196,7 +196,7 @@ fn measure_single(w: &BlockCirculantMatrix, batch: usize, requests: usize) -> Sh
     registry
         .add_model("op", w.clone(), TenantConfig::default())
         .expect("register");
-    let server = WireServer::bind("127.0.0.1:0", registry, WireConfig::default()).expect("bind");
+    let server = EventServer::bind("127.0.0.1:0", registry, EventConfig::default()).expect("bind");
     let mut client = WireClient::connect(server.local_addr()).expect("connect");
     let (rps, p50_us) = drive(&mut client, w, batch, requests);
     drop(client);

@@ -2,7 +2,7 @@
 //! one-request-per-connection dispatch, across concurrent connections and
 //! tenant counts.
 //!
-//! Each point starts a real [`circnn_wire::WireServer`] over a
+//! Each point starts a real [`circnn_wire::EventServer`] over a
 //! [`circnn_wire::ModelRegistry`] holding `tenants` independent 512×512
 //! block-circulant operators, floods it from `clients` TCP connections
 //! (each a closed loop keeping `WINDOW` pipelined requests in flight,
@@ -16,12 +16,10 @@
 //!   batching win from the wire overhead itself.
 //!
 //! A second axis measures the **front end** itself: the connection sweep
-//! ([`run_sweep`]) serves an identical tenant (same batching config, same
-//! worker pool) behind the thread-per-connection [`WireServer`] and the
-//! readiness-loop [`circnn_wire::EventServer`], from 16 up to 4096
-//! concurrent connections, reporting throughput and client-observed p99
-//! latency for each. The measured window deliberately includes
-//! connection setup — at 10k-connection scale, accepting is serving.
+//! ([`run_sweep`]) serves one small tenant from 16 up to 4096 concurrent
+//! connections, reporting throughput and client-observed p99 latency at
+//! each count. The measured window deliberately includes connection
+//! setup — at 10k-connection scale, accepting is serving.
 //!
 //! The `wire` binary wraps [`run`] + [`run_sweep`] and writes
 //! `BENCH_wire.json`.
@@ -32,12 +30,9 @@ use std::time::{Duration, Instant};
 use circnn_core::BlockCirculantMatrix;
 use circnn_serve::{ServeStats, TenantConfig};
 use circnn_tensor::init::seeded_rng;
-use circnn_wire::{
-    ClientConfig, EventConfig, EventServer, ModelRegistry, WireClient, WireConfig, WireServer,
-};
+use circnn_wire::{ClientConfig, EventConfig, EventServer, ModelRegistry, WireClient};
 
-/// Pipelined requests kept in flight per connection (the wire replies in
-/// arrival order per connection, so no request ids are needed).
+/// Pipelined requests kept in flight per connection.
 const WINDOW: usize = 8;
 
 /// One measured offered-load point.
@@ -136,7 +131,7 @@ fn run_mode(
             .add_model(&format!("m{t}"), w, cfg.clone())
             .expect("fresh name");
     }
-    let server = WireServer::bind("127.0.0.1:0", Arc::clone(&registry), WireConfig::default())
+    let server = EventServer::bind("127.0.0.1:0", Arc::clone(&registry), EventConfig::default())
         .expect("bind ephemeral port");
     let addr = server.local_addr();
     // Warm-up sizes every worker scratch and client buffer.
@@ -215,54 +210,21 @@ pub fn run(quick: bool) -> Vec<WirePoint> {
         .collect()
 }
 
-/// One measured connection-sweep point: the same tenant and batching
-/// config behind both front ends.
+/// One measured connection-sweep point.
 #[derive(Debug, Clone)]
 pub struct SweepPoint {
     /// Concurrent TCP connections held open for the whole window.
     pub conns: usize,
     /// Closed-loop requests issued per connection.
     pub requests_per_conn: usize,
-    /// Requests/second through the readiness-loop front end.
+    /// Requests/second through the front end.
     pub event_rps: f64,
-    /// Requests/second through the thread-per-connection front end.
-    pub threaded_rps: f64,
-    /// Client-observed p99 request latency on the event server, µs.
+    /// Client-observed p99 request latency, µs.
     pub event_p99_us: f64,
-    /// Client-observed p99 request latency on the threaded server, µs.
-    pub threaded_p99_us: f64,
-}
-
-impl SweepPoint {
-    /// Throughput of the event front end relative to thread-per-conn.
-    pub fn event_gain(&self) -> f64 {
-        self.event_rps / self.threaded_rps
-    }
-}
-
-/// Which front end a sweep run binds over the shared registry.
-enum FrontEnd {
-    Threaded(WireServer),
-    Event(EventServer),
-}
-
-impl FrontEnd {
-    fn addr(&self) -> std::net::SocketAddr {
-        match self {
-            FrontEnd::Threaded(s) => s.local_addr(),
-            FrontEnd::Event(s) => s.local_addr(),
-        }
-    }
-    fn shutdown(self) {
-        match self {
-            FrontEnd::Threaded(s) => s.shutdown(),
-            FrontEnd::Event(s) => s.shutdown(),
-        }
-    }
 }
 
 /// The sweep tenant: a small 64×64 operator, so the measurement weighs
-/// the front end (sockets, threads, readiness) rather than the matvec.
+/// the front end (sockets, readiness, wakeups) rather than the matvec.
 fn sweep_registry() -> Arc<ModelRegistry> {
     let registry = Arc::new(ModelRegistry::new(1).expect("valid worker count"));
     let w = BlockCirculantMatrix::random(&mut seeded_rng(97), 64, 64, 16).expect("valid shape");
@@ -342,60 +304,34 @@ fn sweep_flood(addr: std::net::SocketAddr, conns: usize, requests_per_conn: usiz
     (secs, p99)
 }
 
-/// Measures one connection count through one front end.
-fn sweep_mode(event: bool, conns: usize, requests_per_conn: usize) -> (f64, f64) {
+/// Measures the front end at one connection count.
+pub fn measure_sweep(conns: usize, requests_per_conn: usize) -> SweepPoint {
     let registry = sweep_registry();
-    let front = if event {
-        FrontEnd::Event(
-            EventServer::bind(
-                "127.0.0.1:0",
-                Arc::clone(&registry),
-                EventConfig {
-                    max_connections: conns + 16,
-                    ..Default::default()
-                },
-            )
-            .expect("bind event server"),
-        )
-    } else {
-        FrontEnd::Threaded(
-            WireServer::bind(
-                "127.0.0.1:0",
-                Arc::clone(&registry),
-                WireConfig {
-                    max_connections: conns + 16,
-                    ..Default::default()
-                },
-            )
-            .expect("bind threaded server"),
-        )
-    };
-    let addr = front.addr();
+    let server = EventServer::bind(
+        "127.0.0.1:0",
+        Arc::clone(&registry),
+        EventConfig {
+            max_connections: conns + 16,
+            ..Default::default()
+        },
+    )
+    .expect("bind event server");
+    let addr = server.local_addr();
     // Warm-up outside the window: worker scratch, client buffers, pools.
     sweep_flood(addr, 8.min(conns), 16);
-    let (secs, p99) = sweep_flood(addr, conns, requests_per_conn);
-    front.shutdown();
-    let rps = (conns * requests_per_conn) as f64 / secs;
-    (rps, p99)
-}
-
-/// Measures both front ends at one connection count.
-pub fn measure_sweep(conns: usize, requests_per_conn: usize) -> SweepPoint {
-    let (event_rps, event_p99_us) = sweep_mode(true, conns, requests_per_conn);
-    let (threaded_rps, threaded_p99_us) = sweep_mode(false, conns, requests_per_conn);
+    let (secs, event_p99_us) = sweep_flood(addr, conns, requests_per_conn);
+    server.shutdown();
     SweepPoint {
         conns,
         requests_per_conn,
-        event_rps,
-        threaded_rps,
+        event_rps: (conns * requests_per_conn) as f64 / secs,
         event_p99_us,
-        threaded_p99_us,
     }
 }
 
-/// The sweep grid: connection counts doubling past where thread-per-conn
-/// degrades. The request total stays roughly constant so every point
-/// finishes in comparable wall time.
+/// The sweep grid: connection counts from a handful to thousands. The
+/// request total stays roughly constant so every point finishes in
+/// comparable wall time.
 pub fn sweep_grid(quick: bool) -> Vec<(usize, usize)> {
     let conns: &[usize] = if quick {
         &[16, 256]
@@ -442,16 +378,11 @@ pub fn to_json(points: &[WirePoint], sweep: &[SweepPoint]) -> String {
     for (i, p) in sweep.iter().enumerate() {
         out.push_str(&format!(
             "    {{\"conns\": {}, \"requests_per_conn\": {}, \
-             \"event_rps\": {:.0}, \"threaded_rps\": {:.0}, \
-             \"event_vs_threaded\": {:.2}, \
-             \"event_p99_us\": {:.0}, \"threaded_p99_us\": {:.0}}}{}\n",
+             \"event_rps\": {:.0}, \"event_p99_us\": {:.0}}}{}\n",
             p.conns,
             p.requests_per_conn,
             p.event_rps,
-            p.threaded_rps,
-            p.event_gain(),
             p.event_p99_us,
-            p.threaded_p99_us,
             if i + 1 == sweep.len() { "" } else { "," }
         ));
     }
@@ -462,19 +393,16 @@ pub fn to_json(points: &[WirePoint], sweep: &[SweepPoint]) -> String {
 /// Prints the connection sweep as a human-readable table.
 pub fn print_sweep(sweep: &[SweepPoint]) {
     println!(
-        "\n{:>7} {:>8} | {:>12} {:>12} {:>7} | {:>12} {:>12}",
-        "conns", "reqs", "event", "threaded", "gain", "p99(event)", "p99(thread)"
+        "\n{:>7} {:>8} | {:>12} {:>12}",
+        "conns", "reqs", "throughput", "p99"
     );
     for p in sweep {
         println!(
-            "{:>7} {:>8} | {:>8.0} r/s {:>8.0} r/s {:>6.2}x | {:>9.0} µs {:>9.0} µs",
+            "{:>7} {:>8} | {:>8.0} r/s {:>9.0} µs",
             p.conns,
             p.conns * p.requests_per_conn,
             p.event_rps,
-            p.threaded_rps,
-            p.event_gain(),
             p.event_p99_us,
-            p.threaded_p99_us,
         );
     }
 }
@@ -518,12 +446,11 @@ mod tests {
         let p = measure(2, 4, 12, 1);
         assert!(p.batched_rps > 0.0 && p.unbatched_rps > 0.0);
         let s = measure_sweep(8, 4);
-        assert!(s.event_rps > 0.0 && s.threaded_rps > 0.0);
-        assert!(s.event_p99_us > 0.0 && s.threaded_p99_us > 0.0);
+        assert!(s.event_rps > 0.0 && s.event_p99_us > 0.0);
         let json = to_json(std::slice::from_ref(&p), std::slice::from_ref(&s));
         assert!(json.contains("\"tenants\": 2"));
         assert!(json.contains("speedup"));
         assert!(json.contains("\"sweep\""));
-        assert!(json.contains("event_vs_threaded"));
+        assert!(json.contains("event_p99_us"));
     }
 }

@@ -1,4 +1,4 @@
-//! Batching policy and server sizing.
+//! Per-tenant batching and overload policy.
 
 use std::time::Duration;
 
@@ -7,9 +7,10 @@ use std::time::Duration;
 ///
 /// Non-blocking submissions (`try_submit*`) always fail fast with
 /// [`ServeError::QueueFull`](crate::ServeError::QueueFull); this policy
-/// governs the blocking paths ([`Server::submit`](crate::Server::submit),
-/// [`TenantHandle::submit`](crate::TenantHandle::submit), …) that a wire
-/// connection drives.
+/// governs [`TenantHandle::submit`](crate::TenantHandle::submit),
+/// [`submit_with_deadline`](crate::TenantHandle::submit_with_deadline) and
+/// the event loop's
+/// [`offer_with_deadline`](crate::TenantHandle::offer_with_deadline).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum OverloadPolicy {
     /// Backpressure: park the submitter until a worker frees queue space.
@@ -32,66 +33,15 @@ pub enum OverloadPolicy {
     ShedOldest,
 }
 
-/// Tunable policy of the dynamic batcher and worker pool.
+/// Per-tenant batching policy of the scheduler
+/// ([`MultiServer`](crate::MultiServer)).
 ///
 /// The two policy knobs trade latency for occupancy exactly like the
 /// hardware pipelines the paper targets: `max_batch` caps the slab a
 /// worker assembles (the FFT engine's lane count), `max_wait` bounds how
-/// long the **oldest** request in a forming batch may age before the slab
-/// is flushed partially full.
-#[derive(Debug, Clone)]
-pub struct ServeConfig {
-    /// Largest number of requests coalesced into one `[B, n]` slab.
-    pub max_batch: usize,
-    /// Maximum time the oldest collected request may wait for the slab to
-    /// fill before a partial flush.
-    pub max_wait: Duration,
-    /// Bound of the submission queue; a full queue blocks
-    /// [`Server::submit`](crate::Server::submit) (backpressure) and fails
-    /// [`Server::try_submit`](crate::Server::try_submit).
-    pub queue_capacity: usize,
-    /// Worker threads, each owning one model scratch (e.g. a pre-warmed
-    /// `Workspace`).
-    pub workers: usize,
-    /// What a blocking submission does when the queue is at capacity.
-    pub overload: OverloadPolicy,
-}
-
-impl Default for ServeConfig {
-    /// A small-footprint default: 32-wide slabs, 2 ms slack, two workers,
-    /// queue bounded at four slabs, blocking backpressure on overload.
-    fn default() -> Self {
-        Self {
-            max_batch: 32,
-            max_wait: Duration::from_millis(2),
-            queue_capacity: 128,
-            workers: 2,
-            overload: OverloadPolicy::Block,
-        }
-    }
-}
-
-impl ServeConfig {
-    /// Validates the knobs; every count must be nonzero.
-    pub(crate) fn validate(&self) -> Result<(), crate::ServeError> {
-        if self.max_batch == 0 {
-            return Err(crate::ServeError::BadConfig("max_batch must be ≥ 1"));
-        }
-        if self.queue_capacity == 0 {
-            return Err(crate::ServeError::BadConfig("queue_capacity must be ≥ 1"));
-        }
-        if self.workers == 0 {
-            return Err(crate::ServeError::BadConfig("workers must be ≥ 1"));
-        }
-        Ok(())
-    }
-}
-
-/// Per-tenant batching policy of the multi-tenant scheduler
-/// ([`MultiServer`](crate::MultiServer)).
-///
-/// The same `max_batch`/`max_wait` trade-off as [`ServeConfig`], minus the
-/// worker count: workers belong to the shared pool, not to a tenant.
+/// long a request may age in a forming batch before the slab is flushed
+/// partially full. Workers belong to the shared pool
+/// ([`MultiServer::start`](crate::MultiServer::start)), not to a tenant.
 #[derive(Debug, Clone)]
 pub struct TenantConfig {
     /// Largest number of requests coalesced into one `[B, n]` slab.
@@ -111,7 +61,7 @@ pub struct TenantConfig {
 }
 
 impl Default for TenantConfig {
-    /// Mirrors [`ServeConfig::default`]: 32-wide slabs, 2 ms slack, queue
+    /// A small-footprint default: 32-wide slabs, 2 ms slack, queue
     /// bounded at four slabs, blocking backpressure on overload.
     fn default() -> Self {
         Self {

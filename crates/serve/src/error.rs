@@ -3,7 +3,8 @@
 /// Everything that can go wrong between submission and completion.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum ServeError {
-    /// A [`ServeConfig`](crate::ServeConfig) knob is out of range.
+    /// A [`TenantConfig`](crate::TenantConfig) knob or the pool's worker
+    /// count is out of range.
     BadConfig(&'static str),
     /// The request vector length does not match the model's input length.
     BadInput {

@@ -17,47 +17,55 @@
 //! ## Architecture
 //!
 //! ```text
-//!  clients (any thread)                server
+//!  clients (any thread)                MultiServer::start(workers)
 //!  ──────────────────────   ┌──────────────────────────────────────────┐
-//!  submit([n]) ───────────► │ bounded FIFO (Mutex + Condvar)           │
-//!   ▲ blocks when full      │   │ collect ≤ max_batch, wait ≤ max_wait │
-//!   │ (backpressure)        │   ▼                                      │
+//!  TenantHandle             │ tenant "a": bounded FIFO ┐ pick the queue │
+//!   .submit([n]) ─────────► │ tenant "b": bounded FIFO ┤ whose deadline │
+//!   ▲ blocks when full      │   …   (Mutex + Condvar)  ┘ is tightest;   │
+//!   │ (backpressure)        │   │ collect ≤ max_batch, wait ≤ max_wait │
+//!   │                       │   ▼                                      │
 //!  ResponseHandle ◄──────── │ worker 0 ░ [B,n] slab ─► Arc<model>      │
 //!   .wait() → [m] row       │ worker 1 ░ [B,n] slab ─► (shared,        │
-//!                           │   each owns its scratch    read-only)    │
-//!                           │   Workspace/InferScratch                 │
+//!   .on_ready(callback)     │   each owns one scratch    read-only)    │
+//!                           │   per tenant it has served               │
 //!                           └──────────────────────────────────────────┘
 //! ```
 //!
+//! * **One pool, any number of tenants** — [`MultiServer::start`] spawns
+//!   the workers; [`MultiServer::add_tenant`] (hot add/remove) registers a
+//!   model with its own bounded queue, [`TenantConfig`] batching policy
+//!   and per-tenant [`ServeStats`]. Serving a single model is the
+//!   one-tenant case of the same code.
 //! * **Batching policy** — a worker collects up to
-//!   [`ServeConfig::max_batch`] requests; once the *oldest* collected
-//!   request has waited [`ServeConfig::max_wait`], the slab is flushed
+//!   [`TenantConfig::max_batch`] requests; once the *oldest* collected
+//!   request has waited [`TenantConfig::max_wait`], the slab is flushed
 //!   partially full. Full slabs flush immediately.
-//! * **Backpressure** — the queue is bounded ([`ServeConfig::queue_capacity`]);
-//!   [`Server::submit`] blocks (and [`Server::try_submit`] fails) while full.
-//! * **Workers** — [`ServeConfig::workers`] threads, each owning one
-//!   pre-warmed scratch ([`circnn_core::Workspace`] /
-//!   [`circnn_nn::InferScratch`]), all sharing one read-only model.
+//! * **Backpressure and overload** — the queue is bounded
+//!   ([`TenantConfig::queue_capacity`]); at capacity
+//!   [`TenantHandle::submit`] blocks, fails fast or sheds the stalest
+//!   queued request according to [`TenantConfig::overload`], and
+//!   [`TenantHandle::try_submit_with_deadline`] always fails fast.
+//! * **Deadlines** — requests may carry a deadline budget
+//!   ([`TenantHandle::submit_with_deadline`]); workers always serve the
+//!   queue whose tightest effective deadline is earliest, tight-deadline
+//!   tenants preempt a slack tenant's batching slack, and requests whose
+//!   deadline passes before dispatch fail fast with
+//!   [`ServeError::DeadlineExceeded`].
+//! * **Workers** — each owns one pre-warmed scratch
+//!   ([`circnn_core::Workspace`] / [`circnn_nn::InferScratch`]) per tenant
+//!   it has served, all sharing the read-only models. A panicking model
+//!   costs its batch, not the worker: co-batched requests are retried
+//!   alone so only the poison request is canceled.
 //! * **Determinism** — the batched kernels are batch-composition
 //!   invariant, so a request's answer is **bit-identical** no matter which
 //!   batch the scheduler packed it into. Serving never changes results.
-//! * **Shutdown** — [`Server::shutdown`] stops intake, drains every queued
-//!   request (all handles resolve), joins the workers, and reports
-//!   [`ServeStats`] (occupancy, flush reasons, latency).
+//! * **Shutdown** — [`MultiServer::shutdown`] stops intake, drains every
+//!   queued request (all handles resolve) and joins the workers; each
+//!   [`TenantHandle::stats`] still reports afterwards (occupancy, flush
+//!   reasons, latency).
 //!
-//! ## Multi-tenant, deadline-aware scheduling
-//!
-//! [`MultiServer`] generalizes the single-model server to **many named
-//! models over one shared worker pool**: each tenant
-//! ([`MultiServer::add_tenant`], hot add/remove) owns a bounded queue, a
-//! [`TenantConfig`] batching policy and per-tenant [`ServeStats`].
-//! Requests may carry a **deadline budget**
-//! ([`TenantHandle::submit_with_deadline`]); workers always serve the
-//! queue whose tightest effective deadline is earliest, tight-deadline
-//! tenants preempt a slack tenant's batching slack, and requests whose
-//! deadline passes before dispatch fail fast with
-//! [`ServeError::DeadlineExceeded`]. This is the scheduling core under the
-//! network front-end in `circnn-wire`.
+//! This is the scheduling core under the network front end in
+//! `circnn-wire`.
 //!
 //! ## Example
 //!
@@ -66,20 +74,21 @@
 //!
 //! ```
 //! use circnn_core::{BlockCirculantMatrix, Workspace};
-//! use circnn_serve::{ServeConfig, Server};
+//! use circnn_serve::{MultiServer, TenantConfig};
 //! use circnn_tensor::init::seeded_rng;
 //!
 //! # fn main() -> Result<(), Box<dyn std::error::Error>> {
 //! let w = BlockCirculantMatrix::random(&mut seeded_rng(0), 64, 128, 16)?;
 //! let expected = w.matmat(&vec![0.5; 128], 1, &mut Workspace::new())?;
 //!
-//! let server = Server::start(w, ServeConfig::default())?;
-//! let handle = server.submit(vec![0.5; 128])?;       // park a request …
+//! let pool = MultiServer::start(2)?;                 // two workers
+//! let tenant = pool.add_tenant(w, TenantConfig::default())?;
+//! let handle = tenant.submit(vec![0.5; 128])?;       // park a request …
 //! let y = handle.wait()?;                            // … and redeem it
 //! assert_eq!(y, expected);                           // bit-identical
 //!
-//! let stats = server.shutdown();                     // drains + joins
-//! assert_eq!(stats.requests, 1);
+//! pool.shutdown();                                   // drains + joins
+//! assert_eq!(tenant.stats()?.requests, 1);
 //! # Ok(())
 //! # }
 //! ```
@@ -89,14 +98,14 @@
 
 mod config;
 mod error;
+mod handle;
 mod model;
 mod sched;
-mod server;
 mod stats;
 
-pub use config::{OverloadPolicy, ServeConfig, TenantConfig};
+pub use config::{OverloadPolicy, TenantConfig};
 pub use error::ServeError;
+pub use handle::ResponseHandle;
 pub use model::{SequentialModel, ServeModel};
 pub use sched::{MultiServer, TenantHandle};
-pub use server::{ResponseHandle, Server};
 pub use stats::{FlushReason, ServeStats};

@@ -1,11 +1,10 @@
-//! The multi-tenant, deadline-aware scheduler: many named models, one
-//! shared worker pool.
+//! The scheduler: many named models, one shared worker pool, deadline-aware
+//! dynamic batching.
 //!
-//! Where [`Server`](crate::Server) wraps *one* model with its own worker
-//! threads, [`MultiServer`] runs a fixed pool of workers over any number of
-//! **tenants**, each with its own bounded queue, batching policy
-//! ([`TenantConfig`]) and statistics. Requests may carry an optional
-//! **deadline**; the scheduling rule is:
+//! [`MultiServer`] runs a fixed pool of workers over any number of
+//! **tenants** (one is the common case), each with its own bounded queue,
+//! batching policy ([`TenantConfig`]) and statistics. Requests may carry
+//! an optional **deadline**; the scheduling rule is:
 //!
 //! 1. every request has an *effective deadline* — its explicit deadline, or
 //!    `enqueued + max_wait` (its batching slack) if it has none, whichever
@@ -32,8 +31,8 @@ use std::time::{Duration, Instant};
 
 use crate::config::{OverloadPolicy, TenantConfig};
 use crate::error::ServeError;
+use crate::handle::{completion_pair, lock, CompletionCell, ResponseHandle};
 use crate::model::{ErasedModel, ServeModel};
-use crate::server::{completion_pair, lock, CompletionCell, ResponseHandle};
 use crate::stats::{FlushReason, ServeStats, StatsAccum};
 
 /// One request parked in a tenant queue.
@@ -783,22 +782,5 @@ mod tests {
             h.submit(vec![0.0; 16]).unwrap_err(),
             ServeError::ShuttingDown
         );
-    }
-
-    #[test]
-    fn zero_knobs_are_rejected() {
-        assert!(matches!(
-            MultiServer::start(0),
-            Err(ServeError::BadConfig(_))
-        ));
-        let pool = MultiServer::start(1).unwrap();
-        let bad = TenantConfig {
-            max_batch: 0,
-            ..Default::default()
-        };
-        assert!(matches!(
-            pool.add_tenant(operator(8, 16, 4, 4), bad),
-            Err(ServeError::BadConfig(_))
-        ));
     }
 }

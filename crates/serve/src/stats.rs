@@ -14,7 +14,7 @@ pub enum FlushReason {
 }
 
 /// Running sums a worker folds each completed batch into (behind the
-/// stats mutex — one short lock per batch, not per request).
+/// pool mutex — one short lock per batch, not per request).
 #[derive(Debug, Default)]
 pub(crate) struct StatsAccum {
     pub requests: u64,
@@ -110,10 +110,9 @@ impl StatsAccum {
     }
 }
 
-/// Aggregate serving statistics, snapshotted by
-/// [`Server::stats`](crate::Server::stats) and returned by
-/// [`Server::shutdown`](crate::Server::shutdown) — and per tenant by
-/// [`TenantHandle::stats`](crate::TenantHandle::stats).
+/// One tenant's serving statistics, snapshotted by
+/// [`TenantHandle::stats`](crate::TenantHandle::stats) (valid before and
+/// after pool shutdown).
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct ServeStats {
     /// Requests completed.

@@ -1,17 +1,38 @@
-//! Batching-policy edge cases: partial-batch timeout flushes, oversize
-//! splits, backpressure, shutdown drains, and the bit-identity guarantee
-//! the whole design rests on.
+//! Batching-policy edge cases on a one-tenant pool: partial-batch timeout
+//! flushes, oversize splits, backpressure, shutdown drains, panic
+//! quarantine, overload policies, and the bit-identity guarantee the
+//! whole design rests on.
 
 use std::sync::Arc;
 use std::time::Duration;
 
 use circnn_core::{BlockCirculantMatrix, Workspace};
 use circnn_nn::{Layer, Linear, Relu, Sequential};
-use circnn_serve::{OverloadPolicy, SequentialModel, ServeConfig, ServeError, ServeModel, Server};
+use circnn_serve::{
+    MultiServer, OverloadPolicy, SequentialModel, ServeError, ServeModel, ServeStats, TenantConfig,
+    TenantHandle,
+};
 use circnn_tensor::init::seeded_rng;
 
 fn operator(m: usize, n: usize, k: usize, seed: u64) -> BlockCirculantMatrix {
     BlockCirculantMatrix::random(&mut seeded_rng(seed), m, n, k).expect("valid shape")
+}
+
+/// A `workers`-wide pool serving `model` as its only tenant.
+fn serve<M: ServeModel>(
+    model: Arc<M>,
+    workers: usize,
+    cfg: TenantConfig,
+) -> (MultiServer, TenantHandle) {
+    let pool = MultiServer::start(workers).unwrap();
+    let tenant = pool.add_tenant_shared(model, cfg).unwrap();
+    (pool, tenant)
+}
+
+/// Drains and joins the pool, then reads the tenant's final statistics.
+fn shutdown(pool: MultiServer, tenant: &TenantHandle) -> ServeStats {
+    pool.shutdown();
+    tenant.stats().unwrap()
 }
 
 fn request(n: usize, seed: u64) -> Vec<f32> {
@@ -25,24 +46,23 @@ fn request(n: usize, seed: u64) -> Vec<f32> {
 #[test]
 fn partial_batch_flushes_on_max_wait() {
     let w = operator(32, 48, 8, 1);
-    let server = Server::start(
-        w,
-        ServeConfig {
+    let (pool, tenant) = serve(
+        Arc::new(w),
+        1,
+        TenantConfig {
             max_batch: 64, // never reachable with 3 requests
             max_wait: Duration::from_millis(20),
             queue_capacity: 64,
-            workers: 1,
             ..Default::default()
         },
-    )
-    .unwrap();
+    );
     let handles: Vec<_> = (0..3)
-        .map(|i| server.submit(request(48, 100 + i)).unwrap())
+        .map(|i| tenant.submit(request(48, 100 + i)).unwrap())
         .collect();
     for h in handles {
         h.wait().unwrap(); // resolves despite the batch never filling
     }
-    let stats = server.shutdown();
+    let stats = shutdown(pool, &tenant);
     assert_eq!(stats.requests, 3);
     assert!(
         stats.timeout_flushes >= 1,
@@ -56,24 +76,23 @@ fn partial_batch_flushes_on_max_wait() {
 #[test]
 fn oversize_load_splits_into_max_batch_slabs() {
     let w = operator(32, 48, 8, 2);
-    let server = Server::start(
-        w,
-        ServeConfig {
+    let (pool, tenant) = serve(
+        Arc::new(w),
+        1,
+        TenantConfig {
             max_batch: 4,
             max_wait: Duration::from_millis(200),
             queue_capacity: 64,
-            workers: 1,
             ..Default::default()
         },
-    )
-    .unwrap();
+    );
     let handles: Vec<_> = (0..10)
-        .map(|i| server.submit(request(48, 200 + i)).unwrap())
+        .map(|i| tenant.submit(request(48, 200 + i)).unwrap())
         .collect();
     for h in handles {
         h.wait().unwrap();
     }
-    let stats = server.shutdown();
+    let stats = shutdown(pool, &tenant);
     assert_eq!(stats.requests, 10);
     assert!(stats.batches >= 3, "10 requests / cap 4 needs ≥ 3 slabs");
     assert!(stats.max_occupancy <= 4, "slab exceeded max_batch: {stats}");
@@ -90,23 +109,22 @@ fn oversize_load_splits_into_max_batch_slabs() {
 fn shutdown_drains_in_flight_requests() {
     let w = operator(32, 48, 8, 3);
     let wref = Arc::new(w);
-    let server = Server::start_shared(
+    let (pool, tenant) = serve(
         Arc::clone(&wref),
-        ServeConfig {
+        2,
+        TenantConfig {
             max_batch: 64,
             max_wait: Duration::from_secs(3600), // would park ~forever
             queue_capacity: 64,
-            workers: 2,
             ..Default::default()
         },
-    )
-    .unwrap();
+    );
     let inputs: Vec<Vec<f32>> = (0..7).map(|i| request(48, 300 + i)).collect();
     let handles: Vec<_> = inputs
         .iter()
-        .map(|x| server.submit(x.clone()).unwrap())
+        .map(|x| tenant.submit(x.clone()).unwrap())
         .collect();
-    let stats = server.shutdown(); // must not hang on max_wait
+    let stats = shutdown(pool, &tenant); // must not hang on max_wait
     assert_eq!(stats.requests, 7, "drain lost requests: {stats}");
     let mut ws = Workspace::new();
     for (x, h) in inputs.iter().zip(handles) {
@@ -123,32 +141,31 @@ fn shutdown_drains_in_flight_requests() {
 fn concurrent_results_are_bit_identical_to_direct_matmat() {
     let (m, n, k) = (64, 96, 16);
     let w = Arc::new(operator(m, n, k, 4));
-    let server = Server::start_shared(
+    let (pool, tenant) = serve(
         Arc::clone(&w),
-        ServeConfig {
+        2,
+        TenantConfig {
             max_batch: 8,
             max_wait: Duration::from_micros(500),
             queue_capacity: 64,
-            workers: 2,
             ..Default::default()
         },
-    )
-    .unwrap();
+    );
     std::thread::scope(|s| {
         for client in 0..6u64 {
-            let (server, w) = (&server, Arc::clone(&w));
+            let (tenant, w) = (&tenant, Arc::clone(&w));
             s.spawn(move || {
                 let mut ws = Workspace::new();
                 for r in 0..20u64 {
                     let x = request(n, 1000 + client * 97 + r);
-                    let served = server.submit(x.clone()).unwrap().wait().unwrap();
+                    let served = tenant.submit(x.clone()).unwrap().wait().unwrap();
                     let direct = w.matmat(&x, 1, &mut ws).unwrap();
                     assert_eq!(served, direct, "client {client} request {r} diverged");
                 }
             });
         }
     });
-    let stats = server.shutdown();
+    let stats = shutdown(pool, &tenant);
     assert_eq!(stats.requests, 6 * 20);
     // (No assertion on coalescing itself: a fast enough machine may
     // legally drain every request alone. Bit-identity above is the point.)
@@ -176,25 +193,24 @@ fn sequential_model_served_equals_direct_infer() {
         })
         .collect();
     let model = SequentialModel::new(net, 48).unwrap();
-    let server = Server::start(
-        model,
-        ServeConfig {
+    let (pool, tenant) = serve(
+        Arc::new(model),
+        2,
+        TenantConfig {
             max_batch: 5,
             max_wait: Duration::from_millis(5),
             queue_capacity: 32,
-            workers: 2,
             ..Default::default()
         },
-    )
-    .unwrap();
+    );
     let handles: Vec<_> = inputs
         .iter()
-        .map(|x| server.submit(x.clone()).unwrap())
+        .map(|x| tenant.submit(x.clone()).unwrap())
         .collect();
     for (h, expect) in handles.into_iter().zip(&direct) {
         assert_eq!(&h.wait().unwrap(), expect);
     }
-    server.shutdown();
+    pool.shutdown();
 }
 
 /// A deliberately slow model to make queue states observable.
@@ -222,27 +238,26 @@ impl ServeModel for SlowEcho {
 /// bounded queue is full, and succeeds again after it drains.
 #[test]
 fn bounded_queue_exerts_backpressure() {
-    let server = Server::start(
-        SlowEcho {
+    let (pool, tenant) = serve(
+        Arc::new(SlowEcho {
             len: 4,
             delay: Duration::from_millis(30),
-        },
-        ServeConfig {
+        }),
+        1,
+        TenantConfig {
             max_batch: 1, // every request is its own (slow) batch
             max_wait: Duration::ZERO,
             queue_capacity: 2,
-            workers: 1,
             ..Default::default()
         },
-    )
-    .unwrap();
+    );
     // First request occupies the worker; then stuff the queue. The worker
     // sleeps 30 ms per request, so it cannot absorb a 50-burst that takes
     // microseconds — some try_submits must hit the 2-deep bound.
-    let mut handles = vec![server.submit(vec![0.0; 4]).unwrap()];
+    let mut handles = vec![tenant.submit(vec![0.0; 4]).unwrap()];
     let mut rejections = 0;
     for i in 0..50 {
-        match server.try_submit(vec![i as f32; 4]) {
+        match tenant.try_submit_with_deadline(vec![i as f32; 4], None) {
             Ok(h) => handles.push(h),
             Err(ServeError::QueueFull) => rejections += 1,
             Err(e) => panic!("unexpected error: {e}"),
@@ -253,8 +268,12 @@ fn bounded_queue_exerts_backpressure() {
         h.wait().unwrap();
     }
     // Once drained, the queue accepts again.
-    server.try_submit(vec![1.0; 4]).unwrap().wait().unwrap();
-    server.shutdown();
+    tenant
+        .try_submit_with_deadline(vec![1.0; 4], None)
+        .unwrap()
+        .wait()
+        .unwrap();
+    pool.shutdown();
 }
 
 /// A model that panics on marked inputs, to exercise worker recovery.
@@ -281,22 +300,21 @@ impl ServeModel for Fragile {
 /// worker: the pool keeps serving afterwards.
 #[test]
 fn worker_survives_a_panicking_batch() {
-    let server = Server::start(
-        Fragile { len: 4 },
-        ServeConfig {
+    let (pool, tenant) = serve(
+        Arc::new(Fragile { len: 4 }),
+        1,
+        TenantConfig {
             max_batch: 1, // keep the poison isolated in its own batch
             max_wait: Duration::ZERO,
             queue_capacity: 8,
-            workers: 1,
             ..Default::default()
         },
-    )
-    .unwrap();
-    let poison = server.submit(vec![-1.0; 4]).unwrap();
+    );
+    let poison = tenant.submit(vec![-1.0; 4]).unwrap();
     assert_eq!(poison.wait(), Err(ServeError::Canceled));
-    let healthy = server.submit(vec![2.0; 4]).unwrap();
+    let healthy = tenant.submit(vec![2.0; 4]).unwrap();
     assert_eq!(healthy.wait().unwrap(), vec![2.0; 4]);
-    let stats = server.shutdown();
+    let stats = shutdown(pool, &tenant);
     assert_eq!(stats.requests, 1, "only the completed request counts");
 }
 
@@ -331,27 +349,26 @@ impl ServeModel for SlowFragile {
 /// panic/retry counters record exactly what happened.
 #[test]
 fn panicking_batch_never_takes_healthy_cobatched_requests_down() {
-    let server = Server::start(
-        SlowFragile {
+    let (pool, tenant) = serve(
+        Arc::new(SlowFragile {
             len: 4,
             delay: Duration::from_millis(60),
-        },
-        ServeConfig {
+        }),
+        1,
+        TenantConfig {
             max_batch: 4,
             max_wait: Duration::ZERO,
             queue_capacity: 8,
-            workers: 1,
             ..Default::default()
         },
-    )
-    .unwrap();
+    );
     // Occupy the single worker so the next three requests coalesce into
     // one slab behind it.
-    let blocker = server.submit(vec![1.0; 4]).unwrap();
+    let blocker = tenant.submit(vec![1.0; 4]).unwrap();
     std::thread::sleep(Duration::from_millis(20));
-    let poison = server.submit(vec![-1.0, 0.0, 0.0, 0.0]).unwrap();
-    let healthy_a = server.submit(vec![2.0; 4]).unwrap();
-    let healthy_b = server.submit(vec![3.0; 4]).unwrap();
+    let poison = tenant.submit(vec![-1.0, 0.0, 0.0, 0.0]).unwrap();
+    let healthy_a = tenant.submit(vec![2.0; 4]).unwrap();
+    let healthy_b = tenant.submit(vec![3.0; 4]).unwrap();
 
     assert_eq!(blocker.wait().unwrap(), vec![1.0; 4]);
     // The poison member is canceled; its co-batched neighbours survive
@@ -360,7 +377,7 @@ fn panicking_batch_never_takes_healthy_cobatched_requests_down() {
     assert_eq!(healthy_a.wait().unwrap(), vec![2.0; 4]);
     assert_eq!(healthy_b.wait().unwrap(), vec![3.0; 4]);
 
-    let stats = server.shutdown();
+    let stats = shutdown(pool, &tenant);
     assert_eq!(
         stats.requests, 3,
         "blocker + two rescued members count; the poison does not: {stats}"
@@ -377,33 +394,32 @@ fn panicking_batch_never_takes_healthy_cobatched_requests_down() {
 /// is counted, and already-admitted requests still complete.
 #[test]
 fn reject_policy_fails_fast_when_the_queue_is_full() {
-    let server = Server::start(
-        SlowEcho {
+    let (pool, tenant) = serve(
+        Arc::new(SlowEcho {
             len: 4,
             delay: Duration::from_millis(150),
-        },
-        ServeConfig {
+        }),
+        1,
+        TenantConfig {
             max_batch: 1,
             max_wait: Duration::ZERO,
             queue_capacity: 2,
-            workers: 1,
             overload: OverloadPolicy::Reject,
         },
-    )
-    .unwrap();
-    let blocker = server.submit(vec![0.0; 4]).unwrap();
+    );
+    let blocker = tenant.submit(vec![0.0; 4]).unwrap();
     std::thread::sleep(Duration::from_millis(20));
-    let queued_a = server.submit(vec![1.0; 4]).unwrap();
-    let queued_b = server.submit(vec![2.0; 4]).unwrap();
+    let queued_a = tenant.submit(vec![1.0; 4]).unwrap();
+    let queued_b = tenant.submit(vec![2.0; 4]).unwrap();
     // Queue is at capacity: Block would park here; Reject must not.
-    match server.submit(vec![3.0; 4]) {
+    match tenant.submit(vec![3.0; 4]) {
         Err(ServeError::Overloaded) => {}
         other => panic!("expected Overloaded, got {other:?}"),
     }
     assert_eq!(blocker.wait().unwrap(), vec![0.0; 4]);
     assert_eq!(queued_a.wait().unwrap(), vec![1.0; 4]);
     assert_eq!(queued_b.wait().unwrap(), vec![2.0; 4]);
-    let stats = server.shutdown();
+    let stats = shutdown(pool, &tenant);
     assert_eq!(stats.rejected, 1, "{stats}");
     assert_eq!(stats.shed, 0, "{stats}");
 }
@@ -413,32 +429,31 @@ fn reject_policy_fails_fast_when_the_queue_is_full() {
 /// Overloaded error), admits the new one, and counts the shed.
 #[test]
 fn shed_oldest_policy_evicts_the_stalest_queued_request() {
-    let server = Server::start(
-        SlowEcho {
+    let (pool, tenant) = serve(
+        Arc::new(SlowEcho {
             len: 4,
             delay: Duration::from_millis(150),
-        },
-        ServeConfig {
+        }),
+        1,
+        TenantConfig {
             max_batch: 1,
             max_wait: Duration::ZERO,
             queue_capacity: 2,
-            workers: 1,
             overload: OverloadPolicy::ShedOldest,
         },
-    )
-    .unwrap();
-    let blocker = server.submit(vec![0.0; 4]).unwrap();
+    );
+    let blocker = tenant.submit(vec![0.0; 4]).unwrap();
     std::thread::sleep(Duration::from_millis(20));
-    let oldest = server.submit(vec![1.0; 4]).unwrap();
-    let middle = server.submit(vec![2.0; 4]).unwrap();
+    let oldest = tenant.submit(vec![1.0; 4]).unwrap();
+    let middle = tenant.submit(vec![2.0; 4]).unwrap();
     // Queue full: the NEW request is admitted and the oldest queued one
     // is shed with a typed error.
-    let newest = server.submit(vec![3.0; 4]).unwrap();
+    let newest = tenant.submit(vec![3.0; 4]).unwrap();
     assert_eq!(oldest.wait(), Err(ServeError::Overloaded));
     assert_eq!(blocker.wait().unwrap(), vec![0.0; 4]);
     assert_eq!(middle.wait().unwrap(), vec![2.0; 4]);
     assert_eq!(newest.wait().unwrap(), vec![3.0; 4]);
-    let stats = server.shutdown();
+    let stats = shutdown(pool, &tenant);
     assert_eq!(stats.shed, 1, "{stats}");
     assert_eq!(stats.rejected, 0, "{stats}");
     // Non-blocking submission keeps its fail-fast QueueFull contract
@@ -448,34 +463,36 @@ fn shed_oldest_policy_evicts_the_stalest_queued_request() {
 /// Mis-sized requests are rejected at the door, not inside a worker.
 #[test]
 fn wrong_length_is_rejected_on_submit() {
-    let server = Server::start(operator(16, 32, 8, 6), ServeConfig::default()).unwrap();
-    match server.submit(vec![0.0; 31]) {
+    let (pool, tenant) = serve(Arc::new(operator(16, 32, 8, 6)), 2, TenantConfig::default());
+    match tenant.submit(vec![0.0; 31]) {
         Err(ServeError::BadInput { expected, got }) => {
             assert_eq!((expected, got), (32, 31));
         }
         other => panic!("expected BadInput, got {other:?}"),
     }
-    server.shutdown();
+    pool.shutdown();
 }
 
-/// Zero-valued knobs are rejected at startup.
+/// Zero-valued knobs are rejected at startup: the pool's worker count and
+/// each tenant policy count.
 #[test]
 fn zero_config_knobs_are_rejected() {
+    match MultiServer::start(0) {
+        Err(ServeError::BadConfig(_)) => {}
+        other => panic!("expected BadConfig, got {:?}", other.map(|_| ())),
+    }
+    let pool = MultiServer::start(1).unwrap();
     for cfg in [
-        ServeConfig {
+        TenantConfig {
             max_batch: 0,
             ..Default::default()
         },
-        ServeConfig {
+        TenantConfig {
             queue_capacity: 0,
             ..Default::default()
         },
-        ServeConfig {
-            workers: 0,
-            ..Default::default()
-        },
     ] {
-        match Server::start(operator(16, 32, 8, 7), cfg) {
+        match pool.add_tenant(operator(16, 32, 8, 7), cfg) {
             Err(ServeError::BadConfig(_)) => {}
             other => panic!("expected BadConfig, got {:?}", other.map(|_| ())),
         }

@@ -35,7 +35,7 @@
 //! use circnn_shard::topology::{segment_ranges, split_operator, ClusterSpec};
 //! use circnn_shard::{RouterConfig, ShardRouter};
 //! use circnn_tensor::init::seeded_rng;
-//! use circnn_wire::{ModelRegistry, WireConfig, WireServer};
+//! use circnn_wire::{EventConfig, EventServer, ModelRegistry};
 //!
 //! # fn main() -> Result<(), Box<dyn std::error::Error>> {
 //! let w = BlockCirculantMatrix::random(&mut seeded_rng(7), 32, 24, 8)?;
@@ -47,7 +47,7 @@
 //! for slice in slices {
 //!     let registry = Arc::new(ModelRegistry::new(1)?);
 //!     registry.add_segment("op", slice, TenantConfig::default())?;
-//!     let server = WireServer::bind("127.0.0.1:0", registry, WireConfig::default())?;
+//!     let server = EventServer::bind("127.0.0.1:0", registry, EventConfig::default())?;
 //!     addrs.push(server.local_addr());
 //!     servers.push(server);
 //! }

@@ -1,5 +1,5 @@
 //! The scatter-gather router: one logical serving surface over a
-//! cluster of [`circnn_wire::WireServer`] shards.
+//! cluster of [`circnn_wire::EventServer`] shards.
 //!
 //! Two tenant kinds route differently:
 //!

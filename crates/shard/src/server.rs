@@ -20,12 +20,10 @@ use std::net::{SocketAddr, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
-use std::time::Duration;
 
-use circnn_wire::frame::{Reply, Request};
+use circnn_wire::frame::{budget_of, Reply, Request};
 use circnn_wire::{
-    Dispatched, ErrorCode, EventConfig, EventDispatch, EventServer, ReplyTicket, WireConfig,
-    WireError,
+    Dispatched, ErrorCode, EventConfig, EventDispatch, EventServer, ReplyTicket, WireError,
 };
 
 use crate::router::ShardRouter;
@@ -52,10 +50,6 @@ fn to_error_reply(e: WireError) -> Reply {
             message: format!("shard call failed: {other}"),
         },
     }
-}
-
-fn budget_of(deadline_micros: u64) -> Option<Duration> {
-    (deadline_micros > 0).then(|| Duration::from_micros(deadline_micros))
 }
 
 /// The request sink bridging the event loops to the routing workers: a
@@ -140,11 +134,8 @@ impl core::fmt::Debug for RouterServer {
 }
 
 impl RouterServer {
-    /// Binds a listener and starts the event loops plus the routing
-    /// workers (port 0 for an ephemeral port). `cfg.max_pipeline`,
-    /// `cfg.idle_timeout` and `cfg.max_connections` carry over to the
-    /// event front end; `cfg.write_timeout` is obsolete there (writes
-    /// are nonblocking and flushed by readiness) and ignored.
+    /// Binds a listener and starts the event loops (configured by `cfg`)
+    /// plus the routing workers. Port 0 binds an ephemeral port.
     ///
     /// # Errors
     ///
@@ -152,7 +143,7 @@ impl RouterServer {
     pub fn bind(
         addr: impl ToSocketAddrs,
         router: Arc<ShardRouter>,
-        cfg: WireConfig,
+        cfg: EventConfig,
     ) -> Result<Self, WireError> {
         let dispatch = Arc::new(RouterDispatch {
             router,
@@ -160,16 +151,10 @@ impl RouterServer {
             available: Condvar::new(),
             stop: AtomicBool::new(false),
         });
-        let event_cfg = EventConfig {
-            max_pipeline: cfg.max_pipeline,
-            idle_timeout: cfg.idle_timeout,
-            max_connections: cfg.max_connections,
-            ..EventConfig::default()
-        };
         let inner = EventServer::bind_with_dispatcher(
             addr,
             Arc::clone(&dispatch) as Arc<dyn EventDispatch>,
-            event_cfg,
+            cfg,
         )?;
         let workers = (0..ROUTER_WORKERS)
             .map(|i| {

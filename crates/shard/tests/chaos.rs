@@ -4,6 +4,8 @@
 //! **bitwise-correct** or a **typed error** — never a wrong or
 //! partially-stitched reply, never a hang.
 
+mod common;
+
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -13,7 +15,9 @@ use circnn_shard::topology::{segment_ranges, split_operator, ClusterSpec, ShardS
 use circnn_shard::{RouterConfig, ShardRouter};
 use circnn_tensor::init::seeded_rng;
 use circnn_wire::chaos::{ChaosProxy, Fault};
-use circnn_wire::{ClientConfig, ModelRegistry, WireConfig, WireServer};
+use circnn_wire::{ClientConfig, EventConfig, EventServer, ModelRegistry};
+
+use common::request;
 
 /// The soak scenario: 2 shards, the second reachable only through a
 /// chaos proxy cycling clean, delayed/torn, and truncated connections.
@@ -28,7 +32,7 @@ fn chaotic_shard_yields_bitwise_or_typed_errors_never_wrong_stitches() {
         registry
             .add_segment("op", slice.clone(), TenantConfig::default())
             .unwrap();
-        let server = WireServer::bind("127.0.0.1:0", registry, WireConfig::default()).unwrap();
+        let server = EventServer::bind("127.0.0.1:0", registry, EventConfig::default()).unwrap();
         direct_addrs.push(server.local_addr());
         servers.push(server);
     }
@@ -99,14 +103,7 @@ fn chaotic_shard_yields_bitwise_or_typed_errors_never_wrong_stitches() {
                     let mut ws = Workspace::new();
                     let (mut ok, mut err) = (0, 0);
                     for r in 0..REQUESTS {
-                        let x = circnn_tensor::init::uniform(
-                            &mut seeded_rng((client * 100 + r) as u64),
-                            &[24],
-                            -1.0,
-                            1.0,
-                        )
-                        .data()
-                        .to_vec();
+                        let x = request(24, (client * 100 + r) as u64);
                         match router.infer("op", &x) {
                             Ok(served) => {
                                 let direct = w.matmat(&x, 1, &mut ws).unwrap();

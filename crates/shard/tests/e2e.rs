@@ -4,47 +4,25 @@
 //! clients; replica kill mid-stream fails over without a wrong or
 //! partially-stitched reply; teardown is deterministic.
 
+mod common;
+
 use std::net::SocketAddr;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 use circnn_core::{BlockCirculantMatrix, Workspace};
-use circnn_nn::{InferScratch, Layer, Sequential};
+use circnn_nn::{InferScratch, Layer};
 use circnn_serve::TenantConfig;
 use circnn_shard::topology::{segment_ranges, split_operator, ClusterSpec, ShardSpec};
 use circnn_shard::{RouterConfig, RouterServer, ShardRouter};
 use circnn_tensor::init::seeded_rng;
 use circnn_tensor::Tensor;
 use circnn_wire::{
-    ClientConfig, ErrorCode, ModelRegistry, WireClient, WireConfig, WireError, WireServer,
+    ClientConfig, ErrorCode, EventConfig, EventServer, ModelRegistry, WireClient, WireError,
 };
 
-/// MLP tenant: 32 → 48 → 10 with a circulant hidden layer.
-fn mlp(seed: u64) -> Sequential {
-    let mut rng = seeded_rng(seed);
-    Sequential::new()
-        .add(circnn_core::CirculantLinear::new(&mut rng, 32, 48, 16).unwrap())
-        .add(circnn_nn::Relu::new())
-        .add(circnn_nn::Linear::new(&mut rng, 48, 10))
-}
-
-/// Convnet tenant over `[2, 8, 8]` images: circulant conv → pool → fc.
-fn convnet(seed: u64) -> Sequential {
-    let mut rng = seeded_rng(seed);
-    Sequential::new()
-        .add(circnn_core::CirculantConv2d::new(&mut rng, 2, 4, 3, 1, 1, 2).unwrap())
-        .add(circnn_nn::Relu::new())
-        .add(circnn_nn::MaxPool2d::new(2, 2))
-        .add(circnn_nn::Flatten::new())
-        .add(circnn_nn::Linear::new(&mut rng, 4 * 4 * 4, 6))
-}
-
-fn request(len: usize, seed: u64) -> Vec<f32> {
-    circnn_tensor::init::uniform(&mut seeded_rng(seed), &[len], -1.0, 1.0)
-        .data()
-        .to_vec()
-}
+use common::{convnet, drop_poll, mlp, request};
 
 /// Boots `shards × replicas` wire servers: replica `(s, r)` holds shard
 /// `s`'s row-slice of `w` under `"op"` plus full forwarded `mlp` /
@@ -54,7 +32,7 @@ fn boot_cluster(
     w: &BlockCirculantMatrix,
     shards: usize,
     replicas: usize,
-) -> (Vec<Vec<WireServer>>, ClusterSpec) {
+) -> (Vec<Vec<EventServer>>, ClusterSpec) {
     let slices = split_operator(w, shards).unwrap();
     let mut servers = Vec::new();
     let mut spec = ClusterSpec { shards: Vec::new() };
@@ -72,7 +50,8 @@ fn boot_cluster(
             registry
                 .add_network("convnet", convnet(88), &[2, 8, 8], TenantConfig::default())
                 .unwrap();
-            let server = WireServer::bind("127.0.0.1:0", registry, WireConfig::default()).unwrap();
+            let server =
+                EventServer::bind("127.0.0.1:0", registry, EventConfig::default()).unwrap();
             addrs.push(server.local_addr());
             shard_servers.push(server);
         }
@@ -119,7 +98,7 @@ fn sharded_cluster_serves_bitwise_identical_under_pipelining_clients() {
         "all replicas must be routable"
     );
     let front =
-        RouterServer::bind("127.0.0.1:0", Arc::clone(&router), WireConfig::default()).unwrap();
+        RouterServer::bind("127.0.0.1:0", Arc::clone(&router), EventConfig::default()).unwrap();
     let addr = front.local_addr();
 
     const CLIENTS: usize = 8;
@@ -225,20 +204,6 @@ fn sharded_cluster_serves_bitwise_identical_under_pipelining_clients() {
     }
 }
 
-/// Polls `count()` until it reaches `want` (or a generous deadline).
-fn drop_poll(count: impl Fn() -> usize, want: usize) {
-    let deadline = Instant::now() + Duration::from_secs(10);
-    let mut live = usize::MAX;
-    while Instant::now() < deadline {
-        live = count();
-        if live <= want {
-            return;
-        }
-        std::thread::sleep(Duration::from_millis(20));
-    }
-    panic!("connection table stuck at {live} entries (wanted {want})");
-}
-
 /// Killing one shard replica mid-stream: every reply is bitwise-correct
 /// or a typed error — no hangs, no misattributed segments — and traffic
 /// keeps succeeding on the surviving replica.
@@ -252,7 +217,7 @@ fn killing_a_replica_mid_stream_fails_over_without_wrong_replies() {
         .add_sharded_model("op", w.cols(), &segment_ranges(&slices))
         .unwrap();
     let front =
-        RouterServer::bind("127.0.0.1:0", Arc::clone(&router), WireConfig::default()).unwrap();
+        RouterServer::bind("127.0.0.1:0", Arc::clone(&router), EventConfig::default()).unwrap();
     let addr = front.local_addr();
 
     let killed = Arc::new(AtomicBool::new(false));
@@ -337,7 +302,7 @@ fn stale_topology_fails_typed_never_misattributed() {
         registry
             .add_segment("op", slice.clone(), TenantConfig::default())
             .unwrap();
-        let server = WireServer::bind("127.0.0.1:0", registry, WireConfig::default()).unwrap();
+        let server = EventServer::bind("127.0.0.1:0", registry, EventConfig::default()).unwrap();
         addrs.push(server.local_addr());
         servers.push(server);
     }

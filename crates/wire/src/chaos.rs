@@ -6,7 +6,7 @@
 //! tests drive:
 //!
 //! * [`ChaosProxy`] — a TCP proxy between a client and a
-//!   [`WireServer`](crate::WireServer) that injects transport faults per
+//!   [`EventServer`](crate::EventServer) that injects transport faults per
 //!   connection from a deterministic [`Fault`] plan: added latency with
 //!   frames torn across small segments, byte truncation followed by an
 //!   abrupt close (the observable shape of a connection reset), in either

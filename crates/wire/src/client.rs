@@ -59,8 +59,8 @@ pub struct ClientConfig {
     pub retry_seed: u64,
     /// Protocol version to speak: `3` (request-id framing — replies may
     /// complete out of order, the id pairs them) or `2` (legacy: no ids,
-    /// replies strictly in request order). Both the threaded and the
-    /// event server answer either on the same port.
+    /// replies strictly in request order). The server answers either on
+    /// the same port.
     pub protocol: u8,
 }
 
@@ -167,7 +167,7 @@ impl core::fmt::Debug for WireClient {
 }
 
 impl WireClient {
-    /// Connects to a [`WireServer`](crate::WireServer) with the default
+    /// Connects to an [`EventServer`](crate::EventServer) with the default
     /// [`ClientConfig`] — bounded connect/read/write and a small retry
     /// budget, so a black-holed address fails in seconds instead of
     /// hanging forever.

@@ -1,17 +1,14 @@
-//! Event-driven TCP front-end: a fixed pool of I/O threads multiplexing
-//! every connection over a readiness loop, instead of two threads per
-//! connection.
+//! The TCP front end: a fixed pool of I/O threads multiplexing every
+//! connection over a readiness loop.
 //!
 //! ## Why
 //!
-//! The thread-per-connection [`WireServer`](crate::WireServer) is simple
-//! and fast at tens of connections, but each connection costs two OS
-//! threads — at thousands of mostly-idle connections the scheduler burns
-//! its time context-switching parked readers, and the thread cap becomes
-//! the connection cap. This front-end holds 10k+ connections on
-//! [`EventConfig::io_threads`] threads: each runs an epoll (or poll)
-//! readiness loop over nonblocking sockets and drives a small state
-//! machine per connection.
+//! A thread (or two) per connection is simple, but at thousands of
+//! mostly-idle connections the scheduler burns its time context-switching
+//! parked readers, and the thread cap becomes the connection cap. This
+//! front end holds 10k+ connections on [`EventConfig::io_threads`]
+//! threads: each runs an epoll (or poll) readiness loop over nonblocking
+//! sockets and drives a small state machine per connection.
 //!
 //! ## Per-connection state machine
 //!
@@ -36,10 +33,14 @@
 //! * **Writes** are buffered; on `WouldBlock` the loop registers
 //!   `WRITABLE` interest and resumes when the socket drains.
 //! * **Backpressure**: a parked request (tenant queue full under the
-//!   `Block` overload policy) or a full pipeline
-//!   ([`EventConfig::max_pipeline`]) pauses `READABLE` interest — the
-//!   kernel socket buffer fills and the client stalls, exactly like the
-//!   threaded server's blocking reader, without holding a thread.
+//!   `Block` overload policy), a full pipeline
+//!   ([`EventConfig::max_pipeline`]) or a write backlog past
+//!   `MAX_UNSENT_BYTES` (a peer that pipelines without reading) pauses
+//!   `READABLE` interest — the kernel socket buffer fills and the client
+//!   stalls, without holding a thread; a peer that stays stalled is
+//!   reaped by the idle timeout. Input resumes in the same pass that
+//!   frees the room (replies encoded, backlog flushed): frames already
+//!   read off the socket would get no further readiness event.
 //!
 //! ## Reply ordering
 //!
@@ -63,11 +64,10 @@ use circnn_serve::{ResponseHandle, ServeError};
 use polling::{Event, Interest, Poller, WakeReader};
 
 use crate::error::{ErrorCode, WireError};
-use crate::frame::{self, FrameAssembler, Reply, Request, Tag};
+use crate::frame::{self, budget_of, FrameAssembler, Reply, Request, Tag};
 use crate::registry::ModelRegistry;
-use crate::server::{budget_of, error_reply, unknown_model};
 
-/// Event front-end knobs.
+/// Front-end knobs.
 #[derive(Debug, Clone)]
 pub struct EventConfig {
     /// Number of I/O threads (readiness loops). Connections are assigned
@@ -76,7 +76,7 @@ pub struct EventConfig {
     pub io_threads: usize,
     /// Per-connection in-flight request cap: once this many requests
     /// await replies, the loop stops reading that connection until
-    /// replies flush (same bound as the threaded server's reply queue).
+    /// replies flush.
     pub max_pipeline: usize,
     /// Idle timeout: a connection that delivers no bytes for this long is
     /// closed by the loop's timer wheel — a slow-loris peer trickling a
@@ -99,6 +99,18 @@ impl Default for EventConfig {
         }
     }
 }
+
+/// [`EventConfig`] under its older name: the repo benchmark (`benchmark/`,
+/// frozen) spells the router's config this way.
+pub type WireConfig = EventConfig;
+
+/// Per-connection cap on encoded-but-unsent reply bytes. Requests leave
+/// the in-flight count when their reply is encoded into the write buffer,
+/// so `max_pipeline` alone does not bound a peer that pipelines requests
+/// and never reads: past this backlog the loop stops reading the
+/// connection, TCP backpressures the peer, and — since only reads refresh
+/// the idle clock — the idle timeout reaps it if it never drains.
+const MAX_UNSENT_BYTES: usize = 1 << 20;
 
 /// How quickly a loop with parked (backpressured) requests re-offers
 /// them to the dispatcher. Parked requests have no drain notification —
@@ -152,16 +164,23 @@ struct LoopShared {
 
 impl LoopShared {
     fn complete(&self, slot: usize, conn_id: u64, seq: u64, reply: Reply) {
-        self.completions
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .push(Completion {
+        let was_empty = {
+            let mut list = self.completions.lock().unwrap_or_else(|e| e.into_inner());
+            let was_empty = list.is_empty();
+            list.push(Completion {
                 slot,
                 conn_id,
                 seq,
                 reply,
             });
-        self.waker.wake();
+            was_empty
+        };
+        // One pipe write per drained batch, not per reply: the loop takes
+        // the whole list at once, so whoever pushed onto a non-empty list
+        // knows the wake for it is still pending.
+        if was_empty {
+            self.waker.wake();
+        }
     }
 }
 
@@ -266,14 +285,22 @@ struct Conn {
 }
 
 impl Conn {
+    /// Whether another request fits: the pipeline has a free entry and
+    /// the write backlog is under its cap.
+    fn has_room(&self, max_pipeline: usize) -> bool {
+        !self.closing
+            && self.inflight.len() < max_pipeline
+            && self.wbuf.len() - self.wpos < MAX_UNSENT_BYTES
+    }
+
     /// Whether the loop should pull more requests off this connection.
     fn accepts_input(&self, max_pipeline: usize) -> bool {
-        !self.closing && self.parked.is_none() && self.inflight.len() < max_pipeline
+        self.has_room(max_pipeline) && self.parked.is_none()
     }
 }
 
-/// The event-driven serving front-end over a shared [`ModelRegistry`]
-/// (or any [`EventDispatch`]).
+/// The serving front end over a shared [`ModelRegistry`] (or any
+/// [`EventDispatch`]).
 ///
 /// Speaks protocol v2 and v3 on the same port: v2 clients get replies in
 /// arrival order, v3 clients get id-tagged replies as they complete.
@@ -520,7 +547,7 @@ impl IoLoop<'_> {
                 Err(_) => break,
             };
             // At capacity: hang up instead of admitting (the peer sees an
-            // immediate EOF), same contract as the threaded server.
+            // immediate EOF).
             if self.global.conn_count.load(Ordering::SeqCst) >= self.global.cfg.max_connections {
                 let _ = stream.shutdown(Shutdown::Both);
                 continue;
@@ -716,16 +743,48 @@ impl IoLoop<'_> {
         }
     }
 
-    /// The state machine: unpark, decode, dispatch, read, encode, flush.
-    /// Returns `false` when the connection should close.
+    /// The state machine: take input (unpark, decode, dispatch, read),
+    /// then encode and flush — and again while that frees room for input
+    /// that was paused. Returns `false` when the connection should close.
     fn progress(&mut self, slot: usize, conn: &mut Conn) -> bool {
+        let max_pipeline = self.global.cfg.max_pipeline;
+        loop {
+            if !self.take_input(slot, conn) {
+                return false;
+            }
+            // Encoding pops in-flight entries and flushing shrinks the
+            // write backlog. If input was paused on either, frames already
+            // buffered in `asm` (or a parked request) are owed another
+            // pass now: no readiness event will come for bytes this loop
+            // has already read.
+            let was_full = !conn.has_room(max_pipeline);
+            self.encode_ready(conn);
+            if !flush_writes(conn) {
+                return false;
+            }
+            if !(was_full && conn.has_room(max_pipeline)) {
+                break;
+            }
+        }
+        // A draining connection closes once everything owed is on the
+        // wire. Bytes left over after EOF (a torn trailing frame) are
+        // fine to discard — there is no request in them to answer.
+        let drained =
+            conn.inflight.is_empty() && conn.parked.is_none() && conn.wpos >= conn.wbuf.len();
+        !((conn.closing || conn.read_eof) && drained)
+    }
+
+    /// The input half of the state machine: unpark, decode, dispatch and
+    /// read until nothing more can be taken in. Returns `false` on a dead
+    /// socket.
+    fn take_input(&mut self, slot: usize, conn: &mut Conn) -> bool {
         let max_pipeline = self.global.cfg.max_pipeline;
         loop {
             let mut advanced = false;
             // Re-offer a parked request before reading more: ordering
             // within the connection is preserved because nothing is
             // decoded past a parked request.
-            if !conn.closing && conn.inflight.len() < max_pipeline {
+            if conn.has_room(max_pipeline) {
                 if let Some((tag, req)) = conn.parked.take() {
                     match self.try_dispatch(slot, conn, tag, req) {
                         Some(back) => conn.parked = Some(back),
@@ -747,8 +806,9 @@ impl IoLoop<'_> {
                             conn.parked = Some(back);
                         }
                     }
-                    // Strict rejection, same as the threaded server: a
-                    // typed Malformed reply, drain what is owed, hang up.
+                    // Strict rejection: a typed Malformed reply, drain
+                    // what is owed, hang up — a peer that framed one
+                    // request wrong has desynchronized the stream.
                     Err(e) => {
                         let seq = conn.next_seq;
                         conn.next_seq += 1;
@@ -782,19 +842,9 @@ impl IoLoop<'_> {
                 }
             }
             if !advanced {
-                break;
+                return true;
             }
         }
-        self.encode_ready(conn);
-        if !flush_writes(conn) {
-            return false;
-        }
-        // A draining connection closes once everything owed is on the
-        // wire. Bytes left over after EOF (a torn trailing frame) are
-        // fine to discard — there is no request in them to answer.
-        let drained =
-            conn.inflight.is_empty() && conn.parked.is_none() && conn.wpos >= conn.wbuf.len();
-        !((conn.closing || conn.read_eof) && drained)
     }
 
     /// Registers one in-flight entry and offers the request to the
@@ -889,6 +939,32 @@ fn flush_writes(conn: &mut Conn) -> bool {
     true
 }
 
+/// Maps a scheduler error onto its wire error code.
+fn error_reply(e: &ServeError) -> Reply {
+    let code = match e {
+        ServeError::BadInput { .. } => ErrorCode::BadInput,
+        ServeError::QueueFull => ErrorCode::QueueFull,
+        ServeError::ShuttingDown => ErrorCode::ShuttingDown,
+        ServeError::DeadlineExceeded => ErrorCode::DeadlineExceeded,
+        ServeError::Canceled => ErrorCode::Canceled,
+        ServeError::UnknownTenant => ErrorCode::UnknownModel,
+        ServeError::Overloaded => ErrorCode::Overloaded,
+        // Registration-time conditions; a request should never see them.
+        ServeError::BadConfig(_) | ServeError::NotServable(_) => ErrorCode::Internal,
+    };
+    Reply::Error {
+        code,
+        message: e.to_string(),
+    }
+}
+
+fn unknown_model(name: &str) -> Reply {
+    Reply::Error {
+        code: ErrorCode::UnknownModel,
+        message: format!("no model named {name:?} is registered"),
+    }
+}
+
 /// The standard sink: requests go to the registry's shared scheduler
 /// through the policy-aware non-blocking submit; completions ride the
 /// serve layer's wakers straight back to the loop.
@@ -900,8 +976,7 @@ struct RegistryDispatch {
 type RowResult = Result<Vec<f32>, ServeError>;
 
 /// Collects a multi-row request's per-row results and completes the
-/// ticket once the last row lands — the event-loop counterpart of the
-/// threaded writer redeeming a batch in order.
+/// ticket once the last row lands.
 struct Gather {
     rows: Mutex<Vec<Option<RowResult>>>,
     remaining: AtomicUsize,
@@ -947,8 +1022,9 @@ impl Gather {
         for r in rows {
             match r.expect("every row filled before finish") {
                 Ok(row) => output.extend_from_slice(&row),
-                // All-or-nothing, first failed row (in row order) wins —
-                // identical to the threaded writer's redemption.
+                // All-or-nothing, first failed row (in row order) wins: a
+                // reply never carries a partial row set — the router
+                // either stitches a complete segment or sees a typed error.
                 Err(e) => {
                     ticket.complete(error_reply(&e));
                     return;
@@ -1035,9 +1111,10 @@ impl EventDispatch for RegistryDispatch {
                     ticket.complete(unknown_model(&model));
                     return Dispatched::Accepted;
                 };
-                // Shape errors are rejected at the wire layer with a
-                // typed reply, before the tenant queue — same as the
-                // threaded server.
+                // A payload inconsistent with the registered model's input
+                // shape is rejected here, at the wire layer, with a typed
+                // reply — it never enters the tenant queue, so no worker
+                // can trip a batch-shape assertion on it.
                 let n = tenant.input_len();
                 if input.len() != n {
                     ticket.complete(Reply::Error {
@@ -1123,9 +1200,11 @@ impl EventDispatch for RegistryDispatch {
                     ticket.complete(unknown_model(&model));
                     return Dispatched::Accepted;
                 };
-                // Placement verification, identical to the threaded
-                // server: the tenant must be registered as a segment and
-                // the requested range must match its recorded placement.
+                // The tenant must be registered *as a segment* and the
+                // requested range must match its recorded placement
+                // exactly — a misrouted leg (stale topology, wrong shard)
+                // fails typed here instead of returning rows the router
+                // would stitch into the wrong place.
                 let Some(seg) = self.registry.segment(&model) else {
                     ticket.complete(Reply::Error {
                         code: ErrorCode::BadInput,

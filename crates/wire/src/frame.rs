@@ -30,6 +30,8 @@
 //! and hands the kernel one contiguous write per frame; decoding borrows
 //! the input slice and only allocates the output vectors themselves.
 
+use std::time::Duration;
+
 use circnn_serve::ServeStats;
 
 use crate::error::{ErrorCode, WireError};
@@ -167,6 +169,12 @@ pub enum Request {
         /// Row-major `[batch, n]` shared input.
         input: Vec<f32>,
     },
+}
+
+/// Reads a request's `deadline_micros` field back into a budget: `0` is
+/// "no deadline", anything else is that many microseconds.
+pub fn budget_of(deadline_micros: u64) -> Option<Duration> {
+    (deadline_micros > 0).then(|| Duration::from_micros(deadline_micros))
 }
 
 /// Server → client frames.

@@ -19,11 +19,12 @@
 //!   [`circnn_core::serialize`]d files), as whole networks
 //!   ([`ModelRegistry::add_network`], convnets included), or as any
 //!   custom [`circnn_serve::ServeModel`].
-//! * [`WireServer`] / [`WireClient`] — the accept loop (one reader and
-//!   one writer thread per connection, shared worker pool) and a
-//!   blocking client with pipelining primitives. Replies are written in
-//!   **arrival order per connection**, so pipelined clients need no
-//!   request ids.
+//! * [`EventServer`] / [`WireClient`] — the front end (a fixed pool of
+//!   readiness loops multiplexing every connection over nonblocking
+//!   sockets, shared worker pool behind it) and a blocking client with
+//!   pipelining primitives. Protocol-v3 requests carry an id and may
+//!   complete out of order; id-less v2 requests are answered in
+//!   **arrival order per connection**.
 //!
 //! Requests may carry a **deadline budget**; the scheduler serves the
 //! queue whose oldest deadline is tightest and fails past-deadline
@@ -37,7 +38,7 @@
 //! use circnn_core::BlockCirculantMatrix;
 //! use circnn_serve::TenantConfig;
 //! use circnn_tensor::init::seeded_rng;
-//! use circnn_wire::{ModelRegistry, WireClient, WireConfig, WireServer};
+//! use circnn_wire::{EventConfig, EventServer, ModelRegistry, WireClient};
 //!
 //! # fn main() -> Result<(), Box<dyn std::error::Error>> {
 //! let registry = Arc::new(ModelRegistry::new(2)?);
@@ -47,7 +48,7 @@
 //!     TenantConfig::default(),
 //! )?;
 //!
-//! let server = WireServer::bind("127.0.0.1:0", Arc::clone(&registry), WireConfig::default())?;
+//! let server = EventServer::bind("127.0.0.1:0", Arc::clone(&registry), EventConfig::default())?;
 //! let mut client = WireClient::connect(server.local_addr())?;
 //! client.ping()?;
 //! assert_eq!(client.list_models()?[0].name, "fc6");
@@ -68,11 +69,9 @@ mod error;
 mod event;
 pub mod frame;
 mod registry;
-mod server;
 
 pub use client::{ClientConfig, WireClient};
 pub use error::{ErrorCode, WireError};
-pub use event::{Dispatched, EventConfig, EventDispatch, EventServer, ReplyTicket};
+pub use event::{Dispatched, EventConfig, EventDispatch, EventServer, ReplyTicket, WireConfig};
 pub use frame::{HealthInfo, ModelInfo, Reply, Request, TenantHealth};
 pub use registry::{ModelRegistry, RegistryError, SegmentInfo, MAX_NAME_LEN};
-pub use server::{WireConfig, WireServer};

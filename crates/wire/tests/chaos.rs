@@ -5,35 +5,17 @@
 //! a hang, never a client panic — and the server must stay healthy for a
 //! clean connection afterwards.
 
+mod common;
+
 use std::net::SocketAddr;
 use std::sync::Arc;
 use std::time::Duration;
 
-use circnn_serve::{ServeModel, TenantConfig};
+use circnn_serve::TenantConfig;
 use circnn_wire::chaos::{ChaosProxy, Fault, FaultyModel};
-use circnn_wire::{
-    ClientConfig, EventConfig, EventServer, ModelRegistry, WireClient, WireConfig, WireError,
-    WireServer,
-};
+use circnn_wire::{ClientConfig, EventConfig, EventServer, ModelRegistry, WireClient, WireError};
 
-/// A pure, trivially-verifiable model: `y[i] = 2 x[i] + 1`.
-struct Doubler;
-
-impl ServeModel for Doubler {
-    type Scratch = ();
-    fn make_scratch(&self) {}
-    fn input_len(&self) -> usize {
-        8
-    }
-    fn output_len(&self) -> usize {
-        8
-    }
-    fn infer_batch(&self, x: &[f32], _batch: usize, _scratch: &mut (), out: &mut [f32]) {
-        for (o, v) in out.iter_mut().zip(x) {
-            *o = 2.0 * v + 1.0;
-        }
-    }
-}
+use common::Doubler;
 
 fn expected(x: &[f32]) -> Vec<f32> {
     x.iter().map(|v| 2.0 * v + 1.0).collect()
@@ -82,6 +64,11 @@ fn soak(addr: SocketAddr, client: u64, requests: u64, model: &str) -> (u64, u64)
     (ok, err)
 }
 
+/// The storm: torn frames land mid-read in the incremental decoder,
+/// truncated replies cut pipelined v3 streams, and the injected panics
+/// and stragglers exercise the completion path — every request still
+/// resolves as bitwise-correct output or a typed error, and the readiness
+/// loops stay healthy.
 #[test]
 fn chaos_soak_every_request_resolves_correct_or_typed_error() {
     let registry = Arc::new(ModelRegistry::new(2).unwrap());
@@ -90,113 +77,6 @@ fn chaos_soak_every_request_resolves_correct_or_typed_error() {
         .unwrap();
     // The flaky tenant panics on its first dispatch (poison — the server
     // must quarantine it) and runs two stragglers that hold a worker.
-    registry
-        .add_model(
-            "flaky",
-            FaultyModel::new(Doubler)
-                .panic_at([0, 7])
-                .slow_at([3, 11], Duration::from_millis(40)),
-            TenantConfig::default(),
-        )
-        .unwrap();
-    let server = WireServer::bind(
-        "127.0.0.1:0",
-        Arc::clone(&registry),
-        WireConfig {
-            idle_timeout: Some(Duration::from_secs(10)),
-            ..Default::default()
-        },
-    )
-    .unwrap();
-
-    // Deterministic fault plan, assigned to proxied connections in accept
-    // order: clean pass-through, added latency with frames torn into
-    // 7-byte segments (mid-header and mid-payload cuts), a request cut
-    // off mid-frame on its way to the server, a reply cut off on its way
-    // back.
-    let proxy = ChaosProxy::start(
-        server.local_addr(),
-        vec![
-            Fault::None,
-            Fault::Delay {
-                delay: Duration::from_micros(200),
-                chunk: 7,
-            },
-            Fault::None,
-            Fault::TruncateToServer { after: 13 },
-            Fault::None,
-            Fault::TruncateToClient { after: 20 },
-        ],
-    )
-    .unwrap();
-    let proxied = proxy.local_addr();
-
-    const CLIENTS: u64 = 6;
-    const REQUESTS: u64 = 20;
-    let mut totals = (0u64, 0u64);
-    std::thread::scope(|s| {
-        let handles: Vec<_> = (0..CLIENTS)
-            .map(|c| {
-                s.spawn(move || {
-                    let model = if c % 2 == 0 { "clean" } else { "flaky" };
-                    soak(proxied, c, REQUESTS, model)
-                })
-            })
-            .collect();
-        for h in handles {
-            let (ok, err) = h.join().expect("no client panics under chaos");
-            totals.0 += ok;
-            totals.1 += err;
-        }
-    });
-    assert_eq!(
-        totals.0 + totals.1,
-        CLIENTS * REQUESTS,
-        "every request resolved"
-    );
-    assert!(
-        totals.0 > 0,
-        "some requests must survive chaos (got {} ok / {} err)",
-        totals.0,
-        totals.1
-    );
-
-    // The server is healthy after the storm: a clean connection (no
-    // proxy) serves bitwise-correct replies and a sane health frame.
-    let mut direct = WireClient::connect(server.local_addr()).unwrap();
-    direct.ping().unwrap();
-    let x = input(424_242);
-    assert_eq!(direct.infer("clean", &x).unwrap(), expected(&x));
-    let health = direct.health().unwrap();
-    assert_eq!(health.models, 2);
-    let flaky = health
-        .tenants
-        .iter()
-        .find(|t| t.name == "flaky")
-        .expect("flaky tenant listed");
-    assert!(
-        flaky.panics >= 1,
-        "the scheduled poison dispatch must be recorded: {flaky:?}"
-    );
-    for t in &health.tenants {
-        assert_eq!(t.pending, 0, "no request may remain queued: {t:?}");
-    }
-
-    proxy.shutdown();
-    server.shutdown();
-}
-
-/// The same storm against the event-driven front end: torn frames land
-/// mid-read in the incremental decoder, truncated replies cut pipelined
-/// v3 streams, and the injected panics and stragglers exercise the
-/// completion path — every request still resolves as bitwise-correct
-/// output or a typed error, and the readiness loops stay healthy.
-#[test]
-fn chaos_soak_event_server_every_request_resolves() {
-    let registry = Arc::new(ModelRegistry::new(2).unwrap());
-    registry
-        .add_model("clean", Doubler, TenantConfig::default())
-        .unwrap();
     registry
         .add_model(
             "flaky",
@@ -216,6 +96,11 @@ fn chaos_soak_event_server_every_request_resolves() {
     )
     .unwrap();
 
+    // Deterministic fault plan, assigned to proxied connections in accept
+    // order: clean pass-through, added latency with frames torn into
+    // 7-byte segments (mid-header and mid-payload cuts), a request cut
+    // off mid-frame on its way to the server, a reply cut off on its way
+    // back.
     let proxy = ChaosProxy::start(
         server.local_addr(),
         vec![
@@ -300,7 +185,7 @@ fn truncated_reply_never_desynchronizes_the_client() {
         .add_model("clean", Doubler, TenantConfig::default())
         .unwrap();
     let server =
-        WireServer::bind("127.0.0.1:0", Arc::clone(&registry), WireConfig::default()).unwrap();
+        EventServer::bind("127.0.0.1:0", Arc::clone(&registry), EventConfig::default()).unwrap();
     // Every odd proxied connection loses the reply 20 bytes in (the
     // header plus a few payload bytes — a torn frame, not a clean EOF).
     let proxy = ChaosProxy::start(

@@ -1,129 +1,24 @@
-//! End-to-end wire serving: two tenants (an MLP and a convnet), eight
-//! concurrent client connections, every reply bit-identical to direct
-//! `Sequential::infer`; plus deadline errors and strict malformed-frame
-//! handling over a real socket.
+//! End-to-end wire serving over a real socket: a recurrent tenant
+//! bit-identical to direct `Sequential::infer`, typed and deadline errors,
+//! a half-written frame followed by a reset, and a connection table that
+//! tracks only live connections. (The multi-tenant bitwise scenario,
+//! protocol ordering and malformed-frame handling live in `event.rs`.)
 
-use std::io::{Read, Write};
+mod common;
+
+use std::io::Write;
 use std::net::TcpStream;
 use std::sync::Arc;
 use std::time::Duration;
 
-use circnn_core::{CirculantConv2d, CirculantLinear, CirculantRnn, CirculantRnnCell, RnnReadout};
-use circnn_nn::{Flatten, InferScratch, Layer, Linear, MaxPool2d, Relu, Sequential};
-use circnn_serve::{ServeModel, TenantConfig};
+use circnn_core::{CirculantRnn, CirculantRnnCell, RnnReadout};
+use circnn_nn::{InferScratch, Layer, Linear, Sequential};
+use circnn_serve::TenantConfig;
 use circnn_tensor::init::seeded_rng;
 use circnn_tensor::Tensor;
-use circnn_wire::{ErrorCode, ModelRegistry, WireClient, WireConfig, WireError, WireServer};
+use circnn_wire::{ErrorCode, EventConfig, EventServer, ModelRegistry, WireClient, WireError};
 
-/// MLP tenant: 32 → 48 → 10 with a circulant hidden layer.
-fn mlp(seed: u64) -> Sequential {
-    let mut rng = seeded_rng(seed);
-    Sequential::new()
-        .add(CirculantLinear::new(&mut rng, 32, 48, 16).unwrap())
-        .add(Relu::new())
-        .add(Linear::new(&mut rng, 48, 10))
-}
-
-/// Convnet tenant over `[2, 8, 8]` images: circulant conv → pool → fc.
-fn convnet(seed: u64) -> Sequential {
-    let mut rng = seeded_rng(seed);
-    Sequential::new()
-        .add(CirculantConv2d::new(&mut rng, 2, 4, 3, 1, 1, 2).unwrap())
-        .add(Relu::new())
-        .add(MaxPool2d::new(2, 2))
-        .add(Flatten::new())
-        .add(Linear::new(&mut rng, 4 * 4 * 4, 6))
-}
-
-fn request(len: usize, seed: u64) -> Vec<f32> {
-    circnn_tensor::init::uniform(&mut seeded_rng(seed), &[len], -1.0, 1.0)
-        .data()
-        .to_vec()
-}
-
-/// The acceptance-criteria scenario: ≥ 2 models, ≥ 8 concurrent
-/// connections across both tenants, bitwise identity against the direct
-/// read-only inference path.
-#[test]
-fn eight_connections_two_tenants_bitwise_identical() {
-    let registry = Arc::new(ModelRegistry::new(2).unwrap());
-    registry
-        .add_network("mlp", mlp(77), &[32], TenantConfig::default())
-        .unwrap();
-    registry
-        .add_network("convnet", convnet(88), &[2, 8, 8], TenantConfig::default())
-        .unwrap();
-    let server =
-        WireServer::bind("127.0.0.1:0", Arc::clone(&registry), WireConfig::default()).unwrap();
-    let addr = server.local_addr();
-
-    // An independent reference copy running the same read-only path
-    // directly, one request at a time (per-client copies live in the
-    // client threads below).
-    let mut ref_mlp = mlp(77);
-    ref_mlp.set_training(false);
-
-    const CLIENTS: usize = 8;
-    const REQUESTS: usize = 12;
-    std::thread::scope(|s| {
-        for client in 0..CLIENTS {
-            let (mut ref_net, model, input_len, input_dims) = if client % 2 == 0 {
-                (mlp(77), "mlp", 32usize, vec![1usize, 32])
-            } else {
-                (convnet(88), "convnet", 2 * 8 * 8, vec![1, 2, 8, 8])
-            };
-            ref_net.set_training(false);
-            s.spawn(move || {
-                let mut wire = WireClient::connect(addr).expect("connect");
-                let mut scratch = InferScratch::new();
-                for r in 0..REQUESTS {
-                    let x = request(input_len, (client * 1000 + r) as u64);
-                    let served = wire.infer(model, &x).expect("served");
-                    let direct = ref_net
-                        .infer(&Tensor::from_vec(x, &input_dims), &mut scratch)
-                        .data()
-                        .to_vec();
-                    assert_eq!(
-                        served, direct,
-                        "client {client} request {r} diverged from direct infer"
-                    );
-                }
-            });
-        }
-    });
-
-    // Control frames agree with the registry.
-    let mut wire = WireClient::connect(addr).unwrap();
-    wire.ping().unwrap();
-    let models = wire.list_models().unwrap();
-    assert_eq!(
-        models.iter().map(|m| m.name.as_str()).collect::<Vec<_>>(),
-        vec!["convnet", "mlp"],
-        "sorted model list"
-    );
-    let conv_info = &models[0];
-    assert_eq!(conv_info.input_len, 128);
-    assert_eq!(conv_info.output_len, 6);
-    let stats = wire.stats("mlp").unwrap();
-    assert_eq!(
-        stats.requests,
-        (CLIENTS as u64 / 2) * REQUESTS as u64,
-        "per-tenant stats count only this tenant's traffic: {stats}"
-    );
-    // A client-side batch equals row-by-row serving.
-    let flat: Vec<f32> = (0..3).flat_map(|i| request(32, 5000 + i)).collect();
-    let batched = wire.infer_batch("mlp", 3, &flat, None).unwrap();
-    let mut scratch = InferScratch::new();
-    for (i, rows) in flat.chunks(32).enumerate() {
-        let direct = ref_mlp
-            .infer(&Tensor::from_vec(rows.to_vec(), &[1, 32]), &mut scratch)
-            .data()
-            .to_vec();
-        assert_eq!(&batched[i * 10..(i + 1) * 10], &direct[..], "batch row {i}");
-    }
-
-    server.shutdown();
-}
+use common::{drop_poll, mlp, request, SlowEcho};
 
 /// Recurrent tenant over `[T=6, D=2]` sequences: circulant reservoir
 /// features → dense readout.
@@ -146,7 +41,7 @@ fn recurrent_network_serves_bit_identical_over_the_wire() {
         .add_network("rnn", rnn_net(123), &[6, 2], TenantConfig::default())
         .unwrap();
     let server =
-        WireServer::bind("127.0.0.1:0", Arc::clone(&registry), WireConfig::default()).unwrap();
+        EventServer::bind("127.0.0.1:0", Arc::clone(&registry), EventConfig::default()).unwrap();
     let addr = server.local_addr();
     const CLIENTS: usize = 4;
     const REQUESTS: usize = 8;
@@ -191,7 +86,7 @@ fn typed_errors_cross_the_wire() {
         .add_network("mlp", mlp(9), &[32], TenantConfig::default())
         .unwrap();
     let server =
-        WireServer::bind("127.0.0.1:0", Arc::clone(&registry), WireConfig::default()).unwrap();
+        EventServer::bind("127.0.0.1:0", Arc::clone(&registry), EventConfig::default()).unwrap();
     let mut wire = WireClient::connect(server.local_addr()).unwrap();
     match wire.infer("nope", &[0.0; 32]) {
         Err(WireError::Remote { code, .. }) => assert_eq!(code, ErrorCode::UnknownModel),
@@ -216,24 +111,6 @@ fn typed_errors_cross_the_wire() {
     server.shutdown();
 }
 
-/// A model that stalls the single pool worker, making deadlines bite.
-struct SlowEcho;
-
-impl ServeModel for SlowEcho {
-    type Scratch = ();
-    fn make_scratch(&self) {}
-    fn input_len(&self) -> usize {
-        4
-    }
-    fn output_len(&self) -> usize {
-        4
-    }
-    fn infer_batch(&self, x: &[f32], _batch: usize, _scratch: &mut (), out: &mut [f32]) {
-        std::thread::sleep(Duration::from_millis(80));
-        out.copy_from_slice(x);
-    }
-}
-
 /// A deadline that cannot be met surfaces as the typed DeadlineExceeded
 /// error over the wire; a generous deadline succeeds.
 #[test]
@@ -242,7 +119,7 @@ fn deadline_errors_cross_the_wire() {
     registry
         .add_model(
             "slow",
-            SlowEcho,
+            SlowEcho(Duration::from_millis(80)),
             TenantConfig {
                 max_batch: 1,
                 max_wait: Duration::ZERO,
@@ -252,7 +129,7 @@ fn deadline_errors_cross_the_wire() {
         )
         .unwrap();
     let server =
-        WireServer::bind("127.0.0.1:0", Arc::clone(&registry), WireConfig::default()).unwrap();
+        EventServer::bind("127.0.0.1:0", Arc::clone(&registry), EventConfig::default()).unwrap();
     let addr = server.local_addr();
 
     // Pipeline two requests on one connection: the first occupies the
@@ -277,38 +154,9 @@ fn deadline_errors_cross_the_wire() {
     server.shutdown();
 }
 
-/// Garbage on the socket gets one typed Malformed error frame back, then
-/// the server hangs up — and stays healthy for well-formed peers.
-#[test]
-fn malformed_frames_get_a_typed_error_then_disconnect() {
-    let registry = Arc::new(ModelRegistry::new(1).unwrap());
-    registry
-        .add_network("mlp", mlp(4), &[32], TenantConfig::default())
-        .unwrap();
-    let server =
-        WireServer::bind("127.0.0.1:0", Arc::clone(&registry), WireConfig::default()).unwrap();
-    let addr = server.local_addr();
-
-    let mut raw = TcpStream::connect(addr).unwrap();
-    raw.write_all(b"GET / HTTP/1.1\r\n\r\n").unwrap();
-    let mut reply = Vec::new();
-    raw.read_to_end(&mut reply).unwrap(); // server replies, then closes
-    let decoded = circnn_wire::frame::decode_reply(&reply).unwrap();
-    match decoded {
-        circnn_wire::Reply::Error { code, .. } => assert_eq!(code, ErrorCode::Malformed),
-        other => panic!("expected a Malformed error frame, got {other:?}"),
-    }
-
-    // A well-formed connection still works afterwards.
-    let mut wire = WireClient::connect(addr).unwrap();
-    assert_eq!(wire.infer("mlp", &request(32, 2)).unwrap().len(), 10);
-    server.shutdown();
-}
-
 /// A client that writes half an Infer frame and then resets must not
-/// wedge the server: its reader thread exits cleanly, the connection is
-/// reaped from the table, and other connections' in-flight requests
-/// complete bitwise-correct throughout.
+/// wedge the server: its slot is freed, and other connections' in-flight
+/// requests complete bitwise-correct throughout.
 #[test]
 fn half_written_frame_then_reset_leaves_other_connections_intact() {
     let registry = Arc::new(ModelRegistry::new(1).unwrap());
@@ -316,7 +164,7 @@ fn half_written_frame_then_reset_leaves_other_connections_intact() {
         .add_network("mlp", mlp(21), &[32], TenantConfig::default())
         .unwrap();
     let server =
-        WireServer::bind("127.0.0.1:0", Arc::clone(&registry), WireConfig::default()).unwrap();
+        EventServer::bind("127.0.0.1:0", Arc::clone(&registry), EventConfig::default()).unwrap();
     let addr = server.local_addr();
 
     let mut ref_net = mlp(21);
@@ -359,23 +207,13 @@ fn half_written_frame_then_reset_leaves_other_connections_intact() {
     assert_eq!(healthy.infer("mlp", &x1).unwrap(), direct);
 
     // The half-writer's connection is reaped; only the healthy one stays.
-    let deadline = std::time::Instant::now() + Duration::from_secs(10);
-    let mut live = usize::MAX;
-    while std::time::Instant::now() < deadline {
-        live = server.connection_count();
-        if live <= 1 {
-            break;
-        }
-        std::thread::sleep(Duration::from_millis(20));
-    }
-    assert_eq!(live, 1, "the reset connection must be reaped");
+    drop_poll(|| server.connection_count(), 1);
     server.shutdown();
 }
 
-/// Connection-table reaping: a long-lived server's table must not grow
-/// with connect/disconnect cycles — finished reader/writer threads are
-/// joined and their reply queues dropped, so only live connections stay
-/// tracked.
+/// Connection-table reaping: a long-lived server's slab must not grow
+/// with connect/disconnect cycles — a closed connection's slot is freed,
+/// so only live connections stay counted.
 #[test]
 fn connection_table_does_not_grow_across_connect_disconnect_cycles() {
     let registry = Arc::new(ModelRegistry::new(1).unwrap());
@@ -383,7 +221,7 @@ fn connection_table_does_not_grow_across_connect_disconnect_cycles() {
         .add_network("mlp", mlp(9), &[32], TenantConfig::default())
         .unwrap();
     let server =
-        WireServer::bind("127.0.0.1:0", Arc::clone(&registry), WireConfig::default()).unwrap();
+        EventServer::bind("127.0.0.1:0", Arc::clone(&registry), EventConfig::default()).unwrap();
     let addr = server.local_addr();
 
     const CYCLES: usize = 20;
@@ -393,26 +231,14 @@ fn connection_table_does_not_grow_across_connect_disconnect_cycles() {
             wire.infer("mlp", &request(32, cycle as u64)).unwrap().len(),
             10
         );
-        drop(wire); // hang up; the connection threads wind down
+        drop(wire); // hang up
     }
 
-    // The socket close is observed asynchronously by the reader thread;
-    // poll until the reaped count settles. A held connection must still be
-    // counted, every closed one must eventually be reaped.
-    let _held = WireClient::connect(addr).expect("connect");
-    let deadline = std::time::Instant::now() + Duration::from_secs(10);
-    let mut live = usize::MAX;
-    while std::time::Instant::now() < deadline {
-        live = server.connection_count();
-        if live <= 1 {
-            break;
-        }
-        std::thread::sleep(Duration::from_millis(20));
-    }
-    assert!(
-        live <= 1,
-        "connection table still holds {live} entries after {CYCLES} \
-         connect/disconnect cycles (expected only the held connection)"
-    );
+    // The socket close is observed asynchronously by the loop; poll until
+    // the count settles. A held connection must still be counted, every
+    // closed one must eventually be reaped.
+    let mut held = WireClient::connect(addr).expect("connect");
+    held.ping().unwrap();
+    drop_poll(|| server.connection_count(), 1);
     server.shutdown();
 }

@@ -1,16 +1,19 @@
-//! The event-driven front end, end to end: readiness-loop serving is
-//! bitwise-identical to the threaded server, protocol v3 request ids
-//! complete out of order, v2 clients keep arrival-order replies, stalled
-//! half-frame connections are reaped without a dedicated thread, the
-//! connection cap holds, and teardown is prompt and complete.
+//! The front end, end to end: readiness-loop serving is bitwise-identical
+//! to direct inference, protocol v3 request ids complete out of order, v2
+//! clients keep arrival-order replies, stalled half-frame connections and
+//! peers that flood without reading are reaped without a dedicated
+//! thread, paused input resumes when the pipeline or the write backlog
+//! drains, the connection cap holds, and teardown is prompt and complete.
+
+mod common;
 
 use std::io::{Read, Write};
 use std::net::TcpStream;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use circnn_core::{BlockCirculantMatrix, CirculantConv2d, CirculantLinear, Workspace};
-use circnn_nn::{Flatten, InferScratch, Layer, Linear, MaxPool2d, Relu, Sequential};
+use circnn_core::{BlockCirculantMatrix, Workspace};
+use circnn_nn::{InferScratch, Layer};
 use circnn_serve::{ServeModel, TenantConfig};
 use circnn_tensor::init::seeded_rng;
 use circnn_tensor::Tensor;
@@ -19,68 +22,7 @@ use circnn_wire::{
     ClientConfig, ErrorCode, EventConfig, EventServer, ModelRegistry, WireClient, WireError,
 };
 
-/// MLP tenant: 32 → 48 → 10 with a circulant hidden layer.
-fn mlp(seed: u64) -> Sequential {
-    let mut rng = seeded_rng(seed);
-    Sequential::new()
-        .add(CirculantLinear::new(&mut rng, 32, 48, 16).unwrap())
-        .add(Relu::new())
-        .add(Linear::new(&mut rng, 48, 10))
-}
-
-/// Convnet tenant over `[2, 8, 8]` images: circulant conv → pool → fc.
-fn convnet(seed: u64) -> Sequential {
-    let mut rng = seeded_rng(seed);
-    Sequential::new()
-        .add(CirculantConv2d::new(&mut rng, 2, 4, 3, 1, 1, 2).unwrap())
-        .add(Relu::new())
-        .add(MaxPool2d::new(2, 2))
-        .add(Flatten::new())
-        .add(Linear::new(&mut rng, 4 * 4 * 4, 6))
-}
-
-fn request(len: usize, seed: u64) -> Vec<f32> {
-    circnn_tensor::init::uniform(&mut seeded_rng(seed), &[len], -1.0, 1.0)
-        .data()
-        .to_vec()
-}
-
-/// A model that stalls its single pool worker: echoes after a sleep.
-struct SlowEcho(Duration);
-
-impl ServeModel for SlowEcho {
-    type Scratch = ();
-    fn make_scratch(&self) {}
-    fn input_len(&self) -> usize {
-        4
-    }
-    fn output_len(&self) -> usize {
-        4
-    }
-    fn infer_batch(&self, x: &[f32], _batch: usize, _scratch: &mut (), out: &mut [f32]) {
-        std::thread::sleep(self.0);
-        out.copy_from_slice(x);
-    }
-}
-
-/// `y[i] = 2 x[i] + 1`, instantly.
-struct Doubler;
-
-impl ServeModel for Doubler {
-    type Scratch = ();
-    fn make_scratch(&self) {}
-    fn input_len(&self) -> usize {
-        8
-    }
-    fn output_len(&self) -> usize {
-        8
-    }
-    fn infer_batch(&self, x: &[f32], _batch: usize, _scratch: &mut (), out: &mut [f32]) {
-        for (o, v) in out.iter_mut().zip(x) {
-            *o = 2.0 * v + 1.0;
-        }
-    }
-}
+use common::{convnet, drop_poll, mlp, request, Doubler, SlowEcho};
 
 /// A slow tenant and a fast tenant sharing a two-worker pool, so the
 /// fast reply genuinely completes while the slow one is in flight.
@@ -96,20 +38,6 @@ fn slow_fast_registry(stall: Duration) -> Arc<ModelRegistry> {
         .unwrap();
     registry.add_model("fast", Doubler, snappy).unwrap();
     registry
-}
-
-/// Polls `count()` until it reaches `want` (or a generous deadline).
-fn drop_poll(count: impl Fn() -> usize, want: usize) {
-    let deadline = Instant::now() + Duration::from_secs(10);
-    let mut live = usize::MAX;
-    while Instant::now() < deadline {
-        live = count();
-        if live == want {
-            return;
-        }
-        std::thread::sleep(Duration::from_millis(10));
-    }
-    panic!("connection count stuck at {live}, wanted {want}");
 }
 
 /// The tentpole identity scenario: two tenants (MLP + convnet) plus a
@@ -176,6 +104,9 @@ fn event_server_serves_bitwise_identical_replies() {
         vec!["convnet", "mlp", "seg"],
         "sorted model list"
     );
+    let conv_info = &models[0];
+    assert_eq!(conv_info.input_len, 128);
+    assert_eq!(conv_info.output_len, 6);
     let stats = wire.stats("mlp").unwrap();
     assert_eq!(
         stats.requests,
@@ -367,6 +298,226 @@ fn stalled_half_frame_connection_is_reaped_by_idle_timeout() {
     let mut wire = WireClient::connect(addr).unwrap();
     assert_eq!(wire.infer("fast", &[0.0; 8]).unwrap(), vec![1.0; 8]);
     drop(wire);
+    server.shutdown();
+}
+
+/// One input value in, that many copies out: replies far larger than
+/// their requests, so a peer that is not reading builds a write backlog
+/// quickly.
+struct Inflate(usize);
+
+impl ServeModel for Inflate {
+    type Scratch = ();
+    fn make_scratch(&self) {}
+    fn input_len(&self) -> usize {
+        1
+    }
+    fn output_len(&self) -> usize {
+        self.0
+    }
+    fn infer_batch(&self, x: &[f32], _batch: usize, _scratch: &mut (), out: &mut [f32]) {
+        for (row, v) in out.chunks_mut(self.0).zip(x) {
+            row.fill(*v);
+        }
+    }
+}
+
+/// Writes `count` pipelined v2 `Infer` frames (input `[i]` for frame `i`)
+/// from a side thread, so a test can read replies while the tail of the
+/// burst is still going out.
+fn pipeline_infers(raw: &TcpStream, model: &'static str, count: usize) {
+    let mut raw = raw.try_clone().unwrap();
+    std::thread::spawn(move || {
+        let mut buf = Vec::new();
+        for i in 0..count {
+            frame::encode_request(
+                &Request::Infer {
+                    model: model.to_string(),
+                    deadline_micros: 0,
+                    input: vec![i as f32],
+                },
+                &mut buf,
+            );
+            frame::write_frame(&mut raw, &buf).unwrap();
+        }
+    });
+}
+
+/// Reads `count` v2 replies and checks reply `i` is `width` copies of `i`.
+/// Drains the socket in large reads first (a fast reader lets the server
+/// flush its whole backlog in one write), then decodes.
+fn expect_inflated(raw: &mut TcpStream, count: usize, width: usize) {
+    let mut one = Vec::new();
+    frame::encode_reply(
+        &Reply::Infer {
+            output: vec![0.0; width],
+        },
+        &mut one,
+    );
+    let frame_len = one.len();
+    let mut bytes = vec![0u8; count * frame_len];
+    let mut got = 0;
+    while got < bytes.len() {
+        match raw.read(&mut bytes[got..]) {
+            Ok(0) => panic!(
+                "server hung up after {} of {count} replies",
+                got / frame_len
+            ),
+            Ok(n) => got += n,
+            Err(e) => panic!("only {} of {count} replies came: {e}", got / frame_len),
+        }
+    }
+    for (i, reply) in bytes.chunks_exact(frame_len).enumerate() {
+        assert_eq!(
+            frame::decode_reply(reply).unwrap(),
+            Reply::Infer {
+                output: vec![i as f32; width]
+            },
+            "reply {i}"
+        );
+    }
+}
+
+/// The write-backlog pause must end when the backlog drains. A client
+/// pipelines far more reply bytes than the cap (and than the kernel's
+/// socket buffers), reads nothing for a while, then reads everything: the
+/// loop stops pulling requests while the backlog is over the cap, and
+/// picks the already-buffered frames up again as the client drains it —
+/// every reply arrives, in order, bitwise.
+#[test]
+fn deep_pipeline_resumes_after_the_write_backlog_drains() {
+    const N: usize = 2000;
+    const WIDTH: usize = 4096; // 16 KiB per reply, 32 MB owed in total
+    let registry = Arc::new(ModelRegistry::new(2).unwrap());
+    registry
+        .add_model("inflate", Inflate(WIDTH), TenantConfig::default())
+        .unwrap();
+    let server =
+        EventServer::bind("127.0.0.1:0", Arc::clone(&registry), EventConfig::default()).unwrap();
+
+    let mut raw = TcpStream::connect(server.local_addr()).unwrap();
+    raw.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
+    pipeline_infers(&raw, "inflate", N);
+    std::thread::sleep(Duration::from_millis(500));
+    expect_inflated(&mut raw, N, WIDTH);
+    drop(raw);
+    drop_poll(|| server.connection_count(), 0);
+    server.shutdown();
+}
+
+/// A connection may pipeline more requests than `max_pipeline`: the
+/// excess waits (in the kernel or the frame assembler) and is picked up
+/// as replies free in-flight entries — including when every in-flight
+/// entry completes in one batch — so all replies arrive, in order.
+#[test]
+fn pipeline_deeper_than_max_pipeline_is_served_in_order() {
+    const N: usize = 200;
+    let registry = Arc::new(ModelRegistry::new(2).unwrap());
+    registry
+        .add_model("inflate", Inflate(3), TenantConfig::default())
+        .unwrap();
+    let server = EventServer::bind(
+        "127.0.0.1:0",
+        Arc::clone(&registry),
+        EventConfig {
+            max_pipeline: 4,
+            ..Default::default()
+        },
+    )
+    .unwrap();
+
+    let mut raw = TcpStream::connect(server.local_addr()).unwrap();
+    raw.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
+    pipeline_infers(&raw, "inflate", N);
+    expect_inflated(&mut raw, N, 3);
+    drop(raw);
+    drop_poll(|| server.connection_count(), 0);
+    server.shutdown();
+}
+
+/// A peer that pipelines `Infer` frames and never reads a reply must not
+/// grow the server's write buffer without bound or keep its own idle
+/// clock alive: once the unsent backlog passes the cap the loop stops
+/// reading it, TCP backpressures it, and the idle deadline reaps it —
+/// while a well-behaved client on the same loops stays bitwise-correct.
+#[test]
+fn flooding_peer_that_never_reads_is_reaped_by_idle_timeout() {
+    let registry = Arc::new(ModelRegistry::new(2).unwrap());
+    registry
+        .add_model("inflate", Inflate(256), TenantConfig::default())
+        .unwrap();
+    registry
+        .add_model("fast", Doubler, TenantConfig::default())
+        .unwrap();
+    let server = EventServer::bind(
+        "127.0.0.1:0",
+        Arc::clone(&registry),
+        EventConfig {
+            idle_timeout: Some(Duration::from_millis(300)),
+            ..Default::default()
+        },
+    )
+    .unwrap();
+    let addr = server.local_addr();
+
+    // The flood: a block of valid frames written round and round, partial
+    // writes tracked so the framing stays valid, replies never read.
+    let mut block = Vec::new();
+    let mut one = Vec::new();
+    for i in 0..64 {
+        frame::encode_request(
+            &Request::Infer {
+                model: "inflate".to_string(),
+                deadline_micros: 0,
+                input: vec![i as f32],
+            },
+            &mut one,
+        );
+        block.extend_from_slice(&one);
+    }
+    const FLOOD_BUDGET: Duration = Duration::from_secs(5);
+    let flooder = std::thread::spawn(move || {
+        let mut raw = TcpStream::connect(addr).unwrap();
+        raw.set_write_timeout(Some(Duration::from_millis(20)))
+            .unwrap();
+        let started = Instant::now();
+        let mut pos = 0;
+        while started.elapsed() < FLOOD_BUDGET {
+            match raw.write(&block[pos..]) {
+                Ok(n) => pos = (pos + n) % block.len(),
+                // Backpressured: the server stopped reading. Keep trying —
+                // a real flooder does not go away on its own.
+                Err(e)
+                    if matches!(
+                        e.kind(),
+                        std::io::ErrorKind::WouldBlock | std::io::ErrorKind::TimedOut
+                    ) => {}
+                // Reset / broken pipe: the server hung up on us.
+                Err(_) => return Some(started.elapsed()),
+            }
+        }
+        None
+    });
+
+    // Meanwhile a well-behaved client keeps getting exact answers.
+    let mut wire = WireClient::connect(addr).unwrap();
+    let mut rounds = 0u64;
+    while !flooder.is_finished() {
+        let x = request(8, rounds);
+        let expect: Vec<f32> = x.iter().map(|v| 2.0 * v + 1.0).collect();
+        assert_eq!(wire.infer("fast", &x).unwrap(), expect, "round {rounds}");
+        rounds += 1;
+    }
+    let cut_after = flooder.join().unwrap();
+    assert!(
+        cut_after.is_some(),
+        "a peer that floods without reading must be disconnected, \
+         not served for {FLOOD_BUDGET:?}"
+    );
+    assert!(rounds > 0);
+    drop_poll(|| server.connection_count(), 1);
+    drop(wire);
+    drop_poll(|| server.connection_count(), 0);
     server.shutdown();
 }
 

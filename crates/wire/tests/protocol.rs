@@ -604,14 +604,14 @@ fn shape_server_addr() -> std::net::SocketAddr {
         registry
             .add_network("seq", net, &[5, 3], circnn_serve::TenantConfig::default())
             .unwrap();
-        let server = circnn_wire::WireServer::bind(
+        let server = circnn_wire::EventServer::bind(
             "127.0.0.1:0",
             std::sync::Arc::clone(&registry),
-            circnn_wire::WireConfig::default(),
+            circnn_wire::EventConfig::default(),
         )
         .unwrap();
         let addr = server.local_addr();
-        // Keep the accept loop (and the registry the server holds) alive
+        // Keep the event loops (and the registry the server holds) alive
         // for the rest of the test process.
         std::mem::forget(server);
         std::mem::forget(registry);

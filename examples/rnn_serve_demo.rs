@@ -19,7 +19,7 @@ use circnn::nn::InferScratch;
 use circnn::serve::TenantConfig;
 use circnn::tensor::init::seeded_rng;
 use circnn::tensor::Tensor;
-use circnn::wire::{ModelRegistry, WireClient, WireConfig, WireServer};
+use circnn::wire::{EventConfig, EventServer, ModelRegistry, WireClient};
 
 const STEPS: usize = 24;
 
@@ -59,7 +59,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     registry.add_network("reservoir", net, &[STEPS, 1], TenantConfig::default())?;
 
     // 3) Serve over TCP and classify held-out sequences.
-    let server = WireServer::bind("127.0.0.1:0", Arc::clone(&registry), WireConfig::default())?;
+    let server = EventServer::bind("127.0.0.1:0", Arc::clone(&registry), EventConfig::default())?;
     let addr = server.local_addr();
     println!("serving on {addr}\n");
 

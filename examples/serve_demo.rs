@@ -1,8 +1,8 @@
 //! Serving-layer demo: concurrent clients against the dynamic-batching
-//! server, with every answer checked bit-for-bit against direct batched
+//! scheduler, with every answer checked bit-for-bit against direct batched
 //! inference.
 //!
-//! Two servers are exercised:
+//! One worker pool serves two tenants:
 //!
 //! 1. a raw [`BlockCirculantMatrix`] operator (`y = W·x`), verified
 //!    against direct [`BlockCirculantMatrix::matmat`] calls;
@@ -16,7 +16,7 @@ use std::time::Duration;
 
 use circnn::core::{BlockCirculantMatrix, CirculantLinear, Workspace};
 use circnn::nn::{InferScratch, Layer, Linear, Relu, Sequential};
-use circnn::serve::{SequentialModel, ServeConfig, Server};
+use circnn::serve::{MultiServer, SequentialModel, TenantConfig};
 use circnn::tensor::init::seeded_rng;
 use circnn::tensor::Tensor;
 
@@ -28,28 +28,28 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!("== circnn-serve demo ==\n");
     println!("1) raw operator: {m}×{n}, block {k}, {clients} concurrent clients\n");
 
+    let pool = MultiServer::start(2)?;
     let w = Arc::new(BlockCirculantMatrix::random(&mut seeded_rng(7), m, n, k)?);
-    let server = Server::start_shared(
+    let operator = pool.add_tenant_shared(
         Arc::clone(&w),
-        ServeConfig {
+        TenantConfig {
             max_batch: 32,
             max_wait: Duration::from_micros(300),
             queue_capacity: 256,
-            workers: 2,
             ..Default::default()
         },
     )?;
 
     std::thread::scope(|s| {
         for c in 0..clients {
-            let (server, w) = (&server, Arc::clone(&w));
+            let (operator, w) = (&operator, Arc::clone(&w));
             s.spawn(move || {
                 let mut rng = seeded_rng(1000 + c as u64);
                 let mut ws = Workspace::new();
                 for _ in 0..requests_per_client {
                     let x = circnn::tensor::init::uniform(&mut rng, &[n], -1.0, 1.0);
                     let x = x.data().to_vec();
-                    let served = server
+                    let served = operator
                         .submit(x.clone())
                         .expect("accepting")
                         .wait()
@@ -60,7 +60,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             });
         }
     });
-    let stats = server.shutdown();
+    let stats = operator.stats()?;
     println!(
         "   all {} answers bit-identical to direct matmat",
         stats.requests
@@ -95,24 +95,24 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         .collect();
 
     let model = SequentialModel::new(net, n).map_err(std::io::Error::other)?;
-    let server = Server::start(
+    let mlp = pool.add_tenant(
         model,
-        ServeConfig {
+        TenantConfig {
             max_batch: 16,
             max_wait: Duration::from_micros(300),
             queue_capacity: 128,
-            workers: 2,
             ..Default::default()
         },
     )?;
     let handles: Vec<_> = inputs
         .iter()
-        .map(|x| server.submit(x.clone()).expect("accepting"))
+        .map(|x| mlp.submit(x.clone()).expect("accepting"))
         .collect();
     for (h, expect) in handles.into_iter().zip(&direct) {
         assert_eq!(&h.wait().expect("served"), expect, "MLP serving diverged");
     }
-    let stats = server.shutdown();
+    pool.shutdown();
+    let stats = mlp.stats()?;
     println!(
         "   all {} answers bit-identical to direct infer",
         stats.requests

@@ -1,5 +1,5 @@
 //! Sharded-serving demo: one big block-circulant operator is row-sliced
-//! across two shard processes (here: two `WireServer`s), a `ShardRouter`
+//! across two shard processes (here: two `EventServer`s), a `ShardRouter`
 //! scatter-gathers the segments, and a small MLP tenant is forwarded
 //! whole to a ring-chosen replica. Every answer is checked bit-for-bit
 //! against the single-process path, then a replica is killed to show
@@ -16,7 +16,7 @@ use circnn::serve::TenantConfig;
 use circnn::shard::topology::{segment_ranges, split_operator, ClusterSpec, ShardSpec};
 use circnn::shard::{spawn_health_poller, RouterConfig, RouterServer, ShardRouter};
 use circnn::tensor::init::{seeded_rng, uniform};
-use circnn::wire::{ModelRegistry, WireClient, WireConfig, WireServer};
+use circnn::wire::{EventConfig, EventServer, ModelRegistry, WireClient};
 
 fn mlp(seed: u64) -> Sequential {
     let mut rng = seeded_rng(seed);
@@ -43,7 +43,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         segment_ranges(&slices)
     );
 
-    let mut servers: Vec<Vec<WireServer>> = Vec::new();
+    let mut servers: Vec<Vec<EventServer>> = Vec::new();
     let mut spec = ClusterSpec { shards: Vec::new() };
     for slice in &slices {
         let replicas = if servers.is_empty() { 2 } else { 1 };
@@ -54,7 +54,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             registry.add_segment("big", slice.clone(), TenantConfig::default())?;
             // Forwarded tenants are registered whole on every replica.
             registry.add_network("mlp", mlp(7), &[64], TenantConfig::default())?;
-            let server = WireServer::bind("127.0.0.1:0", registry, WireConfig::default())?;
+            let server = EventServer::bind("127.0.0.1:0", registry, EventConfig::default())?;
             println!(
                 "  shard {} replica on {} serves rows {}..{}",
                 spec.shards.len(),
@@ -79,7 +79,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // 3) An ordinary wire front-end: clients speak plain Infer frames and
     //    never learn the cluster exists.
-    let front = RouterServer::bind("127.0.0.1:0", Arc::clone(&router), WireConfig::default())?;
+    let front = RouterServer::bind("127.0.0.1:0", Arc::clone(&router), EventConfig::default())?;
     println!("\nrouter serving on {}", front.local_addr());
     let mut client = WireClient::connect(front.local_addr())?;
     for m in client.list_models()? {

@@ -1,4 +1,4 @@
-//! Network-serving demo: a `WireServer` hosting two tenants — a
+//! Network-serving demo: an `EventServer` hosting two tenants — a
 //! block-circulant MLP and a block-circulant convnet — queried over TCP
 //! by concurrent `WireClient` connections, with every answer checked
 //! bit-for-bit against the direct read-only inference path, plus a
@@ -14,7 +14,7 @@ use circnn::nn::{Flatten, InferScratch, Layer, Linear, MaxPool2d, Relu, Sequenti
 use circnn::serve::TenantConfig;
 use circnn::tensor::init::seeded_rng;
 use circnn::tensor::Tensor;
-use circnn::wire::{ErrorCode, ModelRegistry, WireClient, WireConfig, WireError, WireServer};
+use circnn::wire::{ErrorCode, EventConfig, EventServer, ModelRegistry, WireClient, WireError};
 
 fn mlp(seed: u64) -> Sequential {
     let mut rng = seeded_rng(seed);
@@ -47,7 +47,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     registry.add_network("convnet", convnet(8), &[4, 16, 16], TenantConfig::default())?;
 
     // 2) Serve them over TCP (ephemeral port).
-    let server = WireServer::bind("127.0.0.1:0", Arc::clone(&registry), WireConfig::default())?;
+    let server = EventServer::bind("127.0.0.1:0", Arc::clone(&registry), EventConfig::default())?;
     let addr = server.local_addr();
     println!("serving on {addr}");
 
