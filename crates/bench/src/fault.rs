@@ -1,5 +1,8 @@
-//! Overload-behavior trajectory: client-observed latency and shed rate
-//! under 1×/2×/4× offered load for each [`OverloadPolicy`].
+//! Everything that is not steady state: overload behavior —
+//! client-observed latency and shed rate under 1×/2×/4× offered load for
+//! each [`OverloadPolicy`] — and the latency cost of a shard-replica
+//! failover. Steady-state numbers belong to the repo benchmark
+//! (`benchmark/`); neither experiment here has a named metric there.
 //!
 //! The server is a one-worker, one-tenant pool running a fixed-cost model
 //! (a calibrated sleep per dispatch), so its capacity is known exactly. An
@@ -21,12 +24,23 @@
 //!   bounded p99, same shed rate, but the *newest* requests survive —
 //!   the right trade when stale answers are worthless.
 //!
+//! The failover experiment ([`measure_failover`]) serves one operator
+//! from a 2-shard cluster with two replicas per shard through a
+//! [`ShardRouter`], kills shard 0's primary mid-run, and reports the
+//! first request after the kill against the steady and recovered medians;
+//! every reply is checked bitwise against the in-process kernel.
+//!
 //! The `fault` binary wraps [`run`] and writes `BENCH_fault.json`.
 
-use std::sync::mpsc;
+use std::sync::{mpsc, Arc};
 use std::time::{Duration, Instant};
 
+use circnn_core::{BlockCirculantMatrix, Workspace};
 use circnn_serve::{MultiServer, OverloadPolicy, ServeError, ServeModel, TenantConfig};
+use circnn_shard::topology::{segment_ranges, split_operator, ClusterSpec, ShardSpec};
+use circnn_shard::{RouterConfig, ShardRouter};
+use circnn_tensor::init::seeded_rng;
+use circnn_wire::{ClientConfig, EventConfig, EventServer, ModelRegistry};
 
 /// Fixed-cost model: sleeps `delay` per dispatch, then echoes. With
 /// `max_batch = 1` the server's capacity is exactly `1 / delay`.
@@ -182,8 +196,112 @@ pub fn measure(
     }
 }
 
-/// Runs the full policy × overload grid.
-pub fn run(quick: bool) -> Vec<FaultPoint> {
+/// The failover experiment's summary.
+#[derive(Debug, Clone)]
+pub struct FailoverPoint {
+    /// Median latency before the kill, µs.
+    pub steady_p50_us: f64,
+    /// Latency of the first request after the primary died, µs — the
+    /// failover hit (connect-failure detection plus the retry on the
+    /// surviving replica).
+    pub first_after_kill_us: f64,
+    /// Median latency after failover settled, µs.
+    pub recovered_p50_us: f64,
+}
+
+/// The failover experiment: an `m × n` operator (block size `k`) row-split
+/// over a 2-shard cluster, two replicas per shard, behind an in-process
+/// [`ShardRouter`]. `requests` batches of `batch` rows run before shard
+/// 0's primary is killed, one right after, and `requests` more once the
+/// router has failed over.
+///
+/// # Panics
+///
+/// Panics if any reply differs from [`BlockCirculantMatrix::matmat`] by a
+/// single bit — a failover that serves wrong rows is not a latency.
+pub fn measure_failover(
+    m: usize,
+    n: usize,
+    k: usize,
+    batch: usize,
+    requests: usize,
+) -> FailoverPoint {
+    let w = BlockCirculantMatrix::random(&mut seeded_rng(4242), m, n, k).expect("valid shape");
+    let slices = split_operator(&w, 2).expect("splittable");
+    let mut servers: Vec<Vec<EventServer>> = Vec::new();
+    let mut spec = ClusterSpec { shards: Vec::new() };
+    for slice in &slices {
+        let replicas: Vec<EventServer> = (0..2)
+            .map(|_| {
+                let registry = Arc::new(ModelRegistry::new(2).expect("pool"));
+                registry
+                    .add_segment("op", slice.clone(), TenantConfig::default())
+                    .expect("register segment");
+                EventServer::bind("127.0.0.1:0", registry, EventConfig::default()).expect("bind")
+            })
+            .collect();
+        spec.shards.push(ShardSpec {
+            replicas: replicas.iter().map(EventServer::local_addr).collect(),
+        });
+        servers.push(replicas);
+    }
+    let config = RouterConfig {
+        client: ClientConfig {
+            connect_timeout: Some(Duration::from_secs(2)),
+            read_timeout: Some(Duration::from_secs(10)),
+            write_timeout: Some(Duration::from_secs(10)),
+            retries: 1,
+            backoff_base: Duration::from_millis(1),
+            backoff_cap: Duration::from_millis(20),
+            ..ClientConfig::default()
+        },
+        ..RouterConfig::default()
+    };
+    let router = ShardRouter::new(&spec, config).expect("router");
+    router
+        .add_sharded_model("op", n, &segment_ranges(&slices))
+        .expect("register");
+
+    // One routed request, timed; the bitwise check stays outside the
+    // timed span.
+    let mut ws = Workspace::new();
+    let mut serve = |seed: u64| -> f64 {
+        let x = circnn_tensor::init::uniform(&mut seeded_rng(seed), &[batch * n], -1.0, 1.0);
+        let t = Instant::now();
+        let served = router
+            .infer_batch("op", batch, x.data(), None)
+            .expect("serve");
+        let us = t.elapsed().as_secs_f64() * 1e6;
+        let direct: Vec<f32> = x
+            .data()
+            .chunks(n)
+            .flat_map(|row| w.matmat(row, 1, &mut ws).expect("matmat"))
+            .collect();
+        assert_eq!(served, direct, "routed batch must be bitwise-exact");
+        us
+    };
+    let mut steady: Vec<f64> = (0..requests).map(|i| serve(2000 + i as u64)).collect();
+    // Kill shard 0's primary, then measure the very next request — it
+    // pays the dead-connection detection plus the failover retry.
+    servers[0].remove(0).shutdown();
+    let first_after_kill_us = serve(3000);
+    let mut recovered: Vec<f64> = (0..requests).map(|i| serve(4000 + i as u64)).collect();
+
+    router.drain_pools();
+    for server in servers.into_iter().flatten() {
+        server.shutdown();
+    }
+    steady.sort_by(|a, b| a.total_cmp(b));
+    recovered.sort_by(|a, b| a.total_cmp(b));
+    FailoverPoint {
+        steady_p50_us: percentile(&steady, 0.50),
+        first_after_kill_us,
+        recovered_p50_us: percentile(&recovered, 0.50),
+    }
+}
+
+/// Runs the full policy × overload grid, then the failover experiment.
+pub fn run(quick: bool) -> (Vec<FaultPoint>, FailoverPoint) {
     let (requests, service_time) = if quick {
         (240, Duration::from_millis(1))
     } else {
@@ -199,11 +317,17 @@ pub fn run(quick: bool) -> Vec<FaultPoint> {
             points.push(measure(policy, overload, requests, service_time));
         }
     }
-    points
+    let failover = if quick {
+        measure_failover(128, 128, 16, 4, 10)
+    } else {
+        measure_failover(512, 512, 16, 8, 60)
+    };
+    (points, failover)
 }
 
-/// Renders the points as the `BENCH_fault.json` trajectory document.
-pub fn to_json(points: &[FaultPoint]) -> String {
+/// Renders the points and the failover summary as the `BENCH_fault.json`
+/// document.
+pub fn to_json(points: &[FaultPoint], failover: &FailoverPoint) -> String {
     let mut out = String::from(
         "{\n  \"bench\": \"fault_overload\",\n  \"unit\": \"microseconds\",\n  \"points\": [\n",
     );
@@ -224,12 +348,16 @@ pub fn to_json(points: &[FaultPoint]) -> String {
             if i + 1 == points.len() { "" } else { "," }
         ));
     }
-    out.push_str("  ]\n}\n");
+    out.push_str(&format!(
+        "  ],\n  \"failover\": {{\"steady_p50_us\": {:.0}, \"first_after_kill_us\": {:.0}, \
+         \"recovered_p50_us\": {:.0}}}\n}}\n",
+        failover.steady_p50_us, failover.first_after_kill_us, failover.recovered_p50_us
+    ));
     out
 }
 
 /// Prints a human-readable table.
-pub fn print(points: &[FaultPoint]) {
+pub fn print(points: &[FaultPoint], failover: &FailoverPoint) {
     println!(
         "{:>11} {:>4} | {:>9} {:>9} {:>5} {:>5} {:>6} | {:>10} {:>10}",
         "policy", "load", "offered", "done", "shed", "rej", "rate", "p50", "p99"
@@ -248,6 +376,12 @@ pub fn print(points: &[FaultPoint]) {
             p.p99_us / 1e3,
         );
     }
+    println!(
+        "failover: steady p50 {:.1} ms → first request after kill {:.1} ms → recovered p50 {:.1} ms",
+        failover.steady_p50_us / 1e3,
+        failover.first_after_kill_us / 1e3,
+        failover.recovered_p50_us / 1e3
+    );
 }
 
 #[cfg(test)]
@@ -273,9 +407,13 @@ mod tests {
         assert_eq!(points[0].shed + points[0].rejected, 0);
         assert!(points[1].rejected > 0, "{:?}", points[1]);
         assert!(points[2].shed > 0, "{:?}", points[2]);
-        let json = to_json(&points);
+        let failover = measure_failover(32, 32, 8, 2, 3);
+        assert!(failover.first_after_kill_us > 0.0);
+        let json = to_json(&points, &failover);
         assert!(json.contains("\"policy\": \"block\""));
         assert!(json.contains("\"p99_us\""));
         assert!(json.contains("\"shed_rate\""));
+        assert!(json.contains("\"failover\""));
+        assert!(json.contains("first_after_kill_us"));
     }
 }

@@ -1,8 +1,9 @@
 //! # circnn-bench
 //!
 //! Experiment runners regenerating **every table and figure** of the
-//! paper's evaluation, plus the ablations DESIGN.md calls out. Each module
-//! matches one artifact and each has a binary wrapper in `src/bin`:
+//! paper's evaluation, plus the ablations DESIGN.md calls out, plus the two
+//! serving experiments that are not steady state. Each module matches one
+//! artifact and each has a binary wrapper in `src/bin`:
 //!
 //! | Module / binary | Paper artifact |
 //! |---|---|
@@ -14,13 +15,13 @@
 //! | [`alg3`] / `alg3` | Algorithm 3 design-space example (§4.3) |
 //! | [`train_speedup`] / `train_speedup` | §3.4: 5–9× DBN training gain |
 //! | [`ablations`] / `ablations` | design-choice ablations |
-//! | [`batched`] / `batched` | batched-inference engine trajectory (`BENCH_batched.json`) |
-//! | [`conv`] / `conv` | batch-plane CONV pipeline trajectory (`BENCH_conv.json`) |
-//! | [`rnn`] / `rnn` | recurrent engine + strided fused-MAC trajectory (`BENCH_rnn.json`) |
-//! | [`serve`] / `serve` | serving-layer throughput trajectory (`BENCH_serve.json`) |
-//! | [`wire`] / `wire` | network-serving throughput trajectory (`BENCH_wire.json`) |
-//! | [`fault`] / `fault` | overload-policy latency/shed trajectory (`BENCH_fault.json`) |
-//! | [`shard`] / `shard` | sharded-tier scaling + failover trajectory (`BENCH_shard.json`) |
+//! | [`wire`] / `wire` | front-end connection sweep, 16 → 4096 connections (`BENCH_wire.json`) |
+//! | [`fault`] / `fault` | overload policies under offered load + replica failover (`BENCH_fault.json`) |
+//!
+//! Steady-state performance — engine ns/sample, serving throughput and
+//! latency, the layer ladder — is measured by the repo benchmark in
+//! `benchmark/` (`bash benchmark/run.sh`, contract in `BENCHMARK.json`),
+//! not here: this crate holds no second copy of those measurements.
 //!
 //! Experiments honor the `CIRCNN_QUICK=1` environment variable to shrink
 //! training workloads (used by the integration tests); the binaries default
@@ -29,17 +30,12 @@
 #![forbid(unsafe_code)]
 
 pub mod ablations;
-pub mod batched;
-pub mod conv;
 pub mod fault;
 pub mod fig13;
 pub mod fig14;
 pub mod fig15;
 pub mod fig7;
-pub mod rnn;
 pub mod sec53;
-pub mod serve;
-pub mod shard;
 pub mod table;
 pub mod train_speedup;
 pub mod wire;

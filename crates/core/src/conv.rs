@@ -228,23 +228,159 @@ pub struct ConvWorkspace {
     shifts: Vec<usize>,
 }
 
-/// Geometry-derived sizes shared by the pipeline stages.
-struct Dims {
-    p: usize,
-    q: usize,
-    k: usize,
-    bins: usize,
+/// Geometry-derived sizes shared by the pipeline stages (f32 and
+/// quantized alike).
+pub(crate) struct Dims {
+    pub(crate) p: usize,
+    pub(crate) q: usize,
+    pub(crate) k: usize,
+    pub(crate) bins: usize,
     /// Padded input-plane lanes `B·Hp·Wp`.
-    l_pad: usize,
+    pub(crate) l_pad: usize,
     /// Compact output lanes `B·OH·OW`.
     l_out: usize,
     /// Accumulator lanes: for stride 1, `B·((OH−1)·Wp + OW)` (input row
     /// pitch, contiguous per-sample MAC runs); otherwise `l_out`.
-    l_acc: usize,
+    pub(crate) l_acc: usize,
     /// Accumulator row pitch (`Wp` for stride 1, `OW` otherwise).
     arow: usize,
     /// Accumulator per-sample block (`(OH−1)·Wp + OW` or `OH·OW`).
     abatch: usize,
+}
+
+impl Dims {
+    pub(crate) fn new(
+        p: usize,
+        q: usize,
+        k: usize,
+        bins: usize,
+        g: &ConvGeometry,
+        batch: usize,
+    ) -> Self {
+        let (hp, wp) = (g.height + 2 * g.padding, g.width + 2 * g.padding);
+        let (oh, ow) = (g.out_height(), g.out_width());
+        let (arow, abatch) = if g.stride == 1 {
+            (wp, (oh - 1) * wp + ow)
+        } else {
+            (ow, oh * ow)
+        };
+        Dims {
+            p,
+            q,
+            k,
+            bins,
+            l_pad: batch * hp * wp,
+            l_out: batch * oh * ow,
+            l_acc: batch * abatch,
+            arow,
+            abatch,
+        }
+    }
+}
+
+/// Validates a `[B, C, H, W]` inference input against a conv layer's shape
+/// and the caller's `[B, P, OH, OW]` output length; returns the geometry
+/// and the batch size.
+pub(crate) fn infer_geometry(
+    input: &Tensor,
+    in_channels: usize,
+    out_channels: usize,
+    kernel: usize,
+    stride: usize,
+    padding: usize,
+    out_len: usize,
+) -> Result<(ConvGeometry, usize), CircError> {
+    if input.shape().rank() != 4 {
+        return Err(CircError::DimensionMismatch {
+            expected: 4,
+            got: input.shape().rank(),
+        });
+    }
+    let dims = input.dims();
+    if dims[1] != in_channels {
+        return Err(CircError::DimensionMismatch {
+            expected: in_channels,
+            got: dims[1],
+        });
+    }
+    let geom = ConvGeometry::new(in_channels, dims[2], dims[3], kernel, stride, padding);
+    engine::check_slabs(dims[0], &[(out_len, out_channels * geom.num_patches())])?;
+    Ok((geom, dims[0]))
+}
+
+/// Plans the fused run-MAC on the padded grid and returns the filled
+/// `(shifts, runs)` prefixes. Each kernel offset is the same lane run at a
+/// constant plane shift `kh·Wp + kw`. Stride 1: the whole per-sample
+/// padded row range is one contiguous `(out_offset, in_base, len)` run.
+/// Strided: one run per (sample, output row), input lanes advancing by
+/// `stride`. Both buffers are grow-only.
+#[inline]
+pub(crate) fn plan_runs<'a>(
+    d: &Dims,
+    g: &ConvGeometry,
+    batch: usize,
+    shifts: &'a mut Vec<usize>,
+    runs: &'a mut Vec<(usize, usize, usize)>,
+) -> (&'a [usize], &'a [(usize, usize, usize)]) {
+    let (r, s, oh) = (g.kernel, g.stride, g.out_height());
+    let wp = g.width + 2 * g.padding;
+    let hpwp = (g.height + 2 * g.padding) * wp;
+    let run_count = if s == 1 { batch } else { batch * oh };
+    if shifts.len() < r * r {
+        shifts.resize(r * r, 0);
+    }
+    if runs.len() < run_count {
+        runs.resize(run_count, (0, 0, 0));
+    }
+    for (o, slot) in shifts[..r * r].iter_mut().enumerate() {
+        *slot = (o / r) * wp + (o % r);
+    }
+    if s == 1 {
+        for (b, slot) in runs[..run_count].iter_mut().enumerate() {
+            *slot = (b * d.abatch, b * hpwp, d.abatch);
+        }
+    } else {
+        for (i, slot) in runs[..run_count].iter_mut().enumerate() {
+            let (b, oy) = (i / oh, i % oh);
+            *slot = (
+                b * d.abatch + oy * d.arow,
+                b * hpwp + oy * s * wp,
+                g.out_width(),
+            );
+        }
+    }
+    (&shifts[..r * r], &runs[..run_count])
+}
+
+/// The last stage of a conv forward: the pure layout copy from the
+/// `[block][k][acc lanes]` staging planes into the `[B, P, OH, OW]` slab
+/// (the per-channel bias already rode the IFFT's unpack pass).
+#[inline]
+pub(crate) fn scatter_staged(
+    stage: &[f32],
+    d: &Dims,
+    g: &ConvGeometry,
+    batch: usize,
+    out_channels: usize,
+    out: &mut [f32],
+) {
+    let (oh, ow) = (g.out_height(), g.out_width());
+    let ohw = oh * ow;
+    for i in 0..d.p {
+        for t in 0..d.k {
+            let pch = i * d.k + t;
+            if pch >= out_channels {
+                break;
+            }
+            let srow = &stage[(i * d.k + t) * d.l_acc..][..d.l_acc];
+            for b in 0..batch {
+                for oy in 0..oh {
+                    let dst = &mut out[(b * out_channels + pch) * ohw + oy * ow..][..ow];
+                    dst.copy_from_slice(&srow[b * d.abatch + oy * d.arow..][..ow]);
+                }
+            }
+        }
+    }
 }
 
 impl ConvWorkspace {
@@ -254,27 +390,11 @@ impl ConvWorkspace {
     }
 
     fn dims(e0: &BlockCirculantMatrix, g: &ConvGeometry, batch: usize) -> Dims {
-        let (hp, wp) = (g.height + 2 * g.padding, g.width + 2 * g.padding);
-        let (oh, ow) = (g.out_height(), g.out_width());
-        let (arow, abatch) = if g.stride == 1 {
-            (wp, (oh - 1) * wp + ow)
-        } else {
-            (ow, oh * ow)
-        };
-        Dims {
-            p: e0.block_rows(),
-            q: e0.block_cols(),
-            k: e0.block_size(),
-            bins: e0.bins(),
-            l_pad: batch * hp * wp,
-            l_out: batch * oh * ow,
-            l_acc: batch * abatch,
-            arow,
-            abatch,
-        }
+        let (p, q) = (e0.block_rows(), e0.block_cols());
+        Dims::new(p, q, e0.block_size(), e0.bins(), g, batch)
     }
 
-    fn prepare_forward(&mut self, d: &Dims, run_count: usize, threads: usize) {
+    fn prepare_forward(&mut self, d: &Dims, threads: usize) {
         engine::grow(&mut self.xs_re, d.q * d.bins * d.l_pad);
         engine::grow(&mut self.xs_im, d.q * d.bins * d.l_pad);
         engine::grow(&mut self.acc_re, d.p * d.bins * d.l_acc);
@@ -286,19 +406,10 @@ impl ConvWorkspace {
         engine::grow(&mut self.stage, d.p * d.k * d.l_acc);
         engine::grow(&mut self.pr, threads * d.k * d.l_pad.max(d.l_acc));
         engine::grow(&mut self.pi, threads * d.k * d.l_pad.max(d.l_acc));
-        if self.runs.len() < run_count {
-            self.runs.resize(run_count, (0, 0, 0));
-        }
     }
 
-    fn prepare_shifts(&mut self, r2: usize) {
-        if self.shifts.len() < r2 {
-            self.shifts.resize(r2, 0);
-        }
-    }
-
-    fn prepare_backward(&mut self, d: &Dims, batch: usize, threads: usize) {
-        self.prepare_forward(d, batch, threads);
+    fn prepare_backward(&mut self, d: &Dims, threads: usize) {
+        self.prepare_forward(d, threads);
         // The backward weight-gradient reduction gathers patches for every
         // stride.
         engine::grow(&mut self.patch_re, d.q * d.bins * d.l_out);
@@ -332,19 +443,10 @@ impl ConvWorkspace {
         let e0 = &engines[0];
         let d = Self::dims(e0, g, batch);
         let threads = threads.max(1);
-        let (oh, ow) = (g.out_height(), g.out_width());
-        let s = g.stride;
-        // Stride 1: the whole per-sample padded row range is one contiguous
-        // run. Strided: one run per (sample, output row), input lanes
-        // advancing by `stride`.
-        let run_count = if s == 1 { batch } else { batch * oh };
-        self.prepare_forward(&d, run_count, threads);
-        self.prepare_shifts(g.kernel * g.kernel);
+        self.prepare_forward(&d, threads);
         let (p, q, k, bins) = (d.p, d.q, d.k, d.bins);
         let (l_pad, l_acc) = (d.l_pad, d.l_acc);
         let plan = e0.plane_plan();
-        let wp = g.width + 2 * g.padding;
-        let hpwp = (g.height + 2 * g.padding) * wp;
         let Self {
             xs_re,
             xs_im,
@@ -401,39 +503,24 @@ impl ConvWorkspace {
         // the x-planes stream once, and the accumulators are written
         // exactly once. The per-offset gather path (patch-plane copies plus
         // r² accumulator read-modify-write sweeps) is gone.
-        let r = g.kernel;
-        for (o, slot) in shifts[..r * r].iter_mut().enumerate() {
-            *slot = (o / r) * wp + (o % r);
-        }
-        if s == 1 {
-            for (b, slot) in runs[..run_count].iter_mut().enumerate() {
-                *slot = (b * d.abatch, b * hpwp, d.abatch);
-            }
-        } else {
-            for (i, slot) in runs[..run_count].iter_mut().enumerate() {
-                let (b, oy) = (i / oh, i % oh);
-                *slot = (b * d.abatch + oy * d.arow, b * hpwp + oy * s * wp, ow);
-            }
-        }
-        {
-            let (shifts, runs) = (&shifts[..r * r], &runs[..run_count]);
-            engine::par_planes(
-                threads,
-                p,
-                bins * l_acc,
-                acc_re,
-                acc_im,
-                0,
-                &mut [],
-                &mut [],
-                |i0, icount, re_c, im_c, _: &mut [f32], _: &mut [f32]| {
-                    engine::run_mac(
-                        engines, shifts, p, q, k, bins, i0, icount, xs_re, xs_im, l_pad, l_acc,
-                        runs, s, re_c, im_c,
-                    );
-                },
-            );
-        }
+        let (shifts, runs) = plan_runs(&d, g, batch, shifts, runs);
+        let s = g.stride;
+        engine::par_planes(
+            threads,
+            p,
+            bins * l_acc,
+            acc_re,
+            acc_im,
+            0,
+            &mut [],
+            &mut [],
+            |i0, icount, re_c, im_c, _: &mut [f32], _: &mut [f32]| {
+                engine::run_mac(
+                    engines, shifts, p, q, k, bins, i0, icount, xs_re, xs_im, l_pad, l_acc, runs,
+                    s, re_c, im_c,
+                );
+            },
+        );
         // Stage 3: one real plane inverse per output block row with the
         // fused epilogue — the per-channel bias rides the IFFT's unpack
         // pass, so the scatter into the [B, P, OH, OW] slab below is a pure
@@ -459,22 +546,7 @@ impl ConvWorkspace {
                 );
             },
         );
-        let ohw = oh * ow;
-        for i in 0..p {
-            for t in 0..k {
-                let pch = i * k + t;
-                if pch >= out_channels {
-                    break;
-                }
-                let srow = &stage[(i * k + t) * l_acc..][..l_acc];
-                for b in 0..batch {
-                    for oy in 0..oh {
-                        let dst = &mut out[(b * out_channels + pch) * ohw + oy * ow..][..ow];
-                        dst.copy_from_slice(&srow[b * d.abatch + oy * d.arow..][..ow]);
-                    }
-                }
-            }
-        }
+        scatter_staged(stage, &d, g, batch, out_channels, out);
     }
 
     /// The batched backward pass over the spectra planes a matching
@@ -496,7 +568,7 @@ impl ConvWorkspace {
         let e0 = &engines[0];
         let d = Self::dims(e0, g, batch);
         let threads = threads.max(1);
-        self.prepare_backward(&d, batch, threads);
+        self.prepare_backward(&d, threads);
         let (p, q, k, bins) = (d.p, d.q, d.k, d.bins);
         let (l_pad, l_out) = (d.l_pad, d.l_out);
         let plan = e0.plane_plan();
@@ -911,33 +983,15 @@ impl CirculantConv2d {
         out: &mut [f32],
         threads: usize,
     ) -> Result<(), CircError> {
-        if input.shape().rank() != 4 {
-            return Err(CircError::DimensionMismatch {
-                expected: 4,
-                got: input.shape().rank(),
-            });
-        }
-        let batch = input.dims()[0];
-        if batch == 0 {
-            return Err(CircError::DimensionMismatch {
-                expected: 1,
-                got: 0,
-            });
-        }
-        if input.dims()[1] != self.in_channels {
-            return Err(CircError::DimensionMismatch {
-                expected: self.in_channels,
-                got: input.dims()[1],
-            });
-        }
-        let geom = self.geometry_for(&input.dims()[1..]);
-        let want = batch * self.out_channels * geom.num_patches();
-        if out.len() != want {
-            return Err(CircError::DimensionMismatch {
-                expected: want,
-                got: out.len(),
-            });
-        }
+        let (geom, batch) = infer_geometry(
+            input,
+            self.in_channels,
+            self.out_channels,
+            self.kernel,
+            self.stride,
+            self.padding,
+            out.len(),
+        )?;
         ws.forward(
             &self.engines,
             &geom,

@@ -45,6 +45,7 @@
 
 use circnn_fft::BatchFftPlan;
 
+use crate::error::CircError;
 use crate::matrix::BlockCirculantMatrix;
 
 /// Element-wise nonlinearity a fused IFFT epilogue can apply.
@@ -218,6 +219,45 @@ pub(crate) fn pack_slab_block(
         let srow = &src[b * logical + start..b * logical + start + len];
         for (t, &v) in srow.iter().enumerate() {
             plane[t * lanes + b] = v;
+        }
+    }
+}
+
+/// Entry check of every slab apply: a non-empty batch, and each
+/// row-major slab `(len, width)` exactly `batch · width` long.
+pub(crate) fn check_slabs(batch: usize, slabs: &[(usize, usize)]) -> Result<(), CircError> {
+    if batch == 0 {
+        return Err(CircError::DimensionMismatch {
+            expected: 1,
+            got: 0,
+        });
+    }
+    for &(len, width) in slabs {
+        if len != batch * width {
+            return Err(CircError::DimensionMismatch {
+                expected: batch * width,
+                got: len,
+            });
+        }
+    }
+    Ok(())
+}
+
+/// Stage D of every slab apply: the pure layout copy from the staging
+/// planes `[block][k][batch]` into the row-major `[batch, logical]` slab,
+/// dropping ragged padding rows (bias/activation were already applied
+/// inside the IFFT epilogue). Sample-outer order keeps the writes
+/// contiguous (one output row per sample); the strided reads prefetch well.
+#[inline]
+pub(crate) fn unstage_slab(stage: &[f32], k: usize, batch: usize, out: &mut [f32]) {
+    let logical = out.len() / batch;
+    for (b, orow) in out.chunks_exact_mut(logical).enumerate() {
+        for i in 0..logical.div_ceil(k) {
+            let rows = k.min(logical - i * k);
+            let base = i * k * batch + b;
+            for t in 0..rows {
+                orow[i * k + t] = stage[base + t * batch];
+            }
         }
     }
 }
@@ -524,6 +564,41 @@ pub(crate) fn quantize_code(v: f32, inv_step: f32, max_code: i32) -> i16 {
     (r as i32).clamp(-max_code, max_code) as i16
 }
 
+/// Stage A of every quantized apply, dispatched: [`fft_quantize_blocks`]
+/// over all `blocks` input blocks on `threads` workers, each with its own
+/// `[k][lanes]` slice of the `pr`/`pi` plane scratch.
+#[allow(clippy::too_many_arguments)]
+pub(crate) fn quantize_spectra_planes(
+    plan: &BatchFftPlan<f32>,
+    threads: usize,
+    blocks: usize,
+    k: usize,
+    bins: usize,
+    lanes: usize,
+    inv_step: f32,
+    max_code: i32,
+    codes: &mut [i16],
+    pr: &mut [f32],
+    pi: &mut [f32],
+    fill: &(impl Fn(usize, &mut [f32]) + Sync),
+) {
+    par_planes(
+        threads,
+        blocks,
+        bins * lanes * 2,
+        codes,
+        &mut [],
+        k * lanes,
+        pr,
+        pi,
+        |j0, jcount, c_c, _: &mut [i16], pr_c, pi_c| {
+            fft_quantize_blocks(
+                plan, k, bins, lanes, j0, jcount, inv_step, max_code, c_c, pr_c, pi_c, fill,
+            );
+        },
+    );
+}
+
 /// Stage A of the quantized apply: the same per-block real-input plane FFT
 /// as [`fft_blocks`], with the symmetric quantizer **fused into the
 /// spectrum copy-out** — the half-spectrum rows leave the per-worker FFT
@@ -534,7 +609,7 @@ pub(crate) fn quantize_code(v: f32, inv_step: f32, max_code: i32) -> i16 {
 /// real inputs, and zeroed codes let the MAC run one uniform pairwise
 /// kernel with no real-bin branch.
 #[allow(clippy::too_many_arguments)]
-pub(crate) fn fft_quantize_blocks<F>(
+fn fft_quantize_blocks<F>(
     plan: &BatchFftPlan<f32>,
     k: usize,
     bins: usize,

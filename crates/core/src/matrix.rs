@@ -1160,24 +1160,7 @@ impl BlockCirculantMatrix {
             Dir::Forward => (self.n, self.q, self.m, self.p),
             Dir::Backward => (self.m, self.p, self.n, self.q),
         };
-        if batch == 0 {
-            return Err(CircError::DimensionMismatch {
-                expected: 1,
-                got: 0,
-            });
-        }
-        if src.len() != batch * in_logical {
-            return Err(CircError::DimensionMismatch {
-                expected: batch * in_logical,
-                got: src.len(),
-            });
-        }
-        if out.len() != batch * out_logical {
-            return Err(CircError::DimensionMismatch {
-                expected: batch * out_logical,
-                got: out.len(),
-            });
-        }
+        engine::check_slabs(batch, &[(src.len(), in_logical), (out.len(), out_logical)])?;
         let threads = threads.max(1);
         match dir {
             Dir::Forward => {
@@ -1312,20 +1295,8 @@ impl BlockCirculantMatrix {
                 },
             );
         }
-        // Stage D: pure layout copy — transpose the staging planes into the
-        // row-major `[batch, out_logical]` output, dropping ragged padding
-        // (bias/activation were already applied inside the IFFT epilogue).
-        // Sample-outer order keeps the writes contiguous (one output row per
-        // sample); the strided reads prefetch well.
-        for (b, orow) in out.chunks_exact_mut(out_logical).enumerate() {
-            for i in 0..out_blocks {
-                let rows = k.min(out_logical - i * k);
-                let base = i * k * batch + b;
-                for t in 0..rows {
-                    orow[i * k + t] = stage[base + t * batch];
-                }
-            }
-        }
+        // Stage D: the `[batch, out_logical]` output slab.
+        engine::unstage_slab(stage, k, batch, out);
         Ok(())
     }
 

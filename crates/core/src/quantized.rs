@@ -9,8 +9,8 @@
 //! the same four-stage dataflow as the f32 engine with the conversions
 //! fused into passes the f32 path already pays:
 //!
-//! 1. **FFT + quantize** (`engine::fft_quantize_blocks`) — the f32 plane
-//!    FFT's copy-out writes interleaved `(re, im)` i16 code pairs
+//! 1. **FFT + quantize** (`engine::quantize_spectra_planes`) — the f32
+//!    plane FFT's copy-out writes interleaved `(re, im)` i16 code pairs
 //!    block-major; there is no f32 spectra store and no re-layout pass.
 //!    Imaginary codes at the DC/Nyquist real bins are forced to zero.
 //! 2. **i16 MAC** (`engine::run_mac_i16`) — the register-tiled
@@ -99,6 +99,21 @@ impl QuantConfig {
     /// Input spectrum quantization step for block size `k`.
     fn x_step(&self, k: usize) -> f32 {
         k as f32 * self.input_range / self.input_format.max_code() as f32
+    }
+
+    /// Conservative max-abs-error bound versus the f32 engine for inputs
+    /// within the declared range, for one accumulator summing `terms` block
+    /// products under the fused per-block-row dequant scales `dq`
+    /// (`w_step·x_step`): per-term quantization error
+    /// `w_step·x_step·(C_w + C_x + ½)` per spectral component, summed over
+    /// the terms and carried through the normalized inverse transform
+    /// (whose coefficient mass is 1), with a 2× margin for the f32 FFT
+    /// round-off and the i32→f32 dequant rounding.
+    fn error_bound(&self, terms: usize, dq: &[f32]) -> f32 {
+        let cw = self.weight_format.max_code() as f32;
+        let cx = self.input_format.max_code() as f32;
+        let dq_max = dq.iter().cloned().fold(0.0f32, f32::max);
+        2.0 * terms as f32 * dq_max * (cw + cx + 1.0)
     }
 }
 
@@ -362,16 +377,10 @@ impl QuantizedOperator {
     }
 
     /// Conservative max-abs-error bound versus the f32 engine for inputs
-    /// within the declared range: per-term quantization error
-    /// `w_step·x_step·(C_w + C_x + ½)` per spectral component, summed
-    /// over the `q` block products and carried through the normalized
-    /// inverse transform (whose coefficient mass is 1), with a 2× margin
-    /// for the f32 FFT round-off and the i32→f32 dequant rounding.
+    /// within the declared range (the operator accumulates its `q` block
+    /// products).
     pub fn error_bound(&self) -> f32 {
-        let cw = self.cfg.weight_format.max_code() as f32;
-        let cx = self.cfg.input_format.max_code() as f32;
-        let w_max = self.w_step.iter().cloned().fold(0.0f32, f32::max);
-        2.0 * self.q as f32 * w_max * self.x_step * (cw + cx + 1.0)
+        self.cfg.error_bound(self.q, &self.dq)
     }
 
     /// Read-only batched apply into a caller-provided `[batch, m]` slab.
@@ -390,29 +399,10 @@ impl QuantizedOperator {
         out: &mut [f32],
         threads: usize,
     ) -> Result<(), CircError> {
-        if batch == 0 {
-            return Err(CircError::DimensionMismatch {
-                expected: 1,
-                got: 0,
-            });
-        }
-        if src.len() != batch * self.n {
-            return Err(CircError::DimensionMismatch {
-                expected: batch * self.n,
-                got: src.len(),
-            });
-        }
-        if out.len() != batch * self.m {
-            return Err(CircError::DimensionMismatch {
-                expected: batch * self.m,
-                got: out.len(),
-            });
-        }
-        self.apply(src, batch, ws, out, threads, &Epilogue::NONE);
-        Ok(())
+        self.apply(src, batch, ws, out, threads, &Epilogue::NONE)
     }
 
-    /// The four-stage quantized apply (validated entry points wrap this).
+    /// The validated four-stage quantized apply.
     pub(crate) fn apply(
         &self,
         src: &[f32],
@@ -421,7 +411,8 @@ impl QuantizedOperator {
         out: &mut [f32],
         threads: usize,
         epi: &Epilogue<'_>,
-    ) {
+    ) -> Result<(), CircError> {
+        engine::check_slabs(batch, &[(src.len(), self.n), (out.len(), self.m)])?;
         let (p, q, k, bins) = (self.p, self.q, self.k, self.bins);
         let threads = threads.max(1);
         ws.prepare(p, q, bins, k, batch, batch, threads);
@@ -442,31 +433,10 @@ impl QuantizedOperator {
         let inv_x = 1.0 / self.x_step;
         let cx = self.cfg.input_format.max_code() as i32;
         let n = self.n;
-        engine::par_planes(
-            threads,
-            q,
-            bins * batch * 2,
-            xq,
-            &mut [],
-            k * batch,
-            pr,
-            pi,
-            |j0, jcount, xq_c, _: &mut [i16], pr_c, pi_c| {
-                engine::fft_quantize_blocks(
-                    plan,
-                    k,
-                    bins,
-                    batch,
-                    j0,
-                    jcount,
-                    inv_x,
-                    cx,
-                    xq_c,
-                    pr_c,
-                    pi_c,
-                    &|j, plane| engine::pack_slab_block(src, batch, n, k, j, plane),
-                );
-            },
+        let pack =
+            |j: usize, plane: &mut [f32]| engine::pack_slab_block(src, batch, n, k, j, plane);
+        engine::quantize_spectra_planes(
+            plan, threads, q, k, bins, batch, inv_x, cx, xq, pr, pi, &pack,
         );
         // Stage B: the i16 register-tiled MAC (one unit-step run).
         let xq = &xq[..];
@@ -523,16 +493,9 @@ impl QuantizedOperator {
                 );
             },
         );
-        // Stage D: pure layout copy, dropping ragged padding rows.
-        for (b, orow) in out.chunks_exact_mut(self.m).enumerate() {
-            for i in 0..p {
-                let rows = k.min(self.m - i * k);
-                let base = i * k * batch + b;
-                for t in 0..rows {
-                    orow[i * k + t] = stage[base + t * batch];
-                }
-            }
-        }
+        // Stage D: the `[batch, m]` output slab.
+        engine::unstage_slab(stage, k, batch, out);
+        Ok(())
     }
 }
 
@@ -585,24 +548,11 @@ impl QuantizedLinear {
         out: &mut [f32],
         threads: usize,
     ) -> Result<(), CircError> {
-        if batch == 0 || input.len() != batch * self.op.cols() {
-            return Err(CircError::DimensionMismatch {
-                expected: batch.max(1) * self.op.cols(),
-                got: input.len(),
-            });
-        }
-        if out.len() != batch * self.op.rows() {
-            return Err(CircError::DimensionMismatch {
-                expected: batch * self.op.rows(),
-                got: out.len(),
-            });
-        }
         let epi = Epilogue {
             bias: Some(&self.bias),
             act: Activation::Identity,
         };
-        self.op.apply(input, batch, ws, out, threads, &epi);
-        Ok(())
+        self.op.apply(input, batch, ws, out, threads, &epi)
     }
 }
 
@@ -623,7 +573,6 @@ pub struct QuantizedConv2d {
     bins: usize,
     /// One `(re, im)` code-plane pair per kernel offset, offset-major.
     wq: Vec<(Vec<i16>, Vec<i16>)>,
-    w_step: Vec<f32>,
     x_step: f32,
     dq: Vec<f32>,
     cfg: QuantConfig,
@@ -664,7 +613,6 @@ impl QuantizedConv2d {
             q,
             bins,
             wq,
-            w_step,
             x_step,
             dq,
             cfg,
@@ -691,11 +639,8 @@ impl QuantizedConv2d {
     /// Conservative max-abs-error bound versus the f32 conv (the conv's
     /// accumulated term count is `q·r²`).
     pub fn error_bound(&self) -> f32 {
-        let cw = self.cfg.weight_format.max_code() as f32;
-        let cx = self.cfg.input_format.max_code() as f32;
-        let w_max = self.w_step.iter().cloned().fold(0.0f32, f32::max);
-        let terms = (self.q * self.kernel * self.kernel) as f32;
-        2.0 * terms * w_max * self.x_step * (cw + cx + 1.0)
+        self.cfg
+            .error_bound(self.q * self.kernel * self.kernel, &self.dq)
     }
 
     /// Read-only batched inference: `[B, C, H, W]` tensor to a
@@ -713,41 +658,15 @@ impl QuantizedConv2d {
         out: &mut [f32],
         threads: usize,
     ) -> Result<(), CircError> {
-        if input.shape().rank() != 4 {
-            return Err(CircError::DimensionMismatch {
-                expected: 4,
-                got: input.shape().rank(),
-            });
-        }
-        let batch = input.dims()[0];
-        if batch == 0 {
-            return Err(CircError::DimensionMismatch {
-                expected: 1,
-                got: 0,
-            });
-        }
-        if input.dims()[1] != self.in_channels {
-            return Err(CircError::DimensionMismatch {
-                expected: self.in_channels,
-                got: input.dims()[1],
-            });
-        }
-        let dims = input.dims();
-        let g = ConvGeometry::new(
+        let (g, batch) = crate::conv::infer_geometry(
+            input,
             self.in_channels,
-            dims[2],
-            dims[3],
+            self.out_channels,
             self.kernel,
             self.stride,
             self.padding,
-        );
-        let want = batch * self.out_channels * g.num_patches();
-        if out.len() != want {
-            return Err(CircError::DimensionMismatch {
-                expected: want,
-                got: out.len(),
-            });
-        }
+            out.len(),
+        )?;
         self.forward(&g, batch, input.data(), out, ws, threads);
         Ok(())
     }
@@ -766,25 +685,9 @@ impl QuantizedConv2d {
     ) {
         let (p, q, k, bins) = (self.p, self.q, self.k, self.bins);
         let threads = threads.max(1);
-        let (oh, ow) = (g.out_height(), g.out_width());
-        let s = g.stride;
-        let wp = g.width + 2 * g.padding;
-        let hpwp = (g.height + 2 * g.padding) * wp;
-        let (arow, abatch) = if s == 1 {
-            (wp, (oh - 1) * wp + ow)
-        } else {
-            (ow, oh * ow)
-        };
-        let (l_pad, l_acc) = (batch * hpwp, batch * abatch);
-        let run_count = if s == 1 { batch } else { batch * oh };
+        let d = crate::conv::Dims::new(p, q, k, bins, g, batch);
+        let (l_pad, l_acc) = (d.l_pad, d.l_acc);
         ws.prepare(p, q, bins, k, l_pad, l_acc, threads);
-        let r = self.kernel;
-        if ws.shifts.len() < r * r {
-            ws.shifts.resize(r * r, 0);
-        }
-        if ws.runs.len() < run_count {
-            ws.runs.resize(run_count, (0, 0, 0));
-        }
         let plan = &self.plan;
         let QuantWorkspace {
             xq,
@@ -803,71 +706,37 @@ impl QuantizedConv2d {
         // Stage 1: channel FFT + fused quantize on the padded pixel grid.
         let inv_x = 1.0 / self.x_step;
         let cx = self.cfg.input_format.max_code() as i32;
-        engine::par_planes(
-            threads,
-            q,
-            bins * l_pad * 2,
-            xq,
-            &mut [],
-            k * l_pad,
-            pr,
-            pi,
-            |j0, jcount, xq_c, _: &mut [i16], pr_c, pi_c| {
-                engine::fft_quantize_blocks(
-                    plan,
-                    k,
-                    bins,
-                    l_pad,
-                    j0,
-                    jcount,
-                    inv_x,
-                    cx,
-                    xq_c,
-                    pr_c,
-                    pi_c,
-                    &|j, plane| crate::conv::pack_padded_input_block(input, g, batch, k, j, plane),
-                );
-            },
+        let pack = |j: usize, plane: &mut [f32]| {
+            crate::conv::pack_padded_input_block(input, g, batch, k, j, plane)
+        };
+        engine::quantize_spectra_planes(
+            plan, threads, q, k, bins, l_pad, inv_x, cx, xq, pr, pi, &pack,
         );
         // Stage 2: the fused all-offsets i16 MAC — same shifts and runs as
         // the f32 path.
-        for (o, slot) in shifts[..r * r].iter_mut().enumerate() {
-            *slot = (o / r) * wp + (o % r);
-        }
-        if s == 1 {
-            for (b, slot) in runs[..run_count].iter_mut().enumerate() {
-                *slot = (b * abatch, b * hpwp, abatch);
-            }
-        } else {
-            for (i, slot) in runs[..run_count].iter_mut().enumerate() {
-                let (b, oy) = (i / oh, i % oh);
-                *slot = (b * abatch + oy * arow, b * hpwp + oy * s * wp, ow);
-            }
-        }
+        let (shifts, runs) = crate::conv::plan_runs(&d, g, batch, shifts, runs);
+        let s = g.stride;
         let xq = &xq[..];
         let wq: Vec<(&[i16], &[i16])> = self
             .wq
             .iter()
             .map(|(re, im)| (re.as_slice(), im.as_slice()))
             .collect();
-        {
-            let (shifts, runs) = (&shifts[..r * r], &runs[..run_count]);
-            engine::par_planes(
-                threads,
-                p,
-                bins * l_acc,
-                acc_re,
-                acc_im,
-                0,
-                &mut [],
-                &mut [],
-                |i0, icount, re_c, im_c, _: &mut [i32], _: &mut [i32]| {
-                    engine::run_mac_i16(
-                        &wq, shifts, p, q, bins, i0, icount, xq, l_pad, l_acc, runs, s, re_c, im_c,
-                    );
-                },
-            );
-        }
+        engine::par_planes(
+            threads,
+            p,
+            bins * l_acc,
+            acc_re,
+            acc_im,
+            0,
+            &mut [],
+            &mut [],
+            |i0, icount, re_c, im_c, _: &mut [i32], _: &mut [i32]| {
+                engine::run_mac_i16(
+                    &wq, shifts, p, q, bins, i0, icount, xq, l_pad, l_acc, runs, s, re_c, im_c,
+                );
+            },
+        );
         // Stage 3: dequant + inverse + fused per-channel bias.
         let qacc = QAcc {
             re: acc_re,
@@ -895,22 +764,7 @@ impl QuantizedConv2d {
             },
         );
         // Stage 4: pure layout copy into the [B, P, OH, OW] slab.
-        let ohw = oh * ow;
-        for i in 0..p {
-            for t in 0..k {
-                let pch = i * k + t;
-                if pch >= self.out_channels {
-                    break;
-                }
-                let srow = &stage[(i * k + t) * l_acc..][..l_acc];
-                for b in 0..batch {
-                    for oy in 0..oh {
-                        let dst = &mut out[(b * self.out_channels + pch) * ohw + oy * ow..][..ow];
-                        dst.copy_from_slice(&srow[b * abatch + oy * arow..][..ow]);
-                    }
-                }
-            }
-        }
+        crate::conv::scatter_staged(stage, &d, g, batch, self.out_channels, out);
     }
 }
 
@@ -1011,11 +865,7 @@ impl QuantizedRnnCell {
     /// f32 cell (the two MACs' bounds add; `tanh` is 1-Lipschitz so the
     /// bound survives the activation).
     pub fn error_bound(&self) -> f32 {
-        let cw = self.cfg.weight_format.max_code() as f32;
-        let cx = self.cfg.input_format.max_code() as f32;
-        let ih = self.dq_ih.iter().cloned().fold(0.0f32, f32::max) * self.q_ih as f32;
-        let hh = self.dq_hh.iter().cloned().fold(0.0f32, f32::max) * self.q_hh as f32;
-        2.0 * (ih + hh) * (cw + cx + 1.0)
+        self.cfg.error_bound(self.q_ih, &self.dq_ih) + self.cfg.error_bound(self.q_hh, &self.dq_hh)
     }
 
     /// One quantized recurrent step: `next = tanh(W_ih·x + W_hh·h + b)`
@@ -1034,24 +884,8 @@ impl QuantizedRnnCell {
         threads: usize,
     ) -> Result<(), CircError> {
         let (hidden, in_dim) = (self.hidden, self.in_dim);
-        if batch == 0 || x.len() != batch * in_dim {
-            return Err(CircError::DimensionMismatch {
-                expected: batch.max(1) * in_dim,
-                got: x.len(),
-            });
-        }
-        if h.len() != batch * hidden {
-            return Err(CircError::DimensionMismatch {
-                expected: batch * hidden,
-                got: h.len(),
-            });
-        }
-        if next.len() != batch * hidden {
-            return Err(CircError::DimensionMismatch {
-                expected: batch * hidden,
-                got: next.len(),
-            });
-        }
+        let slabs = [(x.len(), in_dim), (h.len(), hidden), (next.len(), hidden)];
+        engine::check_slabs(batch, &slabs)?;
         let (p, k, bins) = (self.p, self.k, self.bins);
         let (q_ih, q_hh) = (self.q_ih, self.q_hh);
         let threads = threads.max(1);
@@ -1081,31 +915,11 @@ impl QuantizedRnnCell {
             (&mut *hq, q_hh, hidden, h, self.h_step),
         ] {
             let inv = 1.0 / step;
-            engine::par_planes(
-                threads,
-                blocks,
-                bins * batch * 2,
-                codes,
-                &mut [],
-                k * batch,
-                pr,
-                pi,
-                |j0, jcount, c_c, _: &mut [i16], pr_c, pi_c| {
-                    engine::fft_quantize_blocks(
-                        plan,
-                        k,
-                        bins,
-                        batch,
-                        j0,
-                        jcount,
-                        inv,
-                        cx,
-                        c_c,
-                        pr_c,
-                        pi_c,
-                        &|j, plane| engine::pack_slab_block(src, batch, logical, k, j, plane),
-                    );
-                },
+            let pack = |j: usize, plane: &mut [f32]| {
+                engine::pack_slab_block(src, batch, logical, k, j, plane)
+            };
+            engine::quantize_spectra_planes(
+                plan, threads, blocks, k, bins, batch, inv, cx, codes, pr, pi, &pack,
             );
         }
         // Stage B: two overwrite MACs into separate i32 accumulator sets
@@ -1189,16 +1003,8 @@ impl QuantizedRnnCell {
                 );
             },
         );
-        // Stage D: layout copy into the [batch, hidden] next-state slab.
-        for (b, orow) in next.chunks_exact_mut(hidden).enumerate() {
-            for i in 0..p {
-                let rows = k.min(hidden - i * k);
-                let base = i * k * batch + b;
-                for t in 0..rows {
-                    orow[i * k + t] = stage[base + t * batch];
-                }
-            }
-        }
+        // Stage D: the [batch, hidden] next-state slab.
+        engine::unstage_slab(stage, k, batch, next);
         Ok(())
     }
 

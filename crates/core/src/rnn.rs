@@ -293,24 +293,8 @@ impl CirculantRnnCell {
         threads: usize,
     ) -> Result<(), CircError> {
         let (hidden, in_dim) = (self.hidden(), self.in_dim());
-        if batch == 0 {
-            return Err(CircError::DimensionMismatch {
-                expected: 1,
-                got: 0,
-            });
-        }
-        if x.len() != batch * in_dim {
-            return Err(CircError::DimensionMismatch {
-                expected: batch * in_dim,
-                got: x.len(),
-            });
-        }
-        if h.len() != batch * hidden || next.len() != batch * hidden {
-            return Err(CircError::DimensionMismatch {
-                expected: batch * hidden,
-                got: h.len().min(next.len()),
-            });
-        }
+        let slabs = [(x.len(), in_dim), (h.len(), hidden), (next.len(), hidden)];
+        engine::check_slabs(batch, &slabs)?;
         let threads = threads.max(1);
         ws.prepare(self, batch, threads);
         let (p, q_ih, q_hh, k, bins) = self.plane_dims();
@@ -409,17 +393,8 @@ impl CirculantRnnCell {
                 );
             },
         );
-        // Stage D: pure layout copy into the row-major [batch, hidden]
-        // next-state slab, dropping ragged padding rows.
-        for (b, orow) in next.chunks_exact_mut(hidden).enumerate() {
-            for i in 0..p {
-                let rows = k.min(hidden - i * k);
-                let base = i * k * batch + b;
-                for t in 0..rows {
-                    orow[i * k + t] = stage[base + t * batch];
-                }
-            }
-        }
+        // Stage D: the [batch, hidden] next-state slab.
+        engine::unstage_slab(stage, k, batch, next);
         Ok(())
     }
 

@@ -65,3 +65,36 @@ fn quick_mode_experiment_suite_runs() {
     let alg3 = circnn_bench::alg3::example();
     assert!((alg3.p_perf_gain - 0.538).abs() < 0.02);
 }
+
+#[test]
+fn quick_mode_fault_experiments_run() {
+    let (points, failover) = circnn_bench::fault::run(true);
+    // Three policies × three overload levels, every offered request
+    // accounted for.
+    assert_eq!(points.len(), 9);
+    for p in &points {
+        assert_eq!(p.completed + p.shed + p.rejected, 240, "{p:?}");
+    }
+    // The failover run panics unless every routed reply is bitwise the
+    // in-process `matmat`. The first request after the kill must not wait
+    // out a timeout (the router's connect bound is 2 s), and the cluster
+    // must keep serving afterwards.
+    assert!(failover.steady_p50_us > 0.0, "{failover:?}");
+    assert!(
+        failover.first_after_kill_us > 0.0 && failover.first_after_kill_us < 2e6,
+        "{failover:?}"
+    );
+    assert!(
+        failover.recovered_p50_us > 0.0 && failover.recovered_p50_us.is_finite(),
+        "{failover:?}"
+    );
+}
+
+#[test]
+fn connection_sweep_point_runs_with_connect_outside_the_window() {
+    let p = circnn_bench::wire::measure_sweep(16, 8);
+    // One latency sample per request, all of them answered.
+    assert_eq!(p.replies, 16 * 8, "{p:?}");
+    assert!(p.connect_s > 0.0 && p.connect_s.is_finite(), "{p:?}");
+    assert!(p.event_rps > 0.0 && p.event_p99_us > 0.0, "{p:?}");
+}
