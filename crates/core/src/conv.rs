@@ -492,8 +492,7 @@ impl ConvWorkspace {
                 );
             },
         );
-        let xs_re = &xs_re[..];
-        let xs_im = &xs_im[..];
+        let xs = (&xs_re[..], &xs_im[..]);
         // Stage 2: the fused frequency-domain MAC — every stride. On the
         // padded grid each kernel offset is the same lane run at a constant
         // plane shift (strided convs advance the input lane by `stride` per
@@ -505,6 +504,9 @@ impl ConvWorkspace {
         // r² accumulator read-modify-write sweeps) is gone.
         let (shifts, runs) = plan_runs(&d, g, batch, shifts, runs);
         let s = g.stride;
+        // Block-major planes: bins are `l_pad` apart, block columns a
+        // whole `[bins][l_pad]` plane.
+        let strides = (l_pad, bins * l_pad);
         engine::par_planes(
             threads,
             p,
@@ -516,8 +518,8 @@ impl ConvWorkspace {
             &mut [],
             |i0, icount, re_c, im_c, _: &mut [f32], _: &mut [f32]| {
                 engine::run_mac(
-                    engines, shifts, p, q, k, bins, i0, icount, xs_re, xs_im, l_pad, l_acc, runs,
-                    s, re_c, im_c,
+                    engines, true, false, shifts, i0, icount, xs, strides, l_acc, runs, s, re_c,
+                    im_c,
                 );
             },
         );

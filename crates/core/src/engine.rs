@@ -8,10 +8,10 @@
 //! (`[bin][block][lanes]`, split re/im; the lane dimension is innermost so
 //! every hot loop is a stride-1 FMA chain):
 //!
-//! * [`par_planes`] — the scoped-thread dispatcher every stage runs under.
-//!   Chunk boundaries depend only on `(threads, blocks)` and per-element
-//!   work is chunk-independent, so serial and threaded runs of every stage
-//!   are **bit-identical**.
+//! * [`par_planes`] — the scoped-thread dispatcher every stage runs under
+//!   (on the caller below a per-thread work floor). Chunk boundaries depend
+//!   only on `(threads, blocks)` and per-element work is chunk-independent,
+//!   so serial and threaded runs of every stage are **bit-identical**.
 //! * [`fft_blocks`] — real-input plane FFT of a run of blocks; the caller
 //!   supplies a `fill` closure that packs block `j`'s `[k][lanes]`
 //!   time-domain plane (FC: gather-transpose of a row-major slab; conv:
@@ -21,15 +21,14 @@
 //!   [`fft_blocks`] over a row-major `[lanes, logical]` slab plus the
 //!   block-major → bin-major re-layout the MAC wants. Shared by the FC
 //!   apply and both halves of the recurrent step.
-//! * [`run_mac`] — the register-tiled frequency-domain MAC, generic over
-//!   the lane→output mapping: each output element accumulates
+//! * [`run_mac`] — the one f32 frequency-domain MAC, generic over the
+//!   lane→output mapping: each output element accumulates
 //!   `Σ_offsets Σ_blocks w∘x` over caller-described *runs*
-//!   (`(out_lane, in_lane, len)` at an input `step`). FC/RNN use one
-//!   unit-step run per call; conv describes every kernel offset as a
-//!   constant plane shift — including **strided** convs, whose input lanes
-//!   advance by `stride` per output lane (the per-offset gather path this
-//!   replaces materialized `r²` patch-plane copies and re-read the
-//!   accumulators per offset).
+//!   (`(out_lane, in_lane, len)` at an input `step`), one register-resident
+//!   [`crate::simd::cmac_rows`] sweep per (bin, row tile, run). FC/RNN use
+//!   one unit-step run per call, forward or transpose; conv describes every
+//!   kernel offset as a constant plane shift — including **strided** convs,
+//!   whose input lanes advance by `stride` per output lane.
 //! * [`ifft_blocks`] / [`ifft_epilogue_blocks`] — the plane IFFT; the
 //!   epilogue variant fuses a per-row **bias add and activation into the
 //!   IFFT's unpack pass** ([`circnn_fft::BatchFftPlan::inverse_planes_real_epilogue`]),
@@ -47,6 +46,7 @@ use circnn_fft::BatchFftPlan;
 
 use crate::error::CircError;
 use crate::matrix::BlockCirculantMatrix;
+use crate::simd::{cmac_rows, RowSweep};
 
 /// Element-wise nonlinearity a fused IFFT epilogue can apply.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -104,13 +104,24 @@ pub(crate) fn grow_with<T: Clone + Default>(v: &mut Vec<T>, len: usize) {
     }
 }
 
+/// Fewest plane elements a spawned thread must receive before
+/// [`par_planes`] leaves the caller. Measured on the reference box (two
+/// shared vCPUs): a `std::thread::scope` spawn + join is ≈ 15 µs per thread
+/// bare and ≈ 35 µs once the fresh threads touch the planes (FC 512/512/16
+/// at B = 1: 28 µs on the caller, 232 µs as three two-thread dispatches),
+/// while every stage costs ≈ 2–4 ns per plane element — so 32 768 elements
+/// are 65–130 µs of work, where the spawn stops being most of the share.
+const MIN_ELEMS_PER_THREAD: usize = 32 * 1024;
+
 /// Dispatches per-block plane work across up to `threads` scoped workers:
 /// `f(i0, icount, a_chunk, b_chunk, s1_chunk, s2_chunk)`, where `a`/`b`
 /// hold `chunk` elements per block (pass an empty slice for an unused
 /// plane) and `s1`/`s2` provide `scratch` elements of private per-worker
-/// scratch each (their backing buffers hold `threads` times that). Chunk
-/// boundaries depend only on `(threads, blocks)` and per-element work is
-/// chunk-independent, so serial and threaded runs stay bit-identical.
+/// scratch each (their backing buffers hold `threads` times that). The
+/// dispatch stays on the caller when a thread's share would be under
+/// [`MIN_ELEMS_PER_THREAD`]; above it, chunk boundaries depend only on
+/// `(threads, blocks)`, and per-element work is chunk-independent either
+/// way, so serial and threaded runs stay bit-identical.
 ///
 /// Generic over the plane element (`f32` spectra, `i16` codes or `i32`
 /// accumulators on the quantized path) and the scratch element separately,
@@ -130,7 +141,8 @@ pub(crate) fn par_planes<A: Send, S: Send, F>(
     F: Fn(usize, usize, &mut [A], &mut [A], &mut [S], &mut [S]) + Sync,
 {
     let t = threads.min(blocks).max(1);
-    if t <= 1 {
+    let cb = blocks.div_ceil(t);
+    if t <= 1 || cb * chunk.max(scratch) < MIN_ELEMS_PER_THREAD {
         let (s1l, s2l) = (scratch.min(s1.len()), scratch.min(s2.len()));
         f(0, blocks, a, b, &mut s1[..s1l], &mut s2[..s2l]);
         return;
@@ -441,109 +453,76 @@ fn inverse_epilogue_block(
     .expect("plane buffers are sized before dispatch");
 }
 
-/// The fused multi-offset register-tiled frequency-domain MAC, generic
-/// over the lane→output mapping. For each output element it accumulates
-/// **all** offsets' and block columns' frequency-domain products in
-/// registers (offset-major, block ascending — a fixed order, so results
-/// are bit-stable across thread counts) and writes the accumulator planes
-/// exactly once — no read-modify-write traffic.
+/// The frequency-domain MAC of every f32 apply: FC, RNN and conv, forward
+/// and transpose. Each output element accumulates **all** offsets' and
+/// block columns' products in registers (offset-major, block ascending — a
+/// fixed order, so results are bit-stable across thread counts and batch
+/// compositions) and is written exactly once: one
+/// [`crate::simd::cmac_rows`] sweep per (bin, tile of four output block
+/// rows, run). `forward` selects `conj(w)·x` over the forward weight planes
+/// versus the transpose product over the transposed ones; `accumulate`
+/// adds each finished sum into `acc` instead of overwriting it (the
+/// recurrent cell's second operator).
 ///
-/// The mapping: each `(out0, in_base, len)` run pairs output lanes
+/// The lane mapping: each `(out0, in_base, len)` run pairs output lanes
 /// `out0 + t` with input lanes `in_base + shift + t·step` for `t in
-/// 0..len`, where `shift` is the per-offset constant plane shift. The conv
-/// pipeline passes one run per sample (stride 1, whole padded rows) or one
-/// per output row (`step = stride` — strided convs ride the same fused
-/// sweep instead of materializing per-offset patch-plane gathers). The
-/// FC/RNN applies keep their bin-major planes and the operator's own
-/// [`BlockCirculantMatrix::mac_planes`] kernel, which also serves the
-/// transpose direction.
-///
-/// `xs_*` are **block-major** input planes `[q][bins][l_pad]`; `acc_*` are
-/// block-major output planes `[icount][bins][l_acc]`.
-#[allow(clippy::needless_range_loop, clippy::too_many_arguments)]
+/// 0..len`, `shift` being the per-offset constant plane shift. FC/RNN pass
+/// one engine, one zero shift and one unit-step run over **bin-major**
+/// `[bins][blocks][lanes]` planes; conv passes its `r²` engines with one
+/// run per sample (stride 1, whole padded rows) or per output row (`step =
+/// stride`) over **block-major** `[q][bins][l_pad]` planes. `x_strides` is
+/// the input planes' `(bin, block)` element strides, which is all that
+/// tells the layouts apart; `acc_*` are block-major `[icount][bins][l_acc]`.
+#[allow(clippy::too_many_arguments)]
 pub(crate) fn run_mac(
     engines: &[BlockCirculantMatrix],
+    forward: bool,
+    accumulate: bool,
     shifts: &[usize],
-    p: usize,
-    q: usize,
-    k: usize,
-    bins: usize,
     i0: usize,
     icount: usize,
-    xs_re: &[f32],
-    xs_im: &[f32],
-    l_pad: usize,
+    x: (&[f32], &[f32]),
+    x_strides: (usize, usize),
     l_acc: usize,
     runs: &[(usize, usize, usize)],
     step: usize,
     acc_re: &mut [f32],
     acc_im: &mut [f32],
 ) {
-    const LANES: usize = 16;
-    const TI: usize = 4;
+    assert_eq!(engines.len(), shifts.len(), "one plane shift per engine");
     let isa = crate::simd::isa();
-    let mut sxr = [0.0f32; LANES];
-    let mut sxi = [0.0f32; LANES];
+    let e0 = &engines[0];
+    let (k, bins) = (e0.block_size(), e0.bins());
+    let (out_blocks, q) = if forward {
+        (e0.block_rows(), e0.block_cols())
+    } else {
+        (e0.block_cols(), e0.block_rows())
+    };
+    let w = |e: usize| engines[e].wplanes(forward);
     for bin in 0..bins {
         // Spectra of real signals are real at DC and (for k ≥ 2) the
         // Nyquist bin, so those bins need one real multiply per term.
-        let real_bin = bin == 0 || (k >= 2 && bin == bins - 1);
-        let mut it = 0;
-        while it < icount {
-            let tl = TI.min(icount - it);
+        let real = bin == 0 || (k >= 2 && bin == bins - 1);
+        for it in (0..icount).step_by(TI) {
             for &(out0, in_base, len) in runs {
-                let mut t0 = 0;
-                while t0 < len {
-                    let l = LANES.min(len - t0);
-                    let mut tr = [[0.0f32; LANES]; TI];
-                    let mut ti_ = [[0.0f32; LANES]; TI];
-                    for (eng, &shift) in engines.iter().zip(shifts) {
-                        let (wre, wim) = eng.forward_wplanes();
-                        for j in 0..q {
-                            // Block-major input planes: [q][bins][l_pad].
-                            let xo = (j * bins + bin) * l_pad + in_base + shift + t0 * step;
-                            let (xr, xi): (&[f32], &[f32]) = if step == 1 {
-                                (&xs_re[xo..xo + l], &xs_im[xo..xo + l])
-                            } else {
-                                // Strided run: gather the tile once per
-                                // (offset, block) and stream it like the
-                                // unit-step case.
-                                for t in 0..l {
-                                    sxr[t] = xs_re[xo + t * step];
-                                    sxi[t] = xs_im[xo + t * step];
-                                }
-                                (&sxr[..l], &sxi[..l])
-                            };
-                            for u in 0..tl {
-                                let i = i0 + it + u;
-                                let widx = (bin * p + i) * q + j;
-                                let (wr, wi) = (wre[widx], wim[widx]);
-                                if real_bin {
-                                    crate::simd::rmac(isa, wr, xr, &mut tr[u][..l]);
-                                } else {
-                                    // conj(w)·x, the Algorithm-1 product.
-                                    crate::simd::cmac(
-                                        isa,
-                                        wr,
-                                        wi,
-                                        xr,
-                                        xi,
-                                        &mut tr[u][..l],
-                                        &mut ti_[u][..l],
-                                    );
-                                }
-                            }
-                        }
-                    }
-                    for u in 0..tl {
-                        let ao = ((it + u) * bins + bin) * l_acc + out0 + t0;
-                        acc_re[ao..ao + l].copy_from_slice(&tr[u][..l]);
-                        acc_im[ao..ao + l].copy_from_slice(&ti_[u][..l]);
-                    }
-                    t0 += l;
-                }
+                let sweep = RowSweep {
+                    x,
+                    xbase: bin * x_strides.0 + in_base,
+                    shifts,
+                    jstride: x_strides.1,
+                    step,
+                    wbase: (bin * out_blocks + i0 + it) * q,
+                    wstride: q,
+                    q,
+                    len,
+                    abase: (it * bins + bin) * l_acc + out0,
+                    astride: bins * l_acc,
+                };
+                let tl = TI.min(icount - it);
+                cmac_rows(
+                    isa, real, !forward, accumulate, tl, &sweep, &w, acc_re, acc_im,
+                );
             }
-            it += tl;
         }
     }
 }
@@ -650,6 +629,15 @@ fn fft_quantize_blocks<F>(
     }
 }
 
+/// Output block rows per MAC tile (both precisions).
+const TI: usize = 4;
+
+/// Elements of per-worker `i32` scratch [`run_mac_i16`] needs in each of
+/// `wa` and `wb` for `offsets` fused operators of `q` block columns.
+pub(crate) fn mac_i16_scratch(offsets: usize, q: usize) -> usize {
+    offsets * TI * q
+}
+
 /// The i16 instantiation of [`run_mac`]: identical tiling, run/shift
 /// mapping and fixed accumulation order, over interleaved `(re, im)` code
 /// pairs with i32 accumulators. No real-bin branch — DC/Nyquist imaginary
@@ -663,8 +651,8 @@ fn fft_quantize_blocks<F>(
 /// needing a second accumulation, like the recurrent cell, use a second
 /// accumulator set and combine in the dequant epilogue).
 #[allow(clippy::needless_range_loop, clippy::too_many_arguments)]
-pub(crate) fn run_mac_i16(
-    wq: &[(&[i16], &[i16])],
+pub(crate) fn run_mac_i16<W: AsRef<[i16]>>(
+    wq: &[(W, W)],
     shifts: &[usize],
     p: usize,
     q: usize,
@@ -678,25 +666,24 @@ pub(crate) fn run_mac_i16(
     step: usize,
     acc_re: &mut [i32],
     acc_im: &mut [i32],
+    wa: &mut [i32],
+    wb: &mut [i32],
 ) {
     const LANES: usize = 16;
-    const TI: usize = 4;
     let isa = crate::simd::isa();
-    let ne = wq.len();
     let mut sx = [0i16; 2 * LANES];
     let mut aos = [0usize; TI];
-    let mut xbases = vec![0usize; ne];
-    // Pairwise madd constants for the current row tile, `[e][u][j]`:
-    // `wa = pack(wr, wi)` produces the real-part term, `wb = pack(−wi, wr)`
-    // the imaginary one. Built once per (bin, tile) and reused across every
-    // run and lane chunk.
-    let mut wa = vec![0i32; ne * TI * q];
-    let mut wb = vec![0i32; ne * TI * q];
+    // Pairwise madd constants for the current row tile, `[e][u][j]`
+    // ([`mac_i16_scratch`] elements of caller-owned per-worker scratch
+    // each): `wa = pack(wr, wi)` produces the real-part term,
+    // `wb = pack(−wi, wr)` the imaginary one. Built once per (bin, tile)
+    // and reused across every run and lane chunk.
     for bin in 0..bins {
         let mut it = 0;
         while it < icount {
             let tl = TI.min(icount - it);
-            for (e, &(wre, wim)) in wq.iter().enumerate() {
+            for (e, (wre, wim)) in wq.iter().enumerate() {
+                let (wre, wim) = (wre.as_ref(), wim.as_ref());
                 for u in 0..tl {
                     let wrow = (bin * p + i0 + it + u) * q;
                     for j in 0..q {
@@ -714,18 +701,16 @@ pub(crate) fn run_mac_i16(
                     for (u, slot) in aos[..tl].iter_mut().enumerate() {
                         *slot = ((it + u) * bins + bin) * l_acc + out0;
                     }
-                    for (e, &shift) in shifts.iter().enumerate() {
-                        xbases[e] = 2 * (bin * l_pad + in_base + shift);
-                    }
                     crate::simd::qmac_rows(
                         isa,
-                        &wa,
-                        &wb,
+                        wa,
+                        wb,
                         tl,
                         TI * q,
                         q,
                         xq,
-                        &xbases,
+                        2 * (bin * l_pad + in_base),
+                        shifts,
                         2 * bins * l_pad,
                         len,
                         acc_re,
@@ -745,7 +730,8 @@ pub(crate) fn run_mac_i16(
                         let l = LANES.min(len - t0);
                         let mut tr = [[0i32; LANES]; TI];
                         let mut ti_ = [[0i32; LANES]; TI];
-                        for (&(wre, wim), &shift) in wq.iter().zip(shifts) {
+                        for ((wre, wim), &shift) in wq.iter().zip(shifts) {
+                            let (wre, wim) = (wre.as_ref(), wim.as_ref());
                             for j in 0..q {
                                 // Block-major code planes: [q][bins][l_pad][2].
                                 let xo = (j * bins + bin) * l_pad + in_base + shift + t0 * step;

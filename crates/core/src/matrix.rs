@@ -1228,7 +1228,8 @@ impl BlockCirculantMatrix {
             &mut [],
             &mut [],
             |i0, icount, re_c, im_c, _: &mut [f32], _: &mut [f32]| {
-                self.mac_chunk(dir, batch, i0, icount, in_re, in_im, re_c, im_c);
+                let forward = dir == Dir::Forward;
+                self.mac_planes(forward, false, batch, i0, icount, in_re, in_im, re_c, im_c);
             },
         );
         let acc_re = &acc_re[..];
@@ -1300,41 +1301,15 @@ impl BlockCirculantMatrix {
         Ok(())
     }
 
-    /// Stage-B worker: the batched frequency-domain MAC for `icount` output
-    /// blocks, as a GEMM-style register-tiled kernel. For each `(output
-    /// block, bin)` the accumulator tile lives in registers across the whole
-    /// summed-block sweep; both the weight-spectrum row (SoA `[bin][i][j]`
-    /// planes) and the input-spectrum row (`[bin][block][batch]` planes)
-    /// stream contiguously. Every output element still accumulates its
-    /// terms in increasing block order, so results are bit-stable across
-    /// batch sizes, tilings and thread counts.
-    #[allow(clippy::too_many_arguments)]
-    fn mac_chunk(
-        &self,
-        dir: Dir,
-        batch: usize,
-        i0: usize,
-        icount: usize,
-        in_re: &[f32],
-        in_im: &[f32],
-        acc_re: &mut [f32],
-        acc_im: &mut [f32],
-    ) {
-        match dir {
-            Dir::Forward => {
-                self.mac_chunk_impl::<true, false>(batch, i0, icount, in_re, in_im, acc_re, acc_im)
-            }
-            Dir::Backward => {
-                self.mac_chunk_impl::<false, false>(batch, i0, icount, in_re, in_im, acc_re, acc_im)
-            }
-        }
-    }
-
-    /// Crate-internal MAC entry for composite operators (the CONV plane
-    /// pipeline): runs this operator's register-tiled frequency-domain MAC
-    /// over caller-owned planes. `forward` selects `conj(w)·x` versus the
-    /// transpose product; `accumulate` adds into `acc` (the CONV layer sums
-    /// `r²` operators per output pixel, Eqn. 7) instead of overwriting it.
+    /// This operator's frequency-domain MAC over **bin-major**
+    /// `[bins][blocks][lanes]` input planes, for `icount` output blocks from
+    /// `i0` — stage B of the FC apply in both directions, the recurrent
+    /// step, and the conv backward's per-offset transpose product. One
+    /// engine, one unit-step run of [`engine::run_mac`]: `forward` selects
+    /// `conj(w)·x` versus the transpose product, `accumulate` adds into
+    /// `acc` instead of overwriting it. Every output element accumulates
+    /// its terms in increasing block order, so results are bit-stable
+    /// across batch sizes, tilings and thread counts.
     #[allow(clippy::too_many_arguments)]
     pub(crate) fn mac_planes(
         &self,
@@ -1348,20 +1323,22 @@ impl BlockCirculantMatrix {
         acc_re: &mut [f32],
         acc_im: &mut [f32],
     ) {
-        match (forward, accumulate) {
-            (true, false) => {
-                self.mac_chunk_impl::<true, false>(lanes, i0, icount, in_re, in_im, acc_re, acc_im)
-            }
-            (true, true) => {
-                self.mac_chunk_impl::<true, true>(lanes, i0, icount, in_re, in_im, acc_re, acc_im)
-            }
-            (false, false) => {
-                self.mac_chunk_impl::<false, false>(lanes, i0, icount, in_re, in_im, acc_re, acc_im)
-            }
-            (false, true) => {
-                self.mac_chunk_impl::<false, true>(lanes, i0, icount, in_re, in_im, acc_re, acc_im)
-            }
-        }
+        let sum_blocks = if forward { self.q } else { self.p };
+        engine::run_mac(
+            core::slice::from_ref(self),
+            forward,
+            accumulate,
+            &[0],
+            i0,
+            icount,
+            (in_re, in_im),
+            (sum_blocks * lanes, lanes),
+            lanes,
+            &[(0, 0, lanes)],
+            1,
+            acc_re,
+            acc_im,
+        );
     }
 
     /// Crate-internal view of the batch-plane FFT (the CONV pipeline runs
@@ -1371,99 +1348,15 @@ impl BlockCirculantMatrix {
         &self.bplan
     }
 
-    /// Crate-internal view of the forward weight-spectrum planes
-    /// (`[bin][p][q]`, split re/im) — the CONV pipeline's fused
-    /// multi-offset MAC streams all `r²` operators' planes in one pass.
+    /// Crate-internal view of the weight-spectrum planes the MAC streams,
+    /// split re/im: `[bin][p][q]` for the forward product, the transposed
+    /// `[bin][q][p]` for the transpose apply.
     #[inline]
-    pub(crate) fn forward_wplanes(&self) -> (&[f32], &[f32]) {
-        (&self.wplane_re, &self.wplane_im)
-    }
-
-    /// Monomorphized MAC kernel; `FWD` selects `conj(w)·x` (Algorithm 1)
-    /// versus `w·g` (transpose apply), `ACC` adds the tile into the
-    /// accumulator planes instead of overwriting them (per-element term
-    /// order stays fixed either way, so results remain bit-stable). Output
-    /// blocks are tiled (`TI`) so an input-spectrum row loaded from cache
-    /// feeds several output accumulator tiles, cutting input-plane traffic
-    /// by the tile factor.
-    #[allow(clippy::needless_range_loop, clippy::too_many_arguments)]
-    fn mac_chunk_impl<const FWD: bool, const ACC: bool>(
-        &self,
-        batch: usize,
-        i0: usize,
-        icount: usize,
-        in_re: &[f32],
-        in_im: &[f32],
-        acc_re: &mut [f32],
-        acc_im: &mut [f32],
-    ) {
-        const LANES: usize = 16;
-        const TI: usize = 4;
-        let isa = crate::simd::isa();
-        let bins = self.bins;
-        let (sum_blocks, out_blocks_total) = if FWD {
-            (self.q, self.p)
-        } else {
-            (self.p, self.q)
-        };
-        let (wre, wim) = if FWD {
+    pub(crate) fn wplanes(&self, forward: bool) -> (&[f32], &[f32]) {
+        if forward {
             (&self.wplane_re, &self.wplane_im)
         } else {
             (&self.wplane_t_re, &self.wplane_t_im)
-        };
-        for bin in 0..bins {
-            // Spectra of real signals are real at DC and (for k ≥ 2) the
-            // Nyquist bin, so those bins need one real multiply per term
-            // instead of a full complex one.
-            let real_bin = bin == 0 || (self.k >= 2 && bin == bins - 1);
-            let xrow = bin * sum_blocks * batch;
-            let mut it = 0;
-            while it < icount {
-                let tl = TI.min(icount - it);
-                let mut b0 = 0;
-                while b0 < batch {
-                    let l = LANES.min(batch - b0);
-                    let mut tr = [[0.0f32; LANES]; TI];
-                    let mut ti_ = [[0.0f32; LANES]; TI];
-                    for j in 0..sum_blocks {
-                        let xo = xrow + j * batch + b0;
-                        let xr = &in_re[xo..xo + l];
-                        let xi = &in_im[xo..xo + l];
-                        for u in 0..tl {
-                            let i = i0 + it + u;
-                            let widx = (bin * out_blocks_total + i) * sum_blocks + j;
-                            let (wr, wi) = (wre[widx], wim[widx]);
-                            let (ar, ai) = (&mut tr[u][..l], &mut ti_[u][..l]);
-                            if real_bin {
-                                crate::simd::rmac(isa, wr, xr, ar);
-                            } else if FWD {
-                                // conj(w)·x, the Algorithm-1 product.
-                                crate::simd::cmac(isa, wr, wi, xr, xi, ar, ai);
-                            } else {
-                                // w·g, the transpose-apply product: cmac
-                                // with the weight conjugated (IEEE negation
-                                // is exact, so this stays bitwise equal to
-                                // the explicit sub/add form).
-                                crate::simd::cmac(isa, wr, -wi, xr, xi, ar, ai);
-                            }
-                        }
-                    }
-                    for u in 0..tl {
-                        let ao = ((it + u) * bins + bin) * batch + b0;
-                        if ACC {
-                            for t in 0..l {
-                                acc_re[ao + t] += tr[u][t];
-                                acc_im[ao + t] += ti_[u][t];
-                            }
-                        } else {
-                            acc_re[ao..ao + l].copy_from_slice(&tr[u][..l]);
-                            acc_im[ao..ao + l].copy_from_slice(&ti_[u][..l]);
-                        }
-                    }
-                    b0 += l;
-                }
-                it += tl;
-            }
         }
     }
 

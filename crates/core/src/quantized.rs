@@ -194,6 +194,10 @@ pub struct QuantWorkspace {
     /// Per-thread plane scratch `[k][lanes]`.
     pr: Vec<f32>,
     pi: Vec<f32>,
+    /// Per-thread madd-constant scratch of the i16 MAC
+    /// ([`engine::mac_i16_scratch`] elements each per thread).
+    wa: Vec<i32>,
+    wb: Vec<i32>,
     /// Per-sample MAC runs and per-offset shifts (conv only).
     runs: Vec<(usize, usize, usize)>,
     shifts: Vec<usize>,
@@ -214,8 +218,11 @@ impl QuantWorkspace {
         k: usize,
         l_pad: usize,
         l_acc: usize,
+        offsets: usize,
         threads: usize,
     ) {
+        engine::grow_with(&mut self.wa, threads * engine::mac_i16_scratch(offsets, q));
+        engine::grow_with(&mut self.wb, threads * engine::mac_i16_scratch(offsets, q));
         engine::grow_with(&mut self.xq, q * bins * l_pad * 2);
         engine::grow_with(&mut self.acc_re, p * bins * l_acc);
         engine::grow_with(&mut self.acc_im, p * bins * l_acc);
@@ -261,7 +268,7 @@ impl QuantizedOperator {
         let (p, q, k, bins) = (op.block_rows(), op.block_cols(), op.block_size(), op.bins());
         cfg.check_accumulation(q)?;
         let (w_step, mut codes) =
-            quantize_weight_planes(&[op.forward_wplanes()], p, q, bins, k, cfg.weight_format);
+            quantize_weight_planes(&[op.wplanes(true)], p, q, bins, k, cfg.weight_format);
         let (wq_re, wq_im) = codes.pop().expect("one plane in, one plane out");
         Self::assemble(op.rows(), op.cols(), k, cfg, w_step, wq_re, wq_im)
     }
@@ -415,7 +422,7 @@ impl QuantizedOperator {
         engine::check_slabs(batch, &[(src.len(), self.n), (out.len(), self.m)])?;
         let (p, q, k, bins) = (self.p, self.q, self.k, self.bins);
         let threads = threads.max(1);
-        ws.prepare(p, q, bins, k, batch, batch, threads);
+        ws.prepare(p, q, bins, k, batch, batch, 1, threads);
         let plan = &self.plan;
         let QuantWorkspace {
             xq,
@@ -424,6 +431,8 @@ impl QuantizedOperator {
             stage,
             pr,
             pi,
+            wa,
+            wb,
             ..
         } = ws;
         let xq = &mut xq[..q * bins * batch * 2];
@@ -448,10 +457,10 @@ impl QuantizedOperator {
             bins * batch,
             acc_re,
             acc_im,
-            0,
-            &mut [],
-            &mut [],
-            |i0, icount, re_c, im_c, _: &mut [i32], _: &mut [i32]| {
+            engine::mac_i16_scratch(1, q),
+            wa,
+            wb,
+            |i0, icount, re_c, im_c, wa_c, wb_c| {
                 engine::run_mac_i16(
                     &wq,
                     &[0],
@@ -467,6 +476,8 @@ impl QuantizedOperator {
                     1,
                     re_c,
                     im_c,
+                    wa_c,
+                    wb_c,
                 );
             },
         );
@@ -598,7 +609,7 @@ impl QuantizedConv2d {
         let (p, q, k, bins) = (e0.block_rows(), e0.block_cols(), e0.block_size(), e0.bins());
         // Every kernel offset's q block products land in one accumulator.
         cfg.check_accumulation(q * engines.len())?;
-        let planes: Vec<(&[f32], &[f32])> = engines.iter().map(|e| e.forward_wplanes()).collect();
+        let planes: Vec<(&[f32], &[f32])> = engines.iter().map(|e| e.wplanes(true)).collect();
         let (w_step, wq) = quantize_weight_planes(&planes, p, q, bins, k, cfg.weight_format);
         let x_step = cfg.x_step(k);
         let dq = w_step.iter().map(|&s| s * x_step).collect();
@@ -687,7 +698,7 @@ impl QuantizedConv2d {
         let threads = threads.max(1);
         let d = crate::conv::Dims::new(p, q, k, bins, g, batch);
         let (l_pad, l_acc) = (d.l_pad, d.l_acc);
-        ws.prepare(p, q, bins, k, l_pad, l_acc, threads);
+        ws.prepare(p, q, bins, k, l_pad, l_acc, self.wq.len(), threads);
         let plan = &self.plan;
         let QuantWorkspace {
             xq,
@@ -696,6 +707,8 @@ impl QuantizedConv2d {
             stage,
             pr,
             pi,
+            wa,
+            wb,
             runs,
             shifts,
             ..
@@ -717,23 +730,19 @@ impl QuantizedConv2d {
         let (shifts, runs) = crate::conv::plan_runs(&d, g, batch, shifts, runs);
         let s = g.stride;
         let xq = &xq[..];
-        let wq: Vec<(&[i16], &[i16])> = self
-            .wq
-            .iter()
-            .map(|(re, im)| (re.as_slice(), im.as_slice()))
-            .collect();
         engine::par_planes(
             threads,
             p,
             bins * l_acc,
             acc_re,
             acc_im,
-            0,
-            &mut [],
-            &mut [],
-            |i0, icount, re_c, im_c, _: &mut [i32], _: &mut [i32]| {
+            engine::mac_i16_scratch(self.wq.len(), q),
+            wa,
+            wb,
+            |i0, icount, re_c, im_c, wa_c, wb_c| {
                 engine::run_mac_i16(
-                    &wq, shifts, p, q, bins, i0, icount, xq, l_pad, l_acc, runs, s, re_c, im_c,
+                    &self.wq, shifts, p, q, bins, i0, icount, xq, l_pad, l_acc, runs, s, re_c,
+                    im_c, wa_c, wb_c,
                 );
             },
         );
@@ -808,22 +817,10 @@ impl QuantizedRnnCell {
         // The two MACs accumulate separately, so each checks alone.
         cfg.check_accumulation(q_ih)?;
         cfg.check_accumulation(q_hh)?;
-        let (w_step_ih, mut c_ih) = quantize_weight_planes(
-            &[w_ih.forward_wplanes()],
-            p,
-            q_ih,
-            bins,
-            k,
-            cfg.weight_format,
-        );
-        let (w_step_hh, mut c_hh) = quantize_weight_planes(
-            &[w_hh.forward_wplanes()],
-            p,
-            q_hh,
-            bins,
-            k,
-            cfg.weight_format,
-        );
+        let (w_step_ih, mut c_ih) =
+            quantize_weight_planes(&[w_ih.wplanes(true)], p, q_ih, bins, k, cfg.weight_format);
+        let (w_step_hh, mut c_hh) =
+            quantize_weight_planes(&[w_hh.wplanes(true)], p, q_hh, bins, k, cfg.weight_format);
         let x_step = cfg.x_step(k);
         let h_step = k as f32 / cfg.input_format.max_code() as f32;
         Ok(Self {
@@ -889,7 +886,7 @@ impl QuantizedRnnCell {
         let (p, k, bins) = (self.p, self.k, self.bins);
         let (q_ih, q_hh) = (self.q_ih, self.q_hh);
         let threads = threads.max(1);
-        ws.prepare(p, q_ih.max(q_hh), bins, k, batch, batch, threads);
+        ws.prepare(p, q_ih.max(q_hh), bins, k, batch, batch, 1, threads);
         engine::grow_with(&mut ws.hq, q_hh * bins * batch * 2);
         engine::grow_with(&mut ws.acc2_re, p * bins * batch);
         engine::grow_with(&mut ws.acc2_im, p * bins * batch);
@@ -904,6 +901,8 @@ impl QuantizedRnnCell {
             stage,
             pr,
             pi,
+            wa,
+            wb,
             ..
         } = ws;
         let xq = &mut xq[..q_ih * bins * batch * 2];
@@ -937,10 +936,10 @@ impl QuantizedRnnCell {
                 bins * batch,
                 &mut acc_r[..p * bins * batch],
                 &mut acc_i[..p * bins * batch],
-                0,
-                &mut [],
-                &mut [],
-                |i0, icount, re_c, im_c, _: &mut [i32], _: &mut [i32]| {
+                engine::mac_i16_scratch(1, q),
+                wa,
+                wb,
+                |i0, icount, re_c, im_c, wa_c, wb_c| {
                     engine::run_mac_i16(
                         &wq,
                         &[0],
@@ -956,6 +955,8 @@ impl QuantizedRnnCell {
                         1,
                         re_c,
                         im_c,
+                        wa_c,
+                        wb_c,
                     );
                 },
             );

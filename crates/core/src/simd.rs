@@ -1,23 +1,25 @@
 //! Runtime-dispatched SIMD MAC kernels for the spectral-plane engine.
 //!
-//! Three kernels cover every inner loop the engine runs per `(bin, block)`
-//! weight scalar:
+//! Both precisions have the same kernel shape — a **register-resident row
+//! sweep**: a tile of up to four output block rows accumulates every
+//! kernel offset × block column term with the running sums in vector
+//! registers, and each accumulator is written exactly once.
 //!
-//! * [`cmac`] — complex f32 multiply-accumulate over a lane tile
-//!   (`ar += wr·xr + wi·xi`, `ai += wr·xi − wi·xr`); the transpose apply is
-//!   the same kernel with `wi` negated.
-//! * [`rmac`] — real-bin f32 multiply-accumulate (`ar += wr·xr`).
-//! * [`qmac`] — i16×i16→i32 complex multiply-accumulate over interleaved
-//!   `(re, im)` code pairs, the `_mm_madd_epi16` shape: one pairwise
-//!   multiply-add yields `wr·xr + wi·xi` (or `wr·xi − wi·xr`) per 32-bit
-//!   accumulator lane.
+//! * [`cmac_rows`] — the f32 sweep
+//!   (`ar += wr·xr + wi·xi`, `ai += wr·xi − wi·xr`), with a real-bin form
+//!   (`ar += wr·xr`), the conjugated form the transpose apply uses, and an
+//!   add-in-the-write-out form for a second accumulation.
+//! * [`qmac_rows`] — the i16×i16→i32 sweep over interleaved `(re, im)` code
+//!   pairs, the `_mm_madd_epi16` shape: one pairwise multiply-add yields
+//!   `wr·xr + wi·xi` (or `wr·xi − wi·xr`) per 32-bit accumulator lane.
+//!   [`qmac`] is its per-term form for strided lanes.
 //!
 //! Dispatch is by runtime CPUID check (`is_x86_feature_detected!`), cached
 //! in a `OnceLock`, resolved **once per MAC chunk** and threaded into the
 //! kernels as a value — the hot loops never touch the atomic. The f32
 //! vector lanes use the same mul/mul/add(sub) association as the scalar
 //! loop and no FMA, so scalar and SIMD results are bitwise identical lane
-//! for lane; the i16 kernel is pure integer arithmetic and therefore
+//! for lane; the i16 kernels are pure integer arithmetic and therefore
 //! unconditionally bitwise stable. With the `simd` feature off (or off
 //! x86-64) every wrapper collapses to the scalar body.
 
@@ -60,61 +62,147 @@ pub(crate) fn isa() -> Isa {
 }
 
 // ---------------------------------------------------------------------------
-// f32 complex MAC
+// f32 complex MAC (register-resident row sweep)
 // ---------------------------------------------------------------------------
 
-/// `ar[t] += wr·xr[t] + wi·xi[t]; ai[t] += wr·xi[t] − wi·xr[t]` over a tile.
+/// Where one [`cmac_rows`] sweep finds its operands. Lane `t` of kernel
+/// offset `e`'s block column `j` is input element
+/// `xbase + shifts[e] + j·jstride + t·step` of both `x` planes — FC/RNN's
+/// bin-major planes (`jstride` = lanes) and conv's block-major planes
+/// (`jstride` = bins · padded lanes, one plane shift per offset) are the
+/// same addressing. Row `u`'s weight for `(e, j)` is element
+/// `wbase + u·wstride + j` of offset `e`'s weight planes, and its `len`
+/// output lanes start at `abase + u·astride` of the accumulator planes.
+pub(crate) struct RowSweep<'a> {
+    pub x: (&'a [f32], &'a [f32]),
+    pub xbase: usize,
+    pub shifts: &'a [usize],
+    pub jstride: usize,
+    pub step: usize,
+    pub wbase: usize,
+    pub wstride: usize,
+    pub q: usize,
+    pub len: usize,
+    pub abase: usize,
+    pub astride: usize,
+}
+
+/// Register-resident f32 MAC over a tile of `tl ≤ 4` block rows: row `u`'s
+/// `len` accumulator lanes become `Σ_e Σ_j conj(w[e][u][j]) ∘ x[e][j]`
+/// (`conj` set: `w ∘ x`, the transpose apply; `real`: the DC/Nyquist form
+/// `ar += wr·xr`, imaginary sums zero), offset-major and block-ascending,
+/// each term added as `acc + (wr·xr + wi·xi)` / `acc + (wr·xi − wi·xr)`
+/// from a zero start. The sums stay in registers across the whole sweep
+/// and are written once — over the accumulator planes, or added into them
+/// when `accumulate` is set — lane tail included, so a lone sample costs
+/// one call per (bin, row tile). `w(e)` returns offset `e`'s `(re, im)`
+/// weight planes. Every ISA produces bitwise identical results.
 ///
-/// The forward frequency-domain product with a conjugated weight spectrum.
-/// The transpose (backward) apply is `cmac(isa, wr, -wi, ...)` — IEEE
-/// negation commutes exactly through the products and `a − b ≡ a + (−b)`,
-/// so one kernel serves both directions bitwise.
-#[inline(always)]
-pub(crate) fn cmac(
+/// # Panics
+///
+/// Panics if `tl` is not in `1..=4` or any operand index described by `s`
+/// falls outside its plane — the bounds the vector bodies rely on.
+#[allow(clippy::too_many_arguments)]
+pub(crate) fn cmac_rows<'w>(
     isa: Isa,
-    wr: f32,
-    wi: f32,
-    xr: &[f32],
-    xi: &[f32],
-    ar: &mut [f32],
-    ai: &mut [f32],
+    real: bool,
+    conj: bool,
+    accumulate: bool,
+    tl: usize,
+    s: &RowSweep<'_>,
+    w: &impl Fn(usize) -> (&'w [f32], &'w [f32]),
+    acc_re: &mut [f32],
+    acc_im: &mut [f32],
 ) {
+    assert!((1..=4).contains(&tl), "row tile of 1..=4");
+    if s.len == 0 || s.q == 0 {
+        return;
+    }
+    let shift = s.shifts.iter().max().copied().unwrap_or(0);
+    let x_end = s.xbase + shift + (s.q - 1) * s.jstride + (s.len - 1) * s.step;
+    assert!(x_end < s.x.0.len().min(s.x.1.len()), "input lanes");
+    let a_end = s.abase + (tl - 1) * s.astride + s.len;
+    assert!(a_end <= acc_re.len().min(acc_im.len()), "accumulator rows");
+    #[cfg(all(feature = "simd", target_arch = "x86_64"))]
+    macro_rules! rows {
+        ($f:ident) => {
+            match tl {
+                1 => rows!($f, 1),
+                2 => rows!($f, 2),
+                3 => rows!($f, 3),
+                _ => rows!($f, 4),
+            }
+        };
+        ($f:ident, $tl:literal) => {
+            match (real, conj) {
+                (true, _) => $f::<$tl, true, false>(s, w, accumulate, acc_re, acc_im),
+                (_, false) => $f::<$tl, false, false>(s, w, accumulate, acc_re, acc_im),
+                (_, true) => $f::<$tl, false, true>(s, w, accumulate, acc_re, acc_im),
+            }
+        };
+    }
     match isa {
+        // SAFETY: `isa()` only reports an ISA the CPU has, and the two
+        // asserts above are exactly the kernels' index preconditions.
         #[cfg(all(feature = "simd", target_arch = "x86_64"))]
-        Isa::Avx2 => unsafe { cmac_avx2(wr, wi, xr, xi, ar, ai) },
+        Isa::Avx2 => unsafe { rows!(cmac_rows_avx2) },
         #[cfg(all(feature = "simd", target_arch = "x86_64"))]
-        Isa::Sse2 => unsafe { cmac_sse2(wr, wi, xr, xi, ar, ai) },
-        _ => cmac_scalar(wr, wi, xr, xi, ar, ai),
+        Isa::Sse2 => unsafe { rows!(cmac_rows_sse2) },
+        _ => cmac_rows_scalar(real, conj, accumulate, tl, s, w, acc_re, acc_im),
     }
 }
 
-#[inline(always)]
-fn cmac_scalar(wr: f32, wi: f32, xr: &[f32], xi: &[f32], ar: &mut [f32], ai: &mut [f32]) {
-    let l = ar.len();
-    for t in 0..l {
-        ar[t] += wr * xr[t] + wi * xi[t];
-        ai[t] += wr * xi[t] - wi * xr[t];
-    }
-}
-
-/// `ar[t] += wr·xr[t]` over a tile (DC/Nyquist real bins; imaginary parts
-/// are identically zero there).
-#[inline(always)]
-pub(crate) fn rmac(isa: Isa, wr: f32, xr: &[f32], ar: &mut [f32]) {
-    match isa {
-        #[cfg(all(feature = "simd", target_arch = "x86_64"))]
-        Isa::Avx2 => unsafe { rmac_avx2(wr, xr, ar) },
-        #[cfg(all(feature = "simd", target_arch = "x86_64"))]
-        Isa::Sse2 => unsafe { rmac_sse2(wr, xr, ar) },
-        _ => rmac_scalar(wr, xr, ar),
-    }
-}
-
-#[inline(always)]
-fn rmac_scalar(wr: f32, xr: &[f32], ar: &mut [f32]) {
-    let l = ar.len();
-    for t in 0..l {
-        ar[t] += wr * xr[t];
+/// The portable body of [`cmac_rows`] and the reference the vector bodies
+/// must match: one row at a time over 16-lane stack tiles, lanes innermost.
+#[allow(clippy::too_many_arguments)]
+fn cmac_rows_scalar<'w>(
+    real: bool,
+    conj: bool,
+    accumulate: bool,
+    tl: usize,
+    s: &RowSweep<'_>,
+    w: &impl Fn(usize) -> (&'w [f32], &'w [f32]),
+    acc_re: &mut [f32],
+    acc_im: &mut [f32],
+) {
+    const LANES: usize = 16;
+    let (x_re, x_im) = s.x;
+    for t0 in (0..s.len).step_by(LANES) {
+        let n = LANES.min(s.len - t0);
+        for u in 0..tl {
+            let mut sr = [0.0f32; LANES];
+            let mut si = [0.0f32; LANES];
+            for (e, &shift) in s.shifts.iter().enumerate() {
+                let (wre, wim) = w(e);
+                let row = s.wbase + u * s.wstride;
+                for j in 0..s.q {
+                    let (wr, wi) = (wre[row + j], wim[row + j]);
+                    let xo = s.xbase + shift + j * s.jstride + t0 * s.step;
+                    for t in 0..n {
+                        let (xr, xi) = (x_re[xo + t * s.step], x_im[xo + t * s.step]);
+                        if real {
+                            sr[t] += wr * xr;
+                        } else if conj {
+                            sr[t] += wr * xr - wi * xi;
+                            si[t] += wr * xi + wi * xr;
+                        } else {
+                            sr[t] += wr * xr + wi * xi;
+                            si[t] += wr * xi - wi * xr;
+                        }
+                    }
+                }
+            }
+            let ao = s.abase + u * s.astride + t0;
+            for t in 0..n {
+                if accumulate {
+                    acc_re[ao + t] += sr[t];
+                    acc_im[ao + t] += si[t];
+                } else {
+                    acc_re[ao + t] = sr[t];
+                    acc_im[ao + t] = si[t];
+                }
+            }
+        }
     }
 }
 
@@ -175,9 +263,14 @@ pub(crate) fn madd_pair(lo: i16, hi: i16) -> i32 {
 /// `wa[e·es + u·q + j]` / `wb[...]` are [`madd_pair`] constants
 /// (`pack(wr, wi)` and `pack(−wi, wr)`); `xq` holds interleaved `(re, im)`
 /// pairs with lane `t` of engine `e`'s column `j` at
-/// `xbases[e] + j·xstride + 2t`. Integer accumulation is exact, so every
-/// ISA — and the per-`j` [`qmac`] ordering — produces bitwise identical
-/// results.
+/// `xbase + 2·shifts[e] + j·xstride + 2t`. Integer accumulation is exact,
+/// so every ISA — and the per-`j` [`qmac`] ordering — produces bitwise
+/// identical results.
+///
+/// # Panics
+///
+/// Panics if `tl` is not in `1..=4` or an index described above falls
+/// outside its slice — the bounds the vector bodies rely on.
 #[allow(clippy::too_many_arguments)]
 #[inline(always)]
 pub(crate) fn qmac_rows(
@@ -188,54 +281,55 @@ pub(crate) fn qmac_rows(
     es: usize,
     q: usize,
     xq: &[i16],
-    xbases: &[usize],
+    xbase: usize,
+    shifts: &[usize],
     xstride: usize,
     len: usize,
     acc_re: &mut [i32],
     acc_im: &mut [i32],
     aos: &[usize],
 ) {
-    debug_assert!((1..=4).contains(&tl));
-    debug_assert!(tl * q <= es);
-    debug_assert!(wa.len() >= (xbases.len() - 1) * es + tl * q);
-    debug_assert_eq!(aos.len(), tl);
+    assert!((1..=4).contains(&tl) && aos.len() == tl && tl * q <= es);
+    let Some(&shift) = shifts.iter().max() else {
+        return;
+    };
+    if q == 0 || len == 0 {
+        return;
+    }
+    let w_end = (shifts.len() - 1) * es + tl * q;
+    assert!(w_end <= wa.len().min(wb.len()), "madd constants");
+    let x_end = xbase + 2 * shift + (q - 1) * xstride + 2 * len;
+    assert!(x_end <= xq.len(), "input lanes");
+    let a_end = aos.iter().max().expect("tl ≥ 1") + len;
+    assert!(a_end <= acc_re.len().min(acc_im.len()), "accumulator rows");
+    #[cfg(all(feature = "simd", target_arch = "x86_64"))]
+    macro_rules! rows {
+        ($f:ident) => {
+            match tl {
+                1 => $f::<1>(
+                    wa, wb, es, q, xq, xbase, shifts, xstride, len, acc_re, acc_im, aos,
+                ),
+                2 => $f::<2>(
+                    wa, wb, es, q, xq, xbase, shifts, xstride, len, acc_re, acc_im, aos,
+                ),
+                3 => $f::<3>(
+                    wa, wb, es, q, xq, xbase, shifts, xstride, len, acc_re, acc_im, aos,
+                ),
+                _ => $f::<4>(
+                    wa, wb, es, q, xq, xbase, shifts, xstride, len, acc_re, acc_im, aos,
+                ),
+            }
+        };
+    }
     match isa {
+        // SAFETY: `isa()` only reports an ISA the CPU has, and the asserts
+        // above are the kernels' index preconditions.
         #[cfg(all(feature = "simd", target_arch = "x86_64"))]
-        Isa::Avx2 => unsafe {
-            match tl {
-                1 => qmac_rows_avx2::<1>(
-                    wa, wb, es, q, xq, xbases, xstride, len, acc_re, acc_im, aos,
-                ),
-                2 => qmac_rows_avx2::<2>(
-                    wa, wb, es, q, xq, xbases, xstride, len, acc_re, acc_im, aos,
-                ),
-                3 => qmac_rows_avx2::<3>(
-                    wa, wb, es, q, xq, xbases, xstride, len, acc_re, acc_im, aos,
-                ),
-                _ => qmac_rows_avx2::<4>(
-                    wa, wb, es, q, xq, xbases, xstride, len, acc_re, acc_im, aos,
-                ),
-            }
-        },
+        Isa::Avx2 => unsafe { rows!(qmac_rows_avx2) },
         #[cfg(all(feature = "simd", target_arch = "x86_64"))]
-        Isa::Sse2 => unsafe {
-            match tl {
-                1 => qmac_rows_sse2::<1>(
-                    wa, wb, es, q, xq, xbases, xstride, len, acc_re, acc_im, aos,
-                ),
-                2 => qmac_rows_sse2::<2>(
-                    wa, wb, es, q, xq, xbases, xstride, len, acc_re, acc_im, aos,
-                ),
-                3 => qmac_rows_sse2::<3>(
-                    wa, wb, es, q, xq, xbases, xstride, len, acc_re, acc_im, aos,
-                ),
-                _ => qmac_rows_sse2::<4>(
-                    wa, wb, es, q, xq, xbases, xstride, len, acc_re, acc_im, aos,
-                ),
-            }
-        },
+        Isa::Sse2 => unsafe { rows!(qmac_rows_sse2) },
         _ => qmac_rows_lanes(
-            wa, tl, es, q, xq, xbases, xstride, 0, len, acc_re, acc_im, aos,
+            wa, tl, es, q, xq, xbase, shifts, xstride, 0, len, acc_re, acc_im, aos,
         ),
     }
 }
@@ -250,7 +344,8 @@ fn qmac_rows_lanes(
     es: usize,
     q: usize,
     xq: &[i16],
-    xbases: &[usize],
+    xbase: usize,
+    shifts: &[usize],
     xstride: usize,
     t0: usize,
     len: usize,
@@ -262,7 +357,8 @@ fn qmac_rows_lanes(
         let ao = aos[u];
         acc_re[ao + t0..ao + len].fill(0);
         acc_im[ao + t0..ao + len].fill(0);
-        for (e, &xb) in xbases.iter().enumerate() {
+        for (e, &shift) in shifts.iter().enumerate() {
+            let xb = xbase + 2 * shift;
             for j in 0..q {
                 let w = wa[e * es + u * q + j];
                 let wr = w as i16 as i32;
@@ -343,108 +439,212 @@ fn qpack_scalar(pr: &[f32], pi: Option<&[f32]>, inv_step: f32, max_code: i32, ou
 mod x86 {
     use core::arch::x86_64::*;
 
-    use super::{madd_pair, qmac_rows_lanes, qpack_scalar};
+    use super::{madd_pair, qmac_rows_lanes, qpack_scalar, RowSweep};
 
+    /// The `TL` tile rows' `s.q` weights in one plane — bounds-checked
+    /// here, once per offset, so the column loops index rows of exactly
+    /// `s.q` elements with `j < s.q`.
+    #[inline]
+    fn tile_rows<'w, const TL: usize>(plane: &'w [f32], s: &RowSweep<'_>) -> [&'w [f32]; TL] {
+        let mut rows = [&plane[..0]; TL];
+        for (u, row) in rows.iter_mut().enumerate() {
+            *row = &plane[s.wbase + u * s.wstride..][..s.q];
+        }
+        rows
+    }
+
+    /// `n ≤ 4` lanes at `p`, `step` elements apart; the rest read as zero.
+    ///
+    /// # Safety
+    ///
+    /// `p.add(t * step)` must be readable for every `t < n`.
+    #[inline]
     #[target_feature(enable = "sse2")]
-    pub(super) unsafe fn cmac_sse2(
-        wr: f32,
-        wi: f32,
-        xr: &[f32],
-        xi: &[f32],
-        ar: &mut [f32],
-        ai: &mut [f32],
-    ) {
-        let l = ar.len();
-        let wrv = _mm_set1_ps(wr);
-        let wiv = _mm_set1_ps(wi);
-        let mut t = 0;
-        while t + 4 <= l {
-            let xrv = _mm_loadu_ps(xr.as_ptr().add(t));
-            let xiv = _mm_loadu_ps(xi.as_ptr().add(t));
-            let arv = _mm_loadu_ps(ar.as_ptr().add(t));
-            let aiv = _mm_loadu_ps(ai.as_ptr().add(t));
-            // Same association as the scalar loop: (wr·xr + wi·xi), then +=.
-            let re = _mm_add_ps(_mm_mul_ps(wrv, xrv), _mm_mul_ps(wiv, xiv));
-            let im = _mm_sub_ps(_mm_mul_ps(wrv, xiv), _mm_mul_ps(wiv, xrv));
-            _mm_storeu_ps(ar.as_mut_ptr().add(t), _mm_add_ps(arv, re));
-            _mm_storeu_ps(ai.as_mut_ptr().add(t), _mm_add_ps(aiv, im));
-            t += 4;
+    unsafe fn ld4(p: *const f32, step: usize, n: usize) -> __m128 {
+        if step == 1 && n == 4 {
+            return _mm_loadu_ps(p);
         }
-        while t < l {
-            ar[t] += wr * xr[t] + wi * xi[t];
-            ai[t] += wr * xi[t] - wi * xr[t];
-            t += 1;
+        let mut lanes = [0.0f32; 4];
+        for (t, v) in lanes[..n].iter_mut().enumerate() {
+            *v = *p.add(t * step);
         }
+        _mm_loadu_ps(lanes.as_ptr())
     }
 
-    #[target_feature(enable = "avx2")]
-    pub(super) unsafe fn cmac_avx2(
-        wr: f32,
-        wi: f32,
-        xr: &[f32],
-        xi: &[f32],
-        ar: &mut [f32],
-        ai: &mut [f32],
-    ) {
-        let l = ar.len();
-        let wrv = _mm256_set1_ps(wr);
-        let wiv = _mm256_set1_ps(wi);
-        let mut t = 0;
-        while t + 8 <= l {
-            let xrv = _mm256_loadu_ps(xr.as_ptr().add(t));
-            let xiv = _mm256_loadu_ps(xi.as_ptr().add(t));
-            let arv = _mm256_loadu_ps(ar.as_ptr().add(t));
-            let aiv = _mm256_loadu_ps(ai.as_ptr().add(t));
-            let re = _mm256_add_ps(_mm256_mul_ps(wrv, xrv), _mm256_mul_ps(wiv, xiv));
-            let im = _mm256_sub_ps(_mm256_mul_ps(wrv, xiv), _mm256_mul_ps(wiv, xrv));
-            _mm256_storeu_ps(ar.as_mut_ptr().add(t), _mm256_add_ps(arv, re));
-            _mm256_storeu_ps(ai.as_mut_ptr().add(t), _mm256_add_ps(aiv, im));
-            t += 8;
-        }
-        while t < l {
-            ar[t] += wr * xr[t] + wi * xi[t];
-            ai[t] += wr * xi[t] - wi * xr[t];
-            t += 1;
-        }
-    }
-
+    /// The SSE2 body of [`super::cmac_rows`]: four lanes per register, the
+    /// tail and strided lanes staged through a stack quad.
+    ///
+    /// # Safety
+    ///
+    /// The CPU has SSE2, and for every `e`, `j < s.q`, `t < s.len`,
+    /// `u < TL`: `s.xbase + s.shifts[e] + j·s.jstride + t·s.step` indexes
+    /// both `s.x` planes and `s.abase + u·s.astride + t` both accumulator
+    /// planes. (Weight rows are sliced with bounds checks.)
     #[target_feature(enable = "sse2")]
-    pub(super) unsafe fn rmac_sse2(wr: f32, xr: &[f32], ar: &mut [f32]) {
-        let l = ar.len();
-        let wrv = _mm_set1_ps(wr);
-        let mut t = 0;
-        while t + 4 <= l {
-            let xrv = _mm_loadu_ps(xr.as_ptr().add(t));
-            let arv = _mm_loadu_ps(ar.as_ptr().add(t));
-            _mm_storeu_ps(
-                ar.as_mut_ptr().add(t),
-                _mm_add_ps(arv, _mm_mul_ps(wrv, xrv)),
-            );
-            t += 4;
-        }
-        while t < l {
-            ar[t] += wr * xr[t];
-            t += 1;
+    pub(super) unsafe fn cmac_rows_sse2<'w, const TL: usize, const REAL: bool, const CONJ: bool>(
+        s: &RowSweep<'_>,
+        w: &impl Fn(usize) -> (&'w [f32], &'w [f32]),
+        accumulate: bool,
+        acc_re: &mut [f32],
+        acc_im: &mut [f32],
+    ) {
+        let (x_re, x_im) = (s.x.0.as_ptr(), s.x.1.as_ptr());
+        let mut t0 = 0;
+        while t0 < s.len {
+            let n = (s.len - t0).min(4);
+            let mut ar = [_mm_setzero_ps(); TL];
+            let mut ai = [_mm_setzero_ps(); TL];
+            for (e, &shift) in s.shifts.iter().enumerate() {
+                let (wre, wim) = w(e);
+                let wr = tile_rows::<TL>(wre, s);
+                let wi = if REAL { wr } else { tile_rows::<TL>(wim, s) };
+                let xo = s.xbase + shift + t0 * s.step;
+                for j in 0..s.q {
+                    let xr = ld4(x_re.add(xo + j * s.jstride), s.step, n);
+                    if REAL {
+                        for u in 0..TL {
+                            ar[u] = _mm_add_ps(ar[u], _mm_mul_ps(_mm_set1_ps(wr[u][j]), xr));
+                        }
+                        continue;
+                    }
+                    let xi = ld4(x_im.add(xo + j * s.jstride), s.step, n);
+                    for u in 0..TL {
+                        let (wrv, wiv) = (_mm_set1_ps(wr[u][j]), _mm_set1_ps(wi[u][j]));
+                        let (rr, ii) = (_mm_mul_ps(wrv, xr), _mm_mul_ps(wiv, xi));
+                        let (ri, ir) = (_mm_mul_ps(wrv, xi), _mm_mul_ps(wiv, xr));
+                        // conj(w)·x, or w·x for the transpose apply.
+                        let (re, im) = if CONJ {
+                            (_mm_sub_ps(rr, ii), _mm_add_ps(ri, ir))
+                        } else {
+                            (_mm_add_ps(rr, ii), _mm_sub_ps(ri, ir))
+                        };
+                        ar[u] = _mm_add_ps(ar[u], re);
+                        ai[u] = _mm_add_ps(ai[u], im);
+                    }
+                }
+            }
+            for u in 0..TL {
+                let ao = s.abase + u * s.astride + t0;
+                for (plane, v) in [(&mut *acc_re, ar[u]), (&mut *acc_im, ai[u])] {
+                    let mut lanes = [0.0f32; 4];
+                    _mm_storeu_ps(lanes.as_mut_ptr(), v);
+                    for (a, sum) in plane[ao..ao + n].iter_mut().zip(lanes) {
+                        *a = if accumulate { *a + sum } else { sum };
+                    }
+                }
+            }
+            t0 += 4;
         }
     }
 
+    /// How [`sweep8`] loads its eight input lanes.
+    const FULL: u8 = 0;
+    const MASKED: u8 = 1;
+    const GATHER: u8 = 2;
+
+    /// The register-resident core of [`cmac_rows_avx2`]: the `TL` rows'
+    /// sums over every offset and block column for the eight lanes from
+    /// `t0`, loaded whole (`FULL`), under the tail `mask` (`MASKED`) or
+    /// gathered `s.step` apart through `idx` (`GATHER`, masked likewise).
+    ///
+    /// # Safety
+    ///
+    /// As [`cmac_rows_avx2`], for the lanes `mask` enables.
+    #[inline]
     #[target_feature(enable = "avx2")]
-    pub(super) unsafe fn rmac_avx2(wr: f32, xr: &[f32], ar: &mut [f32]) {
-        let l = ar.len();
-        let wrv = _mm256_set1_ps(wr);
-        let mut t = 0;
-        while t + 8 <= l {
-            let xrv = _mm256_loadu_ps(xr.as_ptr().add(t));
-            let arv = _mm256_loadu_ps(ar.as_ptr().add(t));
-            _mm256_storeu_ps(
-                ar.as_mut_ptr().add(t),
-                _mm256_add_ps(arv, _mm256_mul_ps(wrv, xrv)),
-            );
-            t += 8;
+    unsafe fn sweep8<'w, const TL: usize, const REAL: bool, const CONJ: bool, const LD: u8>(
+        s: &RowSweep<'_>,
+        w: &impl Fn(usize) -> (&'w [f32], &'w [f32]),
+        t0: usize,
+        mask: __m256i,
+        idx: __m256i,
+    ) -> ([__m256; TL], [__m256; TL]) {
+        let ld = |p: *const f32| match LD {
+            FULL => _mm256_loadu_ps(p),
+            MASKED => _mm256_maskload_ps(p, mask),
+            _ => {
+                let m = _mm256_castsi256_ps(mask);
+                _mm256_mask_i32gather_ps::<4>(_mm256_setzero_ps(), p, idx, m)
+            }
+        };
+        let (x_re, x_im) = (s.x.0.as_ptr(), s.x.1.as_ptr());
+        let mut ar = [_mm256_setzero_ps(); TL];
+        let mut ai = [_mm256_setzero_ps(); TL];
+        for (e, &shift) in s.shifts.iter().enumerate() {
+            let (wre, wim) = w(e);
+            let wr = tile_rows::<TL>(wre, s);
+            let wi = if REAL { wr } else { tile_rows::<TL>(wim, s) };
+            let xo = s.xbase + shift + t0 * s.step;
+            for j in 0..s.q {
+                let xr = ld(x_re.add(xo + j * s.jstride));
+                if REAL {
+                    for u in 0..TL {
+                        let wrv = _mm256_set1_ps(wr[u][j]);
+                        ar[u] = _mm256_add_ps(ar[u], _mm256_mul_ps(wrv, xr));
+                    }
+                    continue;
+                }
+                let xi = ld(x_im.add(xo + j * s.jstride));
+                for u in 0..TL {
+                    let wrv = _mm256_set1_ps(wr[u][j]);
+                    let wiv = _mm256_set1_ps(wi[u][j]);
+                    let (rr, ii) = (_mm256_mul_ps(wrv, xr), _mm256_mul_ps(wiv, xi));
+                    let (ri, ir) = (_mm256_mul_ps(wrv, xi), _mm256_mul_ps(wiv, xr));
+                    // conj(w)·x, or w·x for the transpose apply.
+                    let (re, im) = if CONJ {
+                        (_mm256_sub_ps(rr, ii), _mm256_add_ps(ri, ir))
+                    } else {
+                        (_mm256_add_ps(rr, ii), _mm256_sub_ps(ri, ir))
+                    };
+                    ar[u] = _mm256_add_ps(ar[u], re);
+                    ai[u] = _mm256_add_ps(ai[u], im);
+                }
+            }
         }
-        while t < l {
-            ar[t] += wr * xr[t];
-            t += 1;
+        (ar, ai)
+    }
+
+    /// The AVX2 body of [`super::cmac_rows`]: eight lanes per register;
+    /// the tail runs at full width under a lane mask (masked-off lanes
+    /// load as zero and are never stored), strided lanes through a gather.
+    ///
+    /// # Safety
+    ///
+    /// As [`cmac_rows_sse2`], with AVX2.
+    #[target_feature(enable = "avx2")]
+    pub(super) unsafe fn cmac_rows_avx2<'w, const TL: usize, const REAL: bool, const CONJ: bool>(
+        s: &RowSweep<'_>,
+        w: &impl Fn(usize) -> (&'w [f32], &'w [f32]),
+        accumulate: bool,
+        acc_re: &mut [f32],
+        acc_im: &mut [f32],
+    ) {
+        let iota = _mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7);
+        let idx = _mm256_mullo_epi32(iota, _mm256_set1_epi32(s.step as i32));
+        let mut t0 = 0;
+        while t0 < s.len {
+            let n = (s.len - t0).min(8);
+            let mask = _mm256_cmpgt_epi32(_mm256_set1_epi32(n as i32), iota);
+            let (ar, ai) = if s.step != 1 {
+                sweep8::<TL, REAL, CONJ, GATHER>(s, w, t0, mask, idx)
+            } else if n == 8 {
+                sweep8::<TL, REAL, CONJ, FULL>(s, w, t0, mask, idx)
+            } else {
+                sweep8::<TL, REAL, CONJ, MASKED>(s, w, t0, mask, idx)
+            };
+            for u in 0..TL {
+                let ao = s.abase + u * s.astride + t0;
+                for (plane, v) in [(&mut *acc_re, ar[u]), (&mut *acc_im, ai[u])] {
+                    let p = plane.as_mut_ptr().add(ao);
+                    let v = if accumulate {
+                        _mm256_add_ps(_mm256_maskload_ps(p, mask), v)
+                    } else {
+                        v
+                    };
+                    _mm256_maskstore_ps(p, mask, v);
+                }
+            }
+            t0 += 8;
         }
     }
 
@@ -502,6 +702,14 @@ mod x86 {
         }
     }
 
+    /// The SSE2 body of [`super::qmac_rows`].
+    ///
+    /// # Safety
+    ///
+    /// The CPU has SSE2 and the wrapper's asserts hold: `aos.len() == TL`,
+    /// the madd constants cover `(shifts.len() − 1)·es + TL·q` entries, and
+    /// every `(e, j, t)` code pair and `(u, t)` accumulator lane is in
+    /// bounds.
     #[allow(clippy::too_many_arguments)]
     #[target_feature(enable = "sse2")]
     pub(super) unsafe fn qmac_rows_sse2<const TL: usize>(
@@ -510,7 +718,8 @@ mod x86 {
         es: usize,
         q: usize,
         xq: &[i16],
-        xbases: &[usize],
+        xbase: usize,
+        shifts: &[usize],
         xstride: usize,
         len: usize,
         acc_re: &mut [i32],
@@ -521,7 +730,8 @@ mod x86 {
         while t0 + 4 <= len {
             let mut ar = [_mm_setzero_si128(); TL];
             let mut ai = [_mm_setzero_si128(); TL];
-            for (e, &xb) in xbases.iter().enumerate() {
+            for (e, &shift) in shifts.iter().enumerate() {
+                let xb = xbase + 2 * shift;
                 for j in 0..q {
                     let xv = _mm_loadu_si128(xq.as_ptr().add(xb + j * xstride + 2 * t0).cast());
                     for u in 0..TL {
@@ -540,11 +750,16 @@ mod x86 {
         }
         if t0 < len {
             qmac_rows_lanes(
-                wa, TL, es, q, xq, xbases, xstride, t0, len, acc_re, acc_im, aos,
+                wa, TL, es, q, xq, xbase, shifts, xstride, t0, len, acc_re, acc_im, aos,
             );
         }
     }
 
+    /// The AVX2 body of [`super::qmac_rows`].
+    ///
+    /// # Safety
+    ///
+    /// As [`qmac_rows_sse2`], with AVX2.
     #[allow(clippy::too_many_arguments)]
     #[target_feature(enable = "avx2")]
     pub(super) unsafe fn qmac_rows_avx2<const TL: usize>(
@@ -553,7 +768,8 @@ mod x86 {
         es: usize,
         q: usize,
         xq: &[i16],
-        xbases: &[usize],
+        xbase: usize,
+        shifts: &[usize],
         xstride: usize,
         len: usize,
         acc_re: &mut [i32],
@@ -564,7 +780,8 @@ mod x86 {
         while t0 + 8 <= len {
             let mut ar = [_mm256_setzero_si256(); TL];
             let mut ai = [_mm256_setzero_si256(); TL];
-            for (e, &xb) in xbases.iter().enumerate() {
+            for (e, &shift) in shifts.iter().enumerate() {
+                let xb = xbase + 2 * shift;
                 for j in 0..q {
                     let xv = _mm256_loadu_si256(xq.as_ptr().add(xb + j * xstride + 2 * t0).cast());
                     for u in 0..TL {
@@ -595,7 +812,8 @@ mod x86 {
             );
             let mut ar = [_mm256_setzero_si256(); TL];
             let mut ai = [_mm256_setzero_si256(); TL];
-            for (e, &xb) in xbases.iter().enumerate() {
+            for (e, &shift) in shifts.iter().enumerate() {
+                let xb = xbase + 2 * shift;
                 for j in 0..q {
                     let xv = _mm256_maskload_epi32(
                         xq.as_ptr().add(xb + j * xstride + 2 * t0).cast(),
@@ -710,8 +928,8 @@ mod x86 {
 
 #[cfg(all(feature = "simd", target_arch = "x86_64"))]
 use x86::{
-    cmac_avx2, cmac_sse2, qmac_avx2, qmac_rows_avx2, qmac_rows_sse2, qmac_sse2, qpack_avx2,
-    qpack_sse2, rmac_avx2, rmac_sse2,
+    cmac_rows_avx2, cmac_rows_sse2, qmac_avx2, qmac_rows_avx2, qmac_rows_sse2, qmac_sse2,
+    qpack_avx2, qpack_sse2,
 };
 
 #[cfg(test)]
@@ -737,17 +955,23 @@ mod tests {
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(64))]
 
-        /// f32 complex MAC: every host ISA matches scalar bitwise (same
-        /// association, no FMA), for both weight signs (fwd/bwd apply).
+        /// f32 row sweep: every host ISA matches the scalar body bitwise
+        /// (same association, no FMA) for every tile height, offset and
+        /// column count, lane length around the vector widths (tail-only
+        /// included), lane step, misaligned bases, real bins, both weight
+        /// signs and the accumulate form — and writes nothing outside its
+        /// rows' `len` lanes.
         #[test]
-        fn cmac_matches_scalar_bitwise(
-            len in 1usize..40,
-            wr in -2.0f32..2.0,
-            wi in -2.0f32..2.0,
+        fn cmac_rows_matches_scalar_bitwise(
+            (tl, ne, q) in (1usize..=4, 1usize..=3, 1usize..5),
+            (len_pick, len_any) in (0usize..12, 1usize..40),
+            (step, pad) in (1usize..=2, 0usize..4),
+            (real, conj, accumulate) in (any::<bool>(), any::<bool>(), any::<bool>()),
             seed in any::<u64>(),
         ) {
-            let fill = |s: u64| -> Vec<f32> {
-                (0..len)
+            let len = [1, 3, 7, 8, 9, 17].get(len_pick).copied().unwrap_or(len_any);
+            let fill = |n: usize, s: u64| -> Vec<f32> {
+                (0..n)
                     .map(|t| {
                         let h = s
                             .wrapping_mul(0x9e37_79b9_7f4a_7c15)
@@ -756,56 +980,43 @@ mod tests {
                     })
                     .collect()
             };
-            let xr = fill(seed);
-            let xi = fill(seed ^ 0xabcd);
-            let a0r = fill(seed ^ 0x1111);
-            let a0i = fill(seed ^ 0x2222);
-            for &w in &[(wr, wi), (wr, -wi)] {
-                let (mut gr, mut gi) = (a0r.clone(), a0i.clone());
-                cmac_scalar(w.0, w.1, &xr, &xi, &mut gr, &mut gi);
-                for &isa in &host_isas() {
-                    let (mut tr, mut ti) = (a0r.clone(), a0i.clone());
-                    cmac(isa, w.0, w.1, &xr, &xi, &mut tr, &mut ti);
-                    prop_assert_eq!(
-                        tr.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
-                        gr.iter().map(|v| v.to_bits()).collect::<Vec<_>>()
-                    );
-                    prop_assert_eq!(
-                        ti.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
-                        gi.iter().map(|v| v.to_bits()).collect::<Vec<_>>()
-                    );
-                }
+            let shifts: Vec<usize> = (0..ne).map(|e| (e * 5 + pad) % 7).collect();
+            let (jstride, wstride, astride) = (len * step + pad, q + pad, len + pad);
+            // Planes end exactly at the last element a sweep may touch.
+            let shift = shifts.iter().max().expect("ne ≥ 1");
+            let x_len = pad + shift + (q - 1) * jstride + (len - 1) * step + 1;
+            let (x_re, x_im) = (fill(x_len, seed), fill(x_len, seed ^ 0xabcd));
+            let w_len = pad + (tl - 1) * wstride + q;
+            let wp: Vec<(Vec<f32>, Vec<f32>)> = (0..ne as u64)
+                .map(|e| (fill(w_len, seed ^ (e + 1)), fill(w_len, seed ^ (e + 9))))
+                .collect();
+            let w = |e: usize| (&wp[e].0[..], &wp[e].1[..]);
+            let s = RowSweep {
+                x: (&x_re, &x_im),
+                xbase: pad,
+                shifts: &shifts,
+                jstride,
+                step,
+                wbase: pad,
+                wstride,
+                q,
+                len,
+                abase: pad,
+                astride,
+            };
+            let a0 = fill(pad + (tl - 1) * astride + len, seed ^ 0x1111);
+            let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            let (mut gr, mut gi) = (a0.clone(), a0.clone());
+            cmac_rows_scalar(real, conj, accumulate, tl, &s, &w, &mut gr, &mut gi);
+            for u in 0..tl {
+                let gap = pad + u * astride + len..(pad + (u + 1) * astride).min(a0.len());
+                prop_assert_eq!(bits(&gr[gap.clone()]), bits(&a0[gap]));
             }
-        }
-
-        /// f32 real-bin MAC: bitwise across host ISAs.
-        #[test]
-        fn rmac_matches_scalar_bitwise(
-            len in 1usize..40,
-            wr in -2.0f32..2.0,
-            seed in any::<u64>(),
-        ) {
-            let fill = |s: u64| -> Vec<f32> {
-                (0..len)
-                    .map(|t| {
-                        let h = s
-                            .wrapping_mul(0x9e37_79b9_7f4a_7c15)
-                            .wrapping_add((t as u64).wrapping_mul(0x2545_f491_4f6c_dd1d));
-                        ((h >> 32) as i32 as f32) / (1u32 << 30) as f32
-                    })
-                    .collect()
-            };
-            let xr = fill(seed);
-            let a0 = fill(seed ^ 0x7777);
-            let mut golden = a0.clone();
-            rmac_scalar(wr, &xr, &mut golden);
             for &isa in &host_isas() {
-                let mut got = a0.clone();
-                rmac(isa, wr, &xr, &mut got);
-                prop_assert_eq!(
-                    got.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
-                    golden.iter().map(|v| v.to_bits()).collect::<Vec<_>>()
-                );
+                let (mut tr, mut ti) = (a0.clone(), a0.clone());
+                cmac_rows(isa, real, conj, accumulate, tl, &s, &w, &mut tr, &mut ti);
+                prop_assert_eq!(bits(&tr), bits(&gr));
+                prop_assert_eq!(bits(&ti), bits(&gi));
             }
         }
 
@@ -857,8 +1068,8 @@ mod tests {
                     ((h >> 48) as i16) % 1024
                 })
                 .collect();
-            // Per-engine bases shifted like the conv kernel-offset shifts.
-            let xbases: Vec<usize> = (0..ne).map(|e| 2 * xstride_pad * (e + 1)).collect();
+            // Per-engine lane shifts like the conv kernel-offset shifts.
+            let shifts: Vec<usize> = (0..ne).map(|e| xstride_pad * (e + 1)).collect();
             let es = 4 * q; // TI·q, with TI = 4 as in the engine
             let (wa, wb): (Vec<i32>, Vec<i32>) = (0..ne * es)
                 .map(|t| {
@@ -875,10 +1086,10 @@ mod tests {
             let aos: Vec<usize> = (0..tl).map(|u| u * (len + 3)).collect();
             let a0: Vec<i32> = (0..tl * (len + 3)).map(|t| (t as i32 - 9) * 515).collect();
             let (mut gr, mut gi) = (a0.clone(), a0.clone());
-            qmac_rows_lanes(&wa, tl, es, q, &xq, &xbases, xstride, 0, len, &mut gr, &mut gi, &aos);
+            qmac_rows_lanes(&wa, tl, es, q, &xq, 0, &shifts, xstride, 0, len, &mut gr, &mut gi, &aos);
             for &isa in &host_isas() {
                 let (mut tr, mut ti) = (a0.clone(), a0.clone());
-                qmac_rows(isa, &wa, &wb, tl, es, q, &xq, &xbases, xstride, len, &mut tr, &mut ti, &aos);
+                qmac_rows(isa, &wa, &wb, tl, es, q, &xq, 0, &shifts, xstride, len, &mut tr, &mut ti, &aos);
                 prop_assert_eq!(&tr, &gr);
                 prop_assert_eq!(&ti, &gi);
             }

@@ -15,7 +15,7 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 
 use circnn_core::{
     BlockCirculantMatrix, CirculantConv2d, CirculantRnn, CirculantRnnCell, ConvWorkspace,
-    RecurrentWorkspace, RnnReadout, Workspace,
+    QuantConfig, QuantWorkspace, QuantizedOperator, RecurrentWorkspace, RnnReadout, Workspace,
 };
 use circnn_nn::Layer as _;
 
@@ -87,7 +87,7 @@ fn batched_round_trip_is_allocation_free_after_warmup() {
     // Steady-state conv inference rides the same proof: one warm
     // ConvWorkspace, repeated infer_batch_into calls at a fixed
     // (geometry, batch) into a caller buffer.
-    let conv = {
+    let mut conv = {
         let mut rng = circnn_tensor::init::seeded_rng(11);
         let mut conv = CirculantConv2d::new(&mut rng, 6, 10, 3, 1, 1, 4).unwrap();
         conv.set_training(false);
@@ -116,8 +116,52 @@ fn batched_round_trip_is_allocation_free_after_warmup() {
     let mut rws = RecurrentWorkspace::new();
     let mut rout = vec![0.0f32; rnn_batch * 2 * 16];
 
+    // The i16 twins ride the proof as well — operator, conv (whose MAC
+    // builds per-tile madd constants for all r² offsets) and recurrent
+    // cell, each out of one warm QuantWorkspace.
+    let qop = QuantizedOperator::from_operator(&w, QuantConfig::default()).unwrap();
+    let qconv = conv.quantize(QuantConfig::default()).unwrap();
+    let qcell = rnn.cell().quantize(QuantConfig::default()).unwrap();
+    let (mut qws, mut qcws, mut qrws) = (
+        QuantWorkspace::new(),
+        QuantWorkspace::new(),
+        QuantWorkspace::new(),
+    );
+    let (rh, mut rnext) = (seeded(rnn_batch * 16, 23), vec![0.0f32; rnn_batch * 16]);
+    let (mut qy, mut qcout) = (y.clone(), cout.clone());
+    // The lone request: every f32 apply at B = 1 takes the kernels'
+    // under-one-vector tail path end to end, out of its own warm arenas.
+    let cx1 = circnn_tensor::Tensor::from_vec(seeded(6 * 5 * 5, 13), &[1, 6, 5, 5]);
+    let (mut ws1, mut cws1, mut rws1) = (
+        Workspace::new(),
+        ConvWorkspace::new(),
+        RecurrentWorkspace::new(),
+    );
+    let (mut y1, mut gx1, mut cout1) = (vec![0.0f32; m], vec![0.0f32; n], vec![0.0f32; 250]);
+    let mut quantized_and_lone_round = || {
+        qop.infer_batch_into(&x, batch, &mut qws, &mut qy, 1)
+            .unwrap();
+        qconv
+            .infer_batch_into(&cx, &mut qcws, &mut qcout, 1)
+            .unwrap();
+        let rx0 = &rx.data()[..rnn_batch * 6];
+        qcell
+            .step_batch_into(rx0, &rh, rnn_batch, &mut qrws, &mut rnext, 1)
+            .unwrap();
+        w.forward_batch_into_with_threads(&x[..n], 1, &mut ws1, &mut y1, 1)
+            .unwrap();
+        w.backward_batch_into_with_threads(&g[..m], 1, &mut ws1, &mut gx1, 1)
+            .unwrap();
+        conv.infer_batch_into(&cx1, &mut cws1, &mut cout1, 1)
+            .unwrap();
+        rnn.cell()
+            .step_batch_into_with_threads(&rx0[..6], &rh[..16], 1, &mut rws1, &mut rnext[..16], 1)
+            .unwrap();
+    };
+
     // Warm-up sizes every workspace buffer (the serial path: the parallel
     // path's only allocations are the spawned threads' stacks).
+    quantized_and_lone_round();
     w.forward_batch_into_with_threads(&x, batch, &mut ws, &mut y, 1)
         .unwrap();
     w.backward_batch_into_with_threads(&g, batch, &mut ws, &mut gx, 1)
@@ -150,6 +194,8 @@ fn batched_round_trip_is_allocation_free_after_warmup() {
     // the tanh epilogue) out of the warm arena.
     rnn.infer_batch_into(&rx, &mut rws, &mut rout, 1).unwrap();
     rnn.infer_batch_into(&rx, &mut rws, &mut rout, 1).unwrap();
+    quantized_and_lone_round();
+    quantized_and_lone_round();
     COUNTING.with(|c| c.set(false));
     let during = ALLOCATIONS.load(Ordering::SeqCst);
 

@@ -24,6 +24,12 @@ fn random_weights(len: usize, seed: u64) -> Vec<f32> {
         .collect()
 }
 
+/// Batch sizes on both sides of the SSE2 (4) and AVX2 (8) vector widths:
+/// tail-only, whole vectors, and vectors plus a tail.
+fn wide_batches() -> impl Strategy<Value = usize> {
+    (0usize..6).prop_map(|i| [2, 3, 5, 8, 17, 32][i])
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
@@ -243,24 +249,43 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
 
     /// Batch-composition invariance: a sample's output row is **bitwise**
-    /// identical whether it is computed alone (`B = 1`) or inside any
-    /// larger coalesced batch — each batch lane is an independent chain of
-    /// IEEE ops in a fixed order. The dynamic-batching server
-    /// (`circnn-serve`) relies on this to keep every client's answer
-    /// independent of how requests happened to be coalesced.
+    /// identical whether it is computed alone (`B = 1`, the MAC sweep's
+    /// under-one-vector tail path) or inside any larger coalesced batch —
+    /// whole vectors, vectors plus a tail — because each batch lane is an
+    /// independent chain of IEEE ops in a fixed order. Forward, transpose
+    /// and row-sliced applies alike, ragged `m` and `n` included. The
+    /// dynamic-batching server (`circnn-serve`) relies on this to keep
+    /// every client's answer independent of how requests were coalesced.
     #[test]
-    fn batched_rows_are_bitwise_batch_invariant((m, n, k, seed) in shapes(), batch in 2usize..8) {
+    fn batched_rows_are_bitwise_batch_invariant((m, n, k, seed) in shapes(), batch in wide_batches()) {
         let p = m.div_ceil(k);
         let q = n.div_ceil(k);
         let w = BlockCirculantMatrix::from_weights(m, n, k, &random_weights(p * q * k, seed)).unwrap();
+        let slice = w.row_slice(p / 2..p).unwrap();
+        let (r0, rows) = (slice.row_start, slice.operator.rows());
         let x = random_weights(batch * n, seed ^ 0xC0A1);
+        let g = random_weights(batch * m, seed ^ 0x9A1D);
         let mut ws = Workspace::new();
         let coalesced = w.matmat(&x, batch, &mut ws).unwrap();
+        let sliced = slice.operator.matmat(&x, batch, &mut ws).unwrap();
+        let mut gx = vec![0.0f32; batch * n];
+        w.backward_batch_into_with_threads(&g, batch, &mut ws, &mut gx, 1).unwrap();
+        let mut gx1 = vec![0.0f32; n];
         for b in 0..batch {
             let alone = w.matmat(&x[b * n..(b + 1) * n], 1, &mut ws).unwrap();
             prop_assert_eq!(
                 &coalesced[b * m..(b + 1) * m], &alone[..],
                 "({},{},{}) sample {} differs between B={} and B=1", m, n, k, b, batch
+            );
+            prop_assert_eq!(
+                &sliced[b * rows..(b + 1) * rows], &alone[r0..r0 + rows],
+                "({},{},{}) row slice, sample {} of B={}", m, n, k, b, batch
+            );
+            w.backward_batch_into_with_threads(&g[b * m..(b + 1) * m], 1, &mut ws, &mut gx1, 1)
+                .unwrap();
+            prop_assert_eq!(
+                &gx[b * n..(b + 1) * n], &gx1[..],
+                "({},{},{}) transpose apply, sample {} of B={}", m, n, k, b, batch
             );
         }
     }
@@ -332,6 +357,99 @@ proptest! {
         prop_assert_eq!(served.dims(), trained.dims());
         prop_assert_eq!(served.data(), trained.data());
     }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(16))]
+
+    /// Batch-composition invariance for the conv pipeline, whose MAC lanes
+    /// are (sample, padded pixel) pairs swept per sample (stride 1) or per
+    /// output row through a strided gather (stride 2): every image's
+    /// output is bitwise what it is when served alone, and identical
+    /// across thread counts.
+    #[test]
+    fn conv_rows_are_bitwise_batch_invariant_and_thread_stable(
+        seed in any::<u64>(),
+        batch in wide_batches(),
+        stride in 1usize..3,
+        logk in 0u32..3,
+        size in 5usize..9,
+    ) {
+        use circnn_core::{CirculantConv2d, ConvWorkspace};
+        use circnn_nn::Layer;
+        let mut rng = circnn_tensor::init::seeded_rng(seed);
+        let mut conv = CirculantConv2d::new(&mut rng, 4, 6, 3, stride, 1, 1 << logk).unwrap();
+        conv.set_training(false);
+        let x = circnn_tensor::init::uniform(&mut rng, &[batch, 4, size, size], -1.0, 1.0);
+        let o = (size + 2 - 3) / stride + 1;
+        let per_out = 6 * o * o;
+        let mut ws = ConvWorkspace::new();
+        let mut coalesced = vec![0.0f32; batch * per_out];
+        conv.infer_batch_into(&x, &mut ws, &mut coalesced, 1).unwrap();
+        let mut threaded = vec![0.0f32; batch * per_out];
+        conv.infer_batch_into(&x, &mut ws, &mut threaded, 3).unwrap();
+        prop_assert_eq!(&coalesced, &threaded);
+        let mut alone = vec![0.0f32; per_out];
+        for b in 0..batch {
+            let img = x.index_axis0(b);
+            let one = circnn_tensor::Tensor::from_vec(img.data().to_vec(), &[1, 4, size, size]);
+            conv.infer_batch_into(&one, &mut ws, &mut alone, 1).unwrap();
+            prop_assert_eq!(
+                &coalesced[b * per_out..(b + 1) * per_out], &alone[..],
+                "(s={} k={} {}x{}) image {} differs between B={} and B=1",
+                stride, 1 << logk, size, size, b, batch
+            );
+        }
+    }
+}
+
+/// Shapes big enough that the plane dispatcher really spawns (the proptest
+/// shapes above all sit under its per-thread work floor and stay on the
+/// caller): threaded and serial runs agree bit for bit for the FC apply in
+/// both directions, the weight gradient, the i16 twin (whose MAC scratch is
+/// split per worker) and the conv pipeline.
+#[test]
+fn threaded_dispatch_above_the_work_floor_is_bit_identical_to_serial() {
+    use circnn_core::{CirculantConv2d, ConvWorkspace, QuantConfig, QuantWorkspace};
+    use circnn_nn::Layer;
+    let (m, n, k, batch) = (2048usize, 2048usize, 32usize, 64usize);
+    let w = BlockCirculantMatrix::from_weights(m, n, k, &random_weights(m * n / k, 5)).unwrap();
+    let x = random_weights(batch * n, 6);
+    let g = random_weights(batch * m, 7);
+    let run = |threads: usize| {
+        let mut ws = Workspace::new();
+        let (mut y, mut gx) = (vec![0.0f32; batch * m], vec![0.0f32; batch * n]);
+        let mut wg = vec![0.0f32; w.num_parameters()];
+        w.forward_batch_into_with_threads(&x, batch, &mut ws, &mut y, threads)
+            .unwrap();
+        w.backward_batch_into_with_threads(&g, batch, &mut ws, &mut gx, threads)
+            .unwrap();
+        w.weight_gradient_batch_with_threads(&mut ws, &mut wg, threads)
+            .unwrap();
+        (y, gx, wg)
+    };
+    assert!(run(1) == run(2), "f32 FC diverged across thread counts");
+
+    let qop = circnn_core::QuantizedOperator::from_operator(&w, QuantConfig::default()).unwrap();
+    let qrun = |threads: usize| {
+        let mut y = vec![0.0f32; batch * m];
+        qop.infer_batch_into(&x, batch, &mut QuantWorkspace::new(), &mut y, threads)
+            .unwrap();
+        y
+    };
+    assert!(qrun(1) == qrun(2), "i16 FC diverged across thread counts");
+
+    let mut rng = circnn_tensor::init::seeded_rng(8);
+    let mut conv = CirculantConv2d::new(&mut rng, 16, 16, 3, 1, 1, 8).unwrap();
+    conv.set_training(false);
+    let cx = circnn_tensor::init::uniform(&mut rng, &[8, 16, 28, 28], -1.0, 1.0);
+    let crun = |threads: usize| {
+        let mut y = vec![0.0f32; 8 * 16 * 28 * 28];
+        conv.infer_batch_into(&cx, &mut ConvWorkspace::new(), &mut y, threads)
+            .unwrap();
+        y
+    };
+    assert!(crun(1) == crun(2), "conv diverged across thread counts");
 }
 
 /// Random conv configurations: channels, out-channels, kernel, stride,
@@ -557,7 +675,7 @@ proptest! {
         logk in 0u32..4,
         in_dim in 1usize..12,
         hidden in 1usize..32,
-        batch in 2usize..6,
+        batch in wide_batches(),
         threads in 2usize..6,
         seed in any::<u64>(),
     ) {

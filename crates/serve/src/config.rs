@@ -39,17 +39,20 @@ pub enum OverloadPolicy {
 /// The two policy knobs trade latency for occupancy exactly like the
 /// hardware pipelines the paper targets: `max_batch` caps the slab a
 /// worker assembles (the FFT engine's lane count), `max_wait` bounds how
-/// long a request may age in a forming batch before the slab is flushed
-/// partially full. Workers belong to the shared pool
+/// long a request may age in a forming batch **while the pool is busy**
+/// before the slab is flushed partially full — an idle pool dispatches
+/// what it has at once. Workers belong to the shared pool
 /// ([`MultiServer::start`](crate::MultiServer::start)), not to a tenant.
 #[derive(Debug, Clone)]
 pub struct TenantConfig {
     /// Largest number of requests coalesced into one `[B, n]` slab.
     pub max_batch: usize,
     /// Maximum batching slack: how long a request without an explicit
-    /// deadline may wait for its slab to fill before a partial flush (it
-    /// also bounds the slack of requests *with* deadlines — a tighter
-    /// explicit deadline flushes sooner).
+    /// deadline may be charged waiting for its slab to fill while other
+    /// workers are running slabs, before a partial flush (it also bounds
+    /// the slack of requests *with* deadlines — a tighter explicit
+    /// deadline flushes sooner). Never spent on an idle pool: a worker
+    /// with nothing running beside it dispatches what it has collected.
     pub max_wait: Duration,
     /// Bound of this tenant's submission queue; a full queue blocks
     /// [`TenantHandle::submit`](crate::TenantHandle::submit) and fails

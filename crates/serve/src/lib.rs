@@ -22,7 +22,9 @@
 //!  TenantHandle             │ tenant "a": bounded FIFO ┐ pick the queue │
 //!   .submit([n]) ─────────► │ tenant "b": bounded FIFO ┤ whose deadline │
 //!   ▲ blocks when full      │   …   (Mutex + Condvar)  ┘ is tightest;   │
-//!   │ (backpressure)        │   │ collect ≤ max_batch, wait ≤ max_wait │
+//!   │ (backpressure)        │   │ collect ≤ max_batch; dispatch at     │
+//!   │                       │   │ once if no other worker is running a │
+//!   │                       │   │ slab, else keep filling ≤ max_wait   │
 //!   │                       │   ▼                                      │
 //!  ResponseHandle ◄──────── │ worker 0 ░ [B,n] slab ─► Arc<model>      │
 //!   .wait() → [m] row       │ worker 1 ░ [B,n] slab ─► (shared,        │
@@ -36,10 +38,14 @@
 //!   model with its own bounded queue, [`TenantConfig`] batching policy
 //!   and per-tenant [`ServeStats`]. Serving a single model is the
 //!   one-tenant case of the same code.
-//! * **Batching policy** — a worker collects up to
-//!   [`TenantConfig::max_batch`] requests; once the *oldest* collected
-//!   request has waited [`TenantConfig::max_wait`], the slab is flushed
-//!   partially full. Full slabs flush immediately.
+//! * **Batching policy** — work-conserving: a worker drains its queue
+//!   into a slab of up to [`TenantConfig::max_batch`] requests and
+//!   dispatches it at once when no other worker is running a slab (a lone
+//!   request on an idle pool never waits; requests that arrive while a
+//!   slab runs queue up behind it and leave together). While other workers
+//!   are busy the slab keeps filling until the *oldest* collected request
+//!   has waited [`TenantConfig::max_wait`] or a busy worker finishes.
+//!   Full slabs flush immediately.
 //! * **Backpressure and overload** — the queue is bounded
 //!   ([`TenantConfig::queue_capacity`]); at capacity
 //!   [`TenantHandle::submit`] blocks, fails fast or sheds the stalest

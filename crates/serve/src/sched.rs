@@ -11,9 +11,13 @@
 //!    is tighter;
 //! 2. a free worker always serves the queue whose tightest effective
 //!    deadline is earliest;
-//! 3. while a slab is filling, the wait is bounded by the slab's own
-//!    tightest effective deadline *and* by any other queue's urgency — a
-//!    tight-deadline tenant preempts a slack tenant's batching slack;
+//! 3. batching is **work-conserving**: a worker that has drained its
+//!    queue into a slab dispatches at once when no other worker is running
+//!    a slab — waiting could only idle the pool. While other workers are
+//!    busy the slab keeps filling, bounded by its own tightest effective
+//!    deadline *and* by any other queue's urgency (a tight-deadline tenant
+//!    preempts a slack tenant's batching slack), and a worker finishing its
+//!    slab wakes the collecting one to re-evaluate;
 //! 4. a request whose explicit deadline has already passed is failed fast
 //!    with [`ServeError::DeadlineExceeded`] instead of running late (and
 //!    counted in [`ServeStats::expired`](crate::ServeStats::expired)).
@@ -100,6 +104,8 @@ struct PoolState {
     tenants: Vec<Tenant>,
     next_id: u64,
     shutdown: bool,
+    /// Workers currently running a slab (outside the lock).
+    busy: usize,
 }
 
 impl PoolState {
@@ -178,6 +184,7 @@ impl MultiServer {
                 tenants: Vec::new(),
                 next_id: 0,
                 shutdown: false,
+                busy: 0,
             }),
             wake_workers: Condvar::new(),
             space: Condvar::new(),
@@ -576,9 +583,10 @@ fn worker_loop(shared: &Shared) {
             }
             // Every pop frees queue capacity — wake blocked submitters now.
             shared.space.notify_all();
-            // Collection wait: fill the slab until it is full, its own
-            // tightest effective deadline arrives, or another queue becomes
-            // more urgent than waiting any longer would allow.
+            // Collection wait: fill the slab until it is full, the pool
+            // would otherwise idle, its own tightest effective deadline
+            // arrives, or another queue becomes more urgent than waiting
+            // any longer would allow.
             loop {
                 if batch.len() >= max_batch {
                     reason = FlushReason::Full;
@@ -586,6 +594,11 @@ fn worker_loop(shared: &Shared) {
                 }
                 if st.shutdown {
                     reason = FlushReason::Drain;
+                    break;
+                }
+                if st.busy == 0 {
+                    // Queue drained, no slab running: waiting overlaps nothing.
+                    reason = FlushReason::Idle;
                     break;
                 }
                 let flush_at = batch
@@ -634,6 +647,7 @@ fn worker_loop(shared: &Shared) {
                 }
                 shared.space.notify_all();
             }
+            st.busy += 1;
         }
         // Dispatch outside the lock: other workers keep scheduling while
         // this slab runs.
@@ -674,6 +688,7 @@ fn worker_loop(shared: &Shared) {
                 for r in batch.drain(..) {
                     r.done.fulfill(Err(ServeError::Canceled));
                 }
+                finish_slab(shared, tid, |_| {});
                 continue;
             }
             let mut succeeded = 0u64;
@@ -699,12 +714,13 @@ fn worker_loop(shared: &Shared) {
                     }
                 }
             }
-            if let Some(t) = lock(&shared.state).tenant_mut(tid) {
-                t.stats.record_retries(b as u64, succeeded);
+            // The worker stayed busy through the quarantine pass.
+            finish_slab(shared, tid, |stats| {
+                stats.record_retries(b as u64, succeeded);
                 for _ in 0..repanics {
-                    t.stats.record_panic();
+                    stats.record_panic();
                 }
-            }
+            });
             continue;
         }
         let completed = Instant::now();
@@ -719,14 +735,26 @@ fn worker_loop(shared: &Shared) {
         // reply in hand must see this batch in the tenant's stats. (The
         // tenant may have been removed while the batch ran; its stats die
         // with it.)
-        if let Some(t) = lock(&shared.state).tenant_mut(tid) {
-            t.stats
-                .record_batch(b, reason, infer, latency_sum, latency_max);
-        }
+        finish_slab(shared, tid, |stats| {
+            stats.record_batch(b, reason, infer, latency_sum, latency_max);
+        });
         for (i, r) in batch.drain(..).enumerate() {
             r.done.fulfill(Ok(out[i * m..(i + 1) * m].to_vec()));
         }
     }
+}
+
+/// A worker's slab has run: the pool has one busy worker fewer, `record`
+/// folds the outcome into the tenant's stats (if it still exists), and a
+/// worker collecting behind this one is woken to re-evaluate.
+fn finish_slab(shared: &Shared, tid: u64, record: impl FnOnce(&mut StatsAccum)) {
+    let mut st = lock(&shared.state);
+    st.busy -= 1;
+    if let Some(t) = st.tenant_mut(tid) {
+        record(&mut t.stats);
+    }
+    drop(st);
+    shared.wake_workers.notify_all();
 }
 
 #[cfg(test)]

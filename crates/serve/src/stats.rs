@@ -7,7 +7,11 @@ use std::time::Duration;
 pub enum FlushReason {
     /// The slab reached `max_batch` requests.
     Full,
-    /// The oldest collected request aged past `max_wait`.
+    /// The queue was drained and no other worker was running a slab:
+    /// waiting could only have idled the pool.
+    Idle,
+    /// While other workers were busy, the oldest collected request aged
+    /// past `max_wait` (or another tenant's deadline preempted the wait).
     Timeout,
     /// Shutdown drain: flush whatever is collected, immediately.
     Drain,
@@ -20,6 +24,7 @@ pub(crate) struct StatsAccum {
     pub requests: u64,
     pub batches: u64,
     pub full_flushes: u64,
+    pub idle_flushes: u64,
     pub timeout_flushes: u64,
     pub drain_flushes: u64,
     pub expired: u64,
@@ -46,6 +51,7 @@ impl StatsAccum {
         self.batches += 1;
         match reason {
             FlushReason::Full => self.full_flushes += 1,
+            FlushReason::Idle => self.idle_flushes += 1,
             FlushReason::Timeout => self.timeout_flushes += 1,
             FlushReason::Drain => self.drain_flushes += 1,
         }
@@ -94,6 +100,7 @@ impl StatsAccum {
             requests: self.requests,
             batches: self.batches,
             full_flushes: self.full_flushes,
+            idle_flushes: self.idle_flushes,
             timeout_flushes: self.timeout_flushes,
             drain_flushes: self.drain_flushes,
             expired: self.expired,
@@ -121,7 +128,11 @@ pub struct ServeStats {
     pub batches: u64,
     /// Batches flushed because they reached `max_batch`.
     pub full_flushes: u64,
-    /// Batches flushed because the oldest request hit `max_wait`.
+    /// Batches flushed because the queue was drained and no other worker
+    /// was running a slab (the work-conserving flush).
+    pub idle_flushes: u64,
+    /// Batches flushed, while other workers were busy, because the oldest
+    /// request hit `max_wait` (or another tenant's deadline cut the wait).
     pub timeout_flushes: u64,
     /// Batches flushed while draining at shutdown.
     pub drain_flushes: u64,
@@ -161,7 +172,7 @@ impl core::fmt::Display for ServeStats {
         write!(
             f,
             "{} requests in {} batches (occupancy mean {:.1}, max {}; \
-             flushes {} full / {} timeout / {} drain; {} expired; \
+             flushes {} full / {} idle / {} timeout / {} drain; {} expired; \
              {} shed / {} rejected; {} panics / {} retries; \
              latency mean {:.0} µs, max {:.0} µs)",
             self.requests,
@@ -169,6 +180,7 @@ impl core::fmt::Display for ServeStats {
             self.mean_occupancy,
             self.max_occupancy,
             self.full_flushes,
+            self.idle_flushes,
             self.timeout_flushes,
             self.drain_flushes,
             self.expired,

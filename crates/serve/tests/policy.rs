@@ -1,10 +1,10 @@
-//! Batching-policy edge cases on a one-tenant pool: partial-batch timeout
-//! flushes, oversize splits, backpressure, shutdown drains, panic
+//! Batching-policy edge cases on a one-tenant pool: the work-conserving
+//! flush (idle pool, deep queue, busy sibling worker), oversize splits, backpressure, shutdown drains, panic
 //! quarantine, overload policies, and the bit-identity guarantee the
 //! whole design rests on.
 
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use circnn_core::{BlockCirculantMatrix, Workspace};
 use circnn_nn::{Layer, Linear, Relu, Sequential};
@@ -41,34 +41,151 @@ fn request(n: usize, seed: u64) -> Vec<f32> {
         .to_vec()
 }
 
-/// A partial batch must not wait for `max_batch`: once the oldest request
-/// ages past `max_wait`, the slab flushes with whatever it holds.
+/// Work-conserving batching: on an idle pool a lone request is dispatched
+/// at once — `max_wait` is slack to spend while workers are busy, not a
+/// timer an idle worker sleeps out.
 #[test]
-fn partial_batch_flushes_on_max_wait() {
-    let w = operator(32, 48, 8, 1);
+fn lone_request_on_an_idle_pool_is_dispatched_at_once() {
     let (pool, tenant) = serve(
-        Arc::new(w),
+        Arc::new(SlowEcho {
+            len: 4,
+            delay: Duration::from_millis(5),
+        }),
         1,
         TenantConfig {
-            max_batch: 64, // never reachable with 3 requests
-            max_wait: Duration::from_millis(20),
+            max_batch: 64, // never reachable with one request
+            max_wait: Duration::from_millis(200),
             queue_capacity: 64,
             ..Default::default()
         },
     );
-    let handles: Vec<_> = (0..3)
-        .map(|i| tenant.submit(request(48, 100 + i)).unwrap())
+    let sent = Instant::now();
+    tenant.submit(vec![1.0; 4]).unwrap().wait().unwrap();
+    let took = sent.elapsed();
+    assert!(
+        took < Duration::from_millis(50),
+        "an idle pool sat on a lone request for {took:?}"
+    );
+    let stats = shutdown(pool, &tenant);
+    assert_eq!(
+        (stats.requests, stats.idle_flushes, stats.timeout_flushes),
+        (1, 1, 0),
+        "{stats}"
+    );
+}
+
+/// The other half of the rule: requests that queue up behind a running
+/// slab still leave in slabs of `max_batch` — the idle flush must not turn
+/// a deep queue into a storm of small batches.
+#[test]
+fn requests_queued_behind_a_running_slab_leave_in_full_slabs() {
+    let max_batch = 16;
+    let (pool, tenant) = serve(
+        Arc::new(SlowEcho {
+            len: 4,
+            delay: Duration::from_millis(40),
+        }),
+        1,
+        TenantConfig {
+            max_batch,
+            max_wait: Duration::from_millis(200),
+            queue_capacity: 64,
+            ..Default::default()
+        },
+    );
+    // The blocker is dispatched alone (idle pool); the 64 behind it all
+    // arrive while it runs.
+    let blocker = tenant.submit(vec![0.0; 4]).unwrap();
+    std::thread::sleep(Duration::from_millis(10));
+    let handles: Vec<_> = (0..64)
+        .map(|i| tenant.submit(vec![i as f32; 4]).unwrap())
         .collect();
-    for h in handles {
-        h.wait().unwrap(); // resolves despite the batch never filling
+    blocker.wait().unwrap();
+    for (i, h) in handles.into_iter().enumerate() {
+        assert_eq!(h.wait().unwrap(), vec![i as f32; 4]);
     }
     let stats = shutdown(pool, &tenant);
-    assert_eq!(stats.requests, 3);
-    assert!(
-        stats.timeout_flushes >= 1,
-        "partial batch must flush on the timer: {stats}"
+    assert_eq!(stats.requests, 65);
+    assert_eq!(stats.full_flushes, 64 / max_batch as u64, "{stats}");
+    assert_eq!(stats.max_occupancy, max_batch, "{stats}");
+    assert_eq!(
+        (stats.idle_flushes, stats.timeout_flushes),
+        (1, 0),
+        "{stats}"
     );
-    assert!(stats.max_occupancy <= 3);
+}
+
+/// With two workers and one busy, a lone request is still batching slack:
+/// the collecting worker holds it, but for no longer than `max_wait`.
+#[test]
+fn lone_request_behind_a_busy_worker_waits_at_most_max_wait() {
+    let (pool, tenant) = serve(
+        Arc::new(SlowEcho {
+            len: 4,
+            delay: Duration::from_millis(300),
+        }),
+        2,
+        TenantConfig {
+            max_batch: 8,
+            max_wait: Duration::from_millis(40),
+            queue_capacity: 8,
+            ..Default::default()
+        },
+    );
+    let blocker = tenant.submit(vec![0.0; 4]).unwrap();
+    std::thread::sleep(Duration::from_millis(20));
+    // The blocker runs until ≈ 300 ms; the lone request must start at
+    // ≈ 20 + 40 ms on the second worker rather than queue behind it.
+    let sent = Instant::now();
+    tenant.submit(vec![1.0; 4]).unwrap().wait().unwrap();
+    let took = sent.elapsed();
+    assert!(
+        took >= Duration::from_millis(300 + 30) && took < Duration::from_millis(300 + 150),
+        "expected ≈ max_wait + one model run, took {took:?}"
+    );
+    blocker.wait().unwrap();
+    let stats = shutdown(pool, &tenant);
+    assert_eq!(
+        (stats.idle_flushes, stats.timeout_flushes),
+        (1, 1),
+        "{stats}"
+    );
+}
+
+/// …and it is released early when the busy worker finishes: from then on
+/// waiting could only idle the pool.
+#[test]
+fn lone_request_is_released_when_the_busy_worker_finishes() {
+    let (pool, tenant) = serve(
+        Arc::new(SlowEcho {
+            len: 4,
+            delay: Duration::from_millis(100),
+        }),
+        2,
+        TenantConfig {
+            max_batch: 8,
+            max_wait: Duration::from_secs(30),
+            queue_capacity: 8,
+            ..Default::default()
+        },
+    );
+    let blocker = tenant.submit(vec![0.0; 4]).unwrap();
+    std::thread::sleep(Duration::from_millis(20));
+    let sent = Instant::now();
+    tenant.submit(vec![1.0; 4]).unwrap().wait().unwrap();
+    let took = sent.elapsed();
+    // ≈ 80 ms until the blocker finishes, then one 100 ms run.
+    assert!(
+        took >= Duration::from_millis(150) && took < Duration::from_secs(2),
+        "expected release at the busy worker's finish, took {took:?}"
+    );
+    blocker.wait().unwrap();
+    let stats = shutdown(pool, &tenant);
+    assert_eq!(
+        (stats.idle_flushes, stats.timeout_flushes),
+        (2, 0),
+        "{stats}"
+    );
 }
 
 /// Offered load beyond `max_batch` splits into multiple full slabs; no

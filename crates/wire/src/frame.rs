@@ -403,6 +403,7 @@ pub fn encode_reply_tagged(tag: Tag, reply: &Reply, buf: &mut Vec<u8>) {
             put_f64(buf, stats.mean_infer_us);
             put_f64(buf, stats.mean_latency_us);
             put_f64(buf, stats.max_latency_us);
+            put_u64(buf, stats.idle_flushes);
         }
         Reply::Infer { output } => {
             start_frame(buf, tag, opcode::INFER_REPLY);
@@ -711,6 +712,7 @@ pub fn decode_reply_tagged(frame: &[u8]) -> Result<(Tag, Reply), WireError> {
                 mean_infer_us: c.f64()?,
                 mean_latency_us: c.f64()?,
                 max_latency_us: c.f64()?,
+                idle_flushes: c.u64()?,
             },
         },
         opcode::INFER_REPLY => Reply::Infer { output: c.f32s()? },

@@ -67,20 +67,21 @@ fn request_strategy() -> impl Strategy<Value = Request> {
 fn stats_strategy() -> impl Strategy<Value = ServeStats> {
     (
         (any::<u64>(), any::<u64>(), any::<u64>(), any::<u64>()),
-        (any::<u64>(), any::<u64>(), 0usize..1_000_000),
+        (any::<u64>(), any::<u64>(), 0usize..1_000_000, any::<u64>()),
         (any::<u64>(), any::<u64>(), any::<u64>(), any::<u64>()),
         (0.0f64..1e9, 0.0f64..1e9, 0.0f64..1e9, 0.0f64..1e9),
     )
         .prop_map(
             |(
                 (requests, batches, full_flushes, timeout_flushes),
-                (drain_flushes, expired, max_occupancy),
+                (drain_flushes, expired, max_occupancy, idle_flushes),
                 (shed, rejected, panics, retries),
                 (mean_occupancy, mean_infer_us, mean_latency_us, max_latency_us),
             )| ServeStats {
                 requests,
                 batches,
                 full_flushes,
+                idle_flushes,
                 timeout_flushes,
                 drain_flushes,
                 expired,
