@@ -32,7 +32,7 @@
 //! 3. **Output IFFT with fused epilogue** — one real-input batch-plane
 //!    inverse per output block row for the whole batch (the single shared
 //!    IFFT per output block the hardware's peripheral block performs); the
-//!    per-channel bias is applied inside the IFFT's unpack pass, leaving
+//!    per-channel bias is applied to each block right after its IFFT, leaving
 //!    only a pure layout copy into the `[B, P, OH, OW]` slab.
 //!
 //! Only the `k/2 + 1` unique half-spectrum rows are ever stored or swept
@@ -354,7 +354,7 @@ pub(crate) fn plan_runs<'a>(
 
 /// The last stage of a conv forward: the pure layout copy from the
 /// `[block][k][acc lanes]` staging planes into the `[B, P, OH, OW]` slab
-/// (the per-channel bias already rode the IFFT's unpack pass).
+/// (the per-channel bias already rode the IFFT's fused epilogue).
 #[inline]
 pub(crate) fn scatter_staged(
     stage: &[f32],
@@ -524,9 +524,9 @@ impl ConvWorkspace {
             },
         );
         // Stage 3: one real plane inverse per output block row with the
-        // fused epilogue — the per-channel bias rides the IFFT's unpack
-        // pass, so the scatter into the [B, P, OH, OW] slab below is a pure
-        // layout copy.
+        // fused epilogue — the per-channel bias is added to each block
+        // right after its IFFT, so the scatter into the [B, P, OH, OW] slab
+        // below is a pure layout copy.
         let (acc_re, acc_im): (&[f32], &[f32]) = (acc_re, acc_im);
         let stage = &mut stage[..p * k * l_acc];
         let epi = Epilogue {

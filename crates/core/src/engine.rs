@@ -30,11 +30,12 @@
 //!   kernel offset as a constant plane shift — including **strided** convs,
 //!   whose input lanes advance by `stride` per output lane.
 //! * [`ifft_blocks`] / [`ifft_epilogue_blocks`] — the plane IFFT; the
-//!   epilogue variant fuses a per-row **bias add and activation into the
-//!   IFFT's unpack pass** ([`circnn_fft::BatchFftPlan::inverse_planes_real_epilogue`]),
-//!   so the separate post-IFFT bias sweep over the full output is gone
-//!   (the "stage 3 fusion" item). The finished rows land in `[block][k][lanes]`
-//!   staging; the only pass left after the IFFT is a pure layout copy.
+//!   epilogue variant applies a per-row **bias add and activation to each
+//!   block right after its inverse**, while the block's `[k][lanes]` plane
+//!   is cache-hot, so the separate post-IFFT bias sweep over the full
+//!   output is gone (the "stage 3 fusion" item). The finished rows land in
+//!   `[block][k][lanes]` staging; the only pass left after the IFFT is a
+//!   pure layout copy.
 //!
 //! [`Workspace`](crate::Workspace) (FC/RNN applies, lanes = batch),
 //! [`ConvWorkspace`](crate::ConvWorkspace) (lanes = batch·pixels) and
@@ -80,7 +81,7 @@ impl Epilogue<'static> {
 impl Epilogue<'_> {
     /// Whether this epilogue changes any row (an identity epilogue lets
     /// the IFFT transform in place in the staging planes instead of
-    /// paying the row-sink copy).
+    /// paying the copy out of the FFT scratch).
     pub fn is_identity(&self) -> bool {
         self.bias.is_none() && self.act == Activation::Identity
     }
@@ -362,12 +363,12 @@ pub(crate) fn ifft_blocks(
 }
 
 /// The plane IFFT with the **fused epilogue**: per block, the accumulator
-/// rows ride one real-input inverse whose unpack pass hands each finished
-/// time-domain row out; the bias for logical row `i·k + t` and the
-/// activation are applied while the row is cache-hot, and the finished row
-/// is staged at `stage[il·k + t][lanes]`. The separate post-IFFT bias
-/// sweep over the whole output is gone; the only pass after this is a pure
-/// layout copy (which threads never race: `stage` is chunked per block by
+/// rows ride one real-input inverse; the bias for logical row `i·k + t`
+/// and the activation are applied to each finished time-domain row while
+/// the block is cache-hot, and the finished row is staged at
+/// `stage[il·k + t][lanes]`. The separate post-IFFT bias sweep over the
+/// whole output is gone; the only pass after this is a pure layout copy
+/// (which threads never race: `stage` is chunked per block by
 /// [`par_planes`]).
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn ifft_epilogue_blocks(
@@ -394,13 +395,11 @@ pub(crate) fn ifft_epilogue_blocks(
     }
 }
 
-/// One block's inverse + fused epilogue, `pre`/`pim` pre-filled with the
-/// block's spectrum rows (the fill is the caller's — it is where the
-/// quantized path fuses its dequant multiply). The `lanes == 1` mirror of
-/// the pack-side fast path: a single-lane block is one contiguous length-`k`
-/// row, so the plain in-place inverse (bitwise-identical to the epilogue
-/// unpack — the fft crate tests this) plus one sweep over the row replaces
-/// `k` per-row sink closure calls.
+/// One block's inverse + epilogue, `pre`/`pim` pre-filled with the block's
+/// spectrum rows (the fill is the caller's — it is where the quantized path
+/// fuses its dequant multiply). The inverse leaves the block's `[k][lanes]`
+/// plane in `pre`; each row then takes its bias and activation while the
+/// small plane is still cache-hot, and the plane is staged in one copy.
 #[allow(clippy::too_many_arguments)]
 fn inverse_epilogue_block(
     plan: &BatchFftPlan<f32>,
@@ -412,45 +411,22 @@ fn inverse_epilogue_block(
     pre: &mut [f32],
     pim: &mut [f32],
 ) {
-    if lanes == 1 {
-        plan.inverse_planes_real(&mut pre[..k], &mut pim[..k], 1)
-            .expect("plane buffers are sized before dispatch");
-        if let Some(bias) = epi.bias {
-            for (t, v) in pre[..k].iter_mut().enumerate() {
-                if let Some(&b) = bias.get(i * k + t) {
-                    *v += b;
-                }
+    let pre = &mut pre[..k * lanes];
+    plan.inverse_planes_real(pre, &mut pim[..k * lanes], lanes)
+        .expect("plane buffers are sized before dispatch");
+    for (t, row) in pre.chunks_exact_mut(lanes).enumerate() {
+        if let Some(&b) = epi.bias.and_then(|bias| bias.get(i * k + t)) {
+            for v in row.iter_mut() {
+                *v += b;
             }
         }
         if epi.act == Activation::Tanh {
-            for v in pre[..k].iter_mut() {
+            for v in row.iter_mut() {
                 *v = v.tanh();
             }
         }
-        sblock[..k].copy_from_slice(&pre[..k]);
-        return;
     }
-    plan.inverse_planes_real_epilogue(
-        &mut pre[..k * lanes],
-        &mut pim[..k * lanes],
-        lanes,
-        &mut |t, row| {
-            if let Some(bias) = epi.bias {
-                if let Some(&b) = bias.get(i * k + t) {
-                    for v in row.iter_mut() {
-                        *v += b;
-                    }
-                }
-            }
-            if epi.act == Activation::Tanh {
-                for v in row.iter_mut() {
-                    *v = v.tanh();
-                }
-            }
-            sblock[t * lanes..(t + 1) * lanes].copy_from_slice(row);
-        },
-    )
-    .expect("plane buffers are sized before dispatch");
+    sblock.copy_from_slice(pre);
 }
 
 /// The frequency-domain MAC of every f32 apply: FC, RNN and conv, forward

@@ -179,7 +179,7 @@ impl CirculantLinear {
 
     /// The batched affine kernel `Y = W·X + b` shared by the training-side
     /// [`Layer::forward_batch`] and the read-only [`Layer::infer_batch`]:
-    /// one fused engine call — the bias rides the plane IFFT's unpack pass
+    /// one fused engine call — the bias rides the plane IFFT of each block
     /// (the engine's fused epilogue) instead of a separate sweep over the
     /// output — and bit-identical outputs on both paths.
     fn batched_affine(&self, input: &Tensor, batch: usize, ws: &mut Workspace) -> Tensor {

@@ -873,13 +873,16 @@ enum Dir {
 /// Number of worker threads the batched kernels use by default.
 ///
 /// With the `parallel` feature (default) this is the machine's available
-/// parallelism; without it the kernels run on the calling thread. Thread
-/// count never changes results: every output element is accumulated in the
-/// same order, so serial and parallel runs are bit-identical.
+/// parallelism as a snapshot taken at first use (probing it re-reads the
+/// affinity mask and cgroup quota, ≈ 10 µs a call), so a later affinity
+/// change is not seen; without it the kernels run on the calling thread.
+/// Thread count never changes results: every output element is accumulated
+/// in the same order, so serial and parallel runs are bit-identical.
 pub fn default_batch_threads() -> usize {
     #[cfg(feature = "parallel")]
     {
-        std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get)
+        static THREADS: std::sync::OnceLock<usize> = std::sync::OnceLock::new();
+        *THREADS.get_or_init(|| std::thread::available_parallelism().map_or(1, usize::from))
     }
     #[cfg(not(feature = "parallel"))]
     {
@@ -1128,7 +1131,7 @@ impl BlockCirculantMatrix {
     }
 
     /// Crate-internal fused apply: `Y = act(W·X + bias)` with the bias and
-    /// activation folded into the plane IFFT's unpack pass (the engine's
+    /// activation folded into each block's plane IFFT (the engine's
     /// fused epilogue) — the layer adapters' serving path
     /// (`CirculantLinear` bias, the recurrent cell's `tanh`).
     #[allow(clippy::too_many_arguments)]
@@ -1235,12 +1238,12 @@ impl BlockCirculantMatrix {
         let acc_re = &acc_re[..];
         let acc_im = &acc_im[..];
         // Stage C: one plane inverse per output block with the fused
-        // epilogue — bias and activation ride the IFFT's unpack pass while
-        // each row is cache-hot, and the biased rows land in the
-        // `[block][k][batch]` staging planes. Parallel over output blocks.
-        // An identity epilogue (the raw applies, incl. the whole backward
-        // path) transforms in place in the staging planes instead, saving
-        // the row-sink copy.
+        // epilogue — bias and activation are applied to each block right
+        // after its IFFT, while it is cache-hot, and the biased rows land in
+        // the `[block][k][batch]` staging planes. Parallel over output
+        // blocks. An identity epilogue (the raw applies, incl. the whole
+        // backward path) transforms in place in the staging planes instead,
+        // saving the copy out of the FFT scratch.
         let stage_len = out_blocks * k * batch;
         let stage = &mut stage[..stage_len];
         if epi.is_identity() {

@@ -22,7 +22,7 @@
 //! 3. **Dequant + IFFT + epilogue** (`engine::ifft_epilogue_blocks_dq`)
 //!    — the per-block-row scale multiplies each i32 accumulator during the
 //!    copy into the inverse transform's scratch; bias and activation fuse
-//!    into the unpack pass exactly as in the f32 path.
+//!    into each block's inverse exactly as in the f32 path.
 //! 4. A pure layout copy into the caller's slab.
 //!
 //! Accumulation safety is a **registration-time contract**, not a runtime

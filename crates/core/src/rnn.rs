@@ -11,8 +11,8 @@
 //!   block-circulant. The batched step is **fused end to end on the
 //!   engine**: both matmuls' frequency-domain products accumulate into
 //!   *one* set of accumulator planes (the sum moves inside the IFFT by
-//!   linearity), and the bias add plus `tanh` ride the plane IFFT's unpack
-//!   pass — one IFFT per output block per step instead of two, no
+//!   linearity), and the bias add plus `tanh` ride each block's plane
+//!   IFFT — one IFFT per output block per step instead of two, no
 //!   post-IFFT sweep at all. The cached weight spectra stay resident in
 //!   the operators across timesteps, so a sequence costs one weight-plane
 //!   sweep per step for the whole batch.
@@ -258,7 +258,7 @@ impl CirculantRnnCell {
     /// `W_ih` MAC overwrites the shared accumulator planes and the `W_hh`
     /// MAC **accumulates** into them (the sum `W_ih·x + W_hh·h` moves
     /// inside the IFFT by linearity), and a single plane IFFT per output
-    /// block applies bias and `tanh` in its unpack pass — the cell's
+    /// block applies bias and `tanh` to its cache-hot output — the cell's
     /// entire nonlinear update without one post-IFFT sweep. Each weight
     /// spectrum is swept once per step for the whole batch, and a warm
     /// `ws` makes the step allocation-free.
@@ -371,7 +371,7 @@ impl CirculantRnnCell {
             },
         );
         // Stage C: one plane IFFT per output block with the fused epilogue
-        // — bias and tanh ride the unpack pass.
+        // — bias and tanh ride each block's inverse.
         let (acc_re, acc_im): (&[f32], &[f32]) = (acc_re, acc_im);
         let stage = &mut stage[..p * k * batch];
         let epi = Epilogue {

@@ -159,9 +159,33 @@ fn batched_round_trip_is_allocation_free_after_warmup() {
             .unwrap();
     };
 
+    // The FFT codelets' regimes: B = 9 is one 8-lane tile plus a lone lane
+    // for a forward and a backward, and a k = 128 operator at B = 1 runs the
+    // largest single-lane codelet.
+    let w128 = BlockCirculantMatrix::from_weights(256, 256, 128, &seeded(4 * 128, 31)).unwrap();
+    let (x9, g9, mut ws9, mut ws128) = (
+        seeded(9 * n, 32),
+        seeded(9 * m, 33),
+        Workspace::new(),
+        Workspace::new(),
+    );
+    let (mut y9, mut gx9) = (vec![0.0f32; 9 * m], vec![0.0f32; 9 * n]);
+    let (mut y128, mut gx128) = (vec![0.0f32; 256], vec![0.0f32; 256]);
+    let mut codelet_round = || {
+        w.forward_batch_into_with_threads(&x9, 9, &mut ws9, &mut y9, 1)
+            .unwrap();
+        w.backward_batch_into_with_threads(&g9, 9, &mut ws9, &mut gx9, 1)
+            .unwrap();
+        w128.forward_batch_into_with_threads(&x9[..256], 1, &mut ws128, &mut y128, 1)
+            .unwrap();
+        w128.backward_batch_into_with_threads(&g9[..256], 1, &mut ws128, &mut gx128, 1)
+            .unwrap();
+    };
+
     // Warm-up sizes every workspace buffer (the serial path: the parallel
     // path's only allocations are the spawned threads' stacks).
     quantized_and_lone_round();
+    codelet_round();
     w.forward_batch_into_with_threads(&x, batch, &mut ws, &mut y, 1)
         .unwrap();
     w.backward_batch_into_with_threads(&g, batch, &mut ws, &mut gx, 1)
@@ -196,6 +220,8 @@ fn batched_round_trip_is_allocation_free_after_warmup() {
     rnn.infer_batch_into(&rx, &mut rws, &mut rout, 1).unwrap();
     quantized_and_lone_round();
     quantized_and_lone_round();
+    codelet_round();
+    codelet_round();
     COUNTING.with(|c| c.set(false));
     let during = ALLOCATIONS.load(Ordering::SeqCst);
 

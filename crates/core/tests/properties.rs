@@ -24,10 +24,11 @@ fn random_weights(len: usize, seed: u64) -> Vec<f32> {
         .collect()
 }
 
-/// Batch sizes on both sides of the SSE2 (4) and AVX2 (8) vector widths:
-/// tail-only, whole vectors, and vectors plus a tail.
+/// Batch sizes on both sides of the SSE2 (4) and AVX2 (8) vector widths
+/// and of the FFT codelets' 8-lane tile: tail-only, whole vectors or tiles,
+/// and vectors or tiles plus a tail (9 is one tile and one lone lane).
 fn wide_batches() -> impl Strategy<Value = usize> {
-    (0usize..6).prop_map(|i| [2, 3, 5, 8, 17, 32][i])
+    (0usize..7).prop_map(|i| [2, 3, 5, 8, 9, 17, 32][i])
 }
 
 proptest! {

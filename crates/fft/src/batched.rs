@@ -13,9 +13,27 @@
 //! input vector every cycle: the butterfly structure is fixed, only the data
 //! streams.
 
+use core::array::from_fn;
+
 use crate::complex::Complex;
 use crate::error::FftError;
 use crate::float::Float;
+
+/// Lanes per codelet tile. Below this many lanes each lane runs alone (its
+/// butterflies unroll into straight-line code); from it on, tiles of `TILE`
+/// lanes run together (each butterfly is one `TILE`-wide operation) and
+/// the ragged tail runs lane by lane.
+const TILE: usize = 8;
+
+/// An unrolled real-input transform of one half-length `H ∈ {2, …, 64}`
+/// (block sizes k = 4…128). It runs exactly the radix-2 path's butterflies:
+/// the same stages and twiddles (trivial ones included) read from the
+/// plan's tables, the conjugate as `ZERO − wi`, the `1/h` scale as its own
+/// multiply, plain mul/add, so its output is bit-identical. What goes is
+/// the memory traffic: the even/odd pack and the bit reversal are the
+/// tile's load order, every stage runs on the stack tile, and the twiddle
+/// unpack (or the interleave) is its store. The flag selects the inverse.
+type Codelet<T> = fn(&BatchFftPlan<T>, &mut [T], &mut [T], usize, bool);
 
 /// A planned radix-2 FFT of power-of-two length `n` over `[n][batch]`
 /// split re/im planes.
@@ -52,6 +70,9 @@ pub struct BatchFftPlan<T> {
     /// (empty on inner half plans).
     rtw_re: Vec<T>,
     rtw_im: Vec<T>,
+    /// The real-input transforms' codelet, for `n ∈ {4, …, 128}`; other
+    /// lengths run the pack + [`Self::permute`] + [`Self::butterflies`] path.
+    codelet: Option<Codelet<T>>,
 }
 
 impl<T: Float> BatchFftPlan<T> {
@@ -109,6 +130,16 @@ impl<T: Float> BatchFftPlan<T> {
         } else {
             half
         };
+        let codelet: Option<Codelet<T>> = match n {
+            _ if half.is_none() => None,
+            4 => Some(Self::codelet::<2>),
+            8 => Some(Self::codelet::<4>),
+            16 => Some(Self::codelet::<8>),
+            32 => Some(Self::codelet::<16>),
+            64 => Some(Self::codelet::<32>),
+            128 => Some(Self::codelet::<64>),
+            _ => None,
+        };
         Ok(Self {
             n,
             tw_re,
@@ -117,6 +148,7 @@ impl<T: Float> BatchFftPlan<T> {
             half,
             rtw_re,
             rtw_im,
+            codelet,
         })
     }
 
@@ -212,6 +244,10 @@ impl<T: Float> BatchFftPlan<T> {
             im[..batch].fill(T::ZERO);
             return Ok(());
         }
+        if let Some(codelet) = self.codelet {
+            codelet(self, re, im, batch, false);
+            return Ok(());
+        }
         let h = n / 2;
         // Pack lane-wise: half-signal row m is x[2m] + i·x[2m+1]. Ascending
         // m only writes rows ≤ m while reading rows 2m and 2m+1 ≥ m.
@@ -220,55 +256,14 @@ impl<T: Float> BatchFftPlan<T> {
             let src = (2 * m + 1) * batch;
             im[m * batch..(m + 1) * batch].copy_from_slice(&re[src..src + batch]);
         }
-        let half = self.half.as_ref().expect("n >= 2 always has a half plan");
-        half.forward_planes(&mut re[..h * batch], &mut im[..h * batch], batch)?;
-        // Unpack the interleaved spectrum Z into the real signal's bins:
-        // E[k] = (Z[k] + conj(Z[h−k]))/2, O[k] = (Z[k] − conj(Z[h−k]))/(2i),
-        // X[k] = E[k] + e^{−2πik/n}·O[k]. The mirror bin of the pair reuses
-        // the same E/O (conjugated), so each pair is loaded once. Lanes run
-        // in fixed-size register tiles (loads complete before the aliased
-        // rows are overwritten, and the stride-1 tile loops vectorize).
-        const L: usize = 16;
-        let mut zkr = [T::ZERO; L];
-        let mut zki = [T::ZERO; L];
-        let mut znr = [T::ZERO; L];
-        let mut zni = [T::ZERO; L];
-        let mut xr = [T::ZERO; L];
-        let mut xi = [T::ZERO; L];
-        let mut mr = [T::ZERO; L];
-        let mut mi = [T::ZERO; L];
+        self.half()
+            .forward_planes(&mut re[..h * batch], &mut im[..h * batch], batch)?;
+        // Unpack the interleaved spectrum Z into the real signal's bins one
+        // pair (k, h−k) at a time; row h is written (at k = 0), never read.
         for k in 0..=h / 2 {
-            let km = (h - k) % h;
-            let (twr, twi) = (self.rtw_re[k], self.rtw_im[k]);
-            let (twr2, twi2) = (self.rtw_re[h - k], self.rtw_im[h - k]);
-            let write_mirror = h - k != k;
-            let mut b0 = 0;
-            while b0 < batch {
-                let l = L.min(batch - b0);
-                zkr[..l].copy_from_slice(&re[k * batch + b0..][..l]);
-                zki[..l].copy_from_slice(&im[k * batch + b0..][..l]);
-                znr[..l].copy_from_slice(&re[km * batch + b0..][..l]);
-                zni[..l].copy_from_slice(&im[km * batch + b0..][..l]);
-                for t in 0..l {
-                    // conj(Z[h−k]) has imaginary −zni.
-                    let er = (zkr[t] + znr[t]) * T::HALF;
-                    let ei = (zki[t] - zni[t]) * T::HALF;
-                    let or_ = (zki[t] + zni[t]) * T::HALF;
-                    let oi = (znr[t] - zkr[t]) * T::HALF;
-                    xr[t] = er + twr * or_ - twi * oi;
-                    xi[t] = ei + twr * oi + twi * or_;
-                    // X[h−k] = conj(E) + e^{−2πi(h−k)/n}·conj(O).
-                    mr[t] = er + twr2 * or_ + twi2 * oi;
-                    mi[t] = twi2 * or_ - twr2 * oi - ei;
-                }
-                re[k * batch + b0..][..l].copy_from_slice(&xr[..l]);
-                im[k * batch + b0..][..l].copy_from_slice(&xi[..l]);
-                if write_mirror {
-                    re[(h - k) * batch + b0..][..l].copy_from_slice(&mr[..l]);
-                    im[(h - k) * batch + b0..][..l].copy_from_slice(&mi[..l]);
-                }
-                b0 += l;
-            }
+            let (tw, km) = (self.rtw(k), (h - k) % h);
+            let mirror = (h - k != k).then_some(h - k);
+            pair_rows(re, im, batch, [k, km], mirror, |z| unpack_pair(z, tw));
         }
         Ok(())
     }
@@ -294,8 +289,20 @@ impl<T: Float> BatchFftPlan<T> {
         if n == 1 {
             return Ok(()); // DC bin is the signal; 1/1 scaling.
         }
-        self.inverse_planes_real_core(re, im, batch)?;
+        if let Some(codelet) = self.codelet {
+            codelet(self, re, im, batch, true);
+            return Ok(());
+        }
         let h = n / 2;
+        // Re-pack bins into the half-length interleaved spectrum one pair
+        // (k, h−k) at a time; row h is read (at k = 0) but never written.
+        for k in 0..=h / 2 {
+            let (tw, k2) = (self.rtw(k), h - k);
+            let mirror = (k2 != k && k2 < h).then_some(k2);
+            pair_rows(re, im, batch, [k, k2], mirror, |x| repack_pair(x, tw));
+        }
+        self.half()
+            .inverse_planes(&mut re[..h * batch], &mut im[..h * batch], batch)?;
         // Unpack lane-wise: x[2m] = Z[m].re, x[2m+1] = Z[m].im. Descending
         // m only writes rows ≥ 2m while reading rows m ≤ 2m.
         for m in (0..h).rev() {
@@ -304,113 +311,6 @@ impl<T: Float> BatchFftPlan<T> {
             re[(2 * m + 1) * batch..(2 * m + 2) * batch].copy_from_slice(&im[src..src + batch]);
         }
         Ok(())
-    }
-
-    /// [`BatchFftPlan::inverse_planes_real`] with a **fused epilogue**: the
-    /// final lane-unpack pass hands each finished time-domain row to `sink`
-    /// (`sink(row, lanes)` for `row in 0..n`, ascending) instead of writing
-    /// it back into the plane, so a caller can apply a bias/activation and
-    /// scatter the row to its destination while it is still in cache — no
-    /// separate post-IFFT pass over the full plane. The rows handed out are
-    /// mutable views into the scratch planes; `sink` may edit them in
-    /// place. Arithmetic is identical to
-    /// [`BatchFftPlan::inverse_planes_real`], so results are bitwise equal.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`FftError`] if the planes are not `n·batch` long or the
-    /// batch is zero.
-    pub fn inverse_planes_real_epilogue(
-        &self,
-        re: &mut [T],
-        im: &mut [T],
-        batch: usize,
-        sink: &mut dyn FnMut(usize, &mut [T]),
-    ) -> Result<(), FftError> {
-        self.validate(re, im, batch)?;
-        let n = self.n;
-        if n == 1 {
-            sink(0, &mut re[..batch]);
-            return Ok(());
-        }
-        self.inverse_planes_real_core(re, im, batch)?;
-        // Unpack lane-wise through the sink: x[2m] = Z[m].re,
-        // x[2m+1] = Z[m].im. Nothing is written back into the planes, so
-        // ascending order is safe and rows stream out cache-warm.
-        let h = n / 2;
-        for m in 0..h {
-            let src = m * batch;
-            sink(2 * m, &mut re[src..src + batch]);
-            sink(2 * m + 1, &mut im[src..src + batch]);
-        }
-        Ok(())
-    }
-
-    /// Shared body of the real-input inverse transforms: re-packs the
-    /// unique half-spectrum rows into the half-length interleaved spectrum
-    /// and runs the half-length complex inverse. Callers (`n ≥ 2`,
-    /// pre-validated) unpack rows `0..n/2` of `re`/`im` as
-    /// `x[2m] = Z[m].re`, `x[2m+1] = Z[m].im`.
-    fn inverse_planes_real_core(
-        &self,
-        re: &mut [T],
-        im: &mut [T],
-        batch: usize,
-    ) -> Result<(), FftError> {
-        let h = self.n / 2;
-        // Re-pack bins into the half-length interleaved spectrum:
-        // Z[k] = E[k] + i·O[k] with E[k] = (X[k] + conj(X[h−k]))/2 and
-        // O[k] = e^{+2πik/n}·(X[k] − conj(X[h−k]))/2; the pair's mirror row
-        // reuses the same intermediates.
-        const L: usize = 16;
-        let mut xkr = [T::ZERO; L];
-        let mut xki = [T::ZERO; L];
-        let mut xnr = [T::ZERO; L];
-        let mut xni = [T::ZERO; L];
-        let mut zr = [T::ZERO; L];
-        let mut zi = [T::ZERO; L];
-        let mut wr = [T::ZERO; L];
-        let mut wi = [T::ZERO; L];
-        for k in 0..=h / 2 {
-            let k2 = h - k;
-            let (twr, twi) = (self.rtw_re[k], self.rtw_im[k]);
-            let (twr2, twi2) = (self.rtw_re[k2], self.rtw_im[k2]);
-            let write_mirror = k2 != k && k2 < h;
-            let mut b0 = 0;
-            while b0 < batch {
-                let l = L.min(batch - b0);
-                xkr[..l].copy_from_slice(&re[k * batch + b0..][..l]);
-                xki[..l].copy_from_slice(&im[k * batch + b0..][..l]);
-                xnr[..l].copy_from_slice(&re[k2 * batch + b0..][..l]);
-                xni[..l].copy_from_slice(&im[k2 * batch + b0..][..l]);
-                for t in 0..l {
-                    // conj(X[h−k]) has imaginary −xni.
-                    let er = (xkr[t] + xnr[t]) * T::HALF;
-                    let ei = (xki[t] - xni[t]) * T::HALF;
-                    let dr = (xkr[t] - xnr[t]) * T::HALF;
-                    let di = (xki[t] + xni[t]) * T::HALF;
-                    // O[k] = conj(tw[k])·d  (tw stores e^{−2πik/n}).
-                    let or_ = twr * dr + twi * di;
-                    let oi = twr * di - twi * dr;
-                    zr[t] = er - oi;
-                    zi[t] = ei + or_;
-                    // E[h−k] = conj(E), d[h−k] = −conj(d).
-                    let or2 = twi2 * di - twr2 * dr;
-                    let oi2 = twr2 * di + twi2 * dr;
-                    wr[t] = er - oi2;
-                    wi[t] = or2 - ei;
-                }
-                re[k * batch + b0..][..l].copy_from_slice(&zr[..l]);
-                im[k * batch + b0..][..l].copy_from_slice(&zi[..l]);
-                if write_mirror {
-                    re[k2 * batch + b0..][..l].copy_from_slice(&wr[..l]);
-                    im[k2 * batch + b0..][..l].copy_from_slice(&wi[..l]);
-                }
-                b0 += l;
-            }
-        }
-        let half = self.half.as_ref().expect("n >= 2 always has a half plan");
-        half.inverse_planes(&mut re[..h * batch], &mut im[..h * batch], batch)
     }
 
     /// Applies the bit-reversal row permutation.
@@ -434,9 +334,7 @@ impl<T: Float> BatchFftPlan<T> {
             let half = len / 2;
             for start in (0..n).step_by(len) {
                 for j in 0..half {
-                    let wr = self.tw_re[tw_off + j];
-                    let wi0 = self.tw_im[tw_off + j];
-                    let wi = if inverse { T::ZERO - wi0 } else { wi0 };
+                    let w = twiddle((&self.tw_re, &self.tw_im), tw_off + j, inverse);
                     let lo = (start + j) * batch;
                     let hi = (start + j + half) * batch;
                     // Rows `lo` and `hi` are disjoint (`lo < hi`).
@@ -454,12 +352,7 @@ impl<T: Float> BatchFftPlan<T> {
                         .zip(br.iter_mut())
                         .zip(bi.iter_mut())
                     {
-                        let tr = wr * *b_r - wi * *b_i;
-                        let ti = wr * *b_i + wi * *b_r;
-                        *b_r = *a_r - tr;
-                        *b_i = *a_i - ti;
-                        *a_r = *a_r + tr;
-                        *a_i = *a_i + ti;
+                        [*a_r, *a_i, *b_r, *b_i] = butterfly([*a_r, *a_i, *b_r, *b_i], w);
                     }
                 }
             }
@@ -467,6 +360,262 @@ impl<T: Float> BatchFftPlan<T> {
             len <<= 1;
         }
     }
+
+    /// Real-transform unpack twiddles `e^{−2πik/n}` of the bin pair
+    /// `(k, n/2 − k)`.
+    #[inline]
+    fn rtw(&self, k: usize) -> ((T, T), (T, T)) {
+        let (re, im, k2) = (&self.rtw_re, &self.rtw_im, self.n / 2 - k);
+        ((re[k], im[k]), (re[k2], im[k2]))
+    }
+
+    fn half(&self) -> &Self {
+        self.half.as_deref().expect("n >= 2 always has a half plan")
+    }
+
+    /// The codelet of half-length `H`: tiles of [`TILE`] lanes, then the
+    /// ragged tail lane by lane.
+    fn codelet<const H: usize>(&self, re: &mut [T], im: &mut [T], lanes: usize, inverse: bool) {
+        let wide = lanes - lanes % TILE;
+        for b0 in (0..wide).step_by(TILE) {
+            self.tile::<H, TILE>(re, im, lanes, b0, inverse);
+        }
+        for b in wide..lanes {
+            self.tile::<H, 1>(re, im, lanes, b, inverse);
+        }
+    }
+
+    /// One `W`-lane tile (lanes `b0..b0 + W`) at half-length `H`. Forward:
+    /// slot `i` loads half-signal row `m = bitrev(i)`, i.e.
+    /// `x[2m] + i·x[2m+1]`, and the unpack stores bins `0..=H`. Inverse:
+    /// the re-pack of bins `0..=H` puts `Z[k]` in slot `bitrev(k)`, and the
+    /// store interleaves the `1/H`-scaled result, `x[2m] + i·x[2m+1] = Z[m]`.
+    #[inline(always)]
+    fn tile<const H: usize, const W: usize>(
+        &self,
+        re: &mut [T],
+        im: &mut [T],
+        lanes: usize,
+        b0: usize,
+        inverse: bool,
+    ) {
+        let (rr, ri) = (&self.rtw_re[..=H], &self.rtw_im[..=H]);
+        let tw = |k: usize| ((rr[k], ri[k]), (rr[H - k], ri[H - k]));
+        if !inverse {
+            let mut zr: [[T; W]; H] = from_fn(|i| load(re, 2 * bitrev::<H>(i), lanes, b0));
+            let mut zi: [[T; W]; H] = from_fn(|i| load(re, 2 * bitrev::<H>(i) + 1, lanes, b0));
+            self.tile_stages(&mut zr, &mut zi, false);
+            for k in 0..=H / 2 {
+                let (km, mut x) = ((H - k) % H, [[T::ZERO; W]; 4]);
+                for t in 0..W {
+                    let z = [zr[k][t], zi[k][t], zr[km][t], zi[km][t]];
+                    [x[0][t], x[1][t], x[2][t], x[3][t]] = unpack_pair(z, tw(k));
+                }
+                store(re, k, lanes, b0, x[0]);
+                store(im, k, lanes, b0, x[1]);
+                if H - k != k {
+                    store(re, H - k, lanes, b0, x[2]);
+                    store(im, H - k, lanes, b0, x[3]);
+                }
+            }
+            return;
+        }
+        let (mut zr, mut zi) = ([[T::ZERO; W]; H], [[T::ZERO; W]; H]);
+        for k in 0..=H / 2 {
+            let rows = [(&*re, k), (&*im, k), (&*re, H - k), (&*im, H - k)];
+            let x: [[T; W]; 4] = rows.map(|(p, r)| load(p, r, lanes, b0));
+            let (ik, ik2) = (bitrev::<H>(k), bitrev::<H>((H - k) % H));
+            for t in 0..W {
+                let z = repack_pair([x[0][t], x[1][t], x[2][t], x[3][t]], tw(k));
+                (zr[ik][t], zi[ik][t]) = (z[0], z[1]);
+                // Bin 0 pairs with bin H (not a slot), bin H/2 with itself.
+                if k != 0 && 2 * k != H {
+                    (zr[ik2][t], zi[ik2][t]) = (z[2], z[3]);
+                }
+            }
+        }
+        self.tile_stages(&mut zr, &mut zi, true);
+        let scale = T::ONE / T::from_usize(H);
+        for m in 0..H {
+            store(re, 2 * m, lanes, b0, zr[m].map(|v| v * scale));
+            store(re, 2 * m + 1, lanes, b0, zi[m].map(|v| v * scale));
+        }
+    }
+
+    /// Every butterfly stage of the half plan on a bit-reversed stack tile
+    /// (`H` slots × `W` lanes): [`Self::butterflies`]' arithmetic and
+    /// twiddles without its passes over the plane.
+    #[inline(always)]
+    fn tile_stages<const H: usize, const W: usize>(
+        &self,
+        zr: &mut [[T; W]; H],
+        zi: &mut [[T; W]; H],
+        inverse: bool,
+    ) {
+        let half = self.half();
+        let tw = (&half.tw_re[..H - 1], &half.tw_im[..H - 1]);
+        if W == 1 {
+            // One call per constant span: a single lane unrolls into
+            // straight-line code that keeps the tile in registers.
+            tile_stage(tw, zr, zi, 1, inverse);
+            tile_stage(tw, zr, zi, 2, inverse);
+            tile_stage(tw, zr, zi, 4, inverse);
+            tile_stage(tw, zr, zi, 8, inverse);
+            tile_stage(tw, zr, zi, 16, inverse);
+            tile_stage(tw, zr, zi, 32, inverse);
+        } else {
+            // A looped span keeps the wide tile's code small.
+            let mut span = 1;
+            while span < H {
+                tile_stage(tw, zr, zi, span, inverse);
+                span *= 2;
+            }
+        }
+    }
+}
+
+/// The stage of half-span `s` (a no-op once `s ≥ H`): `H/2s` groups of
+/// `s` butterflies pairing slots `g·2s + j` and `g·2s + j + s` with stage
+/// twiddle `s − 1 + j`.
+#[inline(always)]
+fn tile_stage<T: Float, const H: usize, const W: usize>(
+    tw: (&[T], &[T]),
+    zr: &mut [[T; W]; H],
+    zi: &mut [[T; W]; H],
+    s: usize,
+    inverse: bool,
+) {
+    for g in 0..H / (2 * s) {
+        for j in 0..s {
+            let w = twiddle(tw, s - 1 + j, inverse);
+            let (lo, hi) = (g * 2 * s + j, g * 2 * s + j + s);
+            for t in 0..W {
+                [zr[lo][t], zi[lo][t], zr[hi][t], zi[hi][t]] =
+                    butterfly([zr[lo][t], zi[lo][t], zr[hi][t], zi[hi][t]], w);
+            }
+        }
+    }
+}
+
+/// `i < 64` bit-reversed over 6 bits.
+const REV64: [u8; 64] = {
+    let mut t = [0; 64];
+    let mut i = 0;
+    while i < 64 {
+        t[i] = (i as u8).reverse_bits() >> 2;
+        i += 1;
+    }
+    t
+};
+
+/// `i < H` bit-reversed over `log2 H` bits: a constant wherever a codelet
+/// loop unrolls, one table load where it does not.
+#[inline(always)]
+fn bitrev<const H: usize>(i: usize) -> usize {
+    usize::from(REV64[i]) >> (6 - H.trailing_zeros())
+}
+
+/// Lanes `b0..b0 + W` of row `r` of a `[rows][lanes]` plane.
+#[inline]
+fn load<T: Float, const W: usize>(p: &[T], r: usize, lanes: usize, b0: usize) -> [T; W] {
+    p[r * lanes + b0..][..W].try_into().expect("a W-lane slice")
+}
+
+#[inline]
+fn store<T: Float, const W: usize>(p: &mut [T], r: usize, lanes: usize, b0: usize, v: [T; W]) {
+    p[r * lanes + b0..][..W].copy_from_slice(&v);
+}
+
+/// Stage twiddle `i` of a flattened `(re, im)` table; `inverse` conjugates
+/// it as `ZERO − wi`, which maps both zeros to `+0.0` (unary minus would
+/// give `−0.0` for `+0.0` and flip the sign of zero products).
+#[inline]
+fn twiddle<T: Float>((re, im): (&[T], &[T]), i: usize, inverse: bool) -> (T, T) {
+    (re[i], if inverse { T::ZERO - im[i] } else { im[i] })
+}
+
+/// One radix-2 butterfly `a ± w·b` on `[a.re, a.im, b.re, b.im]`: the one
+/// butterfly of both the plane passes and the codelets.
+#[inline]
+fn butterfly<T: Float>([ar, ai, br, bi]: [T; 4], (wr, wi): (T, T)) -> [T; 4] {
+    let tr = wr * br - wi * bi;
+    let ti = wr * bi + wi * br;
+    [ar + tr, ai + ti, ar - tr, ai - ti]
+}
+
+/// The radix-2 real path's unpack/re-pack pass over one bin pair: 16 lanes
+/// at a time, rows `k` and `k2` load into stack tiles, `f` maps each lane's
+/// `[k.re, k.im, k2.re, k2.im]`, and the result stores to row `k` and, if
+/// given, the `mirror` row. A lane's pair is read before it is overwritten.
+#[inline(always)]
+fn pair_rows<T: Float>(
+    re: &mut [T],
+    im: &mut [T],
+    batch: usize,
+    [k, k2]: [usize; 2],
+    mirror: Option<usize>,
+    f: impl Fn([T; 4]) -> [T; 4],
+) {
+    const L: usize = 16;
+    for b0 in (0..batch).step_by(L) {
+        let l = L.min(batch - b0);
+        let (mut x, mut y) = ([[T::ZERO; L]; 4], [[T::ZERO; L]; 4]);
+        x[0][..l].copy_from_slice(&re[k * batch + b0..][..l]);
+        x[1][..l].copy_from_slice(&im[k * batch + b0..][..l]);
+        x[2][..l].copy_from_slice(&re[k2 * batch + b0..][..l]);
+        x[3][..l].copy_from_slice(&im[k2 * batch + b0..][..l]);
+        for t in 0..l {
+            [y[0][t], y[1][t], y[2][t], y[3][t]] = f([x[0][t], x[1][t], x[2][t], x[3][t]]);
+        }
+        re[k * batch + b0..][..l].copy_from_slice(&y[0][..l]);
+        im[k * batch + b0..][..l].copy_from_slice(&y[1][..l]);
+        if let Some(r) = mirror {
+            re[r * batch + b0..][..l].copy_from_slice(&y[2][..l]);
+            im[r * batch + b0..][..l].copy_from_slice(&y[3][..l]);
+        }
+    }
+}
+
+/// Forward real unpack of one bin pair: `[Z[k], Z[h−k]]` (re, im each) to
+/// `[X[k], X[h−k]]` with `E = (Z[k] + conj(Z[h−k]))/2`,
+/// `O = (Z[k] − conj(Z[h−k]))/(2i)`, `X[k] = E + e^{−2πik/n}·O` and
+/// `X[h−k] = conj(E) + e^{−2πi(h−k)/n}·conj(O)`.
+#[inline]
+fn unpack_pair<T: Float>(
+    [zkr, zki, znr, zni]: [T; 4],
+    ((twr, twi), (twr2, twi2)): ((T, T), (T, T)),
+) -> [T; 4] {
+    let er = (zkr + znr) * T::HALF;
+    let ei = (zki - zni) * T::HALF;
+    let or_ = (zki + zni) * T::HALF;
+    let oi = (znr - zkr) * T::HALF;
+    [
+        er + twr * or_ - twi * oi,
+        ei + twr * oi + twi * or_,
+        er + twr2 * or_ + twi2 * oi,
+        twi2 * or_ - twr2 * oi - ei,
+    ]
+}
+
+/// Inverse re-pack of one bin pair: `[X[k], X[h−k]]` to `[Z[k], Z[h−k]]`
+/// with `Z[k] = E + i·O`, `E = (X[k] + conj(X[h−k]))/2` and
+/// `O = conj(e^{−2πik/n})·(X[k] − conj(X[h−k]))/2`; the mirror reuses the
+/// intermediates (`E[h−k] = conj(E)`, and the difference turns into minus
+/// its conjugate).
+#[inline]
+fn repack_pair<T: Float>(
+    [xkr, xki, xnr, xni]: [T; 4],
+    ((twr, twi), (twr2, twi2)): ((T, T), (T, T)),
+) -> [T; 4] {
+    let er = (xkr + xnr) * T::HALF;
+    let ei = (xki - xni) * T::HALF;
+    let dr = (xkr - xnr) * T::HALF;
+    let di = (xki + xni) * T::HALF;
+    let or_ = twr * dr + twi * di;
+    let oi = twr * di - twi * dr;
+    let or2 = twi2 * di - twr2 * dr;
+    let oi2 = twr2 * di + twi2 * dr;
+    [er - oi, ei + or_, er - oi2, or2 - ei]
 }
 
 #[cfg(test)]
@@ -614,62 +763,6 @@ mod tests {
     }
 
     #[test]
-    fn epilogue_inverse_matches_in_place_inverse_bitwise() {
-        // The fused-epilogue inverse must hand out exactly the rows the
-        // in-place inverse would have written — same arithmetic, same bits.
-        for n in [1usize, 2, 4, 16, 64] {
-            let batch = 3;
-            let plan = BatchFftPlan::<f32>::new(n).unwrap();
-            let bins = n / 2 + 1;
-            let mut re = vec![0.0f32; n * batch];
-            let mut im = vec![0.0f32; n * batch];
-            for (i, v) in seeded(bins * batch, 5 + n as u64).iter().enumerate() {
-                re[i] = *v as f32;
-            }
-            for (i, v) in seeded(bins * batch, 6 + n as u64).iter().enumerate() {
-                im[i] = *v as f32;
-            }
-            let mut re2 = re.clone();
-            let mut im2 = im.clone();
-            plan.inverse_planes_real(&mut re, &mut im, batch).unwrap();
-            let mut got = vec![f32::NAN; n * batch];
-            plan.inverse_planes_real_epilogue(&mut re2, &mut im2, batch, &mut |row, lanes| {
-                got[row * batch..(row + 1) * batch].copy_from_slice(lanes);
-            })
-            .unwrap();
-            assert_eq!(&got, &re[..n * batch], "n={n}");
-        }
-    }
-
-    #[test]
-    fn epilogue_rows_arrive_once_each_and_are_mutable() {
-        let n = 8;
-        let batch = 2;
-        let plan = BatchFftPlan::<f64>::new(n).unwrap();
-        let x = seeded(n * batch, 77);
-        let mut re = x.clone();
-        let mut im = vec![0.0f64; n * batch];
-        plan.forward_planes_real(&mut re, &mut im, batch).unwrap();
-        let mut seen = vec![0u32; n];
-        let mut out = vec![0.0f64; n * batch];
-        plan.inverse_planes_real_epilogue(&mut re, &mut im, batch, &mut |row, lanes| {
-            seen[row] += 1;
-            for v in lanes.iter_mut() {
-                *v += 1.0; // epilogue may edit the row in place
-            }
-            out[row * batch..(row + 1) * batch].copy_from_slice(lanes);
-        })
-        .unwrap();
-        assert!(
-            seen.iter().all(|&c| c == 1),
-            "rows must arrive exactly once"
-        );
-        for (i, (&a, &e)) in out.iter().zip(&x).enumerate() {
-            assert!((a - (e + 1.0)).abs() < 1e-10, "idx {i}: {a} vs {e}+1");
-        }
-    }
-
-    #[test]
     fn real_planes_validate_sizes() {
         let plan = BatchFftPlan::<f64>::new(8).unwrap();
         let mut re = vec![0.0; 15];
@@ -687,5 +780,92 @@ mod tests {
         assert_eq!(re, vec![2.5, -1.0]);
         plan.inverse_planes(&mut re, &mut im, 2).unwrap();
         assert_eq!(re, vec![2.5, -1.0]);
+    }
+
+    /// The codelet sizes, k = 4…128.
+    const CODELET_NS: [usize; 6] = [4, 8, 16, 32, 64, 128];
+
+    /// Asserts the codelet equals the plan's radix-2 path on `x`.
+    fn assert_matches_radix2(plan: &BatchFftPlan<f32>, x: &[f32], lanes: usize) {
+        let radix2 = BatchFftPlan {
+            codelet: None,
+            ..plan.clone()
+        };
+        let (got, want) = (real_forms(plan, x, lanes), real_forms(&radix2, x, lanes));
+        assert_eq!(got, want, "n={} lanes={lanes}", plan.len());
+    }
+
+    /// Bit patterns of the forward half-spectrum and the inverse signal,
+    /// each form run on `x` as its `re` then `im` plane.
+    fn real_forms(plan: &BatchFftPlan<f32>, x: &[f32], lanes: usize) -> [Vec<u32>; 2] {
+        let n = plan.len();
+        let planes = || (x[..n * lanes].to_vec(), x[n * lanes..].to_vec());
+        let ((mut fr, mut fi), (mut ir, mut ii)) = (planes(), planes());
+        plan.forward_planes_real(&mut fr, &mut fi, lanes).unwrap();
+        plan.inverse_planes_real(&mut ir, &mut ii, lanes).unwrap();
+        let bins = (n / 2 + 1) * lanes;
+        fr.truncate(bins);
+        fr.extend_from_slice(&fi[..bins]);
+        [fr, ir].map(|v| v.iter().map(|v| v.to_bits()).collect())
+    }
+
+    #[test]
+    fn codelets_match_radix2_bitwise_on_special_values() {
+        let (inf, max, sub) = (f32::INFINITY, f32::MAX, f32::MIN_POSITIVE / 8.0);
+        let classes: [&[f32]; 4] = [
+            &[0.0, -0.0],
+            &[sub, -sub, 1e-45, 0.0, -0.0],
+            &[max, -max, 0.75 * max, -1.0],
+            &[inf, -inf, 0.0, -0.0, 2.5],
+        ];
+        for n in CODELET_NS {
+            let plan = BatchFftPlan::<f32>::new(n).unwrap();
+            for lanes in 1..=33 {
+                for (c, class) in classes.iter().enumerate() {
+                    let x: Vec<f32> = seeded(2 * n * lanes, (c + lanes) as u64)
+                        .iter()
+                        .map(|v| class[(v.to_bits() >> 40) as usize % class.len()])
+                        .collect();
+                    assert_matches_radix2(&plan, &x, lanes);
+                }
+            }
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(96))]
+
+        #[test]
+        fn codelets_match_radix2_bitwise(
+            (c, lanes) in (0usize..6, 1usize..=33),
+            v in proptest::prop::collection::vec((-1.0f32..1.0, -130i32..128), 2 * 128 * 33),
+        ) {
+            let (n, plan) = (CODELET_NS[c], BatchFftPlan::<f32>::new(CODELET_NS[c]).unwrap());
+            let x: Vec<f32> = v[..2 * n * lanes].iter().map(|&(m, e)| m * 2f32.powi(e)).collect();
+            assert_matches_radix2(&plan, &x, lanes);
+        }
+    }
+
+    #[test]
+    fn codelet_lanes_match_the_lane_alone_across_the_tile_boundary() {
+        for n in CODELET_NS {
+            let plan = BatchFftPlan::<f32>::new(n).unwrap();
+            for lanes in [7, 8, 9, 16, 17, 33] {
+                let x: Vec<f32> = seeded(2 * n * lanes, n as u64)
+                    .iter()
+                    .map(|&v| v as f32)
+                    .collect();
+                let wide = real_forms(&plan, &x, lanes);
+                for b in 0..lanes {
+                    let lane: Vec<f32> = x[b..].iter().step_by(lanes).copied().collect();
+                    let alone = real_forms(&plan, &lane, 1);
+                    let ok = wide
+                        .iter()
+                        .zip(&alone)
+                        .all(|(w, a)| w[b..].iter().step_by(lanes).eq(a));
+                    assert!(ok, "n={n} lanes={lanes} lane {b}");
+                }
+            }
+        }
     }
 }

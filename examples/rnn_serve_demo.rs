@@ -7,7 +7,7 @@
 //! This is the engine-unification payoff end to end: the same
 //! spectral-plane core that serves FC nets and convnets runs the
 //! recurrence (fused step: one accumulator set for both matmuls, bias and
-//! tanh inside the IFFT's unpack pass, weight spectra resident across
+//! tanh fused into each block's IFFT, weight spectra resident across
 //! timesteps).
 //!
 //! Run with `cargo run --release --example rnn_serve_demo`.
