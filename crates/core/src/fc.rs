@@ -12,7 +12,7 @@ use rand::Rng;
 
 use crate::engine::{Activation, Epilogue};
 use crate::error::CircError;
-use crate::matrix::{default_batch_threads, BlockCirculantMatrix, BlockSpectra, Workspace};
+use crate::matrix::{default_batch_threads, BlockCirculantMatrix, Workspace};
 use crate::quantized::{QuantConfig, QuantizedLinear, QuantizedOperator};
 
 /// A block-circulant affine layer `y = W·x + b`.
@@ -45,8 +45,8 @@ pub struct CirculantLinear {
     /// [`Layer::visit_params`]).
     engine: BlockCirculantMatrix,
     dirty: bool,
-    input_spectra: Option<BlockSpectra>,
-    /// Scratch arena + cached batch spectra for the batched fast path.
+    /// Scratch arena + the spectra of the batch in flight (a single
+    /// sample is a batch of one).
     ws: Workspace,
     /// Batch size of the spectra currently held in `ws`.
     batch: Option<usize>,
@@ -73,7 +73,6 @@ impl CirculantLinear {
             bgrad: vec![0.0; out_dim],
             engine,
             dirty: false,
-            input_spectra: None,
             ws: Workspace::new(),
             batch: None,
         })
@@ -104,7 +103,6 @@ impl CirculantLinear {
             bias,
             engine,
             dirty: false,
-            input_spectra: None,
             ws: Workspace::new(),
             batch: None,
         })
@@ -178,89 +176,43 @@ impl CirculantLinear {
     }
 
     /// The batched affine kernel `Y = W·X + b` shared by the training-side
-    /// [`Layer::forward_batch`] and the read-only [`Layer::infer_batch`]:
+    /// forwards (single-sample and batched) and the read-only
+    /// [`Layer::infer_batch`]:
     /// one fused engine call — the bias rides the plane IFFT of each block
     /// (the engine's fused epilogue) instead of a separate sweep over the
     /// output — and bit-identical outputs on both paths.
-    fn batched_affine(&self, input: &Tensor, batch: usize, ws: &mut Workspace) -> Tensor {
-        let m = self.out_dim();
-        let mut out = vec![0.0f32; batch * m];
+    fn batched_affine(&self, x: &[f32], batch: usize, ws: &mut Workspace) -> Vec<f32> {
+        let mut out = vec![0.0f32; batch * self.out_dim()];
         let epi = Epilogue {
             bias: Some(&self.bias),
             act: Activation::Identity,
         };
         self.engine
-            .forward_batch_fused(
-                input.data(),
-                batch,
-                ws,
-                &mut out,
-                &epi,
-                default_batch_threads(),
-            )
+            .forward_batch_fused(x, batch, ws, &mut out, &epi, default_batch_threads())
             .expect("circulant linear batch input length mismatch");
-        Tensor::from_vec(out, &[batch, m])
-    }
-}
-
-impl Layer for CirculantLinear {
-    fn forward(&mut self, input: &Tensor) -> Tensor {
-        self.sync();
-        let (mut y, xs) = self
-            .engine
-            .forward_cached(input.data())
-            .expect("circulant linear input length mismatch");
-        self.input_spectra = Some(xs);
-        for (v, &b) in y.iter_mut().zip(&self.bias) {
-            *v += b;
-        }
-        Tensor::from_vec(y, &[self.out_dim()])
+        out
     }
 
-    fn backward(&mut self, grad_output: &Tensor) -> Tensor {
+    /// Training-side forward over `batch` rows, recording the input
+    /// spectra in the layer's arena for the backward pass. A single
+    /// sample is a batch of one, so it is bit-identical to its row of any
+    /// batched forward.
+    fn train_forward(&mut self, x: &[f32], batch: usize) -> Vec<f32> {
         self.sync();
-        let xs = self
-            .input_spectra
-            .as_ref()
-            .expect("backward called before forward");
-        let g = grad_output.data();
-        // Algorithm 2, both halves.
-        self.engine
-            .weight_gradient(g, xs, &mut self.wgrad)
-            .expect("circulant linear grad length mismatch");
-        for (slot, &gi) in self.bgrad.iter_mut().zip(g) {
-            *slot += gi;
-        }
-        let gx = self
-            .engine
-            .matvec_t(g)
-            .expect("circulant linear grad length mismatch");
-        Tensor::from_vec(gx, &[self.in_dim()])
-    }
-
-    fn forward_batch(&mut self, input: &Tensor) -> Tensor {
-        self.sync();
-        let batch = input.dims()[0];
-        // Always the batched engine — even for B = 1 — so training-side and
-        // serving-side forwards are the same arithmetic at every batch size
-        // (the scalar-pipeline shortcut that rounded differently at B = 1
-        // is gone with the engine unification).
         // Take the arena out so the shared kernel can borrow `self` and
         // the workspace disjointly.
         let mut ws = std::mem::take(&mut self.ws);
-        let out = self.batched_affine(input, batch, &mut ws);
+        let out = self.batched_affine(x, batch, &mut ws);
         self.ws = ws;
         self.batch = Some(batch);
         out
     }
 
-    fn backward_batch(&mut self, _input: &Tensor, grad_output: &Tensor) -> Tensor {
+    /// Algorithm 2, both halves, over the batch the last forward recorded:
+    /// returns the `[batch, n]` input gradient and accumulates the weight
+    /// and bias gradients.
+    fn train_backward(&mut self, g: &[f32], batch: usize) -> Vec<f32> {
         self.sync();
-        let batch = self
-            .batch
-            .expect("backward_batch called before forward_batch");
-        assert_eq!(grad_output.dims()[0], batch, "batch size mismatch");
-        let g = grad_output.data();
         let mut gx = vec![0.0f32; batch * self.in_dim()];
         // Transpose apply first: it records the gradient spectra that the
         // frequency-domain weight-gradient reduction then reuses.
@@ -270,12 +222,42 @@ impl Layer for CirculantLinear {
         self.engine
             .weight_gradient_batch(&mut self.ws, &mut self.wgrad)
             .expect("batch spectra recorded by the forward/backward pair");
-        let m = self.out_dim();
-        for row in g.chunks(m) {
+        for row in g.chunks(self.out_dim()) {
             for (slot, &gi) in self.bgrad.iter_mut().zip(row) {
                 *slot += gi;
             }
         }
+        gx
+    }
+}
+
+impl Layer for CirculantLinear {
+    fn forward(&mut self, input: &Tensor) -> Tensor {
+        let y = self.train_forward(input.data(), 1);
+        Tensor::from_vec(y, &[self.out_dim()])
+    }
+
+    fn backward(&mut self, grad_output: &Tensor) -> Tensor {
+        let batch = self.batch.expect("backward called before forward");
+        assert_eq!(batch, 1, "single-sample backward after a batched forward");
+        let gx = self.train_backward(grad_output.data(), 1);
+        Tensor::from_vec(gx, &[self.in_dim()])
+    }
+
+    fn forward_batch(&mut self, input: &Tensor) -> Tensor {
+        // Always the batched engine — even for B = 1 — so training-side and
+        // serving-side forwards are the same arithmetic at every batch size.
+        let batch = input.dims()[0];
+        let y = self.train_forward(input.data(), batch);
+        Tensor::from_vec(y, &[batch, self.out_dim()])
+    }
+
+    fn backward_batch(&mut self, _input: &Tensor, grad_output: &Tensor) -> Tensor {
+        let batch = self
+            .batch
+            .expect("backward_batch called before forward_batch");
+        assert_eq!(grad_output.dims()[0], batch, "batch size mismatch");
+        let gx = self.train_backward(grad_output.data(), batch);
         Tensor::from_vec(gx, &[batch, self.in_dim()])
     }
 
@@ -293,7 +275,8 @@ impl Layer for CirculantLinear {
         // result is bit-identical no matter which batch the server coalesced
         // it into (the batch dimension is an independent SIMD lane).
         let ws: &mut Workspace = scratch.slot();
-        self.batched_affine(input, batch, ws)
+        let y = self.batched_affine(input.data(), batch, ws);
+        Tensor::from_vec(y, &[batch, self.out_dim()])
     }
 
     fn supports_infer(&self) -> bool {
@@ -465,25 +448,18 @@ mod tests {
         let mut single = batched.clone();
         let x = circnn_tensor::init::uniform(&mut rng, &[batch, n], -1.0, 1.0);
         let g = circnn_tensor::init::uniform(&mut rng, &[batch, m], -1.0, 1.0);
-        // Forward rows must match the one-sample kernel to rounding.
+        // A single sample is a batch of one through the same engine, so
+        // forward rows match bit for bit.
         let yb = batched.forward_batch(&x);
         assert_eq!(yb.dims(), &[batch, m]);
         for b in 0..batch {
             let ys = single.forward(&x.index_axis0(b));
-            for (i, (&a, &e)) in yb.data()[b * m..(b + 1) * m]
-                .iter()
-                .zip(ys.data())
-                .enumerate()
-            {
-                assert!(
-                    (a - e).abs() < 5e-4 * e.abs().max(1.0),
-                    "sample {b} row {i}: {a} vs {e}"
-                );
-            }
+            assert_eq!(&yb.data()[b * m..(b + 1) * m], ys.data(), "sample {b}");
         }
         // Batched backward must accumulate the same gradients as the
-        // interleaved per-sample loop (weight grads via the frequency-domain
-        // batch reduction, so tolerance rather than bitwise).
+        // interleaved per-sample loop: input gradients bit for bit, weight
+        // grads to rounding (the batched reduction sums in the frequency
+        // domain, the per-sample loop in the time domain).
         batched.zero_grads();
         let gxb = batched.backward_batch(&x, &g);
         single.zero_grads();
@@ -492,9 +468,7 @@ mod tests {
             single.forward(&x.index_axis0(b));
             gxs.extend_from_slice(single.backward(&g.index_axis0(b)).data());
         }
-        for (i, (a, e)) in gxb.data().iter().zip(&gxs).enumerate() {
-            assert!((a - e).abs() < 1e-4, "input grad {i}: {a} vs {e}");
-        }
+        assert_eq!(gxb.data(), &gxs[..], "input gradients");
         let collect = |l: &mut CirculantLinear| {
             let mut gs: Vec<Vec<f32>> = Vec::new();
             l.visit_params(&mut |_, g| gs.push(g.to_vec()));
@@ -510,6 +484,16 @@ mod tests {
                 );
             }
         }
+    }
+
+    #[test]
+    #[should_panic(expected = "single-sample backward after a batched forward")]
+    fn single_sample_backward_after_batched_forward_panics() {
+        use circnn_nn::Layer as _;
+        let mut rng = seeded_rng(10);
+        let mut layer = CirculantLinear::new(&mut rng, 8, 8, 4).unwrap();
+        layer.forward_batch(&Tensor::ones(&[3, 8]));
+        layer.backward(&Tensor::ones(&[8]));
     }
 
     #[test]

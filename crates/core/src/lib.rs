@@ -14,10 +14,11 @@
 //! Contents:
 //!
 //! * [`CirculantMatrix`] — a single `k×k` circulant block.
-//! * [`BlockCirculantMatrix`] — the partitioned `m×n` operator with cached
-//!   weight spectra (the paper's "RAM stores `FFT(w_ij)`", §4.2),
-//!   implementing Algorithm 1 (forward), the transpose apply, and the
-//!   Algorithm-2 weight-gradient kernel.
+//! * [`BlockCirculantMatrix`] — the partitioned `m×n` operator. Its
+//!   resident weight-spectrum planes are the paper's "RAM stores
+//!   `FFT(w_ij)`" (§4.2); one batched engine over them implements
+//!   Algorithm 1 (forward), the transpose apply, and the Algorithm-2
+//!   weight-gradient kernel, and a single sample is a batch of one.
 //! * [`CirculantLinear`] — a drop-in FC layer (`circnn_nn::Layer`).
 //! * [`CirculantConv2d`] — the CONV layer of §3.2: filters circulant across
 //!   the channel dimensions, lowered through im2col per Eqn. (7).
@@ -71,7 +72,7 @@ pub use conv::{CirculantConv2d, ConvWorkspace};
 pub use error::CircError;
 pub use fc::CirculantLinear;
 pub use lecun::LeCunFftConv2d;
-pub use matrix::{default_batch_threads, BlockCirculantMatrix, BlockSpectra, RowSlice, Workspace};
+pub use matrix::{default_batch_threads, BlockCirculantMatrix, RowSlice, Workspace};
 pub use quantized::{
     QuantConfig, QuantWorkspace, QuantizedConv2d, QuantizedLinear, QuantizedOperator,
     QuantizedRnnCell,

@@ -3,33 +3,33 @@
 //! An `m×n` matrix is partitioned into `p×q` circulant blocks of size `k`
 //! (`p = ⌈m/k⌉`, `q = ⌈n/k⌉`; ragged edges are zero-padded, which the
 //! paper's Fig. 4 contrasts against the wasteful whole-matrix padding of
-//! \[54\]). Only the `p·q·k` defining vectors are stored, plus their cached
-//! spectra `FFT(w_ij)` — mirroring the hardware, where "RAM … is used to
-//! store weights, e.g., the FFT results FFT(w_ij)" (§4.2).
+//! \[54\]). Only the `p·q·k` defining vectors are stored, plus their
+//! spectra `FFT(w_ij)` laid out as the planes the MAC sweeps — mirroring
+//! the hardware, where "RAM … is used to store weights, e.g., the FFT
+//! results FFT(w_ij)" (§4.2).
 //!
 //! The computational kernels are exactly the paper's:
 //!
 //! * **Algorithm 1 (forward)** — `a_i = IFFT(Σ_j FFT(w_ij)* ∘ FFT(x_j))`,
 //!   with the frequency-domain accumulation so each output block needs one
-//!   IFFT rather than `q` (the sum moves inside the IFFT by linearity;
-//!   [`BlockCirculantMatrix::matvec_naive`] keeps the literal per-block
-//!   IFFT variant for the ablation bench).
+//!   IFFT rather than `q` (the sum moves inside the IFFT by linearity).
 //! * **transpose apply** — `(Wᵀy)_j = IFFT(Σ_i FFT(w_ij) ∘ FFT(y_i))`,
 //!   the `∂L/∂x` half of Algorithm 2.
 //! * **weight gradient** — `∂L/∂w_ij = IFFT(conj(FFT(g_i)) ∘ FFT(x_j))`,
 //!   the other half of Algorithm 2.
 //!
-//! The `accumulate_*`/`finish_*` split exposes the frequency-domain
-//! accumulators directly so composite operators — the CONV layer sums `r²`
-//! block-circulant products per output pixel (Eqn. 7) — can share a single
-//! IFFT per output block, just like the hardware shares its IFFT stage.
+//! # One apply path
 //!
-//! # Batched inference engine
-//!
-//! Serving workloads present many inputs at once, and the cached weight
-//! spectra are the same for every one of them — so the batched kernels
-//! sweep the `p·q` weight-spectrum blocks **once per batch** instead of
-//! once per sample. The entry points are:
+//! Every apply runs the batched engine below; a single sample is a batch
+//! of one. [`BlockCirculantMatrix::matvec`] and
+//! [`BlockCirculantMatrix::matvec_t`] are `B = 1` calls into
+//! [`BlockCirculantMatrix::forward_batch_into`] and
+//! [`BlockCirculantMatrix::backward_batch_into`] with a fresh
+//! [`Workspace`], so a sample's result is bit-identical whether it is
+//! applied alone or inside any batch. Serving workloads present many
+//! inputs at once, and the weight spectra are the same for every one of
+//! them — so the kernels sweep the `p·q` weight-spectrum blocks **once
+//! per batch** instead of once per sample. The entry points are:
 //!
 //! * [`Workspace`] — a reusable, grow-only scratch arena. After the first
 //!   call at a given `(shape, batch)` the batched kernels perform **zero
@@ -64,44 +64,6 @@ use rand::Rng;
 use crate::engine::{self, Epilogue};
 use crate::error::CircError;
 
-/// Per-block spectra of a padded vector (`count` blocks × `bins` bins).
-///
-/// Produced by [`BlockCirculantMatrix::col_spectra`] (input side, `q`
-/// blocks) or [`BlockCirculantMatrix::row_spectra`] (output side, `p`
-/// blocks) and consumed by the spectral kernels. Caching these across the
-/// forward/backward pair is the software analogue of the paper's reuse of
-/// `FFT(x_j)` in Algorithm 2.
-#[derive(Debug, Clone)]
-pub struct BlockSpectra {
-    bins: usize,
-    count: usize,
-    data: Vec<Complex<f32>>,
-}
-
-impl BlockSpectra {
-    /// Number of blocks.
-    #[inline]
-    pub fn count(&self) -> usize {
-        self.count
-    }
-
-    /// Spectrum bins per block (`k/2 + 1`).
-    #[inline]
-    pub fn bins(&self) -> usize {
-        self.bins
-    }
-
-    /// Spectrum of block `j`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `j >= self.count()`.
-    #[inline]
-    pub fn block(&self, j: usize) -> &[Complex<f32>] {
-        &self.data[j * self.bins..(j + 1) * self.bins]
-    }
-}
-
 /// An `m×n` block-circulant matrix with block size `k`.
 ///
 /// # Examples
@@ -133,8 +95,7 @@ pub struct BlockCirculantMatrix {
     /// Defining vectors, block-row-major: block `(i, j)` at
     /// `[(i·q + j)·k .. +k]`. Convention: first **row** of each block.
     weights: Vec<f32>,
-    /// Cached `FFT(w_ij)`, same block order, `bins` complex values each.
-    spectra: Vec<Complex<f32>>,
+    /// Real FFT that computes each block's `FFT(w_ij)` for the planes.
     plan: RealFftPlan<f32>,
     /// Batch-plane FFT for the batched engine (one dispatch per block for a
     /// whole batch of samples).
@@ -165,7 +126,6 @@ impl Clone for BlockCirculantMatrix {
             q: self.q,
             bins: self.bins,
             weights: self.weights.clone(),
-            spectra: self.spectra.clone(),
             plan: self.plan.clone(),
             bplan: self.bplan.clone(),
             wplane_re: self.wplane_re.clone(),
@@ -236,7 +196,6 @@ impl BlockCirculantMatrix {
             q,
             bins,
             weights: vec![0.0; p * q * k],
-            spectra: vec![Complex::zero(); p * q * bins],
             plan: RealFftPlan::new(k)?,
             bplan: BatchFftPlan::new(k)?,
             wplane_re: vec![0.0; bins * p * q],
@@ -439,21 +398,22 @@ impl BlockCirculantMatrix {
         &mut self.weights
     }
 
-    /// Recomputes every cached spectrum from the time-domain weights,
-    /// including the SoA planes the batched MAC sweeps.
+    /// Recomputes the weight-spectrum planes from the time-domain weights:
+    /// each block's `FFT(w_ij)` is transformed once into a `bins`-long
+    /// scratch and scattered into the forward `[bin][p][q]` and transposed
+    /// `[bin][q][p]` planes the MAC sweeps.
     pub(crate) fn refresh_spectra(&mut self) -> Result<(), CircError> {
-        let mut scratch = vec![Complex::zero(); self.k / 2];
-        for b in 0..self.p * self.q {
-            self.plan.forward_with_scratch(
-                &self.weights[b * self.k..(b + 1) * self.k],
-                &mut self.spectra[b * self.bins..(b + 1) * self.bins],
-                &mut scratch,
-            )?;
-        }
-        let (p, q, bins) = (self.p, self.q, self.bins);
+        let (k, p, q) = (self.k, self.p, self.q);
+        let mut spec = vec![Complex::zero(); self.bins];
+        let mut scratch = vec![Complex::zero(); k / 2];
         for i in 0..p {
             for j in 0..q {
-                let spec = &self.spectra[(i * q + j) * bins..(i * q + j + 1) * bins];
+                let b = i * q + j;
+                self.plan.forward_with_scratch(
+                    &self.weights[b * k..(b + 1) * k],
+                    &mut spec,
+                    &mut scratch,
+                )?;
                 for (bin, w) in spec.iter().enumerate() {
                     self.wplane_re[(bin * p + i) * q + j] = w.re;
                     self.wplane_im[(bin * p + i) * q + j] = w.im;
@@ -465,287 +425,30 @@ impl BlockCirculantMatrix {
         Ok(())
     }
 
-    fn spectrum_block(&self, i: usize, j: usize) -> &[Complex<f32>] {
-        let b = i * self.q + j;
-        &self.spectra[b * self.bins..(b + 1) * self.bins]
-    }
-
-    fn block_spectra_of(
-        &self,
-        v: &[f32],
-        logical: usize,
-        count: usize,
-    ) -> Result<BlockSpectra, CircError> {
-        if v.len() != logical {
-            return Err(CircError::DimensionMismatch {
-                expected: logical,
-                got: v.len(),
-            });
-        }
-        let mut pad = vec![0.0f32; count * self.k];
-        pad[..logical].copy_from_slice(v);
-        let mut data = vec![Complex::zero(); count * self.bins];
-        let mut scratch = vec![Complex::zero(); self.k / 2];
-        for b in 0..count {
-            self.plan.forward_with_scratch(
-                &pad[b * self.k..(b + 1) * self.k],
-                &mut data[b * self.bins..(b + 1) * self.bins],
-                &mut scratch,
-            )?;
-        }
-        Ok(BlockSpectra {
-            bins: self.bins,
-            count,
-            data,
-        })
-    }
-
-    /// Spectra of an input-side vector (`n` logical values, `q` blocks).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CircError::DimensionMismatch`] if `x.len() != self.cols()`.
-    pub fn col_spectra(&self, x: &[f32]) -> Result<BlockSpectra, CircError> {
-        self.block_spectra_of(x, self.n, self.q)
-    }
-
-    /// Spectra of an output-side vector (`m` logical values, `p` blocks).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CircError::DimensionMismatch`] if `y.len() != self.rows()`.
-    pub fn row_spectra(&self, y: &[f32]) -> Result<BlockSpectra, CircError> {
-        self.block_spectra_of(y, self.m, self.p)
-    }
-
-    /// Frequency-domain half of Algorithm 1:
-    /// `acc_i += Σ_j conj(FFT(w_ij)) ∘ X_j` for every output block `i`.
-    ///
-    /// `acc` must hold `p·bins` values; callers may accumulate several
-    /// operators (the CONV layer sums `r²` of them) before one
-    /// [`BlockCirculantMatrix::finish_forward`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if `acc` or `x` have mismatched sizes (internal invariant;
-    /// the public wrappers validate lengths).
-    pub fn accumulate_forward(&self, x: &BlockSpectra, acc: &mut [Complex<f32>]) {
-        assert_eq!(x.count(), self.q, "input spectra block count mismatch");
-        assert_eq!(x.bins(), self.bins, "spectra bin count mismatch");
-        assert_eq!(acc.len(), self.p * self.bins, "accumulator size mismatch");
-        for i in 0..self.p {
-            let out = &mut acc[i * self.bins..(i + 1) * self.bins];
-            for j in 0..self.q {
-                let w = self.spectrum_block(i, j);
-                let xb = x.block(j);
-                for b in 0..self.bins {
-                    out[b] += w[b].conj() * xb[b];
-                }
-            }
-        }
-    }
-
-    /// IFFT half of Algorithm 1: one inverse transform per output block,
-    /// truncated to the logical `m` rows.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CircError::DimensionMismatch`] if `acc.len() != p·bins`.
-    pub fn finish_forward(&self, acc: &[Complex<f32>]) -> Result<Vec<f32>, CircError> {
-        if acc.len() != self.p * self.bins {
-            return Err(CircError::DimensionMismatch {
-                expected: self.p * self.bins,
-                got: acc.len(),
-            });
-        }
-        let mut y = vec![0.0f32; self.p * self.k];
-        let mut scratch = vec![Complex::zero(); self.k / 2];
-        for i in 0..self.p {
-            self.plan.inverse_with_scratch(
-                &acc[i * self.bins..(i + 1) * self.bins],
-                &mut y[i * self.k..(i + 1) * self.k],
-                &mut scratch,
-            )?;
-        }
-        y.truncate(self.m);
-        Ok(y)
-    }
-
-    /// Frequency-domain transpose accumulation (the `∂L/∂x` direction):
-    /// `acc_j += Σ_i FFT(w_ij) ∘ G_i`.
-    ///
-    /// # Panics
-    ///
-    /// Panics on internal size mismatches (public wrappers validate).
-    pub fn accumulate_backward(&self, g: &BlockSpectra, acc: &mut [Complex<f32>]) {
-        assert_eq!(g.count(), self.p, "grad spectra block count mismatch");
-        assert_eq!(g.bins(), self.bins, "spectra bin count mismatch");
-        assert_eq!(acc.len(), self.q * self.bins, "accumulator size mismatch");
-        for j in 0..self.q {
-            let out = &mut acc[j * self.bins..(j + 1) * self.bins];
-            for i in 0..self.p {
-                let w = self.spectrum_block(i, j);
-                let gb = g.block(i);
-                for b in 0..self.bins {
-                    out[b] += w[b] * gb[b];
-                }
-            }
-        }
-    }
-
-    /// IFFT half of the transpose apply, truncated to `n` columns.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CircError::DimensionMismatch`] if `acc.len() != q·bins`.
-    pub fn finish_backward(&self, acc: &[Complex<f32>]) -> Result<Vec<f32>, CircError> {
-        if acc.len() != self.q * self.bins {
-            return Err(CircError::DimensionMismatch {
-                expected: self.q * self.bins,
-                got: acc.len(),
-            });
-        }
-        let mut x = vec![0.0f32; self.q * self.k];
-        let mut scratch = vec![Complex::zero(); self.k / 2];
-        for j in 0..self.q {
-            self.plan.inverse_with_scratch(
-                &acc[j * self.bins..(j + 1) * self.bins],
-                &mut x[j * self.k..(j + 1) * self.k],
-                &mut scratch,
-            )?;
-        }
-        x.truncate(self.n);
-        Ok(x)
-    }
-
-    /// `W·x` — Algorithm 1 with frequency-domain accumulation.
+    /// `W·x` — Algorithm 1 on one sample: a batch of one through
+    /// [`BlockCirculantMatrix::forward_batch_into`], so it is bit-identical
+    /// to that sample's row of any batched apply.
     ///
     /// # Errors
     ///
     /// Returns [`CircError::DimensionMismatch`] if `x.len() != self.cols()`.
     pub fn matvec(&self, x: &[f32]) -> Result<Vec<f32>, CircError> {
-        Ok(self.forward_cached(x)?.0)
-    }
-
-    /// `W·x`, also returning the input spectra for reuse in Algorithm 2.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CircError::DimensionMismatch`] if `x.len() != self.cols()`.
-    pub fn forward_cached(&self, x: &[f32]) -> Result<(Vec<f32>, BlockSpectra), CircError> {
-        let xs = self.col_spectra(x)?;
-        let mut acc = vec![Complex::zero(); self.p * self.bins];
-        self.accumulate_forward(&xs, &mut acc);
-        let y = self.finish_forward(&acc)?;
-        Ok((y, xs))
-    }
-
-    /// Algorithm 1 exactly as printed in the paper: one IFFT **per block**,
-    /// accumulating in the time domain. Mathematically identical to
-    /// [`BlockCirculantMatrix::matvec`] but does `p·q` IFFTs instead of `p`;
-    /// kept for the frequency-domain-accumulation ablation bench.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CircError::DimensionMismatch`] if `x.len() != self.cols()`.
-    pub fn matvec_naive(&self, x: &[f32]) -> Result<Vec<f32>, CircError> {
-        let xs = self.col_spectra(x)?;
-        let mut y = vec![0.0f32; self.p * self.k];
-        let mut prod = vec![Complex::zero(); self.bins];
-        let mut block_out = vec![0.0f32; self.k];
-        let mut scratch = vec![Complex::zero(); self.k / 2];
-        for i in 0..self.p {
-            for j in 0..self.q {
-                let w = self.spectrum_block(i, j);
-                let xb = xs.block(j);
-                for b in 0..self.bins {
-                    prod[b] = w[b].conj() * xb[b];
-                }
-                self.plan
-                    .inverse_with_scratch(&prod, &mut block_out, &mut scratch)?;
-                for (slot, &v) in y[i * self.k..(i + 1) * self.k].iter_mut().zip(&block_out) {
-                    *slot += v;
-                }
-            }
-        }
-        y.truncate(self.m);
+        let mut y = vec![0.0f32; self.m];
+        self.forward_batch_into(x, 1, &mut Workspace::new(), &mut y)?;
         Ok(y)
     }
 
     /// `Wᵀ·y` — the `∂L/∂x` kernel of Algorithm 2 (also the visible-unit
-    /// pass of an RBM).
+    /// pass of an RBM) on one sample: a batch of one through
+    /// [`BlockCirculantMatrix::backward_batch_into`].
     ///
     /// # Errors
     ///
     /// Returns [`CircError::DimensionMismatch`] if `y.len() != self.rows()`.
     pub fn matvec_t(&self, y: &[f32]) -> Result<Vec<f32>, CircError> {
-        let gs = self.row_spectra(y)?;
-        let mut acc = vec![Complex::zero(); self.q * self.bins];
-        self.accumulate_backward(&gs, &mut acc);
-        self.finish_backward(&acc)
-    }
-
-    /// Algorithm 2's weight-gradient kernel with both spectra precomputed:
-    /// `∂L/∂w_ij += IFFT(conj(G_i) ∘ X_j)`, accumulated into `accum`
-    /// (laid out like [`BlockCirculantMatrix::weights`]).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CircError::BadWeightLength`] if `accum` is mis-sized.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the spectra block counts do not match this operator.
-    pub fn weight_gradient_spectral(
-        &self,
-        g: &BlockSpectra,
-        x: &BlockSpectra,
-        accum: &mut [f32],
-    ) -> Result<(), CircError> {
-        assert_eq!(g.count(), self.p, "grad spectra block count mismatch");
-        assert_eq!(x.count(), self.q, "input spectra block count mismatch");
-        if accum.len() != self.weights.len() {
-            return Err(CircError::BadWeightLength {
-                expected: self.weights.len(),
-                got: accum.len(),
-            });
-        }
-        let mut prod = vec![Complex::zero(); self.bins];
-        let mut block = vec![0.0f32; self.k];
-        let mut scratch = vec![Complex::zero(); self.k / 2];
-        for i in 0..self.p {
-            let gb = g.block(i);
-            for j in 0..self.q {
-                let xb = x.block(j);
-                for b in 0..self.bins {
-                    prod[b] = gb[b].conj() * xb[b];
-                }
-                self.plan
-                    .inverse_with_scratch(&prod, &mut block, &mut scratch)?;
-                let base = (i * self.q + j) * self.k;
-                for (slot, &v) in accum[base..base + self.k].iter_mut().zip(&block) {
-                    *slot += v;
-                }
-            }
-        }
-        Ok(())
-    }
-
-    /// Algorithm 2's weight-gradient kernel from a raw output gradient;
-    /// `x_spectra` must come from [`BlockCirculantMatrix::forward_cached`]
-    /// on the input that produced `grad_output`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CircError`] on any length mismatch.
-    pub fn weight_gradient(
-        &self,
-        grad_output: &[f32],
-        x_spectra: &BlockSpectra,
-        accum: &mut [f32],
-    ) -> Result<(), CircError> {
-        let gs = self.row_spectra(grad_output)?;
-        self.weight_gradient_spectral(&gs, x_spectra, accum)
+        let mut x = vec![0.0f32; self.n];
+        self.backward_batch_into(y, 1, &mut Workspace::new(), &mut x)?;
+        Ok(x)
     }
 
     /// Materializes the dense `m×n` equivalent (tests and inspection only —
@@ -1147,7 +850,75 @@ impl BlockCirculantMatrix {
         self.apply_batch(Dir::Forward, x, batch, ws, out, threads, epi)
     }
 
-    /// Shared driver for the batched forward/transpose apply.
+    /// Stage A of an apply on its own: validates `src`, sizes and stamps
+    /// `ws`, and leaves the batch's input (forward) or output-gradient
+    /// (backward) spectra planes in it — everything
+    /// [`BlockCirculantMatrix::weight_gradient_batch`] reads.
+    fn record_spectra(
+        &self,
+        dir: Dir,
+        src: &[f32],
+        batch: usize,
+        ws: &mut Workspace,
+        threads: usize,
+    ) -> Result<(), CircError> {
+        let (logical, blocks) = match dir {
+            Dir::Forward => (self.n, self.q),
+            Dir::Backward => (self.m, self.p),
+        };
+        engine::check_slabs(batch, &[(src.len(), logical)])?;
+        match dir {
+            Dir::Forward => {
+                ws.prepare_forward(self, batch, threads);
+                ws.fwd_stamp = Some((self.id, batch));
+            }
+            Dir::Backward => {
+                ws.prepare_backward(self, batch, threads);
+                ws.bwd_stamp = Some((self.id, batch));
+            }
+        }
+        let Workspace {
+            xs_re,
+            xs_im,
+            gs_re,
+            gs_im,
+            acc_re,
+            acc_im,
+            pr,
+            pi,
+            ..
+        } = ws;
+        let len = blocks * self.bins * batch;
+        let (re, im) = match dir {
+            Dir::Forward => (&mut xs_re[..len], &mut xs_im[..len]),
+            Dir::Backward => (&mut gs_re[..len], &mut gs_im[..len]),
+        };
+        // One real-input batch-plane FFT per block (all samples at once,
+        // parallel over blocks — the Fig.-10 saving, batched), then the
+        // bin-major re-layout the MAC wants. The block-major FFT staging
+        // borrows the accumulator planes, free at this point.
+        engine::forward_spectra_planes(
+            &self.bplan,
+            src,
+            batch,
+            logical,
+            blocks,
+            self.k,
+            self.bins,
+            threads,
+            acc_re,
+            acc_im,
+            re,
+            im,
+            pr,
+            pi,
+        );
+        Ok(())
+    }
+
+    /// The batched forward/transpose apply shared by every entry point: stage A
+    /// ([`BlockCirculantMatrix::record_spectra`]), then the MAC, the plane
+    /// IFFT with its epilogue, and the unstaging into `out`.
     #[allow(clippy::too_many_arguments)]
     fn apply_batch(
         &self,
@@ -1159,22 +930,13 @@ impl BlockCirculantMatrix {
         threads: usize,
         epi: &Epilogue<'_>,
     ) -> Result<(), CircError> {
-        let (in_logical, in_blocks, out_logical, out_blocks) = match dir {
-            Dir::Forward => (self.n, self.q, self.m, self.p),
-            Dir::Backward => (self.m, self.p, self.n, self.q),
+        let (in_blocks, out_logical, out_blocks) = match dir {
+            Dir::Forward => (self.q, self.m, self.p),
+            Dir::Backward => (self.p, self.n, self.q),
         };
-        engine::check_slabs(batch, &[(src.len(), in_logical), (out.len(), out_logical)])?;
+        engine::check_slabs(batch, &[(out.len(), out_logical)])?;
         let threads = threads.max(1);
-        match dir {
-            Dir::Forward => {
-                ws.prepare_forward(self, batch, threads);
-                ws.fwd_stamp = Some((self.id, batch));
-            }
-            Dir::Backward => {
-                ws.prepare_backward(self, batch, threads);
-                ws.bwd_stamp = Some((self.id, batch));
-            }
-        }
+        self.record_spectra(dir, src, batch, ws, threads)?;
         let (k, bins) = (self.k, self.bins);
         let Workspace {
             xs_re,
@@ -1190,32 +952,9 @@ impl BlockCirculantMatrix {
         } = ws;
         let in_len = in_blocks * bins * batch;
         let (in_re, in_im) = match dir {
-            Dir::Forward => (&mut xs_re[..in_len], &mut xs_im[..in_len]),
-            Dir::Backward => (&mut gs_re[..in_len], &mut gs_im[..in_len]),
+            Dir::Forward => (&xs_re[..in_len], &xs_im[..in_len]),
+            Dir::Backward => (&gs_re[..in_len], &gs_im[..in_len]),
         };
-        // Stage A: one real-input batch-plane FFT per input block (all
-        // samples at once, parallel over blocks — the Fig.-10 saving,
-        // batched), then the bin-major re-layout the MAC wants. The
-        // block-major FFT staging borrows the accumulator planes, free at
-        // this point.
-        engine::forward_spectra_planes(
-            &self.bplan,
-            src,
-            batch,
-            in_logical,
-            in_blocks,
-            k,
-            bins,
-            threads,
-            acc_re,
-            acc_im,
-            in_re,
-            in_im,
-            pr,
-            pi,
-        );
-        let in_re = &in_re[..];
-        let in_im = &in_im[..];
         // Stage B: the frequency-domain MAC — one sweep over the cached
         // weight spectra for the whole batch, parallel over output blocks.
         let acc_len = out_blocks * bins * batch;
@@ -1446,14 +1185,18 @@ impl LinearOp for BlockCirculantMatrix {
 
     fn outer_update(&mut self, h: &[f32], v: &[f32], scale: f32) {
         // Project the rank-1 update h·vᵀ onto the block-circulant subspace:
-        // per block, Δw_ij = scale·corr(h_i, v_j) — the same kernel as the
-        // Algorithm-2 weight gradient.
-        let xs = self
-            .col_spectra(v)
+        // per block, Δw_ij = scale·corr(h_i, v_j) — the Algorithm-2 weight
+        // gradient of a batch of one with input v and output gradient h,
+        // which reads only the two sides' recorded spectra.
+        let mut ws = Workspace::new();
+        let threads = default_batch_threads();
+        self.record_spectra(Dir::Forward, v, 1, &mut ws, threads)
             .expect("dimension mismatch in outer_update (v)");
-        let mut delta = vec![0.0f32; self.weights.len()];
-        self.weight_gradient(h, &xs, &mut delta)
+        self.record_spectra(Dir::Backward, h, 1, &mut ws, threads)
             .expect("dimension mismatch in outer_update (h)");
+        let mut delta = vec![0.0f32; self.weights.len()];
+        self.weight_gradient_batch(&mut ws, &mut delta)
+            .expect("spectra recorded by the pair above");
         for (w, d) in self.weights.iter_mut().zip(&delta) {
             *w += scale * d;
         }
@@ -1517,17 +1260,6 @@ mod tests {
     }
 
     #[test]
-    fn naive_and_accumulated_forward_agree() {
-        let w = random_bcm(24, 40, 8, 5);
-        let x = seeded(40, 6);
-        let fast = w.matvec(&x).unwrap();
-        let naive = w.matvec_naive(&x).unwrap();
-        for (a, b) in fast.iter().zip(&naive) {
-            assert!((a - b).abs() < 1e-4);
-        }
-    }
-
-    #[test]
     fn transpose_matches_dense_transpose() {
         for (m, n, k) in [(12, 20, 4), (7, 10, 8)] {
             let w = random_bcm(m, n, k, 77);
@@ -1566,9 +1298,13 @@ mod tests {
         let w = random_bcm(m, n, k, 21);
         let x = seeded(n, 3);
         let g = seeded(m, 4);
-        let (_, xs) = w.forward_cached(&x).unwrap();
+        let mut ws = Workspace::new();
+        let mut y = vec![0.0f32; m];
+        let mut gx = vec![0.0f32; n];
+        w.forward_batch_into(&x, 1, &mut ws, &mut y).unwrap();
+        w.backward_batch_into(&g, 1, &mut ws, &mut gx).unwrap();
         let mut analytic = vec![0.0f32; w.num_parameters()];
-        w.weight_gradient(&g, &xs, &mut analytic).unwrap();
+        w.weight_gradient_batch(&mut ws, &mut analytic).unwrap();
         // Numeric: L = Σ g_i·(Wx)_i ; perturb each defining weight.
         let eps = 1e-2f32;
         for idx in 0..w.num_parameters() {
@@ -1597,28 +1333,6 @@ mod tests {
                 "weight {idx}: analytic {} vs numeric {numeric}",
                 analytic[idx]
             );
-        }
-    }
-
-    #[test]
-    fn spectral_accumulators_compose_linearly() {
-        // Summing two operators' accumulators then one IFFT must equal the
-        // sum of their separate matvecs — the property the CONV layer
-        // (Eqn. 7) relies on to share IFFTs across the r² kernel offsets.
-        let a = random_bcm(12, 8, 4, 101);
-        let b = random_bcm(12, 8, 4, 102);
-        let x1 = seeded(8, 103);
-        let x2 = seeded(8, 104);
-        let xs1 = a.col_spectra(&x1).unwrap();
-        let xs2 = b.col_spectra(&x2).unwrap();
-        let mut acc = vec![Complex::zero(); a.block_rows() * a.bins()];
-        a.accumulate_forward(&xs1, &mut acc);
-        b.accumulate_forward(&xs2, &mut acc);
-        let combined = a.finish_forward(&acc).unwrap();
-        let ya = a.matvec(&x1).unwrap();
-        let yb = b.matvec(&x2).unwrap();
-        for i in 0..12 {
-            assert!((combined[i] - (ya[i] + yb[i])).abs() < 1e-4);
         }
     }
 
@@ -1705,24 +1419,24 @@ mod tests {
         assert!(BlockCirculantMatrix::from_weights(8, 8, 4, &[0.0; 5]).is_err());
     }
 
-    /// |a − b| within a mixed absolute/relative tolerance (the batched
-    /// engine uses a different — equally valid — FFT factorization than the
-    /// scalar path, so agreement is to rounding, not bitwise).
+    /// |a − b| within a mixed absolute/relative tolerance (the dense
+    /// reference sums in the time domain, so agreement is to rounding).
     fn close(a: f32, b: f32) -> bool {
         (a - b).abs() < 5e-4 * b.abs().max(1.0)
     }
 
     #[test]
-    fn batched_forward_matches_single_sample() {
+    fn batched_forward_matches_dense() {
         for (m, n, k, batch) in [(8, 8, 4, 1), (16, 32, 8, 5), (10, 7, 4, 3), (17, 9, 16, 4)] {
             let w = random_bcm(m, n, k, (m * 31 + n * 7 + k + batch) as u64);
+            let dense = w.to_dense();
             let x: Vec<f32> = seeded(batch * n, 77);
             let mut ws = Workspace::new();
             let y = w.matmat(&x, batch, &mut ws).unwrap();
             assert_eq!(y.len(), batch * m);
             for b in 0..batch {
-                let single = w.matvec(&x[b * n..(b + 1) * n]).unwrap();
-                for (i, (&a, &e)) in y[b * m..(b + 1) * m].iter().zip(&single).enumerate() {
+                let expect = dense.matvec(&x[b * n..(b + 1) * n]);
+                for (i, (&a, &e)) in y[b * m..(b + 1) * m].iter().zip(&expect).enumerate() {
                     assert!(close(a, e), "({m},{n},{k}) sample {b} row {i}: {a} vs {e}");
                 }
             }
@@ -1764,16 +1478,17 @@ mod tests {
     }
 
     #[test]
-    fn batched_backward_matches_single_sample() {
+    fn batched_backward_matches_dense_transpose() {
         let (m, n, k, batch) = (12, 20, 4, 6);
         let w = random_bcm(m, n, k, 55);
+        let dense_t = w.to_dense().transpose();
         let g = seeded(batch * m, 3);
         let mut ws = Workspace::new();
         let mut gx = vec![0.0f32; batch * n];
         w.backward_batch_into(&g, batch, &mut ws, &mut gx).unwrap();
         for b in 0..batch {
-            let single = w.matvec_t(&g[b * m..(b + 1) * m]).unwrap();
-            for (i, (&a, &e)) in gx[b * n..(b + 1) * n].iter().zip(&single).enumerate() {
+            let expect = dense_t.matvec(&g[b * m..(b + 1) * m]);
+            for (i, (&a, &e)) in gx[b * n..(b + 1) * n].iter().zip(&expect).enumerate() {
                 assert!(close(a, e), "sample {b} col {i}: {a} vs {e}");
             }
         }
@@ -1783,14 +1498,25 @@ mod tests {
     fn batched_weight_gradient_matches_per_sample_accumulation() {
         let (m, n, k, batch) = (10, 14, 4, 5);
         let w = random_bcm(m, n, k, 66);
+        let (p, q) = (w.block_rows(), w.block_cols());
         let x = seeded(batch * n, 4);
         let g = seeded(batch * m, 5);
-        // Per-sample reference via the existing Algorithm-2 kernel.
+        // Direct reference: Σ_b g_b·x_bᵀ summed over each block's cyclic
+        // diagonals (the adjoint of `to_dense`'s `w[(t − s) mod k]` layout).
         let mut expect = vec![0.0f32; w.num_parameters()];
         for b in 0..batch {
-            let (_, xs) = w.forward_cached(&x[b * n..(b + 1) * n]).unwrap();
-            w.weight_gradient(&g[b * m..(b + 1) * m], &xs, &mut expect)
-                .unwrap();
+            for i in 0..p {
+                for j in 0..q {
+                    for d in 0..k {
+                        for s in 0..k {
+                            let (row, col) = (i * k + s, j * k + (s + d) % k);
+                            if row < m && col < n {
+                                expect[(i * q + j) * k + d] += g[b * m + row] * x[b * n + col];
+                            }
+                        }
+                    }
+                }
+            }
         }
         let mut ws = Workspace::new();
         let mut y = vec![0.0f32; batch * m];
@@ -1802,7 +1528,7 @@ mod tests {
         for (idx, (a, e)) in got.iter().zip(&expect).enumerate() {
             assert!(
                 (a - e).abs() < 1e-3 * e.abs().max(1.0),
-                "weight {idx}: batched {a} vs per-sample {e}"
+                "weight {idx}: batched {a} vs direct {e}"
             );
         }
     }

@@ -140,20 +140,21 @@ proptest! {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
-    /// The batched engine column-wise reproduces the single-sample kernel
-    /// (to rounding: its batch-plane FFT is a different factorization than
-    /// the scalar real FFT), including ragged m/n not divisible by k.
+    /// The batched engine column-wise reproduces the dense product (to
+    /// rounding: the dense reference sums in the time domain), including
+    /// ragged m/n not divisible by k.
     #[test]
-    fn forward_batch_columns_equal_matvec((m, n, k, seed) in shapes(), batch in 1usize..8) {
+    fn forward_batch_columns_equal_dense_matvec((m, n, k, seed) in shapes(), batch in 1usize..8) {
         let p = m.div_ceil(k);
         let q = n.div_ceil(k);
         let w = BlockCirculantMatrix::from_weights(m, n, k, &random_weights(p * q * k, seed)).unwrap();
+        let dense = w.to_dense();
         let x = random_weights(batch * n, seed ^ 0xB00C);
         let mut ws = Workspace::new();
         let y = w.matmat(&x, batch, &mut ws).unwrap();
         for b in 0..batch {
-            let single = w.matvec(&x[b * n..(b + 1) * n]).unwrap();
-            for (a, e) in y[b * m..(b + 1) * m].iter().zip(&single) {
+            let expect = dense.matvec(&x[b * n..(b + 1) * n]);
+            for (a, e) in y[b * m..(b + 1) * m].iter().zip(&expect) {
                 prop_assert!((a - e).abs() < 5e-4 * e.abs().max(1.0),
                     "({},{},{}) batch {} sample {}: {} vs {}", m, n, k, batch, b, a, e);
             }
@@ -162,17 +163,18 @@ proptest! {
 
     /// Same property for the batched transpose apply.
     #[test]
-    fn backward_batch_columns_equal_matvec_t((m, n, k, seed) in shapes(), batch in 1usize..8) {
+    fn backward_batch_columns_equal_dense_transpose((m, n, k, seed) in shapes(), batch in 1usize..8) {
         let p = m.div_ceil(k);
         let q = n.div_ceil(k);
         let w = BlockCirculantMatrix::from_weights(m, n, k, &random_weights(p * q * k, seed)).unwrap();
+        let dense_t = w.to_dense().transpose();
         let g = random_weights(batch * m, seed ^ 0x5EED);
         let mut ws = Workspace::new();
         let mut gx = vec![0.0f32; batch * n];
         w.backward_batch_into(&g, batch, &mut ws, &mut gx).unwrap();
         for b in 0..batch {
-            let single = w.matvec_t(&g[b * m..(b + 1) * m]).unwrap();
-            for (a, e) in gx[b * n..(b + 1) * n].iter().zip(&single) {
+            let expect = dense_t.matvec(&g[b * m..(b + 1) * m]);
+            for (a, e) in gx[b * n..(b + 1) * n].iter().zip(&expect) {
                 prop_assert!((a - e).abs() < 5e-4 * e.abs().max(1.0),
                     "({},{},{}) batch {} sample {}: {} vs {}", m, n, k, batch, b, a, e);
             }
@@ -211,8 +213,9 @@ proptest! {
         prop_assert_eq!(&wg_s, &wg_p, "weight gradient diverged at {} threads", threads);
     }
 
-    /// A warm workspace keeps giving correct answers across differing
-    /// shapes and batch sizes (grow-only buffers are re-sliced per call).
+    /// A warm workspace keeps giving the same bits as a fresh one across
+    /// differing shapes and batch sizes (grow-only buffers are re-sliced
+    /// per call; `matvec` runs on a fresh arena).
     #[test]
     fn workspace_reuse_across_shapes_is_sound(
         (m1, n1, k1, seed1) in shapes(),
@@ -233,15 +236,11 @@ proptest! {
         let yb = b.matmat(&xb, batch + 1, &mut ws).unwrap();
         for s in 0..batch {
             let single = a.matvec(&xa[s * n1..(s + 1) * n1]).unwrap();
-            for (got, e) in ya[s * m1..(s + 1) * m1].iter().zip(&single) {
-                prop_assert!((got - e).abs() < 5e-4 * e.abs().max(1.0), "{} vs {}", got, e);
-            }
+            prop_assert_eq!(&ya[s * m1..(s + 1) * m1], &single[..], "first operator, sample {}", s);
         }
         for s in 0..batch + 1 {
             let single = b.matvec(&xb[s * n2..(s + 1) * n2]).unwrap();
-            for (got, e) in yb[s * m2..(s + 1) * m2].iter().zip(&single) {
-                prop_assert!((got - e).abs() < 5e-4 * e.abs().max(1.0), "{} vs {}", got, e);
-            }
+            prop_assert_eq!(&yb[s * m2..(s + 1) * m2], &single[..], "second operator, sample {}", s);
         }
     }
 }
@@ -290,6 +289,43 @@ proptest! {
             );
         }
     }
+
+    /// A lone `matvec` is a batch of one through the engine, so it is its
+    /// sample's row of any `matmat`, bit for bit.
+    #[test]
+    fn matvec_is_its_row_of_matmat_bitwise((m, n, k, seed) in shapes(), batch in wide_batches()) {
+        let p = m.div_ceil(k);
+        let q = n.div_ceil(k);
+        let w = BlockCirculantMatrix::from_weights(m, n, k, &random_weights(p * q * k, seed)).unwrap();
+        let x = random_weights(batch * n, seed ^ 0x51A6);
+        let y = w.matmat(&x, batch, &mut Workspace::new()).unwrap();
+        for b in 0..batch {
+            let single = w.matvec(&x[b * n..(b + 1) * n]).unwrap();
+            prop_assert_eq!(
+                &y[b * m..(b + 1) * m], &single[..],
+                "({},{},{}) sample {} of B={}", m, n, k, b, batch
+            );
+        }
+    }
+
+    /// Same for the transpose: a lone `matvec_t` is its sample's row of
+    /// any `backward_batch_into`, bit for bit.
+    #[test]
+    fn matvec_t_is_its_row_of_backward_batch_bitwise((m, n, k, seed) in shapes(), batch in wide_batches()) {
+        let p = m.div_ceil(k);
+        let q = n.div_ceil(k);
+        let w = BlockCirculantMatrix::from_weights(m, n, k, &random_weights(p * q * k, seed)).unwrap();
+        let g = random_weights(batch * m, seed ^ 0x7A95);
+        let mut gx = vec![0.0f32; batch * n];
+        w.backward_batch_into(&g, batch, &mut Workspace::new(), &mut gx).unwrap();
+        for b in 0..batch {
+            let single = w.matvec_t(&g[b * m..(b + 1) * m]).unwrap();
+            prop_assert_eq!(
+                &gx[b * n..(b + 1) * n], &single[..],
+                "({},{},{}) sample {} of B={}", m, n, k, b, batch
+            );
+        }
+    }
 }
 
 /// The serving layer shares one operator (`Arc`) across worker threads,
@@ -299,7 +335,6 @@ fn engine_types_are_send_and_sync() {
     fn assert_send_sync<T: Send + Sync>() {}
     assert_send_sync::<BlockCirculantMatrix>();
     assert_send_sync::<Workspace>();
-    assert_send_sync::<circnn_core::BlockSpectra>();
     assert_send_sync::<circnn_core::CirculantLinear>();
     assert_send_sync::<circnn_nn::Sequential>();
 }
@@ -474,10 +509,10 @@ fn conv_shapes() -> impl Strategy<Value = (usize, usize, usize, usize, usize, us
         })
 }
 
-/// The retired per-image, per-pixel spectral CONV path, reconstructed from
-/// the public Algorithm-1 pieces (`col_spectra` / `accumulate_forward` /
-/// `finish_forward`): channel spectra once per input pixel, `r²` operator
-/// accumulations per output pixel, one IFFT per output block.
+/// A per-image CONV reference that shares nothing with the spectral
+/// engine: Eqn. (7) as a direct convolution, each kernel offset's operator
+/// materialized by `to_dense()` as a `P × C` channel-mixing matrix and the
+/// `r²` offsets summed per output pixel in f64.
 #[allow(clippy::too_many_arguments)]
 fn per_image_conv_reference(
     engines: &[BlockCirculantMatrix],
@@ -491,24 +526,16 @@ fn per_image_conv_reference(
     h: usize,
     w: usize,
 ) -> Vec<f32> {
-    let e0 = &engines[0];
+    let dense: Vec<_> = engines.iter().map(BlockCirculantMatrix::to_dense).collect();
     let oh = (h + 2 * padding - r) / stride + 1;
     let ow = (w + 2 * padding - r) / stride + 1;
-    let mut pixel_spectra = Vec::with_capacity(h * w);
-    let mut chans = vec![0.0f32; c];
-    for iy in 0..h {
-        for ix in 0..w {
-            for (ci, slot) in chans.iter_mut().enumerate() {
-                *slot = img[(ci * h + iy) * w + ix];
-            }
-            pixel_spectra.push(e0.col_spectra(&chans).unwrap());
-        }
-    }
     let mut out = vec![0.0f32; p_out * oh * ow];
-    let mut acc = vec![circnn_fft::Complex::zero(); e0.block_rows() * e0.bins()];
+    let mut acc = vec![0.0f64; p_out];
     for oy in 0..oh {
         for ox in 0..ow {
-            acc.fill(circnn_fft::Complex::zero());
+            for (slot, &b) in acc.iter_mut().zip(bias) {
+                *slot = f64::from(b);
+            }
             for kh in 0..r {
                 let iy = (oy * stride + kh) as isize - padding as isize;
                 if iy < 0 || iy >= h as isize {
@@ -519,13 +546,17 @@ fn per_image_conv_reference(
                     if ix < 0 || ix >= w as isize {
                         continue;
                     }
-                    let spec = &pixel_spectra[iy as usize * w + ix as usize];
-                    engines[kh * r + kw].accumulate_forward(spec, &mut acc);
+                    let d = &dense[kh * r + kw];
+                    for (pch, slot) in acc.iter_mut().enumerate() {
+                        for ci in 0..c {
+                            let v = img[(ci * h + iy as usize) * w + ix as usize];
+                            *slot += f64::from(d.at(&[pch, ci])) * f64::from(v);
+                        }
+                    }
                 }
             }
-            let y = e0.finish_forward(&acc).unwrap();
-            for (pch, &v) in y.iter().enumerate() {
-                out[(pch * oh + oy) * ow + ox] = v + bias[pch];
+            for (pch, &v) in acc.iter().enumerate() {
+                out[(pch * oh + oy) * ow + ox] = v as f32;
             }
         }
     }
@@ -535,12 +566,12 @@ fn per_image_conv_reference(
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
-    /// The batch-plane CONV pipeline must agree with the retired
-    /// per-image, per-pixel spectral path on random shapes, strides and
-    /// paddings — the refactor changed the FFT factorization and the
-    /// batching, not the math.
+    /// The batch-plane CONV pipeline must agree with the dense direct
+    /// convolution on random shapes, strides and paddings — the plane
+    /// pipeline changes the FFT factorization and the batching, not the
+    /// math.
     #[test]
-    fn batched_conv_matches_retired_per_image_path(
+    fn batched_conv_matches_dense_per_image_reference(
         (c, p_out, r, stride, padding, k, batch, hw) in conv_shapes(),
         seed in any::<u64>(),
     ) {
@@ -584,7 +615,7 @@ proptest! {
                 prop_assert!(
                     (a - e).abs() < 2e-4 * scale,
                     "(C={c} P={p_out} r={r} s={stride} pad={padding} k={k} B={batch} \
-                     {h}x{w}) sample {b} idx {i}: plane {a} vs per-image {e}"
+                     {h}x{w}) sample {b} idx {i}: plane {a} vs dense {e}"
                 );
             }
         }
