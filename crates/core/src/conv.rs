@@ -10,11 +10,11 @@
 //! output pixel is computed with the same FFT pipeline as the FC layer.
 //!
 //! Implementation: one [`BlockCirculantMatrix`] of logical shape `P×C` per
-//! kernel offset (`r²` of them), and a [`ConvWorkspace`] — a thin
-//! lane-mapping adapter (lanes = batch·pixels) over the shared
-//! spectral-plane core in `crate::engine` — that runs the whole
-//! `[B, C, H, W]` batch through SoA `[bin][block][batch·pixels]` spectra
-//! planes:
+//! kernel offset (`r²` of them), and one forward pipeline over the shared
+//! spectral-plane core in `crate::engine` (lanes = batch·pixels, both
+//! precisions: [`ConvWorkspace`] runs it at f32, `QuantizedConv2d` at i16)
+//! that takes the whole `[B, C, H, W]` batch through SoA
+//! `[block][bin][batch·pixels]` spectra planes:
 //!
 //! 1. **Channel FFT** — one real-input batch-plane FFT per block *column*
 //!    for the entire batch (`B·H·W` lanes per dispatch); each input pixel's
@@ -50,7 +50,7 @@ use circnn_tensor::im2col::ConvGeometry;
 use circnn_tensor::Tensor;
 use rand::Rng;
 
-use crate::engine::{self, Epilogue};
+use crate::engine::{self, Activation, Arena, Epilogue, LaneMap, Precision, F32};
 use crate::error::CircError;
 use crate::matrix::{default_batch_threads, BlockCirculantMatrix};
 use crate::quantized::{QuantConfig, QuantizedConv2d};
@@ -122,7 +122,7 @@ fn scatter_add_row_padded(
 /// `j·k + t` (rows past `channels` are zero), every padded
 /// `(sample, pixel)` pair is one lane and padding lanes are zero (their
 /// spectra are zero, which is exactly the zero-fill a boundary tap needs).
-pub(crate) fn pack_padded_input_block(
+fn pack_padded_input_block(
     src: &[f32],
     g: &ConvGeometry,
     batch: usize,
@@ -191,57 +191,42 @@ fn pack_channel_block(
 /// weight-gradient reduction without re-running any FFT.
 #[derive(Debug, Clone, Default)]
 pub struct ConvWorkspace {
-    /// Input-channel spectra on the padded pixel grid, block-major
-    /// `[q][bins][B·Hp·Wp]`, split re/im. Retained across forward →
-    /// backward.
-    xs_re: Vec<f32>,
-    xs_im: Vec<f32>,
-    /// Gathered patch spectra for the current kernel offset, bin-major
-    /// `[bin][q][B·OH·OW]` — backward-pass only (the weight-gradient
-    /// reduction pairs each output-gradient lane with its patch lane; also
-    /// reused block-major as the transpose-MAC output). The forward pass
-    /// has no gather: every stride rides the fused run-MAC.
+    /// The forward pipeline's planes: spectrum slot 0 holds the
+    /// input-channel spectra on the padded pixel grid, `[q][bins][B·Hp·Wp]`
+    /// (retained across forward → backward); accumulator set 0 holds the
+    /// output planes `[p][bins][acc lanes]`, whose lanes, for stride 1,
+    /// live on the input row pitch so every kernel offset is one contiguous
+    /// MAC run per sample.
+    arena: Arena<f32, f32>,
+    /// Gathered patch spectra for the current kernel offset,
+    /// `[q][bins][B·OH·OW]` — backward only (the weight-gradient reduction
+    /// pairs each output-gradient lane with its patch lane; also the
+    /// transpose-MAC output). The forward pass has no gather: every stride
+    /// rides the fused run-MAC.
     patch_re: Vec<f32>,
     patch_im: Vec<f32>,
-    /// Output accumulator planes, block-major `[p][bins][acc lanes]`
-    /// (also the grad-FFT staging during the backward pass). For stride 1
-    /// the acc lanes live on the input row pitch so every kernel offset is
-    /// one contiguous MAC run per sample.
-    acc_re: Vec<f32>,
-    acc_im: Vec<f32>,
-    /// Output-gradient spectra, bin-major `[bin][p][B·OH·OW]`.
+    /// Output-gradient spectra, `[p][bins][B·OH·OW]`.
     gs_re: Vec<f32>,
     gs_im: Vec<f32>,
     /// Input-gradient accumulator planes on the padded pixel grid,
-    /// block-major `[q][bins][B·Hp·Wp]`.
+    /// `[q][bins][B·Hp·Wp]`.
     gacc_re: Vec<f32>,
     gacc_im: Vec<f32>,
-    /// Time-domain staging `[block][k][lanes]` between the inverse FFT and
-    /// the output scatter.
-    stage: Vec<f32>,
-    /// Per-thread plane scratch `[k][lanes]`.
-    pr: Vec<f32>,
-    pi: Vec<f32>,
-    /// Per-sample `(out_offset, in_base, len)` MAC runs (stride-1 path).
-    runs: Vec<(usize, usize, usize)>,
-    /// Per-kernel-offset input-plane shifts `kh·Wp + kw` (stride-1 path).
-    shifts: Vec<usize>,
 }
 
-/// Geometry-derived sizes shared by the pipeline stages (f32 and
-/// quantized alike).
-pub(crate) struct Dims {
-    pub(crate) p: usize,
-    pub(crate) q: usize,
-    pub(crate) k: usize,
-    pub(crate) bins: usize,
+/// Geometry-derived sizes shared by the pipeline stages.
+struct Dims {
+    p: usize,
+    q: usize,
+    k: usize,
+    bins: usize,
     /// Padded input-plane lanes `B·Hp·Wp`.
-    pub(crate) l_pad: usize,
+    l_pad: usize,
     /// Compact output lanes `B·OH·OW`.
     l_out: usize,
     /// Accumulator lanes: for stride 1, `B·((OH−1)·Wp + OW)` (input row
     /// pitch, contiguous per-sample MAC runs); otherwise `l_out`.
-    pub(crate) l_acc: usize,
+    l_acc: usize,
     /// Accumulator row pitch (`Wp` for stride 1, `OW` otherwise).
     arow: usize,
     /// Accumulator per-sample block (`(OH−1)·Wp + OW` or `OH·OW`).
@@ -249,14 +234,7 @@ pub(crate) struct Dims {
 }
 
 impl Dims {
-    pub(crate) fn new(
-        p: usize,
-        q: usize,
-        k: usize,
-        bins: usize,
-        g: &ConvGeometry,
-        batch: usize,
-    ) -> Self {
+    fn new(p: usize, q: usize, k: usize, g: &ConvGeometry, batch: usize) -> Self {
         let (hp, wp) = (g.height + 2 * g.padding, g.width + 2 * g.padding);
         let (oh, ow) = (g.out_height(), g.out_width());
         let (arow, abatch) = if g.stride == 1 {
@@ -268,7 +246,7 @@ impl Dims {
             p,
             q,
             k,
-            bins,
+            bins: k / 2 + 1,
             l_pad: batch * hp * wp,
             l_out: batch * oh * ow,
             l_acc: batch * abatch,
@@ -315,7 +293,7 @@ pub(crate) fn infer_geometry(
 /// Strided: one run per (sample, output row), input lanes advancing by
 /// `stride`. Both buffers are grow-only.
 #[inline]
-pub(crate) fn plan_runs<'a>(
+fn plan_runs<'a>(
     d: &Dims,
     g: &ConvGeometry,
     batch: usize,
@@ -356,7 +334,7 @@ pub(crate) fn plan_runs<'a>(
 /// `[block][k][acc lanes]` staging planes into the `[B, P, OH, OW]` slab
 /// (the per-channel bias already rode the IFFT's fused epilogue).
 #[inline]
-pub(crate) fn scatter_staged(
+fn scatter_staged(
     stage: &[f32],
     d: &Dims,
     g: &ConvGeometry,
@@ -383,51 +361,97 @@ pub(crate) fn scatter_staged(
     }
 }
 
+/// The conv forward at either precision — the f32 [`ConvWorkspace`] and
+/// `QuantizedConv2d` — over `arena`, leaving the input spectra in its
+/// slot 0: `[B, C, H, W]` input slab to `[B, P, OH, OW]` output slab, one
+/// plane-FFT dispatch per block for the entire batch.
+#[allow(clippy::too_many_arguments)]
+pub(crate) fn forward_pass<P: Precision>(
+    prec: &P,
+    arena: &mut Arena<P::Spec, P::Acc>,
+    g: &ConvGeometry,
+    batch: usize,
+    input: &[f32],
+    bias: &[f32],
+    out_channels: usize,
+    out: &mut [f32],
+    threads: usize,
+) {
+    let ((p, q), k) = (prec.blocks(), prec.plan().len());
+    let d = Dims::new(p, q, k, g, batch);
+    let threads = threads.max(1);
+    let ([mut side], s) = arena.lend([(prec, input)], 0, d.l_pad, d.l_acc, threads);
+    // Stage 1: channel spectra — one real plane FFT per block column for
+    // every padded (sample, pixel) lane at once, parallel over columns.
+    // Padding lanes carry zero spectra, which is what makes every later
+    // kernel-offset tap branch-free.
+    let pack = |j: usize, plane: &mut [f32]| pack_padded_input_block(input, g, batch, k, j, plane);
+    let xs = (&mut *side.xs.0, &mut *side.xs.1);
+    engine::fft_blocks(prec, threads, q, d.l_pad, xs, s.pr, s.pi, &pack);
+    // Stage 2: the fused frequency-domain MAC — every stride. On the
+    // padded grid each kernel offset is the same lane run at a constant
+    // plane shift (strided convs advance the input lane by `stride` per
+    // output lane), so one register-tiled sweep accumulates all r²·q
+    // terms per output element (offset-major, block ascending — a fixed
+    // order, so results stay bit-stable across thread counts), the
+    // x-planes stream once, and the accumulators are written exactly once.
+    let (shifts, runs) = plan_runs(&d, g, batch, s.shifts, s.runs);
+    let map = LaneMap {
+        l_pad: d.l_pad,
+        l_acc: d.l_acc,
+        shifts,
+        runs,
+        step: g.stride,
+    };
+    engine::mac(&mut side, threads, &map, s.wa, s.wb);
+    // Stage 3: one real plane inverse per output block row with the fused
+    // epilogue — the per-channel bias is added to each block right after
+    // its IFFT, so the scatter into the [B, P, OH, OW] slab is a pure
+    // layout copy.
+    let epi = Epilogue {
+        bias: Some(bias),
+        act: Activation::Identity,
+    };
+    engine::ifft_sides(&[side], threads, d.l_acc, &epi, s.stage, s.pi);
+    scatter_staged(s.stage, &d, g, batch, out_channels, out);
+}
+
 impl ConvWorkspace {
     /// An empty arena; buffers are sized lazily by the first pass.
     pub fn new() -> Self {
         Self::default()
     }
 
-    fn dims(e0: &BlockCirculantMatrix, g: &ConvGeometry, batch: usize) -> Dims {
-        let (p, q) = (e0.block_rows(), e0.block_cols());
-        Dims::new(p, q, e0.block_size(), e0.bins(), g, batch)
-    }
-
-    fn prepare_forward(&mut self, d: &Dims, threads: usize) {
-        engine::grow(&mut self.xs_re, d.q * d.bins * d.l_pad);
-        engine::grow(&mut self.xs_im, d.q * d.bins * d.l_pad);
-        engine::grow(&mut self.acc_re, d.p * d.bins * d.l_acc);
-        engine::grow(&mut self.acc_im, d.p * d.bins * d.l_acc);
-        // Forward-only footprint: inference workspaces (one per serving
-        // worker) never pay for the backward pass's larger staging (every
-        // stride now rides the fused run-MAC, so the forward pass has no
-        // patch planes at all).
-        engine::grow(&mut self.stage, d.p * d.k * d.l_acc);
-        engine::grow(&mut self.pr, threads * d.k * d.l_pad.max(d.l_acc));
-        engine::grow(&mut self.pi, threads * d.k * d.l_pad.max(d.l_acc));
-    }
-
+    /// Sizes the backward pass's planes. The forward pass sized the
+    /// retained input spectra; inference workspaces (one per serving
+    /// worker) never pay for these.
     fn prepare_backward(&mut self, d: &Dims, threads: usize) {
-        self.prepare_forward(d, threads);
-        // The backward weight-gradient reduction gathers patches for every
-        // stride.
-        engine::grow(&mut self.patch_re, d.q * d.bins * d.l_out);
-        engine::grow(&mut self.patch_im, d.q * d.bins * d.l_out);
-        engine::grow(&mut self.stage, d.q * d.k * d.l_pad);
+        let a = &mut self.arena;
+        engine::grow(&mut a.stage, d.q * d.k * d.l_pad);
+        // The weight-gradient IFFT lanes are the q block pairs of a row.
         let lanes = d.l_pad.max(d.l_acc).max(d.q);
-        engine::grow(&mut self.pr, threads * d.k * lanes);
-        engine::grow(&mut self.pi, threads * d.k * lanes);
-        engine::grow(&mut self.gs_re, d.p * d.bins * d.l_out);
-        engine::grow(&mut self.gs_im, d.p * d.bins * d.l_out);
-        engine::grow(&mut self.gacc_re, d.q * d.bins * d.l_pad);
-        engine::grow(&mut self.gacc_im, d.q * d.bins * d.l_pad);
+        engine::grow(&mut a.pr, threads * d.k * lanes);
+        engine::grow(&mut a.pi, threads * d.k * lanes);
+        let (patch, gs, gacc) = (
+            d.q * d.bins * d.l_out,
+            d.p * d.bins * d.l_out,
+            d.q * d.bins * d.l_pad,
+        );
+        for (v, len) in [
+            (&mut self.patch_re, patch),
+            (&mut self.patch_im, patch),
+            (&mut self.gs_re, gs),
+            (&mut self.gs_im, gs),
+            (&mut self.gacc_re, gacc),
+            (&mut self.gacc_im, gacc),
+        ] {
+            engine::grow(v, len);
+        }
     }
 
-    /// The batched forward pass: `[B, C, H, W]` input slab to
-    /// `[B, P, OH, OW]` output slab, one plane-FFT dispatch per block row
-    /// for the entire batch. Leaves the input spectra planes in the arena
-    /// for [`ConvWorkspace::backward`].
+    /// The batched f32 forward pass ([`forward_pass`] over the layer's
+    /// engines); leaves the input spectra planes in the arena for
+    /// [`ConvWorkspace::backward`].
     #[allow(clippy::too_many_arguments)]
     fn forward(
         &mut self,
@@ -440,115 +464,21 @@ impl ConvWorkspace {
         out: &mut [f32],
         threads: usize,
     ) {
-        let e0 = &engines[0];
-        let d = Self::dims(e0, g, batch);
-        let threads = threads.max(1);
-        self.prepare_forward(&d, threads);
-        let (p, q, k, bins) = (d.p, d.q, d.k, d.bins);
-        let (l_pad, l_acc) = (d.l_pad, d.l_acc);
-        let plan = e0.plane_plan();
-        let Self {
-            xs_re,
-            xs_im,
-            acc_re,
-            acc_im,
-            stage,
-            pr,
-            pi,
-            runs,
-            shifts,
-            ..
-        } = self;
-        let xs_re = &mut xs_re[..q * bins * l_pad];
-        let xs_im = &mut xs_im[..q * bins * l_pad];
-        let acc_re = &mut acc_re[..p * bins * l_acc];
-        let acc_im = &mut acc_im[..p * bins * l_acc];
-        // Stage 1: channel spectra — one real plane FFT per block column
-        // for every padded (sample, pixel) lane at once, parallel over
-        // columns. Padding lanes carry zero spectra, which is what makes
-        // every later kernel-offset tap branch-free.
-        engine::par_planes(
-            threads,
-            q,
-            bins * l_pad,
-            xs_re,
-            xs_im,
-            k * l_pad,
-            pr,
-            pi,
-            |j0, jcount, re_c, im_c, pr_c, pi_c| {
-                engine::fft_blocks(
-                    plan,
-                    k,
-                    bins,
-                    l_pad,
-                    j0,
-                    jcount,
-                    re_c,
-                    im_c,
-                    pr_c,
-                    pi_c,
-                    &|j, plane| pack_padded_input_block(input, g, batch, k, j, plane),
-                );
-            },
-        );
-        let xs = (&xs_re[..], &xs_im[..]);
-        // Stage 2: the fused frequency-domain MAC — every stride. On the
-        // padded grid each kernel offset is the same lane run at a constant
-        // plane shift (strided convs advance the input lane by `stride` per
-        // output lane), so one register-tiled sweep accumulates all r²·q
-        // terms per output element (offset-major, block ascending — a
-        // fixed order, so results stay bit-stable across thread counts),
-        // the x-planes stream once, and the accumulators are written
-        // exactly once. The per-offset gather path (patch-plane copies plus
-        // r² accumulator read-modify-write sweeps) is gone.
-        let (shifts, runs) = plan_runs(&d, g, batch, shifts, runs);
-        let s = g.stride;
-        // Block-major planes: bins are `l_pad` apart, block columns a
-        // whole `[bins][l_pad]` plane.
-        let strides = (l_pad, bins * l_pad);
-        engine::par_planes(
-            threads,
-            p,
-            bins * l_acc,
-            acc_re,
-            acc_im,
-            0,
-            &mut [],
-            &mut [],
-            |i0, icount, re_c, im_c, _: &mut [f32], _: &mut [f32]| {
-                engine::run_mac(
-                    engines, true, false, shifts, i0, icount, xs, strides, l_acc, runs, s, re_c,
-                    im_c,
-                );
-            },
-        );
-        // Stage 3: one real plane inverse per output block row with the
-        // fused epilogue — the per-channel bias is added to each block
-        // right after its IFFT, so the scatter into the [B, P, OH, OW] slab
-        // below is a pure layout copy.
-        let (acc_re, acc_im): (&[f32], &[f32]) = (acc_re, acc_im);
-        let stage = &mut stage[..p * k * l_acc];
-        let epi = Epilogue {
-            bias: Some(bias),
-            act: engine::Activation::Identity,
+        let prec = F32 {
+            engines,
+            forward: true,
         };
-        engine::par_planes(
+        forward_pass(
+            &prec,
+            &mut self.arena,
+            g,
+            batch,
+            input,
+            bias,
+            out_channels,
+            out,
             threads,
-            p,
-            k * l_acc,
-            stage,
-            &mut [],
-            k * l_acc,
-            pr,
-            pi,
-            |i0, icount, stage_c, _, pr_c, pi_c| {
-                engine::ifft_epilogue_blocks(
-                    plan, acc_re, acc_im, k, bins, l_acc, i0, icount, &epi, stage_c, pr_c, pi_c,
-                );
-            },
         );
-        scatter_staged(stage, &d, g, batch, out_channels, out);
     }
 
     /// The batched backward pass over the spectra planes a matching
@@ -568,11 +498,11 @@ impl ConvWorkspace {
         threads: usize,
     ) {
         let e0 = &engines[0];
-        let d = Self::dims(e0, g, batch);
+        let (p, q, k) = (e0.block_rows(), e0.block_cols(), e0.block_size());
+        let d = Dims::new(p, q, k, g, batch);
         let threads = threads.max(1);
         self.prepare_backward(&d, threads);
-        let (p, q, k, bins) = (d.p, d.q, d.k, d.bins);
-        let (l_pad, l_out) = (d.l_pad, d.l_out);
+        let (bins, l_pad, l_out) = (d.bins, d.l_pad, d.l_out);
         let plan = e0.plane_plan();
         let ohw = g.out_height() * g.out_width();
         let per = e0.num_parameters();
@@ -584,87 +514,73 @@ impl ConvWorkspace {
             }
         }
         let Self {
-            xs_re,
-            xs_im,
+            arena,
             patch_re,
             patch_im,
-            acc_re,
-            acc_im,
             gs_re,
             gs_im,
             gacc_re,
             gacc_im,
-            stage,
-            pr,
-            pi,
-            ..
         } = self;
-        let xs_re = &xs_re[..q * bins * l_pad];
-        let xs_im = &xs_im[..q * bins * l_pad];
+        let Arena {
+            xs, stage, pr, pi, ..
+        } = arena;
+        let xs_re = &xs[0].0[..q * bins * l_pad];
+        let xs_im = &xs[0].1[..q * bins * l_pad];
         let patch_re = &mut patch_re[..q * bins * l_out];
         let patch_im = &mut patch_im[..q * bins * l_out];
-        let gs_re = &mut gs_re[..p * bins * l_out];
-        let gs_im = &mut gs_im[..p * bins * l_out];
         let gacc_re = &mut gacc_re[..q * bins * l_pad];
         let gacc_im = &mut gacc_im[..q * bins * l_pad];
-        // Output-gradient spectra: block-major FFT staging in the (free)
-        // forward accumulator planes, then a bin-major re-layout so both
-        // the weight-gradient reduction and the transpose MAC stream them
-        // contiguously.
-        {
-            let tmp_re = &mut acc_re[..p * bins * l_out];
-            let tmp_im = &mut acc_im[..p * bins * l_out];
-            engine::par_planes(
-                threads,
-                p,
-                bins * l_out,
-                tmp_re,
-                tmp_im,
-                k * l_out,
-                pr,
-                pi,
-                |i0, icount, re_c, im_c, pr_c, pi_c| {
-                    engine::fft_blocks(
-                        plan,
-                        k,
-                        bins,
-                        l_out,
-                        i0,
-                        icount,
-                        re_c,
-                        im_c,
-                        pr_c,
-                        pi_c,
-                        &|j, plane| pack_channel_block(grad, out_channels, ohw, batch, k, j, plane),
-                    );
-                },
-            );
-            for i in 0..p {
-                for bin in 0..bins {
-                    let src = (i * bins + bin) * l_out;
-                    let dst = (bin * p + i) * l_out;
-                    gs_re[dst..dst + l_out].copy_from_slice(&tmp_re[src..src + l_out]);
-                    gs_im[dst..dst + l_out].copy_from_slice(&tmp_im[src..src + l_out]);
-                }
-            }
-        }
+        // Output-gradient spectra, block-major like every plane, straight
+        // from the FFT: both the weight-gradient reduction and the
+        // transpose MAC stream them.
+        let fwd = F32 {
+            engines,
+            forward: true,
+        };
+        let pack = |j: usize, plane: &mut [f32]| {
+            pack_channel_block(grad, out_channels, ohw, batch, k, j, plane)
+        };
+        let gs = (&mut gs_re[..], &mut gs_im[..]);
+        engine::fft_blocks(&fwd, threads, p, l_out, gs, pr, pi, &pack);
+        let (gs_re, gs_im) = (&gs_re[..p * bins * l_out], &gs_im[..p * bins * l_out]);
         gacc_re.fill(0.0);
         gacc_im.fill(0.0);
-        let (gs_re, gs_im): (&[f32], &[f32]) = (gs_re, gs_im);
+        let run = [(0, 0, l_out)];
+        let map = LaneMap {
+            l_pad: l_out,
+            l_acc: l_out,
+            shifts: &[0],
+            runs: &run,
+            step: 1,
+        };
         let r = g.kernel;
         for o in 0..r * r {
             let (kh, kw) = (o / r, o % r);
+            let eng = &engines[o];
             // Gather this offset's patch spectra from the retained padded
-            // input planes (bin-major, as the reduction kernels expect).
-            for j in 0..q {
-                for bin in 0..bins {
-                    let src_r = &xs_re[(j * bins + bin) * l_pad..][..l_pad];
-                    let src_i = &xs_im[(j * bins + bin) * l_pad..][..l_pad];
-                    let dst_r = &mut patch_re[(bin * q + j) * l_out..][..l_out];
-                    let dst_i = &mut patch_im[(bin * q + j) * l_out..][..l_out];
-                    gather_row_padded(src_r, dst_r, g, batch, kh, kw);
-                    gather_row_padded(src_i, dst_i, g, batch, kh, kw);
-                }
+            // input planes (the same `[q][bins]` rows, compact lanes).
+            for row in 0..q * bins {
+                let (src_r, src_i) = (
+                    &xs_re[row * l_pad..][..l_pad],
+                    &xs_im[row * l_pad..][..l_pad],
+                );
+                gather_row_padded(
+                    src_r,
+                    &mut patch_re[row * l_out..][..l_out],
+                    g,
+                    batch,
+                    kh,
+                    kw,
+                );
+                gather_row_padded(
+                    src_i,
+                    &mut patch_im[row * l_out..][..l_out],
+                    g,
+                    batch,
+                    kh,
+                    kw,
+                );
             }
             // Weight gradient for this offset: frequency-domain reduction
             // over every (sample, pixel) lane, one plane IFFT per block
@@ -672,7 +588,6 @@ impl ConvWorkspace {
             {
                 let (pre, pim): (&[f32], &[f32]) = (patch_re, patch_im);
                 let accum = &mut wgrad[o * per..(o + 1) * per];
-                let eng = &engines[o];
                 engine::par_planes(
                     threads,
                     p,
@@ -695,7 +610,7 @@ impl ConvWorkspace {
             // parallel over block columns, per-lane order fixed by the
             // offset loop.
             {
-                let eng = &engines[o];
+                let engs = core::slice::from_ref(eng);
                 engine::par_planes(
                     threads,
                     q,
@@ -706,7 +621,8 @@ impl ConvWorkspace {
                     &mut [],
                     &mut [],
                     |j0, jcount, re_c, im_c, _: &mut [f32], _: &mut [f32]| {
-                        eng.mac_planes(false, false, l_out, j0, jcount, gs_re, gs_im, re_c, im_c);
+                        let x = (gs_re, gs_im);
+                        engine::run_mac(engs, false, j0, jcount, &map, x, re_c, im_c);
                     },
                 );
                 let (t_re, t_im): (&[f32], &[f32]) = (patch_re, patch_im);
@@ -738,23 +654,9 @@ impl ConvWorkspace {
         // Materialize ∂L/∂x: one real plane inverse per block column over
         // the padded grid, then the scatter into the [B, C, H, W] slab
         // (padding lanes are dropped here).
-        let (gacc_re, gacc_im): (&[f32], &[f32]) = (gacc_re, gacc_im);
-        let stage = &mut stage[..q * k * l_pad];
-        engine::par_planes(
-            threads,
-            q,
-            k * l_pad,
-            stage,
-            &mut [],
-            k * l_pad,
-            pi,
-            &mut [],
-            |j0, jcount, stage_c, _, pi_c, _| {
-                engine::ifft_blocks(
-                    plan, gacc_re, gacc_im, k, bins, l_pad, j0, jcount, stage_c, pi_c,
-                );
-            },
-        );
+        let gacc = (&gacc_re[..], &gacc_im[..]);
+        let copy = |j: usize, re: &mut [f32], im: &mut [f32]| fwd.fill(j, gacc, re, im, false);
+        engine::ifft_epilogue_blocks(plan, threads, q, l_pad, &Epilogue::NONE, stage, pi, &copy);
         let (c_in, h, w, pad) = (g.channels, g.height, g.width, g.padding);
         let (hw, wp) = (h * w, w + 2 * pad);
         let hpwp = (h + 2 * pad) * wp;

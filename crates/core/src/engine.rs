@@ -3,45 +3,45 @@
 //! CirCNN's central observation (§3.2, Fig. 4) is that FC, CONV and
 //! recurrent layers are *the same* dataflow over block-circulant weights:
 //! FFT the inputs, element-wise multiply-accumulate against resident
-//! weight spectra, IFFT the accumulators. This module is that dataflow,
-//! once, as a toolkit of stages over **lane-indexed SoA planes**
-//! (`[bin][block][lanes]`, split re/im; the lane dimension is innermost so
-//! every hot loop is a stride-1 FMA chain):
+//! weight spectra, IFFT the accumulators. Its 12–16-bit fixed point (§4.2,
+//! Fig. 12) is a datapath width *of that dataflow*, not a second one. This
+//! module is the dataflow, once, as a toolkit of stages over **lane-indexed,
+//! block-major SoA planes** (`[block][bin][lanes]`; the lane dimension is
+//! innermost so every hot loop is a stride-1 chain), generic over a
+//! [`Precision`] — [`F32`] or [`I16`]:
 //!
 //! * [`par_planes`] — the scoped-thread dispatcher every stage runs under
 //!   (on the caller below a per-thread work floor). Chunk boundaries depend
 //!   only on `(threads, blocks)` and per-element work is chunk-independent,
 //!   so serial and threaded runs of every stage are **bit-identical**.
-//! * [`fft_blocks`] — real-input plane FFT of a run of blocks; the caller
-//!   supplies a `fill` closure that packs block `j`'s `[k][lanes]`
-//!   time-domain plane (FC: gather-transpose of a row-major slab; conv:
-//!   channels staged onto the padded pixel grid). Only the `k/2 + 1`
-//!   unique half-spectrum rows come back (Fig. 10).
-//! * [`forward_spectra_planes`] — the full stage-A pipeline: threaded
-//!   [`fft_blocks`] over a row-major `[lanes, logical]` slab plus the
-//!   block-major → bin-major re-layout the MAC wants. Shared by the FC
-//!   apply and both halves of the recurrent step.
-//! * [`run_mac`] — the one f32 frequency-domain MAC, generic over the
-//!   lane→output mapping: each output element accumulates
-//!   `Σ_offsets Σ_blocks w∘x` over caller-described *runs*
-//!   (`(out_lane, in_lane, len)` at an input `step`), one register-resident
-//!   [`crate::simd::cmac_rows`] sweep per (bin, row tile, run). FC/RNN use
-//!   one unit-step run per call, forward or transpose; conv describes every
-//!   kernel offset as a constant plane shift — including **strided** convs,
-//!   whose input lanes advance by `stride` per output lane.
-//! * [`ifft_blocks`] / [`ifft_epilogue_blocks`] — the plane IFFT; the
-//!   epilogue variant applies a per-row **bias add and activation to each
-//!   block right after its inverse**, while the block's `[k][lanes]` plane
-//!   is cache-hot, so the separate post-IFFT bias sweep over the full
-//!   output is gone (the "stage 3 fusion" item). The finished rows land in
-//!   `[block][k][lanes]` staging; the only pass left after the IFFT is a
-//!   pure layout copy.
+//! * [`fft_blocks`] — stage A: one real-input plane FFT per input block;
+//!   the caller's `fill` closure packs block `j`'s `[k][lanes]` time-domain
+//!   plane (FC/RNN: gather-transpose of a row-major slab; conv: channels
+//!   staged onto the padded pixel grid), and the precision's copy-out
+//!   stores the `k/2 + 1` unique half-spectrum rows (Fig. 10) — as split
+//!   f32 planes, or quantized straight into interleaved i16 code pairs.
+//! * [`mac`] — stage B: the precision's MAC, [`run_mac`] (f32) or
+//!   [`run_mac_i16`] (i16 × i16 → i32), the only precision-specific
+//!   compute. Each output element accumulates `Σ_offsets Σ_blocks w∘x`
+//!   over the runs a [`LaneMap`] describes (`(out_lane, in_lane, len)` at
+//!   an input `step`), one register-resident sweep per (bin, row tile,
+//!   run). FC/RNN use one unit-step run; conv describes every kernel
+//!   offset as a constant plane shift — including **strided** convs, whose
+//!   input lanes advance by `stride` per output lane.
+//! * [`ifft_epilogue_blocks`] / [`ifft_sides`] — stage C: one plane IFFT
+//!   per output block. The caller's `fill` writes the block's spectrum rows
+//!   (a copy, or a dequant of one or two i32 sets — the recurrent step's
+//!   two sides meet here), and a per-row **bias add and activation** is
+//!   applied to each block right after its inverse, while it is cache-hot.
+//!   The finished rows land in `[block][k][lanes]` staging; the only pass
+//!   left is a pure layout copy.
 //!
-//! [`Workspace`](crate::Workspace) (FC/RNN applies, lanes = batch),
-//! [`ConvWorkspace`](crate::ConvWorkspace) (lanes = batch·pixels) and
-//! [`RecurrentWorkspace`](crate::rnn::RecurrentWorkspace) (lanes = batch,
-//! weight spectra resident across timesteps) are thin lane-mapping
-//! adapters over these stages.
+//! An [`Arena`] is the grow-only plane store each workspace lends these
+//! stages as [`Side`]s plus [`Scratch`]: [`Workspace`](crate::Workspace)
+//! (FC, lanes = batch), [`ConvWorkspace`](crate::ConvWorkspace)
+//! (lanes = batch·pixels), [`RecurrentWorkspace`](crate::RecurrentWorkspace)
+//! (two sides) and [`QuantWorkspace`](crate::QuantWorkspace) (the i16
+//! planes of all three families).
 
 use circnn_fft::BatchFftPlan;
 
@@ -78,28 +78,11 @@ impl Epilogue<'static> {
     };
 }
 
-impl Epilogue<'_> {
-    /// Whether this epilogue changes any row (an identity epilogue lets
-    /// the IFFT transform in place in the staging planes instead of
-    /// paying the copy out of the FFT scratch).
-    pub fn is_identity(&self) -> bool {
-        self.bias.is_none() && self.act == Activation::Identity
-    }
-}
-
-/// Grow-only buffer sizing shared by every workspace adapter: the first
-/// pass at a given size pays the resize, later passes at the same or
-/// smaller size re-slice the warm buffer allocation-free.
+/// Grow-only buffer sizing shared by every workspace: the first pass at a
+/// given size pays the resize, later passes at the same or smaller size
+/// re-slice the warm buffer allocation-free.
 #[inline]
-pub(crate) fn grow(v: &mut Vec<f32>, len: usize) {
-    if v.len() < len {
-        v.resize(len, 0.0);
-    }
-}
-
-/// [`grow`] for the quantized planes (`i16` codes, `i32` accumulators).
-#[inline]
-pub(crate) fn grow_with<T: Clone + Default>(v: &mut Vec<T>, len: usize) {
+pub(crate) fn grow<T: Clone + Default>(v: &mut Vec<T>, len: usize) {
     if v.len() < len {
         v.resize(len, T::default());
     }
@@ -173,35 +156,510 @@ pub(crate) fn par_planes<A: Send, S: Send, F>(
     });
 }
 
-/// One real-input plane FFT per block in `j0..j0 + jcount`: `fill(j, plane)`
-/// packs block `j`'s `[k][lanes]` time-domain plane (lane-innermost; the
-/// closure owns zero-padding of ragged rows/lanes), the plan transforms
-/// every lane at once, and the `bins` unique half-spectrum rows land
-/// block-major in `out_re`/`out_im` (`jcount · bins · lanes` each).
+/// One datapath width of the pipeline: everything the f32 and the 16-bit
+/// fixed-point applies differ in — the spectrum and accumulator element
+/// types, the stage-A copy-out, the stage-B MAC and the stage-C fill. A
+/// value describes one input side: its operator planes and, for i16, its
+/// scales.
+pub(crate) trait Precision: Sync {
+    /// Spectrum plane element.
+    type Spec: Copy + Default + Send + Sync;
+    /// Accumulator plane element.
+    type Acc: Copy + Default + Send + Sync;
+    /// Spectrum elements per (bin, lane) in the first plane: 1 for split
+    /// `(re, im)` planes, 2 for interleaved pairs (the second plane empty).
+    const WIDTH: usize;
+    /// The block size's plane FFT.
+    fn plan(&self) -> &BatchFftPlan<f32>;
+    /// `(output blocks, input blocks)` of the product.
+    fn blocks(&self) -> (usize, usize);
+    /// Stage A's copy-out of one block's half-spectrum rows `pr`/`pi`
+    /// (`bins · lanes` each) into that block's spectrum planes.
+    fn copy_out(&self, pr: &[f32], pi: &[f32], re: &mut [Self::Spec], im: &mut [Self::Spec]);
+    /// Per-worker `i32` scratch elements the MAC needs in each of `wa`/`wb`.
+    fn mac_scratch(&self) -> usize;
+    /// Stage B over output blocks `i0..i0 + icount`, into their block-major
+    /// accumulator chunk.
+    #[allow(clippy::too_many_arguments)]
+    fn mac(
+        &self,
+        i0: usize,
+        icount: usize,
+        map: &LaneMap<'_>,
+        x: (&[Self::Spec], &[Self::Spec]),
+        acc_re: &mut [Self::Acc],
+        acc_im: &mut [Self::Acc],
+        wa: &mut [i32],
+        wb: &mut [i32],
+    );
+    /// Stage C's fill of output block `i`: its `re.len()` elements of each
+    /// accumulator plane as f32 spectrum rows, written — or, for a further
+    /// side (`add`), added in.
+    fn fill(
+        &self,
+        i: usize,
+        acc: (&[Self::Acc], &[Self::Acc]),
+        re: &mut [f32],
+        im: &mut [f32],
+        add: bool,
+    );
+}
+
+/// The f32 datapath over `engines`' weight planes (`forward`: `conj(w)·x`
+/// over the forward planes; otherwise the transpose product): split f32
+/// spectra, copies in and out, and [`run_mac`].
+pub(crate) struct F32<'a> {
+    /// The fused operators (the conv's `r²` kernel offsets; one otherwise).
+    pub engines: &'a [BlockCirculantMatrix],
+    /// Forward product rather than transpose.
+    pub forward: bool,
+}
+
+impl Precision for F32<'_> {
+    type Spec = f32;
+    type Acc = f32;
+    const WIDTH: usize = 1;
+
+    fn plan(&self) -> &BatchFftPlan<f32> {
+        self.engines[0].plane_plan()
+    }
+
+    fn blocks(&self) -> (usize, usize) {
+        let e = &self.engines[0];
+        if self.forward {
+            (e.block_rows(), e.block_cols())
+        } else {
+            (e.block_cols(), e.block_rows())
+        }
+    }
+
+    fn copy_out(&self, pr: &[f32], pi: &[f32], re: &mut [f32], im: &mut [f32]) {
+        re.copy_from_slice(pr);
+        im.copy_from_slice(pi);
+    }
+
+    fn mac_scratch(&self) -> usize {
+        0
+    }
+
+    fn mac(
+        &self,
+        i0: usize,
+        icount: usize,
+        map: &LaneMap<'_>,
+        x: (&[f32], &[f32]),
+        acc_re: &mut [f32],
+        acc_im: &mut [f32],
+        _: &mut [i32],
+        _: &mut [i32],
+    ) {
+        run_mac(
+            self.engines,
+            self.forward,
+            i0,
+            icount,
+            map,
+            x,
+            acc_re,
+            acc_im,
+        );
+    }
+
+    fn fill(&self, i: usize, acc: (&[f32], &[f32]), re: &mut [f32], im: &mut [f32], add: bool) {
+        let n = re.len();
+        for (dst, src) in [(re, &acc.0[i * n..][..n]), (im, &acc.1[i * n..][..n])] {
+            if add {
+                for (d, &s) in dst.iter_mut().zip(src) {
+                    *d += s;
+                }
+            } else {
+                dst.copy_from_slice(src);
+            }
+        }
+    }
+}
+
+/// The 16-bit fixed-point datapath (§4.2): the copy-out quantizes the input
+/// spectra to interleaved `(re, im)` i16 code pairs at `inv_step`, the MAC
+/// is [`run_mac_i16`] over `codes` into i32 accumulators, and the fill
+/// dequantizes output block row `i` by `dq[i]` — one multiply per element
+/// fused into a pass the f32 path already pays.
+pub(crate) struct I16<'a> {
+    /// One `[bin][p][q]` `(re, im)` code-plane pair per fused operator (the
+    /// conv's `r²` kernel offsets share one scale per block row).
+    pub codes: &'a [(Vec<i16>, Vec<i16>)],
+    /// Block columns `q`.
+    pub q: usize,
+    /// The block size's plane FFT.
+    pub plan: &'a BatchFftPlan<f32>,
+    /// Reciprocal input-spectrum step.
+    pub inv_step: f32,
+    /// Input code clamp.
+    pub max_code: i32,
+    /// Per-block-row dequant scale `w_step[i] · x_step` (`p` entries).
+    pub dq: &'a [f32],
+}
+
+impl Precision for I16<'_> {
+    type Spec = i16;
+    type Acc = i32;
+    const WIDTH: usize = 2;
+
+    fn plan(&self) -> &BatchFftPlan<f32> {
+        self.plan
+    }
+
+    fn blocks(&self) -> (usize, usize) {
+        (self.dq.len(), self.q)
+    }
+
+    /// The symmetric quantizer **is** the copy-out: the half-spectrum rows
+    /// leave the FFT scratch directly as `[bins][lanes][2]` code pairs, with
+    /// no f32 spectra store. Imaginary codes at DC and Nyquist are forced to
+    /// zero — those bins are real for real inputs, and zeroed codes let the
+    /// MAC run one uniform pairwise kernel with no real-bin branch.
+    fn copy_out(&self, pr: &[f32], pi: &[f32], codes: &mut [i16], _: &mut [i16]) {
+        let isa = crate::simd::isa();
+        let bins = self.plan.len() / 2 + 1;
+        let lanes = pr.len() / bins;
+        for bin in 0..bins {
+            let row = bin * lanes..(bin + 1) * lanes;
+            let im = (bin != 0 && bin != bins - 1).then(|| &pi[row.clone()]);
+            let out = &mut codes[2 * row.start..2 * row.end];
+            crate::simd::qpack(isa, &pr[row], im, self.inv_step, self.max_code, out);
+        }
+    }
+
+    fn mac_scratch(&self) -> usize {
+        self.codes.len() * TI * self.q
+    }
+
+    fn mac(
+        &self,
+        i0: usize,
+        icount: usize,
+        map: &LaneMap<'_>,
+        x: (&[i16], &[i16]),
+        acc_re: &mut [i32],
+        acc_im: &mut [i32],
+        wa: &mut [i32],
+        wb: &mut [i32],
+    ) {
+        let (p, q) = self.blocks();
+        run_mac_i16(
+            self.codes, p, q, i0, icount, map, x.0, acc_re, acc_im, wa, wb,
+        );
+    }
+
+    fn fill(&self, i: usize, acc: (&[i32], &[i32]), re: &mut [f32], im: &mut [f32], add: bool) {
+        let (n, dq) = (re.len(), self.dq[i]);
+        for (dst, src) in [(re, &acc.0[i * n..][..n]), (im, &acc.1[i * n..][..n])] {
+            for (d, &a) in dst.iter_mut().zip(src) {
+                let v = a as f32 * dq;
+                *d = if add { *d + v } else { v };
+            }
+        }
+    }
+}
+
+/// How a MAC pairs input lanes with output lanes: each `(out0, in_base,
+/// len)` run pairs output lanes `out0 + t` with input lanes `in_base +
+/// shift + t·step` for `t in 0..len`, `shift` being the per-operator
+/// constant plane shift. FC/RNN: one operator, no shift and one unit-step
+/// run over the batch. Conv: the `r²` kernel offsets with one run per
+/// sample (stride 1, whole padded rows) or per output row (`step =
+/// stride`).
+pub(crate) struct LaneMap<'a> {
+    /// Input lanes per spectrum row (planes `[blocks][bins][l_pad]`).
+    pub l_pad: usize,
+    /// Accumulator lanes per row (planes `[blocks][bins][l_acc]`).
+    pub l_acc: usize,
+    /// Per-operator input plane shift.
+    pub shifts: &'a [usize],
+    /// `(out_lane, in_lane, len)` runs.
+    pub runs: &'a [(usize, usize, usize)],
+    /// Input lane advance per output lane.
+    pub step: usize,
+}
+
+/// One input side of an apply, lent by an [`Arena`]: its precision
+/// (operator planes and scales), its source, its spectrum planes and the
+/// accumulator set its MAC writes. The recurrent step has two sides,
+/// summed in the stage-C fill.
+pub(crate) struct Side<'a, P: Precision> {
+    /// Weights and scales of this side.
+    pub prec: &'a P,
+    /// The time-domain source the stage-A `fill` packs from.
+    pub src: &'a [f32],
+    /// Spectrum planes, block-major.
+    pub xs: (&'a mut [P::Spec], &'a mut [P::Spec]),
+    /// Accumulator planes, block-major.
+    pub acc: (&'a mut [P::Acc], &'a mut [P::Acc]),
+}
+
+/// The rest of an [`Arena`]'s loan: time-domain staging `[block][k][lanes]`,
+/// per-worker FFT plane scratch, the i16 MAC's per-worker madd constants,
+/// and the conv's run/shift plans.
+pub(crate) struct Scratch<'a> {
+    /// Stage-C output staging.
+    pub stage: &'a mut [f32],
+    /// Per-worker `[k][lanes]` plane scratch (`threads` of them).
+    pub pr: &'a mut [f32],
+    /// Second per-worker plane scratch.
+    pub pi: &'a mut [f32],
+    /// Per-worker i16 madd constants (empty on the f32 path).
+    pub wa: &'a mut [i32],
+    /// Second set of madd constants.
+    pub wb: &'a mut [i32],
+    /// Conv MAC runs.
+    pub runs: &'a mut Vec<(usize, usize, usize)>,
+    /// Conv per-offset plane shifts.
+    pub shifts: &'a mut Vec<usize>,
+}
+
+/// The grow-only plane store behind every workspace: two spectrum slots and
+/// two accumulator sets (the recurrent step's two sides; the FC apply keeps
+/// its forward input spectra in slot 0 and its backward gradient spectra in
+/// slot 1 for the weight gradient), staging, and per-worker scratch. The
+/// first pass at a given shape sizes it; later passes at the same or a
+/// smaller shape perform **zero heap allocations**.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct Arena<S, A> {
+    /// Spectrum plane pairs, block-major `[blocks][bins][lanes]` (times
+    /// [`Precision::WIDTH`] in the first plane).
+    pub xs: [(Vec<S>, Vec<S>); 2],
+    /// Accumulator plane pairs, block-major `[blocks][bins][lanes]`.
+    pub acc: [(Vec<A>, Vec<A>); 2],
+    /// See [`Scratch::stage`].
+    pub stage: Vec<f32>,
+    /// See [`Scratch::pr`].
+    pub pr: Vec<f32>,
+    /// See [`Scratch::pi`].
+    pub pi: Vec<f32>,
+    /// See [`Scratch::wa`].
+    pub wa: Vec<i32>,
+    /// See [`Scratch::wb`].
+    pub wb: Vec<i32>,
+    /// See [`Scratch::runs`].
+    pub runs: Vec<(usize, usize, usize)>,
+    /// See [`Scratch::shifts`].
+    pub shifts: Vec<usize>,
+}
+
+impl<S: Copy + Default, A: Copy + Default> Arena<S, A> {
+    /// Sizes the arena for an apply whose `N` input sides `(precision,
+    /// source)` share one output over `l_pad` input and `l_acc` accumulator
+    /// lanes, and lends it: side `n` gets spectrum slot `slot + n` and
+    /// accumulator set `n`, each sliced to its exact length.
+    pub(crate) fn lend<'a, P, const N: usize>(
+        &'a mut self,
+        sides: [(&'a P, &'a [f32]); N],
+        slot: usize,
+        l_pad: usize,
+        l_acc: usize,
+        threads: usize,
+    ) -> ([Side<'a, P>; N], Scratch<'a>)
+    where
+        P: Precision<Spec = S, Acc = A>,
+    {
+        let k = sides[0].0.plan().len();
+        let (bins, out_blocks) = (k / 2 + 1, sides[0].0.blocks().0);
+        let mac = sides.iter().map(|s| s.0.mac_scratch()).max().unwrap_or(0);
+        let Arena {
+            xs,
+            acc,
+            stage,
+            pr,
+            pi,
+            wa,
+            wb,
+            runs,
+            shifts,
+        } = self;
+        grow(stage, out_blocks * k * l_acc);
+        grow(pr, threads * k * l_pad.max(l_acc));
+        grow(pi, threads * k * l_pad.max(l_acc));
+        grow(wa, threads * mac);
+        grow(wb, threads * mac);
+        let (mut xs, mut acc) = (xs.iter_mut().skip(slot), acc.iter_mut());
+        let la = out_blocks * bins * l_acc;
+        let sides = sides.map(|(prec, src)| {
+            let lx = prec.blocks().1 * bins * l_pad;
+            let (lr, li) = if P::WIDTH == 1 {
+                (lx, lx)
+            } else {
+                (P::WIDTH * lx, 0)
+            };
+            let (re, im) = xs.next().expect("two spectrum slots");
+            let (ar, ai) = acc.next().expect("two accumulator sets");
+            grow(re, lr);
+            grow(im, li);
+            grow(ar, la);
+            grow(ai, la);
+            Side {
+                prec,
+                src,
+                xs: (&mut re[..lr], &mut im[..li]),
+                acc: (&mut ar[..la], &mut ai[..la]),
+            }
+        });
+        let scratch = Scratch {
+            stage: &mut stage[..out_blocks * k * l_acc],
+            pr,
+            pi,
+            wa,
+            wb,
+            runs,
+            shifts,
+        };
+        (sides, scratch)
+    }
+}
+
+/// Stage A: one real-input plane FFT per input block (all lanes at once,
+/// parallel over blocks). `fill(j, plane)` packs block `j`'s `[k][lanes]`
+/// time-domain plane (lane-innermost; the closure owns zero-padding of
+/// ragged rows/lanes), and `prec`'s copy-out stores the `bins` unique
+/// half-spectrum rows into block `j` of the block-major planes `xs`.
 #[allow(clippy::too_many_arguments)]
-pub(crate) fn fft_blocks<F>(
-    plan: &BatchFftPlan<f32>,
-    k: usize,
-    bins: usize,
+pub(crate) fn fft_blocks<P: Precision>(
+    prec: &P,
+    threads: usize,
+    blocks: usize,
     lanes: usize,
-    j0: usize,
-    jcount: usize,
-    out_re: &mut [f32],
-    out_im: &mut [f32],
+    xs: (&mut [P::Spec], &mut [P::Spec]),
     pr: &mut [f32],
     pi: &mut [f32],
-    fill: &F,
-) where
-    F: Fn(usize, &mut [f32]),
-{
-    for jl in 0..jcount {
-        fill(j0 + jl, &mut pr[..k * lanes]);
-        plan.forward_planes_real(&mut pr[..k * lanes], &mut pi[..k * lanes], lanes)
-            .expect("plane buffers are sized before dispatch");
-        let off = jl * bins * lanes;
-        out_re[off..off + bins * lanes].copy_from_slice(&pr[..bins * lanes]);
-        out_im[off..off + bins * lanes].copy_from_slice(&pi[..bins * lanes]);
-    }
+    fill: &(impl Fn(usize, &mut [f32]) + Sync),
+) {
+    let plan = prec.plan();
+    let (k, n) = (plan.len(), (plan.len() / 2 + 1) * lanes);
+    let per = P::WIDTH * n;
+    let im = if xs.1.is_empty() { 0 } else { blocks * per };
+    let (xs_re, xs_im) = (&mut xs.0[..blocks * per], &mut xs.1[..im]);
+    par_planes(
+        threads,
+        blocks,
+        per,
+        xs_re,
+        xs_im,
+        k * lanes,
+        pr,
+        pi,
+        |j0, jcount, re_c, im_c, pr_c, pi_c| {
+            let ni = im_c.len() / jcount;
+            for jl in 0..jcount {
+                fill(j0 + jl, &mut pr_c[..k * lanes]);
+                plan.forward_planes_real(&mut pr_c[..k * lanes], &mut pi_c[..k * lanes], lanes)
+                    .expect("plane buffers are sized before dispatch");
+                let (re, im) = (&mut re_c[jl * per..][..per], &mut im_c[jl * ni..][..ni]);
+                prec.copy_out(&pr_c[..n], &pi_c[..n], re, im);
+            }
+        },
+    );
+}
+
+/// Stage B: `side`'s MAC into its accumulator set, parallel over output
+/// blocks, each worker with its own share of the `wa`/`wb` MAC scratch.
+pub(crate) fn mac<P: Precision>(
+    side: &mut Side<'_, P>,
+    threads: usize,
+    map: &LaneMap<'_>,
+    wa: &mut [i32],
+    wb: &mut [i32],
+) {
+    let prec = side.prec;
+    let x = (&*side.xs.0, &*side.xs.1);
+    let chunk = (prec.plan().len() / 2 + 1) * map.l_acc;
+    par_planes(
+        threads,
+        prec.blocks().0,
+        chunk,
+        side.acc.0,
+        side.acc.1,
+        prec.mac_scratch(),
+        wa,
+        wb,
+        |i0, icount, re_c, im_c, wa_c, wb_c| {
+            prec.mac(i0, icount, map, x, re_c, im_c, wa_c, wb_c);
+        },
+    );
+}
+
+/// Stage C: one real-input plane inverse per output block with the
+/// **fused epilogue**, parallel over blocks. `fill(i, re, im)` writes
+/// block `i`'s `bins · lanes` spectrum rows straight into its staging block
+/// and the worker's `pi` scratch; the inverse runs in place there, and each
+/// finished time-domain row takes the bias for logical row `i·k + t` and
+/// the activation while the block is cache-hot. Rows land in
+/// `stage[block][k][lanes]`, chunked per block, so threads never race.
+#[allow(clippy::too_many_arguments)]
+pub(crate) fn ifft_epilogue_blocks(
+    plan: &BatchFftPlan<f32>,
+    threads: usize,
+    blocks: usize,
+    lanes: usize,
+    epi: &Epilogue<'_>,
+    stage: &mut [f32],
+    pi: &mut [f32],
+    fill: &(impl Fn(usize, &mut [f32], &mut [f32]) + Sync),
+) {
+    let k = plan.len();
+    let (n, plane) = ((k / 2 + 1) * lanes, k * lanes);
+    par_planes(
+        threads,
+        blocks,
+        plane,
+        &mut stage[..blocks * plane],
+        &mut [],
+        plane,
+        pi,
+        &mut [],
+        |i0, _, stage_c, _, pim, _| {
+            for (il, block) in stage_c.chunks_exact_mut(plane).enumerate() {
+                let i = i0 + il;
+                fill(i, &mut block[..n], &mut pim[..n]);
+                plan.inverse_planes_real(block, &mut pim[..plane], lanes)
+                    .expect("plane buffers are sized before dispatch");
+                if epi.bias.is_none() && epi.act == Activation::Identity {
+                    continue;
+                }
+                for (t, row) in block.chunks_exact_mut(lanes).enumerate() {
+                    if let Some(&b) = epi.bias.and_then(|bias| bias.get(i * k + t)) {
+                        for v in row.iter_mut() {
+                            *v += b;
+                        }
+                    }
+                    if epi.act == Activation::Tanh {
+                        for v in row.iter_mut() {
+                            *v = v.tanh();
+                        }
+                    }
+                }
+            }
+        },
+    );
+}
+
+/// Stage C over `sides` sharing one output: block `i`'s spectrum is the
+/// first side's fill plus each further side's, so the recurrent step's
+/// `W_ih·x + W_hh·h` meets here, before the one inverse per block.
+pub(crate) fn ifft_sides<P: Precision>(
+    sides: &[Side<'_, P>],
+    threads: usize,
+    lanes: usize,
+    epi: &Epilogue<'_>,
+    stage: &mut [f32],
+    pi: &mut [f32],
+) {
+    let prec = sides[0].prec;
+    let fill = |i: usize, re: &mut [f32], im: &mut [f32]| {
+        for (n, s) in sides.iter().enumerate() {
+            s.prec.fill(i, (&*s.acc.0, &*s.acc.1), re, im, n > 0);
+        }
+    };
+    let blocks = prec.blocks().0;
+    ifft_epilogue_blocks(prec.plan(), threads, blocks, lanes, epi, stage, pi, &fill);
 }
 
 /// Packs block `j` of a row-major `[lanes, logical]` slab into a
@@ -275,200 +733,35 @@ pub(crate) fn unstage_slab(stage: &[f32], k: usize, batch: usize, out: &mut [f32
     }
 }
 
-/// Stage A of every slab apply: threaded real-input plane FFT of a
-/// row-major `[lanes, logical]` slab (one dispatch per block, all lanes at
-/// once), then the block-major → bin-major re-layout so the MAC's
-/// innermost block sweep reads contiguously. `tmp_*` stage the block-major
-/// FFT output (`blocks · bins · lanes` each — callers lend accumulator
-/// planes that are free at this point); the bin-major spectra land in
-/// `out_*`.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn forward_spectra_planes<'a>(
-    plan: &BatchFftPlan<f32>,
-    src: &[f32],
-    lanes: usize,
-    logical: usize,
-    blocks: usize,
-    k: usize,
-    bins: usize,
-    threads: usize,
-    tmp_re: &mut [f32],
-    tmp_im: &mut [f32],
-    out_re: &'a mut [f32],
-    out_im: &'a mut [f32],
-    pr: &mut [f32],
-    pi: &mut [f32],
-) {
-    par_planes(
-        threads,
-        blocks,
-        bins * lanes,
-        &mut tmp_re[..blocks * bins * lanes],
-        &mut tmp_im[..blocks * bins * lanes],
-        k * lanes,
-        pr,
-        pi,
-        |j0, jcount, re_c, im_c, pr_c, pi_c| {
-            fft_blocks(
-                plan,
-                k,
-                bins,
-                lanes,
-                j0,
-                jcount,
-                re_c,
-                im_c,
-                pr_c,
-                pi_c,
-                &|j, plane| {
-                    pack_slab_block(src, lanes, logical, k, j, plane);
-                },
-            );
-        },
-    );
-    for j in 0..blocks {
-        for bin in 0..bins {
-            let src_off = (j * bins + bin) * lanes;
-            let dst_off = (bin * blocks + j) * lanes;
-            out_re[dst_off..dst_off + lanes].copy_from_slice(&tmp_re[src_off..src_off + lanes]);
-            out_im[dst_off..dst_off + lanes].copy_from_slice(&tmp_im[src_off..src_off + lanes]);
-        }
-    }
-}
-
-/// One real-input plane inverse FFT per block of block-major accumulator
-/// planes, into `[block][k][lanes]` time-domain staging (no epilogue — the
-/// backward passes and weight-gradient reductions use this form).
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn ifft_blocks(
-    plan: &BatchFftPlan<f32>,
-    acc_re: &[f32],
-    acc_im: &[f32],
-    k: usize,
-    bins: usize,
-    lanes: usize,
-    i0: usize,
-    icount: usize,
-    stage: &mut [f32],
-    pi: &mut [f32],
-) {
-    for il in 0..icount {
-        let off = (i0 + il) * bins * lanes;
-        let sblock = &mut stage[il * k * lanes..(il + 1) * k * lanes];
-        sblock[..bins * lanes].copy_from_slice(&acc_re[off..off + bins * lanes]);
-        pi[..bins * lanes].copy_from_slice(&acc_im[off..off + bins * lanes]);
-        plan.inverse_planes_real(sblock, &mut pi[..k * lanes], lanes)
-            .expect("plane buffers are sized before dispatch");
-    }
-}
-
-/// The plane IFFT with the **fused epilogue**: per block, the accumulator
-/// rows ride one real-input inverse; the bias for logical row `i·k + t`
-/// and the activation are applied to each finished time-domain row while
-/// the block is cache-hot, and the finished row is staged at
-/// `stage[il·k + t][lanes]`. The separate post-IFFT bias sweep over the
-/// whole output is gone; the only pass after this is a pure layout copy
-/// (which threads never race: `stage` is chunked per block by
-/// [`par_planes`]).
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn ifft_epilogue_blocks(
-    plan: &BatchFftPlan<f32>,
-    acc_re: &[f32],
-    acc_im: &[f32],
-    k: usize,
-    bins: usize,
-    lanes: usize,
-    i0: usize,
-    icount: usize,
-    epi: &Epilogue<'_>,
-    stage: &mut [f32],
-    pre: &mut [f32],
-    pim: &mut [f32],
-) {
-    for il in 0..icount {
-        let i = i0 + il;
-        let off = i * bins * lanes;
-        pre[..bins * lanes].copy_from_slice(&acc_re[off..off + bins * lanes]);
-        pim[..bins * lanes].copy_from_slice(&acc_im[off..off + bins * lanes]);
-        let sblock = &mut stage[il * k * lanes..(il + 1) * k * lanes];
-        inverse_epilogue_block(plan, k, lanes, i, epi, sblock, pre, pim);
-    }
-}
-
-/// One block's inverse + epilogue, `pre`/`pim` pre-filled with the block's
-/// spectrum rows (the fill is the caller's — it is where the quantized path
-/// fuses its dequant multiply). The inverse leaves the block's `[k][lanes]`
-/// plane in `pre`; each row then takes its bias and activation while the
-/// small plane is still cache-hot, and the plane is staged in one copy.
-#[allow(clippy::too_many_arguments)]
-fn inverse_epilogue_block(
-    plan: &BatchFftPlan<f32>,
-    k: usize,
-    lanes: usize,
-    i: usize,
-    epi: &Epilogue<'_>,
-    sblock: &mut [f32],
-    pre: &mut [f32],
-    pim: &mut [f32],
-) {
-    let pre = &mut pre[..k * lanes];
-    plan.inverse_planes_real(pre, &mut pim[..k * lanes], lanes)
-        .expect("plane buffers are sized before dispatch");
-    for (t, row) in pre.chunks_exact_mut(lanes).enumerate() {
-        if let Some(&b) = epi.bias.and_then(|bias| bias.get(i * k + t)) {
-            for v in row.iter_mut() {
-                *v += b;
-            }
-        }
-        if epi.act == Activation::Tanh {
-            for v in row.iter_mut() {
-                *v = v.tanh();
-            }
-        }
-    }
-    sblock.copy_from_slice(pre);
-}
-
 /// The frequency-domain MAC of every f32 apply: FC, RNN and conv, forward
 /// and transpose. Each output element accumulates **all** offsets' and
 /// block columns' products in registers (offset-major, block ascending — a
 /// fixed order, so results are bit-stable across thread counts and batch
 /// compositions) and is written exactly once: one
 /// [`crate::simd::cmac_rows`] sweep per (bin, tile of four output block
-/// rows, run). `forward` selects `conj(w)·x` over the forward weight planes
-/// versus the transpose product over the transposed ones; `accumulate`
-/// adds each finished sum into `acc` instead of overwriting it (the
-/// recurrent cell's second operator).
-///
-/// The lane mapping: each `(out0, in_base, len)` run pairs output lanes
-/// `out0 + t` with input lanes `in_base + shift + t·step` for `t in
-/// 0..len`, `shift` being the per-offset constant plane shift. FC/RNN pass
-/// one engine, one zero shift and one unit-step run over **bin-major**
-/// `[bins][blocks][lanes]` planes; conv passes its `r²` engines with one
-/// run per sample (stride 1, whole padded rows) or per output row (`step =
-/// stride`) over **block-major** `[q][bins][l_pad]` planes. `x_strides` is
-/// the input planes' `(bin, block)` element strides, which is all that
-/// tells the layouts apart; `acc_*` are block-major `[icount][bins][l_acc]`.
+/// rows, run) over `map`'s lanes. `forward` selects `conj(w)·x` over the
+/// forward weight planes versus the transpose product over the transposed
+/// ones. Inputs are block-major `[blocks][bins][l_pad]`, accumulators
+/// block-major `[icount][bins][l_acc]`.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn run_mac(
     engines: &[BlockCirculantMatrix],
     forward: bool,
-    accumulate: bool,
-    shifts: &[usize],
     i0: usize,
     icount: usize,
+    map: &LaneMap<'_>,
     x: (&[f32], &[f32]),
-    x_strides: (usize, usize),
-    l_acc: usize,
-    runs: &[(usize, usize, usize)],
-    step: usize,
     acc_re: &mut [f32],
     acc_im: &mut [f32],
 ) {
-    assert_eq!(engines.len(), shifts.len(), "one plane shift per engine");
+    assert_eq!(
+        engines.len(),
+        map.shifts.len(),
+        "one plane shift per engine"
+    );
     let isa = crate::simd::isa();
     let e0 = &engines[0];
-    let (k, bins) = (e0.block_size(), e0.bins());
+    let bins = e0.bins();
     let (out_blocks, q) = if forward {
         (e0.block_rows(), e0.block_cols())
     } else {
@@ -478,26 +771,24 @@ pub(crate) fn run_mac(
     for bin in 0..bins {
         // Spectra of real signals are real at DC and (for k ≥ 2) the
         // Nyquist bin, so those bins need one real multiply per term.
-        let real = bin == 0 || (k >= 2 && bin == bins - 1);
+        let real = bin == 0 || bin == bins - 1;
         for it in (0..icount).step_by(TI) {
-            for &(out0, in_base, len) in runs {
+            for &(out0, in_base, len) in map.runs {
                 let sweep = RowSweep {
                     x,
-                    xbase: bin * x_strides.0 + in_base,
-                    shifts,
-                    jstride: x_strides.1,
-                    step,
+                    xbase: bin * map.l_pad + in_base,
+                    shifts: map.shifts,
+                    jstride: bins * map.l_pad,
+                    step: map.step,
                     wbase: (bin * out_blocks + i0 + it) * q,
                     wstride: q,
                     q,
                     len,
-                    abase: (it * bins + bin) * l_acc + out0,
-                    astride: bins * l_acc,
+                    abase: (it * bins + bin) * map.l_acc + out0,
+                    astride: bins * map.l_acc,
                 };
                 let tl = TI.min(icount - it);
-                cmac_rows(
-                    isa, real, !forward, accumulate, tl, &sweep, &w, acc_re, acc_im,
-                );
+                cmac_rows(isa, real, !forward, tl, &sweep, &w, acc_re, acc_im);
             }
         }
     }
@@ -519,100 +810,8 @@ pub(crate) fn quantize_code(v: f32, inv_step: f32, max_code: i32) -> i16 {
     (r as i32).clamp(-max_code, max_code) as i16
 }
 
-/// Stage A of every quantized apply, dispatched: [`fft_quantize_blocks`]
-/// over all `blocks` input blocks on `threads` workers, each with its own
-/// `[k][lanes]` slice of the `pr`/`pi` plane scratch.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn quantize_spectra_planes(
-    plan: &BatchFftPlan<f32>,
-    threads: usize,
-    blocks: usize,
-    k: usize,
-    bins: usize,
-    lanes: usize,
-    inv_step: f32,
-    max_code: i32,
-    codes: &mut [i16],
-    pr: &mut [f32],
-    pi: &mut [f32],
-    fill: &(impl Fn(usize, &mut [f32]) + Sync),
-) {
-    par_planes(
-        threads,
-        blocks,
-        bins * lanes * 2,
-        codes,
-        &mut [],
-        k * lanes,
-        pr,
-        pi,
-        |j0, jcount, c_c, _: &mut [i16], pr_c, pi_c| {
-            fft_quantize_blocks(
-                plan, k, bins, lanes, j0, jcount, inv_step, max_code, c_c, pr_c, pi_c, fill,
-            );
-        },
-    );
-}
-
-/// Stage A of the quantized apply: the same per-block real-input plane FFT
-/// as [`fft_blocks`], with the symmetric quantizer **fused into the
-/// spectrum copy-out** — the half-spectrum rows leave the per-worker FFT
-/// scratch directly as interleaved `(re, im)` i16 code pairs, block-major
-/// `[j][bins][lanes][2]`. There is no separate f32 spectra store and no
-/// bin-major re-layout pass: the quantize *is* the copy. Imaginary codes at
-/// DC and (k ≥ 2) Nyquist are forced to zero — those bins are real for
-/// real inputs, and zeroed codes let the MAC run one uniform pairwise
-/// kernel with no real-bin branch.
-#[allow(clippy::too_many_arguments)]
-fn fft_quantize_blocks<F>(
-    plan: &BatchFftPlan<f32>,
-    k: usize,
-    bins: usize,
-    lanes: usize,
-    j0: usize,
-    jcount: usize,
-    inv_step: f32,
-    max_code: i32,
-    out: &mut [i16],
-    pr: &mut [f32],
-    pi: &mut [f32],
-    fill: &F,
-) where
-    F: Fn(usize, &mut [f32]),
-{
-    let isa = crate::simd::isa();
-    for jl in 0..jcount {
-        fill(j0 + jl, &mut pr[..k * lanes]);
-        plan.forward_planes_real(&mut pr[..k * lanes], &mut pi[..k * lanes], lanes)
-            .expect("plane buffers are sized before dispatch");
-        for bin in 0..bins {
-            let real_bin = bin == 0 || (k >= 2 && bin == bins - 1);
-            let src = bin * lanes;
-            let dst = (jl * bins + bin) * lanes * 2;
-            crate::simd::qpack(
-                isa,
-                &pr[src..src + lanes],
-                if real_bin {
-                    None
-                } else {
-                    Some(&pi[src..src + lanes])
-                },
-                inv_step,
-                max_code,
-                &mut out[dst..dst + 2 * lanes],
-            );
-        }
-    }
-}
-
 /// Output block rows per MAC tile (both precisions).
 const TI: usize = 4;
-
-/// Elements of per-worker `i32` scratch [`run_mac_i16`] needs in each of
-/// `wa` and `wb` for `offsets` fused operators of `q` block columns.
-pub(crate) fn mac_i16_scratch(offsets: usize, q: usize) -> usize {
-    offsets * TI * q
-}
 
 /// The i16 instantiation of [`run_mac`]: identical tiling, run/shift
 /// mapping and fixed accumulation order, over interleaved `(re, im)` code
@@ -621,25 +820,18 @@ pub(crate) fn mac_i16_scratch(offsets: usize, q: usize) -> usize {
 /// the uniform pairwise kernel computes the right (zero) imaginary terms
 /// there. `wq` holds one `(re, im)` code-plane pair per kernel offset in
 /// the same `[bin][p][q]` layout as the f32 weight planes; `xq` is the
-/// block-major `[q][bins][l_pad][2]` code plane from
-/// [`fft_quantize_blocks`]; accumulators are block-major
-/// `[icount][bins][l_acc]` and written exactly once (overwrite — callers
-/// needing a second accumulation, like the recurrent cell, use a second
-/// accumulator set and combine in the dequant epilogue).
+/// block-major `[q][bins][l_pad][2]` code plane; accumulators are
+/// block-major `[icount][bins][l_acc]` and written exactly once. `wa`/`wb`
+/// are the worker's [`Precision::mac_scratch`] madd constants.
 #[allow(clippy::needless_range_loop, clippy::too_many_arguments)]
-pub(crate) fn run_mac_i16<W: AsRef<[i16]>>(
-    wq: &[(W, W)],
-    shifts: &[usize],
+pub(crate) fn run_mac_i16(
+    wq: &[(Vec<i16>, Vec<i16>)],
     p: usize,
     q: usize,
-    bins: usize,
     i0: usize,
     icount: usize,
+    map: &LaneMap<'_>,
     xq: &[i16],
-    l_pad: usize,
-    l_acc: usize,
-    runs: &[(usize, usize, usize)],
-    step: usize,
     acc_re: &mut [i32],
     acc_im: &mut [i32],
     wa: &mut [i32],
@@ -647,19 +839,23 @@ pub(crate) fn run_mac_i16<W: AsRef<[i16]>>(
 ) {
     const LANES: usize = 16;
     let isa = crate::simd::isa();
+    let (l_pad, l_acc, shifts, step) = (map.l_pad, map.l_acc, map.shifts, map.step);
+    let bins = wq[0].0.len() / (p * q);
     let mut sx = [0i16; 2 * LANES];
     let mut aos = [0usize; TI];
-    // Pairwise madd constants for the current row tile, `[e][u][j]`
-    // ([`mac_i16_scratch`] elements of caller-owned per-worker scratch
-    // each): `wa = pack(wr, wi)` produces the real-part term,
-    // `wb = pack(−wi, wr)` the imaginary one. Built once per (bin, tile)
-    // and reused across every run and lane chunk.
+    // Pairwise madd constants for the current row tile, `[e][u][j]`:
+    // `wa = pack(wr, wi)` produces the real-part term, `wb = pack(−wi, wr)`
+    // the imaginary one. Built once per (bin, tile) and reused across every
+    // run and lane chunk.
     for bin in 0..bins {
         let mut it = 0;
         while it < icount {
             let tl = TI.min(icount - it);
             for (e, (wre, wim)) in wq.iter().enumerate() {
-                let (wre, wim) = (wre.as_ref(), wim.as_ref());
+                // Slice views, not `Vec` indexing: through the `Vec`s this
+                // loop does not vectorize, and a lone sample's apply is
+                // mostly this loop.
+                let (wre, wim) = (wre.as_slice(), wim.as_slice());
                 for u in 0..tl {
                     let wrow = (bin * p + i0 + it + u) * q;
                     for j in 0..q {
@@ -673,7 +869,7 @@ pub(crate) fn run_mac_i16<W: AsRef<[i16]>>(
                 // Unit-stride lanes: the register-resident row kernel sweeps
                 // every engine's q columns per row with the running sums in
                 // registers, writing straight into the accumulator planes.
-                for &(out0, in_base, len) in runs {
+                for &(out0, in_base, len) in map.runs {
                     for (u, slot) in aos[..tl].iter_mut().enumerate() {
                         *slot = ((it + u) * bins + bin) * l_acc + out0;
                     }
@@ -700,14 +896,13 @@ pub(crate) fn run_mac_i16<W: AsRef<[i16]>>(
                 // column kernel over register tiles. Integer accumulation
                 // is exact, so this ordering and the row kernel's agree
                 // bitwise.
-                for &(out0, in_base, len) in runs {
+                for &(out0, in_base, len) in map.runs {
                     let mut t0 = 0;
                     while t0 < len {
                         let l = LANES.min(len - t0);
                         let mut tr = [[0i32; LANES]; TI];
                         let mut ti_ = [[0i32; LANES]; TI];
                         for ((wre, wim), &shift) in wq.iter().zip(shifts) {
-                            let (wre, wim) = (wre.as_ref(), wim.as_ref());
                             for j in 0..q {
                                 // Block-major code planes: [q][bins][l_pad][2].
                                 let xo = (j * bins + bin) * l_pad + in_base + shift + t0 * step;
@@ -741,60 +936,5 @@ pub(crate) fn run_mac_i16<W: AsRef<[i16]>>(
             }
             it += tl;
         }
-    }
-}
-
-/// One quantized accumulator set plus its per-block-row dequant scales
-/// (`dq[i] = w_step[i] · x_step` — multiplying a code product by it
-/// recovers the spectral-domain f32 value).
-pub(crate) struct QAcc<'a> {
-    /// Real i32 accumulator planes, block-major `[p][bins][lanes]`.
-    pub re: &'a [i32],
-    /// Imaginary i32 accumulator planes, same layout.
-    pub im: &'a [i32],
-    /// Per-block-row dequant scale (`p` entries).
-    pub dq: &'a [f32],
-}
-
-/// The dequantizing variant of [`ifft_epilogue_blocks`]: the spectrum fill
-/// that feeds each block's inverse converts the i32 code accumulators to
-/// f32 **during the copy** into the FFT scratch — one multiply per element
-/// fused into a pass the f32 path already pays, so dequant costs no extra
-/// sweep. An optional second accumulator set rides the same fill (the
-/// recurrent cell's input-side and hidden-side MACs, each with its own
-/// scale), then bias/activation fuse into the unpack exactly as in the f32
-/// path.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn ifft_epilogue_blocks_dq(
-    plan: &BatchFftPlan<f32>,
-    acc: &QAcc<'_>,
-    acc2: Option<&QAcc<'_>>,
-    k: usize,
-    bins: usize,
-    lanes: usize,
-    i0: usize,
-    icount: usize,
-    epi: &Epilogue<'_>,
-    stage: &mut [f32],
-    pre: &mut [f32],
-    pim: &mut [f32],
-) {
-    for il in 0..icount {
-        let i = i0 + il;
-        let off = i * bins * lanes;
-        let dq = acc.dq[i];
-        for t in 0..bins * lanes {
-            pre[t] = acc.re[off + t] as f32 * dq;
-            pim[t] = acc.im[off + t] as f32 * dq;
-        }
-        if let Some(a2) = acc2 {
-            let dq2 = a2.dq[i];
-            for t in 0..bins * lanes {
-                pre[t] += a2.re[off + t] as f32 * dq2;
-                pim[t] += a2.im[off + t] as f32 * dq2;
-            }
-        }
-        let sblock = &mut stage[il * k * lanes..(il + 1) * k * lanes];
-        inverse_epilogue_block(plan, k, lanes, i, epi, sblock, pre, pim);
     }
 }

@@ -44,13 +44,13 @@
 //!   batch costs `p·q` IFFTs total rather than `p·q` per sample.
 //!
 //! Internally the batch dimension is innermost (structure-of-arrays
-//! **bin-major** `[bin][block][batch]` planes, split re/im), which turns
-//! the hot complex-MAC loop into stride-1 FMA chains the compiler
-//! autovectorizes. The staging itself — pack, real-input plane FFT,
-//! register-tiled MAC, plane IFFT with the fused bias/activation
-//! epilogue — lives in the shared spectral-plane core (`crate::engine`);
-//! [`Workspace`] is its FC-shaped lane-mapping adapter (lanes = batch),
-//! and the CONV and recurrent workspaces ride the same stages. With the
+//! **block-major** `[block][bin][batch]` planes, split re/im), which turns
+//! the hot complex-MAC loop into stride-1 chains the compiler vectorizes.
+//! The stages themselves — pack, real-input plane FFT, register-tiled MAC,
+//! plane IFFT with the fused bias/activation epilogue — live in the shared
+//! spectral-plane core (`crate::engine`). Over them, `slab_apply` is the
+//! slab pipeline (lanes = batch) of this operator, the recurrent step and
+//! their i16 twins; the CONV pipeline rides the same stages. With the
 //! `parallel` feature (default) the block-row/-column sweeps are split
 //! across `std::thread::scope` threads; every output element is
 //! accumulated in the same order regardless of thread count, so serial and
@@ -61,7 +61,7 @@ use circnn_nn::LinearOp;
 use circnn_tensor::Tensor;
 use rand::Rng;
 
-use crate::engine::{self, Epilogue};
+use crate::engine::{self, Arena, Epilogue, LaneMap, Precision, Side, F32};
 use crate::error::CircError;
 
 /// An `m×n` block-circulant matrix with block size `k`.
@@ -495,26 +495,14 @@ impl BlockCirculantMatrix {
 /// of Algorithm 2's reuse of `FFT(x_j)`.
 #[derive(Debug, Clone, Default)]
 pub struct Workspace {
-    /// Input spectra planes, bin-major `[bin][q-block][batch]`, split
-    /// re/im (SoA).
-    xs_re: Vec<f32>,
-    xs_im: Vec<f32>,
-    /// Output-gradient spectra planes, bin-major `[bin][p-block][batch]`.
-    gs_re: Vec<f32>,
-    gs_im: Vec<f32>,
-    /// Frequency-domain accumulators `[blocks][bins][batch]`.
-    acc_re: Vec<f32>,
-    acc_im: Vec<f32>,
-    /// Time-domain staging `[blocks][k][batch]` before the final transpose.
-    stage: Vec<f32>,
-    /// Per-thread plane scratch for the batch FFT stages: `[k][batch]`
-    /// during the forward/backward applies, `[k][q]` during the weight
-    /// gradient (whose batch-plane IFFT lanes are the `q` block pairs of
-    /// one block row).
-    pr: Vec<f32>,
-    pi: Vec<f32>,
-    /// `(operator id, batch)` of the spectra currently held in `xs_*` /
-    /// `gs_*`.
+    /// The plane arena: spectrum slot 0 holds the forward input spectra
+    /// `[q][bins][batch]` and slot 1 the backward output-gradient spectra
+    /// `[p][bins][batch]`, split re/im; one accumulator set serves both
+    /// directions. The per-thread plane scratch is `[k][batch]` during the
+    /// applies and `[k][q]` during the weight gradient (whose batch-plane
+    /// IFFT lanes are the `q` block pairs of one block row).
+    arena: Arena<f32, f32>,
+    /// `(operator id, batch)` of the spectra currently held in slots 0 / 1.
     fwd_stamp: Option<(u64, usize)>,
     bwd_stamp: Option<(u64, usize)>,
 }
@@ -525,41 +513,19 @@ impl Workspace {
         Self::default()
     }
 
-    fn prepare_common(&mut self, mat: &BlockCirculantMatrix, batch: usize, threads: usize) {
-        let blocks = mat.p.max(mat.q);
-        let acc = blocks * mat.bins * batch;
-        if self.acc_re.len() < acc {
-            self.acc_re.resize(acc, 0.0);
-            self.acc_im.resize(acc, 0.0);
-        }
-        let stage = blocks * mat.k * batch;
-        if self.stage.len() < stage {
-            self.stage.resize(stage, 0.0);
-        }
-        // The weight-gradient IFFT lanes are the q block pairs of a block
-        // row, so the planes must cover both batch widths.
-        let lanes = batch.max(mat.q);
-        if self.pr.len() < threads * mat.k * lanes {
-            self.pr.resize(threads * mat.k * lanes, 0.0);
-            self.pi.resize(threads * mat.k * lanes, 0.0);
-        }
-    }
-
-    fn prepare_forward(&mut self, mat: &BlockCirculantMatrix, batch: usize, threads: usize) {
-        self.prepare_common(mat, batch, threads);
-        let xs = mat.q * mat.bins * batch;
-        if self.xs_re.len() < xs {
-            self.xs_re.resize(xs, 0.0);
-            self.xs_im.resize(xs, 0.0);
-        }
-    }
-
-    fn prepare_backward(&mut self, mat: &BlockCirculantMatrix, batch: usize, threads: usize) {
-        self.prepare_common(mat, batch, threads);
-        let gs = mat.p * mat.bins * batch;
-        if self.gs_re.len() < gs {
-            self.gs_re.resize(gs, 0.0);
-            self.gs_im.resize(gs, 0.0);
+    /// Stamps the spectra a `dir` apply of operator `id` at `batch`
+    /// records, and returns the arena slot they land in.
+    fn stamp(&mut self, id: u64, dir: Dir, batch: usize) -> usize {
+        let stamp = Some((id, batch));
+        match dir {
+            Dir::Forward => {
+                self.fwd_stamp = stamp;
+                0
+            }
+            Dir::Backward => {
+                self.bwd_stamp = stamp;
+                1
+            }
         }
     }
 }
@@ -800,17 +766,11 @@ impl BlockCirculantMatrix {
             return Err(CircError::StaleBatchSpectra);
         }
         let threads = threads.max(1).min(self.p);
-        ws.prepare_backward(self, batch, threads);
         let (k, q, bins) = (self.k, self.q, self.bins);
-        let Workspace {
-            xs_re,
-            xs_im,
-            gs_re,
-            gs_im,
-            pr,
-            pi,
-            ..
-        } = ws;
+        let Arena { xs, pr, pi, .. } = &mut ws.arena;
+        engine::grow(pr, threads * k * q);
+        engine::grow(pi, threads * k * q);
+        let [(xs_re, xs_im), (gs_re, gs_im)] = xs;
         let xs_re = &xs_re[..q * bins * batch];
         let xs_im = &xs_im[..q * bins * batch];
         let gs_re = &gs_re[..self.p * bins * batch];
@@ -850,9 +810,17 @@ impl BlockCirculantMatrix {
         self.apply_batch(Dir::Forward, x, batch, ws, out, threads, epi)
     }
 
-    /// Stage A of an apply on its own: validates `src`, sizes and stamps
-    /// `ws`, and leaves the batch's input (forward) or output-gradient
-    /// (backward) spectra planes in it — everything
+    /// The f32 datapath of this operator in direction `dir`.
+    fn datapath(&self, dir: Dir) -> F32<'_> {
+        F32 {
+            engines: core::slice::from_ref(self),
+            forward: dir == Dir::Forward,
+        }
+    }
+
+    /// Stage A of an apply on its own: validates `src`, stamps `ws` and
+    /// leaves the batch's input (forward) or output-gradient (backward)
+    /// spectra planes in it — everything
     /// [`BlockCirculantMatrix::weight_gradient_batch`] reads.
     fn record_spectra(
         &self,
@@ -862,63 +830,18 @@ impl BlockCirculantMatrix {
         ws: &mut Workspace,
         threads: usize,
     ) -> Result<(), CircError> {
-        let (logical, blocks) = match dir {
-            Dir::Forward => (self.n, self.q),
-            Dir::Backward => (self.m, self.p),
-        };
+        let logical = if dir == Dir::Forward { self.n } else { self.m };
         engine::check_slabs(batch, &[(src.len(), logical)])?;
-        match dir {
-            Dir::Forward => {
-                ws.prepare_forward(self, batch, threads);
-                ws.fwd_stamp = Some((self.id, batch));
-            }
-            Dir::Backward => {
-                ws.prepare_backward(self, batch, threads);
-                ws.bwd_stamp = Some((self.id, batch));
-            }
-        }
-        let Workspace {
-            xs_re,
-            xs_im,
-            gs_re,
-            gs_im,
-            acc_re,
-            acc_im,
-            pr,
-            pi,
-            ..
-        } = ws;
-        let len = blocks * self.bins * batch;
-        let (re, im) = match dir {
-            Dir::Forward => (&mut xs_re[..len], &mut xs_im[..len]),
-            Dir::Backward => (&mut gs_re[..len], &mut gs_im[..len]),
-        };
-        // One real-input batch-plane FFT per block (all samples at once,
-        // parallel over blocks — the Fig.-10 saving, batched), then the
-        // bin-major re-layout the MAC wants. The block-major FFT staging
-        // borrows the accumulator planes, free at this point.
-        engine::forward_spectra_planes(
-            &self.bplan,
-            src,
-            batch,
-            logical,
-            blocks,
-            self.k,
-            self.bins,
-            threads,
-            acc_re,
-            acc_im,
-            re,
-            im,
-            pr,
-            pi,
-        );
+        let slot = ws.stamp(self.id, dir, batch);
+        let prec = self.datapath(dir);
+        let ([mut side], s) = ws.arena.lend([(&prec, src)], slot, batch, batch, threads);
+        slab_spectra(&mut side, batch, threads, s.pr, s.pi);
         Ok(())
     }
 
-    /// The batched forward/transpose apply shared by every entry point: stage A
-    /// ([`BlockCirculantMatrix::record_spectra`]), then the MAC, the plane
-    /// IFFT with its epilogue, and the unstaging into `out`.
+    /// The batched forward/transpose apply shared by every entry point:
+    /// the slab pipeline ([`slab_apply`]) over this one operator, leaving
+    /// the direction's spectra stamped in `ws` for the weight gradient.
     #[allow(clippy::too_many_arguments)]
     fn apply_batch(
         &self,
@@ -930,157 +853,23 @@ impl BlockCirculantMatrix {
         threads: usize,
         epi: &Epilogue<'_>,
     ) -> Result<(), CircError> {
-        let (in_blocks, out_logical, out_blocks) = match dir {
-            Dir::Forward => (self.q, self.m, self.p),
-            Dir::Backward => (self.p, self.n, self.q),
+        let (n_in, n_out) = match dir {
+            Dir::Forward => (self.n, self.m),
+            Dir::Backward => (self.m, self.n),
         };
-        engine::check_slabs(batch, &[(out.len(), out_logical)])?;
-        let threads = threads.max(1);
-        self.record_spectra(dir, src, batch, ws, threads)?;
-        let (k, bins) = (self.k, self.bins);
-        let Workspace {
-            xs_re,
-            xs_im,
-            gs_re,
-            gs_im,
-            acc_re,
-            acc_im,
-            stage,
-            pr,
-            pi,
-            ..
-        } = ws;
-        let in_len = in_blocks * bins * batch;
-        let (in_re, in_im) = match dir {
-            Dir::Forward => (&xs_re[..in_len], &xs_im[..in_len]),
-            Dir::Backward => (&gs_re[..in_len], &gs_im[..in_len]),
-        };
-        // Stage B: the frequency-domain MAC — one sweep over the cached
-        // weight spectra for the whole batch, parallel over output blocks.
-        let acc_len = out_blocks * bins * batch;
-        let acc_re = &mut acc_re[..acc_len];
-        let acc_im = &mut acc_im[..acc_len];
-        engine::par_planes(
+        engine::check_slabs(batch, &[(src.len(), n_in), (out.len(), n_out)])?;
+        let slot = ws.stamp(self.id, dir, batch);
+        let prec = self.datapath(dir);
+        slab_apply(
+            &mut ws.arena,
+            slot,
+            [(&prec, src)],
+            batch,
+            out,
             threads,
-            out_blocks,
-            bins * batch,
-            acc_re,
-            acc_im,
-            0,
-            &mut [],
-            &mut [],
-            |i0, icount, re_c, im_c, _: &mut [f32], _: &mut [f32]| {
-                let forward = dir == Dir::Forward;
-                self.mac_planes(forward, false, batch, i0, icount, in_re, in_im, re_c, im_c);
-            },
+            epi,
         );
-        let acc_re = &acc_re[..];
-        let acc_im = &acc_im[..];
-        // Stage C: one plane inverse per output block with the fused
-        // epilogue — bias and activation are applied to each block right
-        // after its IFFT, while it is cache-hot, and the biased rows land in
-        // the `[block][k][batch]` staging planes. Parallel over output
-        // blocks. An identity epilogue (the raw applies, incl. the whole
-        // backward path) transforms in place in the staging planes instead,
-        // saving the copy out of the FFT scratch.
-        let stage_len = out_blocks * k * batch;
-        let stage = &mut stage[..stage_len];
-        if epi.is_identity() {
-            engine::par_planes(
-                threads,
-                out_blocks,
-                k * batch,
-                stage,
-                &mut [],
-                k * batch,
-                pi,
-                &mut [],
-                |i0, icount, stage_c, _, pi_c, _| {
-                    engine::ifft_blocks(
-                        &self.bplan,
-                        acc_re,
-                        acc_im,
-                        k,
-                        bins,
-                        batch,
-                        i0,
-                        icount,
-                        stage_c,
-                        pi_c,
-                    );
-                },
-            );
-        } else {
-            engine::par_planes(
-                threads,
-                out_blocks,
-                k * batch,
-                stage,
-                &mut [],
-                k * batch,
-                pr,
-                pi,
-                |i0, icount, stage_c, _, pr_c, pi_c| {
-                    engine::ifft_epilogue_blocks(
-                        &self.bplan,
-                        acc_re,
-                        acc_im,
-                        k,
-                        bins,
-                        batch,
-                        i0,
-                        icount,
-                        epi,
-                        stage_c,
-                        pr_c,
-                        pi_c,
-                    );
-                },
-            );
-        }
-        // Stage D: the `[batch, out_logical]` output slab.
-        engine::unstage_slab(stage, k, batch, out);
         Ok(())
-    }
-
-    /// This operator's frequency-domain MAC over **bin-major**
-    /// `[bins][blocks][lanes]` input planes, for `icount` output blocks from
-    /// `i0` — stage B of the FC apply in both directions, the recurrent
-    /// step, and the conv backward's per-offset transpose product. One
-    /// engine, one unit-step run of [`engine::run_mac`]: `forward` selects
-    /// `conj(w)·x` versus the transpose product, `accumulate` adds into
-    /// `acc` instead of overwriting it. Every output element accumulates
-    /// its terms in increasing block order, so results are bit-stable
-    /// across batch sizes, tilings and thread counts.
-    #[allow(clippy::too_many_arguments)]
-    pub(crate) fn mac_planes(
-        &self,
-        forward: bool,
-        accumulate: bool,
-        lanes: usize,
-        i0: usize,
-        icount: usize,
-        in_re: &[f32],
-        in_im: &[f32],
-        acc_re: &mut [f32],
-        acc_im: &mut [f32],
-    ) {
-        let sum_blocks = if forward { self.q } else { self.p };
-        engine::run_mac(
-            core::slice::from_ref(self),
-            forward,
-            accumulate,
-            &[0],
-            i0,
-            icount,
-            (in_re, in_im),
-            (sum_blocks * lanes, lanes),
-            lanes,
-            &[(0, 0, lanes)],
-            1,
-            acc_re,
-            acc_im,
-        );
     }
 
     /// Crate-internal view of the batch-plane FFT (the CONV pipeline runs
@@ -1131,11 +920,11 @@ impl BlockCirculantMatrix {
             // linearity that buys one IFFT per block per *batch* — written
             // lane-major `[bin][q]` so the plane IFFT reads it directly.
             for bin in 0..bins {
-                let go = (bin * self.p + i) * batch;
+                let go = (i * bins + bin) * batch;
                 let gr = &gs_re[go..go + batch];
                 let gi = &gs_im[go..go + batch];
                 for j in 0..q {
-                    let xo = (bin * q + j) * batch;
+                    let xo = (j * bins + bin) * batch;
                     let xr = &xs_re[xo..xo + batch];
                     let xi = &xs_im[xo..xo + batch];
                     let (mut sr, mut si) = (0.0f32, 0.0f32);
@@ -1163,6 +952,58 @@ impl BlockCirculantMatrix {
             }
         }
     }
+}
+
+/// Stage A of a slab apply: `side`'s row-major `[batch, logical]` source
+/// through the plane FFT, one block of `k` logical columns per plane.
+fn slab_spectra<P: Precision>(
+    side: &mut Side<'_, P>,
+    batch: usize,
+    threads: usize,
+    pr: &mut [f32],
+    pi: &mut [f32],
+) {
+    let (prec, src) = (side.prec, side.src);
+    let (k, logical) = (prec.plan().len(), src.len() / batch);
+    let pack =
+        |j: usize, plane: &mut [f32]| engine::pack_slab_block(src, batch, logical, k, j, plane);
+    let xs = (&mut *side.xs.0, &mut *side.xs.1);
+    engine::fft_blocks(prec, threads, prec.blocks().1, batch, xs, pr, pi, &pack);
+}
+
+/// The slab apply of the FC and recurrent families at either precision
+/// (lanes = batch, one unit-step MAC run): per input side, stage A and the
+/// MAC into the side's own accumulator set; then one inverse per output
+/// block whose fill sums the sides — the recurrent step's
+/// `W_ih·x + W_hh·h` — under the fused epilogue, and the layout copy into
+/// the row-major `[batch, m]` output. The first side's spectra land in
+/// arena slot `slot`.
+#[allow(clippy::too_many_arguments)]
+pub(crate) fn slab_apply<P: Precision, const N: usize>(
+    arena: &mut Arena<P::Spec, P::Acc>,
+    slot: usize,
+    sides: [(&P, &[f32]); N],
+    batch: usize,
+    out: &mut [f32],
+    threads: usize,
+    epi: &Epilogue<'_>,
+) {
+    let threads = threads.max(1);
+    let (mut sides, s) = arena.lend(sides, slot, batch, batch, threads);
+    let run = [(0, 0, batch)];
+    let map = LaneMap {
+        l_pad: batch,
+        l_acc: batch,
+        shifts: &[0],
+        runs: &run,
+        step: 1,
+    };
+    for side in sides.iter_mut() {
+        slab_spectra(side, batch, threads, s.pr, s.pi);
+        engine::mac(side, threads, &map, s.wa, s.wb);
+    }
+    engine::ifft_sides(&sides, threads, batch, epi, s.stage, s.pi);
+    engine::unstage_slab(s.stage, sides[0].prec.plan().len(), batch, out);
 }
 
 impl LinearOp for BlockCirculantMatrix {

@@ -5,25 +5,27 @@
 //! claim as a serving path. A [`QuantizedOperator`] holds **i16 resident
 //! weight spectra** with per-block-row scales (calibrated through
 //! [`circnn_quant::fake_quantize`], so the scale is exactly the
-//! `QuantStats` scale the calibration sweeps report), and its apply runs
-//! the same four-stage dataflow as the f32 engine with the conversions
-//! fused into passes the f32 path already pays:
+//! `QuantStats` scale the calibration sweeps report). The fixed point is a
+//! datapath width of the one spectral-plane pipeline, not a second
+//! pipeline: each type here runs its f32 family's pipeline — the FC slab
+//! apply, the conv forward, the recurrent step — at the engine's i16
+//! precision, which differs from f32 in exactly three places, each fused
+//! into a pass the f32 path already pays:
 //!
-//! 1. **FFT + quantize** (`engine::quantize_spectra_planes`) — the f32
-//!    plane FFT's copy-out writes interleaved `(re, im)` i16 code pairs
-//!    block-major; there is no f32 spectra store and no re-layout pass.
+//! 1. **Copy-out** — stage A's plane FFT writes its half-spectrum rows as
+//!    interleaved `(re, im)` i16 code pairs; there is no f32 spectra store.
 //!    Imaginary codes at the DC/Nyquist real bins are forced to zero.
-//! 2. **i16 MAC** (`engine::run_mac_i16`) — the register-tiled
-//!    `i16×i16 → i32` instantiation of the run-generic MAC, streaming half
-//!    the bytes per weight plane and dispatching to `_mm_madd_epi16`-style
-//!    SIMD kernels at runtime. Integer accumulation in a fixed order makes
-//!    the path bitwise stable across thread counts, batch compositions
-//!    *and* instruction sets.
-//! 3. **Dequant + IFFT + epilogue** (`engine::ifft_epilogue_blocks_dq`)
-//!    — the per-block-row scale multiplies each i32 accumulator during the
-//!    copy into the inverse transform's scratch; bias and activation fuse
-//!    into each block's inverse exactly as in the f32 path.
-//! 4. A pure layout copy into the caller's slab.
+//! 2. **MAC** — the register-tiled `i16×i16 → i32` sweep, streaming half
+//!    the bytes per weight plane through `_mm_madd_epi16`-style SIMD
+//!    kernels chosen at runtime. Integer accumulation in a fixed order
+//!    makes the path bitwise stable across thread counts, batch
+//!    compositions *and* instruction sets.
+//! 3. **Fill** — the per-block-row scale multiplies each i32 accumulator
+//!    during the copy into the inverse transform's input; bias and
+//!    activation fuse into each block's inverse exactly as in the f32 path.
+//!
+//! What this module itself holds is the calibration, the accessors, the
+//! error bounds and the serialization views.
 //!
 //! Accumulation safety is a **registration-time contract**, not a runtime
 //! check: [`QuantConfig`] declares the code widths and the input range,
@@ -36,12 +38,11 @@
 
 use circnn_fft::fixed::QFormat;
 use circnn_fft::BatchFftPlan;
-use circnn_tensor::im2col::ConvGeometry;
 use circnn_tensor::Tensor;
 
-use crate::engine::{self, Activation, Epilogue, QAcc};
+use crate::engine::{self, Activation, Arena, Epilogue, I16};
 use crate::error::CircError;
-use crate::matrix::BlockCirculantMatrix;
+use crate::matrix::{slab_apply, BlockCirculantMatrix};
 
 /// Fixed-point formats and the declared input range of a quantized
 /// operator.
@@ -115,6 +116,27 @@ impl QuantConfig {
         let dq_max = dq.iter().cloned().fold(0.0f32, f32::max);
         2.0 * terms as f32 * dq_max * (cw + cx + 1.0)
     }
+
+    /// The i16 datapath of one input side: `codes` over `q` block columns,
+    /// inputs quantized at this config's input width and `step`, outputs
+    /// dequantized by `dq`.
+    fn datapath<'a>(
+        &self,
+        codes: &'a [(Vec<i16>, Vec<i16>)],
+        q: usize,
+        plan: &'a BatchFftPlan<f32>,
+        step: f32,
+        dq: &'a [f32],
+    ) -> I16<'a> {
+        I16 {
+            codes,
+            q,
+            plan,
+            inv_step: 1.0 / step,
+            max_code: self.input_format.max_code() as i32,
+            dq,
+        }
+    }
 }
 
 /// Calibrates one shared per-block-row scale over every plane in `planes`
@@ -173,62 +195,20 @@ fn quantize_weight_planes(
     (w_step, codes)
 }
 
-/// Reusable scratch arena for the quantized pipeline: i16 code planes,
-/// i32 accumulators, and the f32 FFT staging. Grow-only, like every other
-/// workspace — a serving worker keeps one and streams batches through it
+/// Reusable scratch arena for the quantized pipelines: the engine's plane
+/// arena at i16 spectra and i32 accumulators (two sides for the recurrent
+/// cell) plus the f32 FFT staging. Grow-only, like every other workspace —
+/// a serving worker keeps one and streams batches through it
 /// allocation-free once warm.
 #[derive(Debug, Clone, Default)]
 pub struct QuantWorkspace {
-    /// Input code planes, block-major `[q][bins][lanes][2]` interleaved.
-    xq: Vec<i16>,
-    /// Hidden-state code planes (recurrent cells only).
-    hq: Vec<i16>,
-    /// i32 accumulator planes, block-major `[p][bins][lanes]`.
-    acc_re: Vec<i32>,
-    acc_im: Vec<i32>,
-    /// Second accumulator set (the recurrent hidden-side MAC).
-    acc2_re: Vec<i32>,
-    acc2_im: Vec<i32>,
-    /// Time-domain staging `[block][k][lanes]`.
-    stage: Vec<f32>,
-    /// Per-thread plane scratch `[k][lanes]`.
-    pr: Vec<f32>,
-    pi: Vec<f32>,
-    /// Per-thread madd-constant scratch of the i16 MAC
-    /// ([`engine::mac_i16_scratch`] elements each per thread).
-    wa: Vec<i32>,
-    wb: Vec<i32>,
-    /// Per-sample MAC runs and per-offset shifts (conv only).
-    runs: Vec<(usize, usize, usize)>,
-    shifts: Vec<usize>,
+    arena: Arena<i16, i32>,
 }
 
 impl QuantWorkspace {
     /// An empty arena; buffers are sized lazily by the first pass.
     pub fn new() -> Self {
         Self::default()
-    }
-
-    #[allow(clippy::too_many_arguments)]
-    fn prepare(
-        &mut self,
-        p: usize,
-        q: usize,
-        bins: usize,
-        k: usize,
-        l_pad: usize,
-        l_acc: usize,
-        offsets: usize,
-        threads: usize,
-    ) {
-        engine::grow_with(&mut self.wa, threads * engine::mac_i16_scratch(offsets, q));
-        engine::grow_with(&mut self.wb, threads * engine::mac_i16_scratch(offsets, q));
-        engine::grow_with(&mut self.xq, q * bins * l_pad * 2);
-        engine::grow_with(&mut self.acc_re, p * bins * l_acc);
-        engine::grow_with(&mut self.acc_im, p * bins * l_acc);
-        engine::grow(&mut self.stage, p * k * l_acc);
-        engine::grow(&mut self.pr, threads * k * l_pad.max(l_acc));
-        engine::grow(&mut self.pi, threads * k * l_pad.max(l_acc));
     }
 }
 
@@ -240,12 +220,9 @@ pub struct QuantizedOperator {
     m: usize,
     n: usize,
     k: usize,
-    p: usize,
     q: usize,
-    bins: usize,
-    /// Weight code planes, `[bin][p][q]` (the f32 plane layout).
-    wq_re: Vec<i16>,
-    wq_im: Vec<i16>,
+    /// Weight code planes `(re, im)`, `[bin][p][q]` (the f32 plane layout).
+    wq: (Vec<i16>, Vec<i16>),
     /// Per-block-row weight scale (`p` entries).
     w_step: Vec<f32>,
     /// Input spectrum scale.
@@ -269,8 +246,8 @@ impl QuantizedOperator {
         cfg.check_accumulation(q)?;
         let (w_step, mut codes) =
             quantize_weight_planes(&[op.wplanes(true)], p, q, bins, k, cfg.weight_format);
-        let (wq_re, wq_im) = codes.pop().expect("one plane in, one plane out");
-        Self::assemble(op.rows(), op.cols(), k, cfg, w_step, wq_re, wq_im)
+        let wq = codes.pop().expect("one plane in, one plane out");
+        Self::assemble(op.rows(), op.cols(), k, cfg, w_step, wq)
     }
 
     /// Rebuilds an operator from serialized parts, re-running the shape
@@ -321,7 +298,7 @@ impl QuantizedOperator {
                 got: w_step.len(),
             });
         }
-        Self::assemble(m, n, k, cfg, w_step, wq_re, wq_im)
+        Self::assemble(m, n, k, cfg, w_step, (wq_re, wq_im))
     }
 
     fn assemble(
@@ -330,21 +307,16 @@ impl QuantizedOperator {
         k: usize,
         cfg: QuantConfig,
         w_step: Vec<f32>,
-        wq_re: Vec<i16>,
-        wq_im: Vec<i16>,
+        wq: (Vec<i16>, Vec<i16>),
     ) -> Result<Self, CircError> {
-        let (p, q) = (m.div_ceil(k), n.div_ceil(k));
         let x_step = cfg.x_step(k);
         let dq = w_step.iter().map(|&s| s * x_step).collect();
         Ok(Self {
             m,
             n,
             k,
-            p,
-            q,
-            bins: k / 2 + 1,
-            wq_re,
-            wq_im,
+            q: n.div_ceil(k),
+            wq,
             w_step,
             x_step,
             dq,
@@ -380,7 +352,7 @@ impl QuantizedOperator {
 
     /// Serialized views of the code planes (`[bin][p][q]`, split re/im).
     pub(crate) fn code_planes(&self) -> (&[i16], &[i16]) {
-        (&self.wq_re, &self.wq_im)
+        (&self.wq.0, &self.wq.1)
     }
 
     /// Conservative max-abs-error bound versus the f32 engine for inputs
@@ -409,7 +381,7 @@ impl QuantizedOperator {
         self.apply(src, batch, ws, out, threads, &Epilogue::NONE)
     }
 
-    /// The validated four-stage quantized apply.
+    /// The validated apply: the FC slab pipeline on the i16 datapath.
     pub(crate) fn apply(
         &self,
         src: &[f32],
@@ -420,92 +392,11 @@ impl QuantizedOperator {
         epi: &Epilogue<'_>,
     ) -> Result<(), CircError> {
         engine::check_slabs(batch, &[(src.len(), self.n), (out.len(), self.m)])?;
-        let (p, q, k, bins) = (self.p, self.q, self.k, self.bins);
-        let threads = threads.max(1);
-        ws.prepare(p, q, bins, k, batch, batch, 1, threads);
-        let plan = &self.plan;
-        let QuantWorkspace {
-            xq,
-            acc_re,
-            acc_im,
-            stage,
-            pr,
-            pi,
-            wa,
-            wb,
-            ..
-        } = ws;
-        let xq = &mut xq[..q * bins * batch * 2];
-        let acc_re = &mut acc_re[..p * bins * batch];
-        let acc_im = &mut acc_im[..p * bins * batch];
-        // Stage A: plane FFT with the quantizer fused into the copy-out.
-        let inv_x = 1.0 / self.x_step;
-        let cx = self.cfg.input_format.max_code() as i32;
-        let n = self.n;
-        let pack =
-            |j: usize, plane: &mut [f32]| engine::pack_slab_block(src, batch, n, k, j, plane);
-        engine::quantize_spectra_planes(
-            plan, threads, q, k, bins, batch, inv_x, cx, xq, pr, pi, &pack,
-        );
-        // Stage B: the i16 register-tiled MAC (one unit-step run).
-        let xq = &xq[..];
-        let wq = [(self.wq_re.as_slice(), self.wq_im.as_slice())];
-        let runs = [(0usize, 0usize, batch)];
-        engine::par_planes(
-            threads,
-            p,
-            bins * batch,
-            acc_re,
-            acc_im,
-            engine::mac_i16_scratch(1, q),
-            wa,
-            wb,
-            |i0, icount, re_c, im_c, wa_c, wb_c| {
-                engine::run_mac_i16(
-                    &wq,
-                    &[0],
-                    p,
-                    q,
-                    bins,
-                    i0,
-                    icount,
-                    xq,
-                    batch,
-                    batch,
-                    &runs,
-                    1,
-                    re_c,
-                    im_c,
-                    wa_c,
-                    wb_c,
-                );
-            },
-        );
-        // Stage C: dequant fused into the spectrum fill, bias/activation
-        // fused into the unpack — one plane inverse per output block.
-        let qacc = QAcc {
-            re: acc_re,
-            im: acc_im,
-            dq: &self.dq,
-        };
-        let stage = &mut stage[..p * k * batch];
-        engine::par_planes(
-            threads,
-            p,
-            k * batch,
-            stage,
-            &mut [],
-            k * batch,
-            pr,
-            pi,
-            |i0, icount, stage_c, _: &mut [f32], pr_c, pi_c| {
-                engine::ifft_epilogue_blocks_dq(
-                    plan, &qacc, None, k, bins, batch, i0, icount, epi, stage_c, pr_c, pi_c,
-                );
-            },
-        );
-        // Stage D: the `[batch, m]` output slab.
-        engine::unstage_slab(stage, k, batch, out);
+        let codes = core::slice::from_ref(&self.wq);
+        let dp = self
+            .cfg
+            .datapath(codes, self.q, &self.plan, self.x_step, &self.dq);
+        slab_apply(&mut ws.arena, 0, [(&dp, src)], batch, out, threads, epi);
         Ok(())
     }
 }
@@ -569,8 +460,8 @@ impl QuantizedLinear {
 
 /// A quantized CONV layer: `r²` i16 code planes sharing one per-block-row
 /// scale (every kernel offset accumulates into the same output row, so
-/// the dequant multiply must be common), riding the same padded-grid
-/// run-MAC as the f32 conv.
+/// the dequant multiply must be common), riding the f32 conv's pipeline —
+/// the same padded-grid run-MAC — on the i16 datapath.
 #[derive(Debug, Clone)]
 pub struct QuantizedConv2d {
     in_channels: usize,
@@ -578,10 +469,7 @@ pub struct QuantizedConv2d {
     kernel: usize,
     stride: usize,
     padding: usize,
-    k: usize,
-    p: usize,
     q: usize,
-    bins: usize,
     /// One `(re, im)` code-plane pair per kernel offset, offset-major.
     wq: Vec<(Vec<i16>, Vec<i16>)>,
     x_step: f32,
@@ -619,10 +507,7 @@ impl QuantizedConv2d {
             kernel,
             stride,
             padding,
-            k,
-            p,
             q,
-            bins,
             wq,
             x_step,
             dq,
@@ -678,118 +563,34 @@ impl QuantizedConv2d {
             self.padding,
             out.len(),
         )?;
-        self.forward(&g, batch, input.data(), out, ws, threads);
+        let dp = self
+            .cfg
+            .datapath(&self.wq, self.q, &self.plan, self.x_step, &self.dq);
+        crate::conv::forward_pass(
+            &dp,
+            &mut ws.arena,
+            &g,
+            batch,
+            input.data(),
+            &self.bias,
+            self.out_channels,
+            out,
+            threads,
+        );
         Ok(())
-    }
-
-    /// The quantized conv pipeline — geometry, runs and shifts identical
-    /// to the f32 [`crate::ConvWorkspace`] forward, stages swapped for
-    /// their quantized counterparts.
-    fn forward(
-        &self,
-        g: &ConvGeometry,
-        batch: usize,
-        input: &[f32],
-        out: &mut [f32],
-        ws: &mut QuantWorkspace,
-        threads: usize,
-    ) {
-        let (p, q, k, bins) = (self.p, self.q, self.k, self.bins);
-        let threads = threads.max(1);
-        let d = crate::conv::Dims::new(p, q, k, bins, g, batch);
-        let (l_pad, l_acc) = (d.l_pad, d.l_acc);
-        ws.prepare(p, q, bins, k, l_pad, l_acc, self.wq.len(), threads);
-        let plan = &self.plan;
-        let QuantWorkspace {
-            xq,
-            acc_re,
-            acc_im,
-            stage,
-            pr,
-            pi,
-            wa,
-            wb,
-            runs,
-            shifts,
-            ..
-        } = ws;
-        let xq = &mut xq[..q * bins * l_pad * 2];
-        let acc_re = &mut acc_re[..p * bins * l_acc];
-        let acc_im = &mut acc_im[..p * bins * l_acc];
-        // Stage 1: channel FFT + fused quantize on the padded pixel grid.
-        let inv_x = 1.0 / self.x_step;
-        let cx = self.cfg.input_format.max_code() as i32;
-        let pack = |j: usize, plane: &mut [f32]| {
-            crate::conv::pack_padded_input_block(input, g, batch, k, j, plane)
-        };
-        engine::quantize_spectra_planes(
-            plan, threads, q, k, bins, l_pad, inv_x, cx, xq, pr, pi, &pack,
-        );
-        // Stage 2: the fused all-offsets i16 MAC — same shifts and runs as
-        // the f32 path.
-        let (shifts, runs) = crate::conv::plan_runs(&d, g, batch, shifts, runs);
-        let s = g.stride;
-        let xq = &xq[..];
-        engine::par_planes(
-            threads,
-            p,
-            bins * l_acc,
-            acc_re,
-            acc_im,
-            engine::mac_i16_scratch(self.wq.len(), q),
-            wa,
-            wb,
-            |i0, icount, re_c, im_c, wa_c, wb_c| {
-                engine::run_mac_i16(
-                    &self.wq, shifts, p, q, bins, i0, icount, xq, l_pad, l_acc, runs, s, re_c,
-                    im_c, wa_c, wb_c,
-                );
-            },
-        );
-        // Stage 3: dequant + inverse + fused per-channel bias.
-        let qacc = QAcc {
-            re: acc_re,
-            im: acc_im,
-            dq: &self.dq,
-        };
-        let stage = &mut stage[..p * k * l_acc];
-        let epi = Epilogue {
-            bias: Some(&self.bias),
-            act: Activation::Identity,
-        };
-        engine::par_planes(
-            threads,
-            p,
-            k * l_acc,
-            stage,
-            &mut [],
-            k * l_acc,
-            pr,
-            pi,
-            |i0, icount, stage_c, _: &mut [f32], pr_c, pi_c| {
-                engine::ifft_epilogue_blocks_dq(
-                    plan, &qacc, None, k, bins, l_acc, i0, icount, &epi, stage_c, pr_c, pi_c,
-                );
-            },
-        );
-        // Stage 4: pure layout copy into the [B, P, OH, OW] slab.
-        crate::conv::scatter_staged(stage, &d, g, batch, self.out_channels, out);
     }
 }
 
 /// A quantized recurrent cell: both weight operators resident as i16
-/// codes, two i32 accumulator sets (the input-side and hidden-side MACs
-/// carry different scales), combined in the dequantizing epilogue where
-/// bias and `tanh` also fuse.
+/// codes, each side accumulating into its own i32 set (the input-side and
+/// hidden-side MACs carry different scales), combined in the dequantizing
+/// fill of the f32 cell's two-sided step, where bias and `tanh` also fuse.
 #[derive(Debug, Clone)]
 pub struct QuantizedRnnCell {
     hidden: usize,
     in_dim: usize,
-    k: usize,
-    p: usize,
     q_ih: usize,
     q_hh: usize,
-    bins: usize,
     wq_ih: (Vec<i16>, Vec<i16>),
     wq_hh: (Vec<i16>, Vec<i16>),
     dq_ih: Vec<f32>,
@@ -826,11 +627,8 @@ impl QuantizedRnnCell {
         Ok(Self {
             hidden: w_hh.rows(),
             in_dim: w_ih.cols(),
-            k,
-            p,
             q_ih,
             q_hh,
-            bins,
             wq_ih: c_ih.pop().expect("one plane in, one plane out"),
             wq_hh: c_hh.pop().expect("one plane in, one plane out"),
             dq_ih: w_step_ih.iter().map(|&s| s * x_step).collect(),
@@ -883,129 +681,27 @@ impl QuantizedRnnCell {
         let (hidden, in_dim) = (self.hidden, self.in_dim);
         let slabs = [(x.len(), in_dim), (h.len(), hidden), (next.len(), hidden)];
         engine::check_slabs(batch, &slabs)?;
-        let (p, k, bins) = (self.p, self.k, self.bins);
-        let (q_ih, q_hh) = (self.q_ih, self.q_hh);
-        let threads = threads.max(1);
-        ws.prepare(p, q_ih.max(q_hh), bins, k, batch, batch, 1, threads);
-        engine::grow_with(&mut ws.hq, q_hh * bins * batch * 2);
-        engine::grow_with(&mut ws.acc2_re, p * bins * batch);
-        engine::grow_with(&mut ws.acc2_im, p * bins * batch);
-        let plan = &self.plan;
-        let QuantWorkspace {
-            xq,
-            hq,
-            acc_re,
-            acc_im,
-            acc2_re,
-            acc2_im,
-            stage,
-            pr,
-            pi,
-            wa,
-            wb,
-            ..
-        } = ws;
-        let xq = &mut xq[..q_ih * bins * batch * 2];
-        let hq = &mut hq[..q_hh * bins * batch * 2];
-        // Stage A, both sides: FFT + fused quantize, each with its scale.
-        let cx = self.cfg.input_format.max_code() as i32;
-        for (codes, blocks, logical, src, step) in [
-            (&mut *xq, q_ih, in_dim, x, self.x_step),
-            (&mut *hq, q_hh, hidden, h, self.h_step),
-        ] {
-            let inv = 1.0 / step;
-            let pack = |j: usize, plane: &mut [f32]| {
-                engine::pack_slab_block(src, batch, logical, k, j, plane)
-            };
-            engine::quantize_spectra_planes(
-                plan, threads, blocks, k, bins, batch, inv, cx, codes, pr, pi, &pack,
-            );
-        }
-        // Stage B: two overwrite MACs into separate i32 accumulator sets
-        // (the scales differ, so they cannot share a sum pre-dequant).
-        let (xq, hq): (&[i16], &[i16]) = (xq, hq);
-        let runs = [(0usize, 0usize, batch)];
-        for (codes, q, src, acc_r, acc_i) in [
-            (&self.wq_ih, q_ih, xq, &mut *acc_re, &mut *acc_im),
-            (&self.wq_hh, q_hh, hq, &mut *acc2_re, &mut *acc2_im),
-        ] {
-            let wq = [(codes.0.as_slice(), codes.1.as_slice())];
-            engine::par_planes(
-                threads,
-                p,
-                bins * batch,
-                &mut acc_r[..p * bins * batch],
-                &mut acc_i[..p * bins * batch],
-                engine::mac_i16_scratch(1, q),
-                wa,
-                wb,
-                |i0, icount, re_c, im_c, wa_c, wb_c| {
-                    engine::run_mac_i16(
-                        &wq,
-                        &[0],
-                        p,
-                        q,
-                        bins,
-                        i0,
-                        icount,
-                        src,
-                        batch,
-                        batch,
-                        &runs,
-                        1,
-                        re_c,
-                        im_c,
-                        wa_c,
-                        wb_c,
-                    );
-                },
-            );
-        }
-        // Stage C: both accumulator sets dequantize and sum in the
-        // spectrum fill; bias + tanh fuse into the unpack.
-        let q1 = QAcc {
-            re: &acc_re[..p * bins * batch],
-            im: &acc_im[..p * bins * batch],
-            dq: &self.dq_ih,
-        };
-        let q2 = QAcc {
-            re: &acc2_re[..p * bins * batch],
-            im: &acc2_im[..p * bins * batch],
-            dq: &self.dq_hh,
-        };
-        let stage = &mut stage[..p * k * batch];
+        let (cfg, plan) = (&self.cfg, &self.plan);
+        let ih = cfg.datapath(
+            core::slice::from_ref(&self.wq_ih),
+            self.q_ih,
+            plan,
+            self.x_step,
+            &self.dq_ih,
+        );
+        let hh = cfg.datapath(
+            core::slice::from_ref(&self.wq_hh),
+            self.q_hh,
+            plan,
+            self.h_step,
+            &self.dq_hh,
+        );
         let epi = Epilogue {
             bias: Some(&self.bias),
             act: Activation::Tanh,
         };
-        engine::par_planes(
-            threads,
-            p,
-            k * batch,
-            stage,
-            &mut [],
-            k * batch,
-            pr,
-            pi,
-            |i0, icount, stage_c, _: &mut [f32], pr_c, pi_c| {
-                engine::ifft_epilogue_blocks_dq(
-                    plan,
-                    &q1,
-                    Some(&q2),
-                    k,
-                    bins,
-                    batch,
-                    i0,
-                    icount,
-                    &epi,
-                    stage_c,
-                    pr_c,
-                    pi_c,
-                );
-            },
-        );
-        // Stage D: the [batch, hidden] next-state slab.
-        engine::unstage_slab(stage, k, batch, next);
+        let sides = [(&ih, x), (&hh, h)];
+        slab_apply(&mut ws.arena, 0, sides, batch, next, threads, &epi);
         Ok(())
     }
 

@@ -9,17 +9,17 @@
 //! * [`CirculantRnnCell`] — an Elman-style cell
 //!   `h' = tanh(W_ih·x + W_hh·h + b)` with both weight matrices
 //!   block-circulant. The batched step is **fused end to end on the
-//!   engine**: both matmuls' frequency-domain products accumulate into
-//!   *one* set of accumulator planes (the sum moves inside the IFFT by
-//!   linearity), and the bias add plus `tanh` ride each block's plane
+//!   engine**: both matmuls' frequency-domain products meet in the
+//!   spectrum fill of *one* plane IFFT per output block (the sum moves
+//!   inside the IFFT by linearity), and the bias add plus `tanh` ride that
 //!   IFFT — one IFFT per output block per step instead of two, no
 //!   post-IFFT sweep at all. The cached weight spectra stay resident in
 //!   the operators across timesteps, so a sequence costs one weight-plane
 //!   sweep per step for the whole batch.
-//! * [`RecurrentWorkspace`] — the recurrent lane-mapping adapter over the
-//!   engine (lanes = batch): grow-only plane arena plus the sequence-loop
-//!   state slabs. After the first step at a given `(cell, batch)` every
-//!   later step performs **zero heap allocations**.
+//! * [`RecurrentWorkspace`] — the two-sided slab pipeline's grow-only
+//!   plane arena (lanes = batch) plus the sequence-loop state slabs. After
+//!   the first step at a given `(cell, batch)` every later step performs
+//!   **zero heap allocations**.
 //! * [`CirculantRnn`] — a sequence [`Layer`]: `[B, T, D]` in, final state
 //!   or reservoir features out, with the read-only
 //!   [`Layer::infer_batch`] path — so recurrent networks register in
@@ -36,40 +36,28 @@ use circnn_nn::{Adam, Layer, Linear, Sequential};
 use circnn_tensor::Tensor;
 use rand::Rng;
 
-use crate::engine::{self, Activation, Epilogue};
+use crate::engine::{self, Activation, Arena, Epilogue, F32};
 use crate::error::CircError;
-use crate::matrix::{default_batch_threads, BlockCirculantMatrix, Workspace};
+use crate::matrix::{default_batch_threads, slab_apply, BlockCirculantMatrix, Workspace};
 use crate::quantized::{QuantConfig, QuantizedRnnCell};
 
-/// Reusable scratch arena for the fused recurrent step — the recurrent
-/// lane-mapping adapter over the spectral-plane engine (lanes = batch).
+/// Reusable scratch arena for the fused recurrent step — the two-sided
+/// slab pipeline over the spectral-plane engine (lanes = batch).
 ///
 /// All buffers are grow-only: the first step at a given `(cell, batch)`
 /// sizes them and every later step performs **zero heap allocations**, so
 /// a serving worker keeps one `RecurrentWorkspace` (via its `InferScratch`
 /// slot) and streams sequences through it. The weight spectra live in the
 /// cell's operators (resident across timesteps); this arena only holds the
-/// per-step input/hidden spectra planes, the shared accumulator planes
-/// both matmuls sum into, and the sequence-loop state slabs.
+/// per-step planes and the sequence-loop state slabs.
 #[derive(Debug, Clone, Default)]
 pub struct RecurrentWorkspace {
-    /// Input-side spectra planes, bin-major `[bin][q_ih][batch]`.
-    xs_re: Vec<f32>,
-    xs_im: Vec<f32>,
-    /// Hidden-side spectra planes, bin-major `[bin][q_hh][batch]`.
-    hs_re: Vec<f32>,
-    hs_im: Vec<f32>,
-    /// Shared frequency-domain accumulators `[p][bins][batch]` (both
-    /// matmuls sum here before the single IFFT); also lent to the FFT
-    /// stages as block-major staging while free.
-    acc_re: Vec<f32>,
-    acc_im: Vec<f32>,
-    /// Time-domain staging `[p][k][batch]` (rows arrive biased and
-    /// activated from the fused IFFT epilogue).
-    stage: Vec<f32>,
-    /// Per-thread plane scratch `[k][batch]`.
-    pr: Vec<f32>,
-    pi: Vec<f32>,
+    /// The step's planes: spectrum slot and accumulator set 0 belong to the
+    /// input side (`W_ih·x`, spectra `[q_ih][bins][batch]`), slot and set 1
+    /// to the hidden side (`W_hh·h`, `[q_hh][bins][batch]`); the two
+    /// `[p][bins][batch]` accumulator sets are summed in the inverse's
+    /// spectrum fill.
+    arena: Arena<f32, f32>,
     /// Sequence-loop state slabs (`[batch, hidden]` double buffer, the
     /// `[batch, in_dim]` timestep gather, and the feature accumulator) —
     /// taken out during a sequence run so the step can borrow the arena.
@@ -83,22 +71,6 @@ impl RecurrentWorkspace {
     /// An empty arena; buffers are sized lazily by the first step.
     pub fn new() -> Self {
         Self::default()
-    }
-
-    fn prepare(&mut self, cell: &CirculantRnnCell, batch: usize, threads: usize) {
-        let (p, q_ih, q_hh, k, bins) = cell.plane_dims();
-        engine::grow(&mut self.xs_re, q_ih * bins * batch);
-        engine::grow(&mut self.xs_im, q_ih * bins * batch);
-        engine::grow(&mut self.hs_re, q_hh * bins * batch);
-        engine::grow(&mut self.hs_im, q_hh * bins * batch);
-        // The accumulator planes double as block-major FFT staging for
-        // both input sides while free, so they must cover the widest.
-        let blocks = p.max(q_ih).max(q_hh);
-        engine::grow(&mut self.acc_re, blocks * bins * batch);
-        engine::grow(&mut self.acc_im, blocks * bins * batch);
-        engine::grow(&mut self.stage, p * k * batch);
-        engine::grow(&mut self.pr, threads * k * batch);
-        engine::grow(&mut self.pi, threads * k * batch);
     }
 }
 
@@ -220,17 +192,6 @@ impl CirculantRnnCell {
         QuantizedRnnCell::from_parts(&self.w_ih, &self.w_hh, &self.bias, cfg)
     }
 
-    /// `(p, q_ih, q_hh, k, bins)` of the shared plane geometry.
-    fn plane_dims(&self) -> (usize, usize, usize, usize, usize) {
-        (
-            self.w_hh.block_rows(),
-            self.w_ih.block_cols(),
-            self.w_hh.block_cols(),
-            self.w_hh.block_size(),
-            self.w_hh.bins(),
-        )
-    }
-
     /// One recurrence step: `h' = tanh(W_ih·x + W_hh·h + b)`.
     ///
     /// Convenience wrapper over the fused batched step (batch 1, fresh
@@ -253,15 +214,15 @@ impl CirculantRnnCell {
     /// `[batch, in_dim]` inputs and `[batch, hidden]` states in,
     /// `[batch, hidden]` next states out.
     ///
-    /// The engine dataflow: both input sides are FFT'd into spectra planes
-    /// (one real-input plane dispatch per block, all lanes at once), the
-    /// `W_ih` MAC overwrites the shared accumulator planes and the `W_hh`
-    /// MAC **accumulates** into them (the sum `W_ih·x + W_hh·h` moves
-    /// inside the IFFT by linearity), and a single plane IFFT per output
-    /// block applies bias and `tanh` to its cache-hot output — the cell's
-    /// entire nonlinear update without one post-IFFT sweep. Each weight
-    /// spectrum is swept once per step for the whole batch, and a warm
-    /// `ws` makes the step allocation-free.
+    /// The engine dataflow is the slab pipeline with two input sides: both
+    /// are FFT'd into spectra planes (one real-input plane dispatch per
+    /// block, all lanes at once), the `W_ih` and `W_hh` MACs write one
+    /// accumulator set each, and a single plane IFFT per output block takes
+    /// their sum in its spectrum fill (the sum `W_ih·x + W_hh·h` moves
+    /// inside the IFFT by linearity) and applies bias and `tanh` to its
+    /// cache-hot output — the cell's entire nonlinear update without one
+    /// post-IFFT sweep. Each weight spectrum is swept once per step for the
+    /// whole batch, and a warm `ws` makes the step allocation-free.
     ///
     /// # Errors
     ///
@@ -295,106 +256,17 @@ impl CirculantRnnCell {
         let (hidden, in_dim) = (self.hidden(), self.in_dim());
         let slabs = [(x.len(), in_dim), (h.len(), hidden), (next.len(), hidden)];
         engine::check_slabs(batch, &slabs)?;
-        let threads = threads.max(1);
-        ws.prepare(self, batch, threads);
-        let (p, q_ih, q_hh, k, bins) = self.plane_dims();
-        let plan = self.w_hh.plane_plan();
-        let RecurrentWorkspace {
-            xs_re,
-            xs_im,
-            hs_re,
-            hs_im,
-            acc_re,
-            acc_im,
-            stage,
-            pr,
-            pi,
-            ..
-        } = ws;
-        // Stage A, both sides: input and hidden spectra planes (the
-        // accumulator planes are free until the MACs, so they stage the
-        // block-major FFT output).
-        engine::forward_spectra_planes(
-            plan,
-            x,
-            batch,
-            in_dim,
-            q_ih,
-            k,
-            bins,
-            threads,
-            acc_re,
-            acc_im,
-            &mut xs_re[..q_ih * bins * batch],
-            &mut xs_im[..q_ih * bins * batch],
-            pr,
-            pi,
-        );
-        engine::forward_spectra_planes(
-            plan,
-            h,
-            batch,
-            hidden,
-            q_hh,
-            k,
-            bins,
-            threads,
-            acc_re,
-            acc_im,
-            &mut hs_re[..q_hh * bins * batch],
-            &mut hs_im[..q_hh * bins * batch],
-            pr,
-            pi,
-        );
-        // Stage B: both MACs into one accumulator set — W_ih overwrites,
-        // W_hh accumulates; per-element term order is fixed (input blocks,
-        // then hidden blocks), so results are bit-stable across thread
-        // counts and batch compositions.
-        let acc_re = &mut acc_re[..p * bins * batch];
-        let acc_im = &mut acc_im[..p * bins * batch];
-        let (xs_re, xs_im): (&[f32], &[f32]) = (xs_re, xs_im);
-        let (hs_re, hs_im): (&[f32], &[f32]) = (hs_re, hs_im);
-        engine::par_planes(
-            threads,
-            p,
-            bins * batch,
-            acc_re,
-            acc_im,
-            0,
-            &mut [],
-            &mut [],
-            |i0, icount, re_c, im_c, _: &mut [f32], _: &mut [f32]| {
-                self.w_ih
-                    .mac_planes(true, false, batch, i0, icount, xs_re, xs_im, re_c, im_c);
-                self.w_hh
-                    .mac_planes(true, true, batch, i0, icount, hs_re, hs_im, re_c, im_c);
-            },
-        );
-        // Stage C: one plane IFFT per output block with the fused epilogue
-        // — bias and tanh ride each block's inverse.
-        let (acc_re, acc_im): (&[f32], &[f32]) = (acc_re, acc_im);
-        let stage = &mut stage[..p * k * batch];
+        let side = |w| F32 {
+            engines: core::slice::from_ref(w),
+            forward: true,
+        };
+        let (ih, hh) = (side(&self.w_ih), side(&self.w_hh));
         let epi = Epilogue {
             bias: Some(&self.bias),
             act: Activation::Tanh,
         };
-        engine::par_planes(
-            threads,
-            p,
-            k * batch,
-            stage,
-            &mut [],
-            k * batch,
-            pr,
-            pi,
-            |i0, icount, stage_c, _, pr_c, pi_c| {
-                engine::ifft_epilogue_blocks(
-                    plan, acc_re, acc_im, k, bins, batch, i0, icount, &epi, stage_c, pr_c, pi_c,
-                );
-            },
-        );
-        // Stage D: the [batch, hidden] next-state slab.
-        engine::unstage_slab(stage, k, batch, next);
+        let sides = [(&ih, x), (&hh, h)];
+        slab_apply(&mut ws.arena, 0, sides, batch, next, threads, &epi);
         Ok(())
     }
 

@@ -129,6 +129,11 @@ fn read_f32<R: Read>(r: &mut R) -> io::Result<f32> {
     Ok(f32::from_le_bytes(buf))
 }
 
+/// A well-formed stream with impossible contents.
+fn invalid_data(msg: String) -> SerializeError {
+    SerializeError::Io(io::Error::new(io::ErrorKind::InvalidData, msg))
+}
+
 /// Reads a `bits, frac` pair and validates it against [`QFormat`]'s
 /// domain (i16 codes cap usable widths at 16) so a corrupt stream is a
 /// typed error, never a constructor panic.
@@ -136,12 +141,72 @@ fn read_format<R: Read>(r: &mut R) -> Result<QFormat, SerializeError> {
     let bits = read_u32(r)?;
     let frac = read_u32(r)?;
     if !(1..=16).contains(&bits) || frac >= bits {
-        return Err(SerializeError::Io(io::Error::new(
-            io::ErrorKind::InvalidData,
-            format!("invalid quantized code format Q{bits}.{frac}"),
+        return Err(invalid_data(format!(
+            "invalid quantized code format Q{bits}.{frac}"
         )));
     }
     Ok(QFormat::new(bits, frac))
+}
+
+/// Validates a header's shape before any payload is sized from it:
+/// nonzero dimensions, a power-of-two `k`, and `p·q·k` within `usize`.
+/// Returns `(p, q)`.
+fn check_shape(m: usize, n: usize, k: usize) -> Result<(usize, usize), SerializeError> {
+    if k == 0 || !k.is_power_of_two() {
+        return Err(CircError::BadBlockSize(k).into());
+    }
+    if m == 0 || n == 0 {
+        return Err(CircError::DimensionMismatch {
+            expected: 1,
+            got: 0,
+        }
+        .into());
+    }
+    let (p, q) = (m.div_ceil(k), n.div_ceil(k));
+    match p.checked_mul(q).and_then(|pq| pq.checked_mul(k)) {
+        Some(_) => Ok((p, q)),
+        None => Err(invalid_data(format!(
+            "operator shape {m}×{n}, k = {k}, overflows"
+        ))),
+    }
+}
+
+/// Reads exactly `count` values of `width` bytes each. The buffer grows
+/// with the bytes that arrive, not with `count`, so a header that claims
+/// more than the stream holds fails at EOF instead of allocating for it.
+fn read_payload<R: Read>(
+    input: &mut R,
+    count: usize,
+    width: usize,
+) -> Result<Vec<u8>, SerializeError> {
+    let len = count
+        .checked_mul(width)
+        .ok_or_else(|| invalid_data(format!("a payload of {count} values overflows")))?;
+    let mut raw = Vec::new();
+    input.by_ref().take(len as u64).read_to_end(&mut raw)?;
+    if raw.len() < len {
+        return Err(io::Error::from(io::ErrorKind::UnexpectedEof).into());
+    }
+    Ok(raw)
+}
+
+/// Reads `count` f32 scales. Calibration only emits finite, positive
+/// steps, so any other value is a corrupt stream: a zero `input_range`
+/// would serve zeros with a zero error bound.
+fn read_scales<R: Read>(
+    input: &mut R,
+    count: usize,
+    what: &str,
+) -> Result<Vec<f32>, SerializeError> {
+    read_payload(input, count, 4)?
+        .chunks_exact(4)
+        .map(|c| match f32::from_le_bytes([c[0], c[1], c[2], c[3]]) {
+            s if s.is_finite() && s > 0.0 => Ok(s),
+            s => Err(invalid_data(format!(
+                "{what} {s} is not a finite positive scale"
+            ))),
+        })
+        .collect()
 }
 
 /// Writes an operator in full f32 precision.
@@ -264,25 +329,20 @@ pub fn load_quantized_spectra<R: Read>(mut input: R) -> Result<QuantizedOperator
     if version != SPECTRA_VERSION || flags & FLAG_SPECTRA == 0 {
         return Err(SerializeError::UnsupportedVersion(version));
     }
+    let (p, q) = check_shape(m, n, k)?;
     let weight_format = read_format(&mut input)?;
     let input_format = read_format(&mut input)?;
-    let input_range = read_f32(&mut input)?;
+    let input_range = read_scales(&mut input, 1, "input_range")?[0];
     let cfg = QuantConfig {
         weight_format,
         input_format,
         input_range,
     };
-    let (p, q) = (m.div_ceil(k.max(1)), n.div_ceil(k.max(1)));
-    let bins = k / 2 + 1;
-    let mut w_step = Vec::with_capacity(p);
-    for _ in 0..p {
-        w_step.push(read_f32(&mut input)?);
-    }
-    let count = bins * p * q;
+    let w_step = read_scales(&mut input, p, "w_step")?;
+    // `bins ≤ k`, so this count is within the checked `p·q·k`.
+    let count = (k / 2 + 1) * p * q;
     let read_codes = |input: &mut R| -> Result<Vec<i16>, SerializeError> {
-        let mut raw = vec![0u8; count * 2];
-        input.read_exact(&mut raw)?;
-        Ok(raw
+        Ok(read_payload(input, count, 2)?
             .chunks_exact(2)
             .map(|c| i16::from_le_bytes([c[0], c[1]]))
             .collect())
@@ -323,21 +383,16 @@ fn read_weights<R: Read>(
     n: usize,
     k: usize,
 ) -> Result<Vec<f32>, SerializeError> {
-    let count = m.div_ceil(k.max(1)) * n.div_ceil(k.max(1)) * k;
+    let (p, q) = check_shape(m, n, k)?;
+    let count = p * q * k;
     if flags & FLAG_QUANTIZED != 0 {
-        let mut sbuf = [0u8; 4];
-        input.read_exact(&mut sbuf)?;
-        let scale = f32::from_le_bytes(sbuf);
-        let mut codes = vec![0u8; count * 2];
-        input.read_exact(&mut codes)?;
-        Ok(codes
+        let scale = read_f32(input)?;
+        Ok(read_payload(input, count, 2)?
             .chunks_exact(2)
             .map(|c| f32::from(i16::from_le_bytes([c[0], c[1]])) * scale)
             .collect())
     } else {
-        let mut raw = vec![0u8; count * 4];
-        input.read_exact(&mut raw)?;
-        Ok(raw
+        Ok(read_payload(input, count, 4)?
             .chunks_exact(4)
             .map(|c| f32::from_le_bytes([c[0], c[1], c[2], c[3]]))
             .collect())
@@ -637,6 +692,83 @@ mod tests {
             load_quantized_spectra(&buf[..]),
             Err(SerializeError::Io(e)) if e.kind() == io::ErrorKind::InvalidData
         ));
+    }
+
+    /// A 32-byte vector stream, or a 52-byte spectra stream up to its
+    /// scales, whose header claims an `m = 2⁴⁰` operator.
+    fn huge_header(version: u16, flags: u16) -> Vec<u8> {
+        let mut h = MAGIC.to_vec();
+        h.extend_from_slice(&version.to_le_bytes());
+        h.extend_from_slice(&flags.to_le_bytes());
+        for v in [1u64 << 40, 16, 16] {
+            h.extend_from_slice(&v.to_le_bytes());
+        }
+        if version == SPECTRA_VERSION {
+            for v in [12u32, 11, 11, 10] {
+                h.extend_from_slice(&v.to_le_bytes());
+            }
+            h.extend_from_slice(&1.0f32.to_le_bytes());
+        }
+        h
+    }
+
+    #[test]
+    fn load_fails_at_eof_on_a_huge_header() {
+        let buf = huge_header(VERSION, 0);
+        assert!(matches!(load(&buf[..]), Err(SerializeError::Io(_))));
+        // A shape whose parameter count overflows is invalid data.
+        let mut over = buf.clone();
+        over[8..16].copy_from_slice(&u64::MAX.to_le_bytes());
+        assert!(matches!(
+            load(&over[..]),
+            Err(SerializeError::Io(e)) if e.kind() == io::ErrorKind::InvalidData
+        ));
+    }
+
+    #[test]
+    fn load_slice_fails_at_eof_on_a_huge_header() {
+        let buf = huge_header(VERSION, 0);
+        assert!(matches!(load_slice(&buf[..]), Err(SerializeError::Io(_))));
+    }
+
+    #[test]
+    fn load_quantized_spectra_fails_at_eof_on_a_huge_header() {
+        let buf = huge_header(SPECTRA_VERSION, FLAG_SPECTRA);
+        assert_eq!(buf.len(), 52);
+        assert!(matches!(
+            load_quantized_spectra(&buf[..]),
+            Err(SerializeError::Io(_))
+        ));
+    }
+
+    /// Overwrites the f32 at `offset` of a valid spectra stream with each
+    /// unusable scale; every load must fail as invalid data.
+    fn rejects_scale_at(offset: usize) {
+        use crate::quantized::QuantConfig;
+        let qop = QuantizedOperator::from_operator(&sample(), QuantConfig::default()).unwrap();
+        let mut buf = Vec::new();
+        save_quantized_spectra(&qop, &mut buf).unwrap();
+        for bad in [0.0f32, -1.0, f32::NAN, f32::INFINITY] {
+            buf[offset..offset + 4].copy_from_slice(&bad.to_le_bytes());
+            assert!(
+                matches!(
+                    load_quantized_spectra(&buf[..]),
+                    Err(SerializeError::Io(e)) if e.kind() == io::ErrorKind::InvalidData
+                ),
+                "scale {bad} at byte {offset}"
+            );
+        }
+    }
+
+    #[test]
+    fn spectra_streams_reject_an_unusable_input_range() {
+        rejects_scale_at(4 + 2 + 2 + 24 + 16);
+    }
+
+    #[test]
+    fn spectra_streams_reject_an_unusable_weight_step() {
+        // The second of the three per-block-row steps.
+        rejects_scale_at(4 + 2 + 2 + 24 + 16 + 4 + 4);
     }
 
     #[test]

@@ -7,8 +7,7 @@
 //!
 //! * [`cmac_rows`] — the f32 sweep
 //!   (`ar += wr·xr + wi·xi`, `ai += wr·xi − wi·xr`), with a real-bin form
-//!   (`ar += wr·xr`), the conjugated form the transpose apply uses, and an
-//!   add-in-the-write-out form for a second accumulation.
+//!   (`ar += wr·xr`) and the conjugated form the transpose apply uses.
 //! * [`qmac_rows`] — the i16×i16→i32 sweep over interleaved `(re, im)` code
 //!   pairs, the `_mm_madd_epi16` shape: one pairwise multiply-add yields
 //!   `wr·xr + wi·xi` (or `wr·xi − wi·xr`) per 32-bit accumulator lane.
@@ -67,10 +66,9 @@ pub(crate) fn isa() -> Isa {
 
 /// Where one [`cmac_rows`] sweep finds its operands. Lane `t` of kernel
 /// offset `e`'s block column `j` is input element
-/// `xbase + shifts[e] + j·jstride + t·step` of both `x` planes — FC/RNN's
-/// bin-major planes (`jstride` = lanes) and conv's block-major planes
-/// (`jstride` = bins · padded lanes, one plane shift per offset) are the
-/// same addressing. Row `u`'s weight for `(e, j)` is element
+/// `xbase + shifts[e] + j·jstride + t·step` of both `x` planes — every
+/// caller's block-major planes (`jstride` = bins · lanes; conv adds one
+/// plane shift per kernel offset). Row `u`'s weight for `(e, j)` is element
 /// `wbase + u·wstride + j` of offset `e`'s weight planes, and its `len`
 /// output lanes start at `abase + u·astride` of the accumulator planes.
 pub(crate) struct RowSweep<'a> {
@@ -93,10 +91,10 @@ pub(crate) struct RowSweep<'a> {
 /// `ar += wr·xr`, imaginary sums zero), offset-major and block-ascending,
 /// each term added as `acc + (wr·xr + wi·xi)` / `acc + (wr·xi − wi·xr)`
 /// from a zero start. The sums stay in registers across the whole sweep
-/// and are written once — over the accumulator planes, or added into them
-/// when `accumulate` is set — lane tail included, so a lone sample costs
-/// one call per (bin, row tile). `w(e)` returns offset `e`'s `(re, im)`
-/// weight planes. Every ISA produces bitwise identical results.
+/// and are written over the accumulator planes once, lane tail included,
+/// so a lone sample costs one call per (bin, row tile). `w(e)` returns
+/// offset `e`'s `(re, im)` weight planes. Every ISA produces bitwise
+/// identical results.
 ///
 /// # Panics
 ///
@@ -107,7 +105,6 @@ pub(crate) fn cmac_rows<'w>(
     isa: Isa,
     real: bool,
     conj: bool,
-    accumulate: bool,
     tl: usize,
     s: &RowSweep<'_>,
     w: &impl Fn(usize) -> (&'w [f32], &'w [f32]),
@@ -135,9 +132,9 @@ pub(crate) fn cmac_rows<'w>(
         };
         ($f:ident, $tl:literal) => {
             match (real, conj) {
-                (true, _) => $f::<$tl, true, false>(s, w, accumulate, acc_re, acc_im),
-                (_, false) => $f::<$tl, false, false>(s, w, accumulate, acc_re, acc_im),
-                (_, true) => $f::<$tl, false, true>(s, w, accumulate, acc_re, acc_im),
+                (true, _) => $f::<$tl, true, false>(s, w, acc_re, acc_im),
+                (_, false) => $f::<$tl, false, false>(s, w, acc_re, acc_im),
+                (_, true) => $f::<$tl, false, true>(s, w, acc_re, acc_im),
             }
         };
     }
@@ -148,7 +145,7 @@ pub(crate) fn cmac_rows<'w>(
         Isa::Avx2 => unsafe { rows!(cmac_rows_avx2) },
         #[cfg(all(feature = "simd", target_arch = "x86_64"))]
         Isa::Sse2 => unsafe { rows!(cmac_rows_sse2) },
-        _ => cmac_rows_scalar(real, conj, accumulate, tl, s, w, acc_re, acc_im),
+        _ => cmac_rows_scalar(real, conj, tl, s, w, acc_re, acc_im),
     }
 }
 
@@ -158,7 +155,6 @@ pub(crate) fn cmac_rows<'w>(
 fn cmac_rows_scalar<'w>(
     real: bool,
     conj: bool,
-    accumulate: bool,
     tl: usize,
     s: &RowSweep<'_>,
     w: &impl Fn(usize) -> (&'w [f32], &'w [f32]),
@@ -193,15 +189,8 @@ fn cmac_rows_scalar<'w>(
                 }
             }
             let ao = s.abase + u * s.astride + t0;
-            for t in 0..n {
-                if accumulate {
-                    acc_re[ao + t] += sr[t];
-                    acc_im[ao + t] += si[t];
-                } else {
-                    acc_re[ao + t] = sr[t];
-                    acc_im[ao + t] = si[t];
-                }
-            }
+            acc_re[ao..ao + n].copy_from_slice(&sr[..n]);
+            acc_im[ao..ao + n].copy_from_slice(&si[..n]);
         }
     }
 }
@@ -484,7 +473,6 @@ mod x86 {
     pub(super) unsafe fn cmac_rows_sse2<'w, const TL: usize, const REAL: bool, const CONJ: bool>(
         s: &RowSweep<'_>,
         w: &impl Fn(usize) -> (&'w [f32], &'w [f32]),
-        accumulate: bool,
         acc_re: &mut [f32],
         acc_im: &mut [f32],
     ) {
@@ -528,9 +516,7 @@ mod x86 {
                 for (plane, v) in [(&mut *acc_re, ar[u]), (&mut *acc_im, ai[u])] {
                     let mut lanes = [0.0f32; 4];
                     _mm_storeu_ps(lanes.as_mut_ptr(), v);
-                    for (a, sum) in plane[ao..ao + n].iter_mut().zip(lanes) {
-                        *a = if accumulate { *a + sum } else { sum };
-                    }
+                    plane[ao..ao + n].copy_from_slice(&lanes[..n]);
                 }
             }
             t0 += 4;
@@ -615,7 +601,6 @@ mod x86 {
     pub(super) unsafe fn cmac_rows_avx2<'w, const TL: usize, const REAL: bool, const CONJ: bool>(
         s: &RowSweep<'_>,
         w: &impl Fn(usize) -> (&'w [f32], &'w [f32]),
-        accumulate: bool,
         acc_re: &mut [f32],
         acc_im: &mut [f32],
     ) {
@@ -635,13 +620,7 @@ mod x86 {
             for u in 0..TL {
                 let ao = s.abase + u * s.astride + t0;
                 for (plane, v) in [(&mut *acc_re, ar[u]), (&mut *acc_im, ai[u])] {
-                    let p = plane.as_mut_ptr().add(ao);
-                    let v = if accumulate {
-                        _mm256_add_ps(_mm256_maskload_ps(p, mask), v)
-                    } else {
-                        v
-                    };
-                    _mm256_maskstore_ps(p, mask, v);
+                    _mm256_maskstore_ps(plane.as_mut_ptr().add(ao), mask, v);
                 }
             }
             t0 += 8;
@@ -958,15 +937,14 @@ mod tests {
         /// f32 row sweep: every host ISA matches the scalar body bitwise
         /// (same association, no FMA) for every tile height, offset and
         /// column count, lane length around the vector widths (tail-only
-        /// included), lane step, misaligned bases, real bins, both weight
-        /// signs and the accumulate form — and writes nothing outside its
-        /// rows' `len` lanes.
+        /// included), lane step, misaligned bases, real bins and both weight
+        /// signs — and writes nothing outside its rows' `len` lanes.
         #[test]
         fn cmac_rows_matches_scalar_bitwise(
             (tl, ne, q) in (1usize..=4, 1usize..=3, 1usize..5),
             (len_pick, len_any) in (0usize..12, 1usize..40),
             (step, pad) in (1usize..=2, 0usize..4),
-            (real, conj, accumulate) in (any::<bool>(), any::<bool>(), any::<bool>()),
+            (real, conj) in (any::<bool>(), any::<bool>()),
             seed in any::<u64>(),
         ) {
             let len = [1, 3, 7, 8, 9, 17].get(len_pick).copied().unwrap_or(len_any);
@@ -1007,14 +985,14 @@ mod tests {
             let a0 = fill(pad + (tl - 1) * astride + len, seed ^ 0x1111);
             let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
             let (mut gr, mut gi) = (a0.clone(), a0.clone());
-            cmac_rows_scalar(real, conj, accumulate, tl, &s, &w, &mut gr, &mut gi);
+            cmac_rows_scalar(real, conj, tl, &s, &w, &mut gr, &mut gi);
             for u in 0..tl {
                 let gap = pad + u * astride + len..(pad + (u + 1) * astride).min(a0.len());
                 prop_assert_eq!(bits(&gr[gap.clone()]), bits(&a0[gap]));
             }
             for &isa in &host_isas() {
                 let (mut tr, mut ti) = (a0.clone(), a0.clone());
-                cmac_rows(isa, real, conj, accumulate, tl, &s, &w, &mut tr, &mut ti);
+                cmac_rows(isa, real, conj, tl, &s, &w, &mut tr, &mut ti);
                 prop_assert_eq!(bits(&tr), bits(&gr));
                 prop_assert_eq!(bits(&ti), bits(&gi));
             }

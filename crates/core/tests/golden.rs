@@ -14,8 +14,12 @@
 //! (a different — equally valid — accumulation association), so they are
 //! covered by the tolerance-based reference proptests instead.
 
-use circnn_core::{BlockCirculantMatrix, CirculantConv2d, ConvWorkspace, Workspace};
-use circnn_nn::Layer as _;
+use circnn_core::{
+    BlockCirculantMatrix, CirculantConv2d, CirculantLinear, CirculantRnnCell, ConvWorkspace,
+    QuantConfig, QuantWorkspace, RecurrentWorkspace, Workspace,
+};
+use circnn_nn::{InferScratch, Layer as _};
+use circnn_tensor::Tensor;
 
 const GOLDEN_FC_24X40X8_B3: [u32; 72] = [
     0x403E3514, 0x40395630, 0x40482454, 0x403A3E52, 0x403BAC92, 0x4049A4B0, 0x405A53B6, 0x4050ABEE,
@@ -148,4 +152,137 @@ fn conv_stride1_is_bit_identical_to_pre_refactor_engine() {
     let mut out = vec![0.0f32; 2 * 3 * 4 * 4];
     conv.infer_batch_into(&x, &mut cws, &mut out, 1).unwrap();
     assert_bits("conv_s1", &out, &GOLDEN_CONV_S1);
+}
+
+// The vectors below were captured at the commit before the i16 applies
+// were folded into the f32 families' pipelines (one pipeline per family,
+// generic over the datapath precision), by running these exact cases: i16
+// FC with ragged m and n and a bias, i16 conv at stride 1 and 2, both
+// recurrent steps, and the biased f32 FC layer. Every f32 and i16 FC, conv
+// and RNN output must keep those bits.
+
+const GOLDEN_Q16_FC_10X13X4_B2_BIAS: [u32; 20] = [
+    0x3EDF6886, 0x3F509DA6, 0x3F03D4FC, 0x3F46F408, 0x3ED4299A, 0x3F665393, 0x3F218CF0, 0x3F578786,
+    0x3F90B298, 0x3F34E4A2, 0x3F300724, 0x3F8306ED, 0x3F551465, 0x3F69EECA, 0x3F24FDD7, 0x3F813C63,
+    0x3F54642C, 0x3F82AB59, 0x3FA7FC2D, 0x3F4B84E2,
+];
+
+const GOLDEN_FC_10X13X4_B2_BIAS: [u32; 20] = [
+    0x3EDFBAB2, 0x3F5095E8, 0x3F040AB4, 0x3F46F3C7, 0x3ED4D2A8, 0x3F6662E2, 0x3F21B952, 0x3F579698,
+    0x3F90B15E, 0x3F352CAE, 0x3F2FC466, 0x3F82CF98, 0x3F54C813, 0x3F697D64, 0x3F24C1E3, 0x3F810231,
+    0x3F53F82C, 0x3F828DF5, 0x3FA7BB81, 0x3F4B3464,
+];
+
+const GOLDEN_Q16_CONV_S1: [u32; 96] = [
+    0xBEADB19E, 0xBD726B20, 0xBE137D42, 0xBD0095A8, 0x3CEFEF00, 0x3E51DD18, 0x3E9A2AF4, 0x3D590490,
+    0xBE478B78, 0x3D6469E0, 0x3F16CE46, 0x3E92A15E, 0xBE2D9928, 0x3D508510, 0xBEA62473, 0x3D79BAF0,
+    0xBCB27D90, 0x3EAEC3BF, 0x3D9F51A0, 0x3E73C514, 0x3D749858, 0x3F1A8EAC, 0x3F80E4A6, 0x3EB1E46D,
+    0x3EA80C11, 0x3E76DB00, 0x3F095BE0, 0x3EF9C371, 0xBE14677E, 0x3F228CAE, 0x3DCA8960, 0x3DC4FC74,
+    0xBD174DE8, 0x3E702D38, 0x3E827C12, 0x3BA74900, 0x3E9AEFE2, 0x3EA0F5FA, 0xBECB2367, 0xBE98149B,
+    0xBE1C31DC, 0x3EF3336C, 0x3F099E01, 0xBEF799C2, 0x3E0DBF50, 0xBE0252FC, 0x3EE2215E, 0x3E7DFBB6,
+    0xBE7CFA5A, 0x3E7E3688, 0xBCAE1A30, 0xBE0646CC, 0x3E04D728, 0x3EEA9470, 0x3F08950C, 0xBE38B6EC,
+    0x3D1381C0, 0x3E79A364, 0x3E02B190, 0xBD2ECA40, 0xBE2D7CB8, 0xBD59FEA8, 0x3D17E780, 0x3C0ADC40,
+    0xBD393FA8, 0x3EECAD4F, 0x3ED0CE27, 0xBCD2A230, 0x3ED41F87, 0x3F11AA7E, 0x3F21A122, 0x3E0E0872,
+    0x3E893053, 0x3EE15051, 0x3EC98137, 0x3EB52C6B, 0x3E3130F2, 0x3E7C0010, 0x3E1A177E, 0x3DC52610,
+    0x3F5272D9, 0x3DA283A0, 0x3E2E7124, 0x3C0FB740, 0x3D95AC9C, 0xBBEB0D00, 0xBE51B3CF, 0xBF08A608,
+    0x3D1F26F0, 0x3ECDDB26, 0x3DF0C2F0, 0xBE38AEA6, 0xBCA4A350, 0x3E5111A6, 0x3E5C9832, 0x3AB07E00,
+];
+
+const GOLDEN_Q16_CONV_S2: [u32; 54] = [
+    0xBE929579, 0xBEE960F4, 0xBF1FF52F, 0xBEA2DC13, 0xBF0293B5, 0xBF0DD1A2, 0xBE99389D, 0xBEBE0F95,
+    0xBF26092E, 0xBE407E3E, 0xBEE12865, 0xBEE9FA98, 0xBDCBAB08, 0xBF0019FE, 0xBECCCC5A, 0xBE8B7B3D,
+    0xBEEEEE9C, 0xBF1AAADF, 0xBE5B035F, 0xBE7C49F2, 0xBF022732, 0x3EC8958C, 0xBE8644BB, 0xBF02EC49,
+    0xBE0AE6A3, 0x3CACBDC0, 0xBF1EF43F, 0xBF009207, 0xBF53879E, 0xBF0E62C4, 0xBEED6632, 0xBF083C1A,
+    0xBF091F36, 0xBEDB58D5, 0xBF192532, 0xBF3DB9B1, 0xBDD31112, 0xBE4AC125, 0xBE922870, 0xBDA05694,
+    0xBE8CD55C, 0xBEA1A536, 0xBE2F4F04, 0xBF09FE12, 0xBF0959F3, 0xBE5CD657, 0xBEFDCA97, 0xBF0590AB,
+    0x3E4D2FAC, 0xBEA92EEA, 0xBE67D15E, 0x3D852D80, 0xBF2E380A, 0xBEA930ED,
+];
+
+const GOLDEN_RNN_6X12X4_B2: [u32; 24] = [
+    0xBE710085, 0xBE5C1FDA, 0xBC242D00, 0xBF13FAD9, 0xBD2CFB49, 0xBECAE497, 0x3E835214, 0xBE9D5C0B,
+    0xBE6A7B18, 0xBD903ED0, 0xBF0937CD, 0xBEAB0476, 0xBEDE75D9, 0x3D82C990, 0xBE10484B, 0xBF07235C,
+    0xBEBE716B, 0xBDC2DF6C, 0xBD02AB09, 0xBE64AD5B, 0xBEB20C9C, 0x3DE8F7A6, 0xBE58B9C5, 0xBEB5F6C7,
+];
+
+const GOLDEN_Q16_RNN_6X12X4_B2: [u32; 24] = [
+    0xBE7075CD, 0xBE5A252E, 0xBC2EBAD5, 0xBF143647, 0xBD2DBD24, 0xBECA093C, 0x3E82BDDB, 0xBE9DA09C,
+    0xBE672BC6, 0xBD8ED24A, 0xBF095409, 0xBEAB3E98, 0xBEDE1186, 0x3D7E185D, 0xBE1122B8, 0xBF06EFCA,
+    0xBEBE4112, 0xBDC40F8F, 0xBCF4F7DC, 0xBE64F6D3, 0xBEB2CA8F, 0x3DE6CAF3, 0xBE57C400, 0xBEB5957F,
+];
+
+/// A ragged `13 → 10`, `k = 4` FC layer with a bias at B = 2: its i16
+/// twin's output and its own f32 output.
+fn fc_layer_outputs() -> (Vec<f32>, Vec<f32>) {
+    let (m, n, k, batch) = (10usize, 13usize, 4usize, 2usize);
+    let w = seeded(m.div_ceil(k) * n.div_ceil(k) * k, 51);
+    let mut layer = CirculantLinear::from_weights(n, m, k, &w, seeded(m, 52)).unwrap();
+    layer.set_training(false);
+    let x = seeded(batch * n, 53);
+    let q = layer.quantize(QuantConfig::default()).unwrap();
+    let mut y16 = vec![0.0f32; batch * m];
+    q.infer_batch_into(&x, batch, &mut QuantWorkspace::new(), &mut y16, 1)
+        .unwrap();
+    let x = Tensor::from_vec(x, &[batch, n]);
+    let y32 = layer.infer_batch(&x, &mut InferScratch::new());
+    (y16, y32.data().to_vec())
+}
+
+/// The i16 conv (2 → 3 channels, 3×3, pad 1, k = 2, with a bias, B = 2) at
+/// `stride`, over 4×4 inputs at stride 1 and 5×5 at stride 2.
+fn q16_conv_output(stride: usize) -> Vec<f32> {
+    let hw = 3 + stride;
+    let mut rng = circnn_tensor::init::seeded_rng(60 + stride as u64);
+    let mut conv = CirculantConv2d::new(&mut rng, 2, 3, 3, stride, 1, 2).unwrap();
+    let bias = seeded(3, 61);
+    let mut group = 0;
+    conv.visit_params(&mut |p, _| {
+        if group == 1 {
+            p.copy_from_slice(&bias);
+        }
+        group += 1;
+    });
+    conv.set_training(false);
+    let q = conv.quantize(QuantConfig::default()).unwrap();
+    let x = Tensor::from_vec(seeded(2 * 2 * hw * hw, 62), &[2, 2, hw, hw]);
+    let o = (hw + 2 - 3) / stride + 1;
+    let mut out = vec![0.0f32; 2 * 3 * o * o];
+    q.infer_batch_into(&x, &mut QuantWorkspace::new(), &mut out, 1)
+        .unwrap();
+    out
+}
+
+/// One step of a `6 → 12`, `k = 4` recurrent cell at B = 2: the f32 step
+/// (`tanh` epilogue) and its i16 twin's.
+fn rnn_step_outputs() -> (Vec<f32>, Vec<f32>) {
+    let mut rng = circnn_tensor::init::seeded_rng(70);
+    let cell = CirculantRnnCell::new(&mut rng, 6, 12, 4, 0.9).unwrap();
+    let (x, h) = (seeded(2 * 6, 71), seeded(2 * 12, 72));
+    let (mut y32, mut y16) = (vec![0.0f32; 24], vec![0.0f32; 24]);
+    let mut ws = RecurrentWorkspace::new();
+    cell.step_batch_into_with_threads(&x, &h, 2, &mut ws, &mut y32, 1)
+        .unwrap();
+    let q = cell.quantize(QuantConfig::default()).unwrap();
+    q.step_batch_into(&x, &h, 2, &mut QuantWorkspace::new(), &mut y16, 1)
+        .unwrap();
+    (y32, y16)
+}
+
+#[test]
+fn fc_layers_keep_the_per_precision_pipelines_bits() {
+    let (y16, y32) = fc_layer_outputs();
+    assert_bits("q16_fc", &y16, &GOLDEN_Q16_FC_10X13X4_B2_BIAS);
+    assert_bits("fc_bias", &y32, &GOLDEN_FC_10X13X4_B2_BIAS);
+}
+
+#[test]
+fn q16_conv_keeps_the_per_precision_pipelines_bits() {
+    assert_bits("q16_conv_s1", &q16_conv_output(1), &GOLDEN_Q16_CONV_S1);
+    assert_bits("q16_conv_s2", &q16_conv_output(2), &GOLDEN_Q16_CONV_S2);
+}
+
+#[test]
+fn rnn_steps_keep_the_per_precision_pipelines_bits() {
+    let (y32, y16) = rnn_step_outputs();
+    assert_bits("rnn", &y32, &GOLDEN_RNN_6X12X4_B2);
+    assert_bits("q16_rnn", &y16, &GOLDEN_Q16_RNN_6X12X4_B2);
 }

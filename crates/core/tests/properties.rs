@@ -443,7 +443,8 @@ proptest! {
 /// shapes above all sit under its per-thread work floor and stay on the
 /// caller): threaded and serial runs agree bit for bit for the FC apply in
 /// both directions, the weight gradient, the i16 twin (whose MAC scratch is
-/// split per worker) and the conv pipeline.
+/// split per worker), the conv pipeline and the recurrent step, the last
+/// two at both precisions.
 #[test]
 fn threaded_dispatch_above_the_work_floor_is_bit_identical_to_serial() {
     use circnn_core::{CirculantConv2d, ConvWorkspace, QuantConfig, QuantWorkspace};
@@ -486,6 +487,55 @@ fn threaded_dispatch_above_the_work_floor_is_bit_identical_to_serial() {
         y
     };
     assert!(crun(1) == crun(2), "conv diverged across thread counts");
+
+    let qconv = conv.quantize(QuantConfig::default()).unwrap();
+    let qcrun = |threads: usize| {
+        let mut y = vec![0.0f32; 8 * 16 * 28 * 28];
+        qconv
+            .infer_batch_into(&cx, &mut QuantWorkspace::new(), &mut y, threads)
+            .unwrap();
+        y
+    };
+    assert!(
+        qcrun(1) == qcrun(2),
+        "i16 conv diverged across thread counts"
+    );
+
+    // 64 output blocks of 17 bins at B = 64 put every stage of both
+    // recurrent sides above the work floor.
+    let (in_dim, hidden) = (1024usize, 2048usize);
+    let cell = circnn_core::CirculantRnnCell::new(&mut rng, in_dim, hidden, 32, 0.9).unwrap();
+    let qcell = cell.quantize(QuantConfig::default()).unwrap();
+    let (rx, rh) = (
+        random_weights(batch * in_dim, 9),
+        random_weights(batch * hidden, 10),
+    );
+    let rrun = |threads: usize| {
+        let (mut y, mut qy) = (vec![0.0f32; batch * hidden], vec![0.0f32; batch * hidden]);
+        let mut ws = circnn_core::RecurrentWorkspace::new();
+        cell.step_batch_into_with_threads(&rx, &rh, batch, &mut ws, &mut y, threads)
+            .unwrap();
+        qcell
+            .step_batch_into(
+                &rx,
+                &rh,
+                batch,
+                &mut QuantWorkspace::new(),
+                &mut qy,
+                threads,
+            )
+            .unwrap();
+        (y, qy)
+    };
+    let (serial, threaded) = (rrun(1), rrun(2));
+    assert!(
+        serial.0 == threaded.0,
+        "f32 RNN diverged across thread counts"
+    );
+    assert!(
+        serial.1 == threaded.1,
+        "i16 RNN diverged across thread counts"
+    );
 }
 
 /// Random conv configurations: channels, out-channels, kernel, stride,
