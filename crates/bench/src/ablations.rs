@@ -212,9 +212,10 @@ pub fn lecun_comparison(quick: bool) -> Vec<(String, f64, usize)> {
         (0..c * h * h).map(|i| (i as f32 * 0.003).sin()).collect(),
         &[c, h, h],
     );
+    let xb = x.reshape(&[1, c, h, h]);
     let mut dense = Conv2d::new(&mut rng, c, p, r, 1, 0);
     let t_dense = time_s(reps, || {
-        let _ = dense.forward(&x);
+        let _ = dense.forward_batch(&xb);
     });
     let mut lecun = LeCunFftConv2d::new(&mut rng, c, p, r).unwrap();
     let _ = lecun.forward(&x).unwrap(); // plan + spectra
@@ -223,7 +224,7 @@ pub fn lecun_comparison(quick: bool) -> Vec<(String, f64, usize)> {
     });
     let mut circ = CirculantConv2d::new(&mut rng, c, p, r, 1, 0, 8).unwrap();
     let t_circ = time_s(reps, || {
-        let _ = circ.forward(&x);
+        let _ = circ.forward_batch(&xb);
     });
     vec![
         ("dense conv (im2col GEMM)".into(), t_dense, c * p * r * r),

@@ -49,12 +49,12 @@ pub fn run(quick: bool) -> Sec53 {
     let mut rng = seeded_rng(3);
     let mut lenet_c = lenet5_circulant(&mut rng);
     let mut lenet_d = lenet5_dense(&mut rng);
-    let image = Tensor::ones(&[1, 28, 28]);
+    let image = Tensor::ones(&[1, 1, 28, 28]);
     let lenet_circ_ms = time_ms(reps, || {
-        let _ = lenet_c.forward(&image);
+        let _ = lenet_c.forward_batch(&image);
     });
     let lenet_dense_ms = time_ms(reps, || {
-        let _ = lenet_d.forward(&image);
+        let _ = lenet_d.forward_batch(&image);
     });
 
     // AlexNet FC6: 9216 → 4096 with block 128 (the paper's block size).

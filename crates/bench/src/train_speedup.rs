@@ -66,18 +66,19 @@ pub fn run(quick: bool) -> Vec<SpeedupPoint> {
             let tc = time_s(reps, || {
                 let _ = rbm_circ.cd1_step(&v0, 0.01, &mut rng_b);
             });
-            // FC training step: forward + backward.
-            let x = Tensor::from_vec(v0.clone(), &[n]);
-            let g = Tensor::ones(&[n]);
+            // FC training step on one sample (a batch of one): forward +
+            // backward.
+            let x = Tensor::from_vec(v0.clone(), &[1, n]);
+            let g = Tensor::ones(&[1, n]);
             let mut fc_dense = Linear::new(&mut rng, n, n);
             let tfd = time_s(reps, || {
-                let _ = fc_dense.forward(&x);
-                let _ = fc_dense.backward(&g);
+                let _ = fc_dense.forward_batch(&x);
+                let _ = fc_dense.backward_batch(&x, &g);
             });
             let mut fc_circ = CirculantLinear::new(&mut rng, n, n, block).expect("valid");
             let tfc = time_s(reps, || {
-                let _ = fc_circ.forward(&x);
-                let _ = fc_circ.backward(&g);
+                let _ = fc_circ.forward_batch(&x);
+                let _ = fc_circ.backward_batch(&x, &g);
             });
             SpeedupPoint {
                 n,

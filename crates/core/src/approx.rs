@@ -112,9 +112,9 @@ pub fn train_and_eval(
     let _ = train_regressor(net, &mut opt, &train_x, &train_y, &cfg);
     let mut se = 0.0f64;
     let n_test = test_x.dims()[0];
+    let pred = net.forward_batch(&test_x);
     for i in 0..n_test {
-        let pred = net.forward(&test_x.index_axis0(i));
-        let diff = f64::from(pred.data()[0] - test_y.at(&[i, 0]));
+        let diff = f64::from(pred.at(&[i, 0]) - test_y.at(&[i, 0]));
         se += diff * diff;
     }
     ApproxResult {

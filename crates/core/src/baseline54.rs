@@ -117,12 +117,24 @@ impl SingleCirculantLinear {
 }
 
 impl Layer for SingleCirculantLinear {
-    fn forward(&mut self, input: &Tensor) -> Tensor {
-        self.inner.forward(input)
+    fn forward_batch(&mut self, input: &Tensor) -> Tensor {
+        self.inner.forward_batch(input)
     }
 
-    fn backward(&mut self, grad_output: &Tensor) -> Tensor {
-        self.inner.backward(grad_output)
+    fn backward_batch(&mut self, input: &Tensor, grad_output: &Tensor) -> Tensor {
+        // The baseline trains sample by sample: each sample's weight
+        // gradient is formed and inverse-transformed on its own, then
+        // summed in the time domain (one batched call would sum the
+        // spectra first and round differently).
+        let batch = input.dims()[0];
+        assert_eq!(batch, grad_output.dims()[0], "batch size mismatch");
+        let row = |t: &Tensor, b: usize| t.index_axis0(b).reshape(&[1, t.len() / batch]);
+        let gx = circnn_tensor::stack_samples(batch, |b| {
+            let x = row(input, b);
+            self.inner.forward_batch(&x);
+            self.inner.backward_batch(&x, &row(grad_output, b))
+        });
+        gx.reshape(&[batch, self.in_dim])
     }
 
     fn infer_batch(&self, input: &Tensor, scratch: &mut circnn_nn::InferScratch) -> Tensor {
@@ -168,10 +180,11 @@ mod tests {
     fn forward_and_backward_shapes() {
         let mut rng = seeded_rng(2);
         let mut layer = SingleCirculantLinear::new(&mut rng, 20, 12).unwrap();
-        let y = layer.forward(&Tensor::ones(&[20]));
-        assert_eq!(y.dims(), &[12]);
-        let gx = layer.backward(&Tensor::ones(&[12]));
-        assert_eq!(gx.dims(), &[20]);
+        let x = Tensor::ones(&[3, 20]);
+        let y = layer.forward_batch(&x);
+        assert_eq!(y.dims(), &[3, 12]);
+        let gx = layer.backward_batch(&x, &Tensor::ones(&[3, 12]));
+        assert_eq!(gx.dims(), &[3, 20]);
     }
 
     #[test]
@@ -213,12 +226,12 @@ mod tests {
         use circnn_nn::{Optimizer, Sgd};
         let mut rng = seeded_rng(5);
         let mut layer = SingleCirculantLinear::new(&mut rng, 8, 4).unwrap();
-        let x = Tensor::ones(&[8]);
-        let y0 = layer.forward(&x).data().to_vec();
+        let x = Tensor::ones(&[2, 8]);
+        let y0 = layer.forward_batch(&x).data().to_vec();
         layer.zero_grads();
-        layer.backward(&Tensor::ones(&[4]));
+        layer.backward_batch(&x, &Tensor::ones(&[2, 4]));
         Sgd::new(0.5, 0.0).step(&mut layer);
-        let y1 = layer.forward(&x).data().to_vec();
+        let y1 = layer.forward_batch(&x).data().to_vec();
         assert_ne!(y0, y1);
     }
 

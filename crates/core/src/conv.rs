@@ -692,8 +692,8 @@ impl ConvWorkspace {
 /// let mut rng = seeded_rng(0);
 /// // 16→32 channels, 3×3 kernel, circulant blocks of 16 across channels.
 /// let mut conv = CirculantConv2d::new(&mut rng, 16, 32, 3, 1, 1, 16)?;
-/// let y = conv.forward(&Tensor::ones(&[16, 8, 8]));
-/// assert_eq!(y.dims(), &[32, 8, 8]);
+/// let y = conv.forward_batch(&Tensor::ones(&[1, 16, 8, 8]));
+/// assert_eq!(y.dims(), &[1, 32, 8, 8]);
 /// // 16× fewer filter parameters than a dense conv.
 /// assert!((conv.compression_ratio() - 16.0).abs() < 1e-9);
 /// # Ok(())
@@ -908,77 +908,9 @@ impl CirculantConv2d {
         );
         Ok(())
     }
-
-    /// Mutable forward core shared by the training entry points.
-    fn run_forward(&mut self, input: &[f32], geom: &ConvGeometry, batch: usize) -> Vec<f32> {
-        self.sync();
-        let mut out = vec![0.0f32; batch * self.out_channels * geom.num_patches()];
-        self.ws.forward(
-            &self.engines,
-            geom,
-            batch,
-            input,
-            &self.bias,
-            self.out_channels,
-            &mut out,
-            default_batch_threads(),
-        );
-        out
-    }
-
-    /// Mutable backward core over the planes `run_forward` retained.
-    fn run_backward(&mut self, grad: &[f32], geom: &ConvGeometry, batch: usize) -> Vec<f32> {
-        self.sync();
-        let mut gx = vec![0.0f32; batch * geom.input_len()];
-        let Self {
-            engines,
-            ws,
-            wgrad,
-            bgrad,
-            out_channels,
-            ..
-        } = self;
-        ws.backward(
-            engines,
-            geom,
-            batch,
-            grad,
-            wgrad,
-            bgrad,
-            *out_channels,
-            &mut gx,
-            default_batch_threads(),
-        );
-        gx
-    }
 }
 
 impl Layer for CirculantConv2d {
-    fn forward(&mut self, input: &Tensor) -> Tensor {
-        assert_eq!(input.shape().rank(), 3, "conv input must be [C, H, W]");
-        let geom = self.geometry_for(input.dims());
-        // A single sample is a batch of one plane lane set — the scalar
-        // per-pixel FFT pipeline is gone.
-        let out = self.run_forward(input.data(), &geom, 1);
-        self.train_ctx = Some((geom, 1));
-        Tensor::from_vec(
-            out,
-            &[self.out_channels, geom.out_height(), geom.out_width()],
-        )
-    }
-
-    fn backward(&mut self, grad_output: &Tensor) -> Tensor {
-        let (geom, batch) = self.train_ctx.expect("backward called before forward");
-        assert_eq!(batch, 1, "single-sample backward after a batched forward");
-        assert_eq!(
-            grad_output.dims(),
-            &[self.out_channels, geom.out_height(), geom.out_width()],
-            "conv grad shape mismatch"
-        );
-        let gx = self.run_backward(grad_output.data(), &geom, 1);
-        Tensor::from_vec(gx, &[self.in_channels, geom.height, geom.width])
-    }
-
     fn forward_batch(&mut self, input: &Tensor) -> Tensor {
         let batch = input.dims()[0];
         assert!(batch > 0, "empty batch");
@@ -988,7 +920,18 @@ impl Layer for CirculantConv2d {
             "conv batch input must be [B, C, H, W]"
         );
         let geom = self.geometry_for(&input.dims()[1..]);
-        let out = self.run_forward(input.data(), &geom, batch);
+        self.sync();
+        let mut out = vec![0.0f32; batch * self.out_channels * geom.num_patches()];
+        self.ws.forward(
+            &self.engines,
+            &geom,
+            batch,
+            input.data(),
+            &self.bias,
+            self.out_channels,
+            &mut out,
+            default_batch_threads(),
+        );
         // The retained spectra planes only matter to a backward pass; in
         // inference mode nothing promises them to anyone.
         self.train_ctx = self.training.then_some((geom, batch));
@@ -1017,7 +960,19 @@ impl Layer for CirculantConv2d {
             ],
             "conv grad shape mismatch"
         );
-        let gx = self.run_backward(grad_output.data(), &geom, batch);
+        self.sync();
+        let mut gx = vec![0.0f32; batch * geom.input_len()];
+        self.ws.backward(
+            &self.engines,
+            &geom,
+            batch,
+            grad_output.data(),
+            &mut self.wgrad,
+            &mut self.bgrad,
+            self.out_channels,
+            &mut gx,
+            default_batch_threads(),
+        );
         Tensor::from_vec(gx, &[batch, self.in_channels, geom.height, geom.width])
     }
 
@@ -1123,9 +1078,9 @@ mod tests {
         let mut circ = CirculantConv2d::new(&mut rng, 4, 8, 3, 1, 1, 4).unwrap();
         let lowered = circ.to_dense_lowered();
         let mut dense = Conv2d::from_weights(lowered, vec![0.0; 8], 4, 3, 1, 1);
-        let x = circnn_tensor::init::uniform(&mut rng, &[4, 6, 6], -1.0, 1.0);
-        let yc = circ.forward(&x);
-        let yd = dense.forward(&x);
+        let x = circnn_tensor::init::uniform(&mut rng, &[2, 4, 6, 6], -1.0, 1.0);
+        let yc = circ.forward_batch(&x);
+        let yd = dense.forward_batch(&x);
         assert_eq!(yc.dims(), yd.dims());
         for (a, b) in yc.data().iter().zip(yd.data()) {
             assert!((a - b).abs() < 3e-4, "{a} vs {b}");
@@ -1139,9 +1094,9 @@ mod tests {
             let mut circ = CirculantConv2d::new(&mut rng, 2, 4, 3, stride, padding, 2).unwrap();
             let lowered = circ.to_dense_lowered();
             let mut dense = Conv2d::from_weights(lowered, vec![0.0; 4], 2, 3, stride, padding);
-            let x = circnn_tensor::init::uniform(&mut rng, &[2, 7, 7], -1.0, 1.0);
-            let yc = circ.forward(&x);
-            let yd = dense.forward(&x);
+            let x = circnn_tensor::init::uniform(&mut rng, &[1, 2, 7, 7], -1.0, 1.0);
+            let yc = circ.forward_batch(&x);
+            let yd = dense.forward_batch(&x);
             for (a, b) in yc.data().iter().zip(yd.data()) {
                 assert!((a - b).abs() < 3e-4, "stride {stride} pad {padding}");
             }
@@ -1153,22 +1108,22 @@ mod tests {
         use circnn_nn::Layer as _;
         let mut rng = seeded_rng(3);
         let mut conv = CirculantConv2d::new(&mut rng, 2, 4, 3, 1, 1, 2).unwrap();
-        let x = circnn_tensor::init::uniform(&mut rng, &[2, 4, 4], -1.0, 1.0);
+        let x = circnn_tensor::init::uniform(&mut rng, &[3, 2, 4, 4], -1.0, 1.0);
         let cw = |n: usize| -> Vec<f32> {
             (0..n)
                 .map(|i| (((i * 2654435761) % 1000) as f32 / 500.0) - 1.0)
                 .collect()
         };
-        let out = conv.forward(&x);
+        let out = conv.forward_batch(&x);
         let c = cw(out.len());
         let grad_out = Tensor::from_vec(c.clone(), out.dims());
         conv.zero_grads();
-        let gx = conv.backward(&grad_out);
+        let gx = conv.backward_batch(&x, &grad_out);
         let mut analytic: Vec<Vec<f32>> = Vec::new();
         conv.visit_params(&mut |_, g| analytic.push(g.to_vec()));
         let eps = 1e-2f32;
         let loss = |conv: &mut CirculantConv2d, x: &Tensor| -> f32 {
-            let out = conv.forward(x);
+            let out = conv.forward_batch(x);
             out.data().iter().zip(&c).map(|(&y, &w)| y * w).sum()
         };
         // Input gradient (subsample for speed).
@@ -1228,8 +1183,8 @@ mod tests {
         let mut rng = seeded_rng(5);
         let mut conv = CirculantConv2d::new(&mut rng, 1, 4, 3, 1, 0, 1).unwrap();
         use circnn_nn::Layer as _;
-        let y = conv.forward(&Tensor::ones(&[1, 5, 5]));
-        assert_eq!(y.dims(), &[4, 3, 3]);
+        let y = conv.forward_batch(&Tensor::ones(&[1, 1, 5, 5]));
+        assert_eq!(y.dims(), &[1, 4, 3, 3]);
     }
 
     #[test]
@@ -1237,12 +1192,12 @@ mod tests {
         use circnn_nn::{Layer as _, Optimizer, Sgd};
         let mut rng = seeded_rng(6);
         let mut conv = CirculantConv2d::new(&mut rng, 2, 2, 3, 1, 1, 2).unwrap();
-        let x = Tensor::ones(&[2, 4, 4]);
-        let y0 = conv.forward(&x).data().to_vec();
+        let x = Tensor::ones(&[1, 2, 4, 4]);
+        let y0 = conv.forward_batch(&x).data().to_vec();
         conv.zero_grads();
-        conv.backward(&Tensor::ones(&[2, 4, 4]));
+        conv.backward_batch(&x, &Tensor::ones(&[1, 2, 4, 4]));
         Sgd::new(0.1, 0.0).step(&mut conv);
-        let y1 = conv.forward(&x).data().to_vec();
+        let y1 = conv.forward_batch(&x).data().to_vec();
         assert_ne!(y0, y1);
     }
 

@@ -27,8 +27,8 @@ use crate::quantized::{QuantConfig, QuantizedLinear, QuantizedOperator};
 /// # fn main() -> Result<(), circnn_core::CircError> {
 /// let mut rng = seeded_rng(0);
 /// let mut layer = CirculantLinear::new(&mut rng, 64, 32, 16)?;
-/// let y = layer.forward(&Tensor::ones(&[64]));
-/// assert_eq!(y.dims(), &[32]);
+/// let y = layer.forward_batch(&Tensor::ones(&[1, 64]));
+/// assert_eq!(y.dims(), &[1, 32]);
 /// // 32·64/16 weight parameters + 32 bias — 16× fewer weights than dense.
 /// assert_eq!(layer.param_count(), 32 * 64 / 16 + 32);
 /// # Ok(())
@@ -176,8 +176,7 @@ impl CirculantLinear {
     }
 
     /// The batched affine kernel `Y = W·X + b` shared by the training-side
-    /// forwards (single-sample and batched) and the read-only
-    /// [`Layer::infer_batch`]:
+    /// [`Layer::forward_batch`] and the read-only [`Layer::infer_batch`]:
     /// one fused engine call — the bias rides the plane IFFT of each block
     /// (the engine's fused epilogue) instead of a separate sweep over the
     /// output — and bit-identical outputs on both paths.
@@ -192,27 +191,34 @@ impl CirculantLinear {
             .expect("circulant linear batch input length mismatch");
         out
     }
+}
 
-    /// Training-side forward over `batch` rows, recording the input
-    /// spectra in the layer's arena for the backward pass. A single
-    /// sample is a batch of one, so it is bit-identical to its row of any
-    /// batched forward.
-    fn train_forward(&mut self, x: &[f32], batch: usize) -> Vec<f32> {
+impl Layer for CirculantLinear {
+    fn forward_batch(&mut self, input: &Tensor) -> Tensor {
+        // Always the batched engine — even for B = 1 — so training-side and
+        // serving-side forwards are the same arithmetic at every batch size.
+        // The layer's arena keeps the input spectra for the backward pass.
         self.sync();
+        let batch = input.dims()[0];
         // Take the arena out so the shared kernel can borrow `self` and
         // the workspace disjointly.
         let mut ws = std::mem::take(&mut self.ws);
-        let out = self.batched_affine(x, batch, &mut ws);
+        let y = self.batched_affine(input.data(), batch, &mut ws);
         self.ws = ws;
         self.batch = Some(batch);
-        out
+        Tensor::from_vec(y, &[batch, self.out_dim()])
     }
 
     /// Algorithm 2, both halves, over the batch the last forward recorded:
     /// returns the `[batch, n]` input gradient and accumulates the weight
     /// and bias gradients.
-    fn train_backward(&mut self, g: &[f32], batch: usize) -> Vec<f32> {
+    fn backward_batch(&mut self, _input: &Tensor, grad_output: &Tensor) -> Tensor {
+        let batch = self
+            .batch
+            .expect("backward_batch called before forward_batch");
+        assert_eq!(grad_output.dims()[0], batch, "batch size mismatch");
         self.sync();
+        let g = grad_output.data();
         let mut gx = vec![0.0f32; batch * self.in_dim()];
         // Transpose apply first: it records the gradient spectra that the
         // frequency-domain weight-gradient reduction then reuses.
@@ -227,37 +233,6 @@ impl CirculantLinear {
                 *slot += gi;
             }
         }
-        gx
-    }
-}
-
-impl Layer for CirculantLinear {
-    fn forward(&mut self, input: &Tensor) -> Tensor {
-        let y = self.train_forward(input.data(), 1);
-        Tensor::from_vec(y, &[self.out_dim()])
-    }
-
-    fn backward(&mut self, grad_output: &Tensor) -> Tensor {
-        let batch = self.batch.expect("backward called before forward");
-        assert_eq!(batch, 1, "single-sample backward after a batched forward");
-        let gx = self.train_backward(grad_output.data(), 1);
-        Tensor::from_vec(gx, &[self.in_dim()])
-    }
-
-    fn forward_batch(&mut self, input: &Tensor) -> Tensor {
-        // Always the batched engine — even for B = 1 — so training-side and
-        // serving-side forwards are the same arithmetic at every batch size.
-        let batch = input.dims()[0];
-        let y = self.train_forward(input.data(), batch);
-        Tensor::from_vec(y, &[batch, self.out_dim()])
-    }
-
-    fn backward_batch(&mut self, _input: &Tensor, grad_output: &Tensor) -> Tensor {
-        let batch = self
-            .batch
-            .expect("backward_batch called before forward_batch");
-        assert_eq!(grad_output.dims()[0], batch, "batch size mismatch");
-        let gx = self.train_backward(grad_output.data(), batch);
         Tensor::from_vec(gx, &[batch, self.in_dim()])
     }
 
@@ -321,21 +296,22 @@ mod tests {
     fn forward_matches_dense_materialization() {
         let mut rng = seeded_rng(1);
         let mut layer = CirculantLinear::new(&mut rng, 24, 16, 8).unwrap();
-        let x = circnn_tensor::init::uniform(&mut rng, &[24], -1.0, 1.0);
-        let y = layer.forward(&x);
+        let x = circnn_tensor::init::uniform(&mut rng, &[2, 24], -1.0, 1.0);
+        let y = layer.forward_batch(&x);
         let dense = layer.to_dense();
-        let expect = dense.matvec(x.data());
-        for (a, b) in y.data().iter().zip(&expect) {
-            assert!((a - b).abs() < 2e-4);
+        for b in 0..2 {
+            let expect = dense.matvec(&x.data()[b * 24..(b + 1) * 24]);
+            for (a, e) in y.data()[b * 16..(b + 1) * 16].iter().zip(&expect) {
+                assert!((a - e).abs() < 2e-4);
+            }
         }
     }
 
     #[test]
     fn gradients_match_finite_differences() {
-        use circnn_nn::Layer as _;
         let mut rng = seeded_rng(2);
         let mut layer = CirculantLinear::new(&mut rng, 8, 6, 4).unwrap();
-        let x = circnn_tensor::init::uniform(&mut rng, &[8], -1.0, 1.0);
+        let x = circnn_tensor::init::uniform(&mut rng, &[3, 8], -1.0, 1.0);
         // Re-use the nn crate's checker via a tiny local reimplementation
         // (the shared helper is crate-private to circnn-nn).
         let weights = |n: usize| -> Vec<f32> {
@@ -343,18 +319,18 @@ mod tests {
                 .map(|i| (((i * 2654435761) % 1000) as f32 / 500.0) - 1.0)
                 .collect()
         };
-        let out = layer.forward(&x);
+        let out = layer.forward_batch(&x);
         // The loss weights live in the gradient tensor itself — no spare
         // copies of either the weights or the nudged inputs.
         let grad_out = Tensor::from_vec(weights(out.len()), out.dims());
         let c = grad_out.data();
         layer.zero_grads();
-        let gx = layer.backward(&grad_out);
+        let gx = layer.backward_batch(&x, &grad_out);
         let mut analytic_params: Vec<Vec<f32>> = Vec::new();
         layer.visit_params(&mut |_, g| analytic_params.push(g.to_vec()));
         let eps = 1e-2f32;
         let loss = |layer: &mut CirculantLinear, x: &Tensor| -> f32 {
-            let out = layer.forward(x);
+            let out = layer.forward_batch(x);
             out.data().iter().zip(c).map(|(&y, &w)| y * w).sum()
         };
         // Input gradient: nudge one shared buffer in place.
@@ -371,7 +347,7 @@ mod tests {
                 "input grad {i}"
             );
         }
-        // Weight + bias gradients.
+        // Weight + bias gradients, accumulated over the batch.
         for group in 0..analytic_params.len() {
             for idx in 0..analytic_params[group].len() {
                 let nudge = |delta: f32, layer: &mut CirculantLinear| {
@@ -400,20 +376,19 @@ mod tests {
 
     #[test]
     fn optimizer_updates_propagate_through_spectra_cache() {
-        use circnn_nn::Layer as _;
         let mut rng = seeded_rng(3);
         let mut layer = CirculantLinear::new(&mut rng, 8, 8, 4).unwrap();
-        let x = Tensor::ones(&[8]);
-        let y0 = layer.forward(&x).data().to_vec();
+        let x = Tensor::ones(&[1, 8]);
+        let y0 = layer.forward_batch(&x).data().to_vec();
         layer.zero_grads();
-        layer.backward(&Tensor::ones(&[8]));
+        layer.backward_batch(&x, &Tensor::ones(&[1, 8]));
         let mut opt = Sgd::new(0.5, 0.0);
         opt.step(&mut layer);
-        let y1 = layer.forward(&x).data().to_vec();
+        let y1 = layer.forward_batch(&x).data().to_vec();
         assert_ne!(y0, y1, "update must change the forward output");
         // And the dense materialization must agree with the new forward.
         let expect = layer.to_dense().matvec(x.data());
-        let y2 = layer.forward(&x);
+        let y2 = layer.forward_batch(&x);
         for ((a, &b), bias) in y2.data().iter().zip(&expect).zip(layer.bias().to_vec()) {
             assert!((a - (b + bias)).abs() < 2e-4);
         }
@@ -421,52 +396,51 @@ mod tests {
 
     #[test]
     fn ragged_dimensions_work() {
-        use circnn_nn::Layer as _;
         let mut rng = seeded_rng(4);
         let mut layer = CirculantLinear::new(&mut rng, 10, 6, 4).unwrap();
-        let y = layer.forward(&Tensor::ones(&[10]));
-        assert_eq!(y.dims(), &[6]);
-        let gx = layer.backward(&Tensor::ones(&[6]));
-        assert_eq!(gx.dims(), &[10]);
+        let x = Tensor::ones(&[1, 10]);
+        let y = layer.forward_batch(&x);
+        assert_eq!(y.dims(), &[1, 6]);
+        let gx = layer.backward_batch(&x, &Tensor::ones(&[1, 6]));
+        assert_eq!(gx.dims(), &[1, 10]);
     }
 
     #[test]
     fn param_count_reflects_compression() {
         let mut rng = seeded_rng(5);
         let layer = CirculantLinear::new(&mut rng, 1024, 512, 128).unwrap();
-        use circnn_nn::Layer as _;
         assert_eq!(layer.param_count(), 512 * 1024 / 128 + 512);
         assert!((layer.compression_ratio() - 128.0).abs() < 1e-9);
     }
 
     #[test]
-    fn batched_layer_matches_per_sample_layer() {
-        use circnn_nn::Layer as _;
+    fn batched_layer_matches_batches_of_one() {
         let mut rng = seeded_rng(9);
         let (n, m, k, batch) = (10, 6, 4, 5);
         let mut batched = CirculantLinear::new(&mut rng, n, m, k).unwrap();
         let mut single = batched.clone();
         let x = circnn_tensor::init::uniform(&mut rng, &[batch, n], -1.0, 1.0);
         let g = circnn_tensor::init::uniform(&mut rng, &[batch, m], -1.0, 1.0);
-        // A single sample is a batch of one through the same engine, so
-        // forward rows match bit for bit.
+        let row = |t: &Tensor, b: usize| t.index_axis0(b).reshape(&[1, t.dims()[1]]);
+        // Every batch lane is independent, so forward rows match a batch
+        // of one bit for bit.
         let yb = batched.forward_batch(&x);
         assert_eq!(yb.dims(), &[batch, m]);
         for b in 0..batch {
-            let ys = single.forward(&x.index_axis0(b));
+            let ys = single.forward_batch(&row(&x, b));
             assert_eq!(&yb.data()[b * m..(b + 1) * m], ys.data(), "sample {b}");
         }
-        // Batched backward must accumulate the same gradients as the
-        // interleaved per-sample loop: input gradients bit for bit, weight
-        // grads to rounding (the batched reduction sums in the frequency
-        // domain, the per-sample loop in the time domain).
+        // Batched backward must accumulate the same gradients as a run of
+        // batches of one: input gradients bit for bit, weight grads to
+        // rounding (one batch sums its samples' weight gradients in the
+        // frequency domain, a run of batches in the time domain).
         batched.zero_grads();
         let gxb = batched.backward_batch(&x, &g);
         single.zero_grads();
         let mut gxs = Vec::new();
         for b in 0..batch {
-            single.forward(&x.index_axis0(b));
-            gxs.extend_from_slice(single.backward(&g.index_axis0(b)).data());
+            single.forward_batch(&row(&x, b));
+            gxs.extend_from_slice(single.backward_batch(&row(&x, b), &row(&g, b)).data());
         }
         assert_eq!(gxb.data(), &gxs[..], "input gradients");
         let collect = |l: &mut CirculantLinear| {
@@ -487,13 +461,12 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "single-sample backward after a batched forward")]
-    fn single_sample_backward_after_batched_forward_panics() {
-        use circnn_nn::Layer as _;
+    #[should_panic(expected = "batch size mismatch")]
+    fn backward_of_a_different_batch_panics() {
         let mut rng = seeded_rng(10);
         let mut layer = CirculantLinear::new(&mut rng, 8, 8, 4).unwrap();
         layer.forward_batch(&Tensor::ones(&[3, 8]));
-        layer.backward(&Tensor::ones(&[8]));
+        layer.backward_batch(&Tensor::ones(&[1, 8]), &Tensor::ones(&[1, 8]));
     }
 
     #[test]

@@ -251,8 +251,8 @@ mod tests {
         let mut dense = Conv2d::from_weights(lowered, vec![0.0; 4], 3, 5, 1, 0);
         let x = circnn_tensor::init::uniform(&mut rng, &[3, 12, 12], -1.0, 1.0);
         let yf = lecun.forward(&x).unwrap();
-        let yd = dense.forward(&x);
-        assert_eq!(yf.dims(), yd.dims());
+        let yd = dense.forward_batch(&x.reshape(&[1, 3, 12, 12]));
+        assert_eq!(&yd.dims()[1..], yf.dims());
         for (a, b) in yf.data().iter().zip(yd.data()) {
             assert!((a - b).abs() < 2e-3, "{a} vs {b}");
         }

@@ -375,7 +375,7 @@ pub enum RnnReadout {
 /// resident across the whole sequence.
 ///
 /// The recurrence is a **fixed feature extractor** (reservoir semantics):
-/// the cell exposes no trainable parameters and [`Layer::backward`]
+/// the cell exposes no trainable parameters and [`Layer::backward_batch`]
 /// propagates a zero gradient — train a readout *after* this layer (see
 /// [`ReservoirClassifier`]), then serve the assembled network through the
 /// read-only [`Layer::infer_batch`] path.
@@ -383,12 +383,8 @@ pub enum RnnReadout {
 pub struct CirculantRnn {
     cell: CirculantRnnCell,
     readout: RnnReadout,
-    /// Training-path workspace (the `&mut self` forward entries).
+    /// Training-path workspace (the `&mut self` forward entry).
     ws: RecurrentWorkspace,
-    /// Sequence length of the last training-path forward, so the zero
-    /// gradient [`Layer::backward`] returns has the input's `[T, in_dim]`
-    /// shape.
-    last_steps: Option<usize>,
 }
 
 impl CirculantRnn {
@@ -398,7 +394,6 @@ impl CirculantRnn {
             cell,
             readout,
             ws: RecurrentWorkspace::new(),
-            last_steps: None,
         }
     }
 
@@ -529,9 +524,15 @@ impl CirculantRnn {
         }
         result
     }
+}
 
-    /// Shared `&mut self` forward core for the training-path entries.
-    fn forward_impl(&mut self, input: &Tensor) -> Tensor {
+impl Layer for CirculantRnn {
+    fn forward_batch(&mut self, input: &Tensor) -> Tensor {
+        assert_eq!(
+            input.shape().rank(),
+            3,
+            "rnn batch input must be [B, T, in_dim]"
+        );
         let batch = input.dims()[0];
         let mut out = vec![0.0f32; batch * self.out_dim()];
         let mut ws = std::mem::take(&mut self.ws);
@@ -539,35 +540,6 @@ impl CirculantRnn {
             .expect("recurrent layer input shape mismatch");
         self.ws = ws;
         Tensor::from_vec(out, &[batch, self.out_dim()])
-    }
-}
-
-impl Layer for CirculantRnn {
-    fn forward(&mut self, input: &Tensor) -> Tensor {
-        assert_eq!(input.shape().rank(), 2, "rnn input must be [T, in_dim]");
-        let dims = [1, input.dims()[0], input.dims()[1]];
-        self.last_steps = Some(input.dims()[0]);
-        let out = self.forward_impl(&input.clone().reshape(&dims));
-        Tensor::from_vec(out.data().to_vec(), &[self.out_dim()])
-    }
-
-    fn backward(&mut self, grad_output: &Tensor) -> Tensor {
-        // Reservoir semantics: the recurrence is fixed, gradients stop
-        // here — but the zero gradient must carry the input's [T, in_dim]
-        // shape for any layer below the sequence.
-        let _ = grad_output;
-        let steps = self.last_steps.expect("backward called before forward");
-        Tensor::zeros(&[steps, self.cell.in_dim()])
-    }
-
-    fn forward_batch(&mut self, input: &Tensor) -> Tensor {
-        assert_eq!(
-            input.shape().rank(),
-            3,
-            "rnn batch input must be [B, T, in_dim]"
-        );
-        self.last_steps = Some(input.dims()[1]);
-        self.forward_impl(input)
     }
 
     fn backward_batch(&mut self, input: &Tensor, grad_output: &Tensor) -> Tensor {
@@ -718,8 +690,7 @@ impl ReservoirClassifier {
         let f = self.cell.run_features(sequence)?;
         Ok(self
             .readout
-            .forward(&Tensor::from_vec(f, &[2 * self.cell.hidden()]))
-            .argmax())
+            .predict(&Tensor::from_vec(f, &[2 * self.cell.hidden()])))
     }
 
     /// Assembles the servable network: a [`CirculantRnn`] feature layer

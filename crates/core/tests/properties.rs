@@ -677,7 +677,7 @@ proptest! {
 
     /// Backward-path parity: running one `[B, C, H, W]` batch through the
     /// plane pipeline's `backward_batch` must accumulate the same weight,
-    /// bias and input gradients as running the B samples one at a time —
+    /// bias and input gradients as running the B samples as batches of one —
     /// across strides and paddings, not just the stride-1 fused path.
     #[test]
     fn batched_conv_backward_matches_per_sample(
@@ -710,8 +710,11 @@ proptest! {
         single.zero_grads();
         let mut gx_rows: Vec<Vec<f32>> = Vec::new();
         for b in 0..batch {
-            let _ = single.forward(&x.index_axis0(b));
-            gx_rows.push(single.backward(&gout.index_axis0(b)).data().to_vec());
+            let xb = x.index_axis0(b).reshape(&[1, c, hw, hw]);
+            let gb = gout.index_axis0(b);
+            let _ = single.forward_batch(&xb);
+            let gb = gb.reshape(&[1, gb.dims()[0], gb.dims()[1], gb.dims()[2]]);
+            gx_rows.push(single.backward_batch(&xb, &gb).data().to_vec());
         }
         // Parameter gradients accumulate identically (order of the batch
         // reduction differs, so agreement is to rounding).

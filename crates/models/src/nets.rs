@@ -222,9 +222,9 @@ mod tests {
         let mut rng = seeded_rng(1);
         let mut dense = lenet5_dense(&mut rng);
         let mut circ = lenet5_circulant(&mut rng);
-        let x = Tensor::ones(&[1, 28, 28]);
-        assert_eq!(dense.forward(&x).dims(), &[10]);
-        assert_eq!(circ.forward(&x).dims(), &[10]);
+        let x = Tensor::ones(&[2, 1, 28, 28]);
+        assert_eq!(dense.forward_batch(&x).dims(), &[2, 10]);
+        assert_eq!(circ.forward_batch(&x).dims(), &[2, 10]);
         assert_eq!(dense.depth(), circ.depth());
     }
 
@@ -254,18 +254,21 @@ mod tests {
     #[test]
     fn cifar_and_svhn_nets_process_32x32() {
         let mut rng = seeded_rng(3);
-        let x = Tensor::ones(&[3, 32, 32]);
-        assert_eq!(cifar_net_circulant(&mut rng).forward(&x).dims(), &[10]);
-        assert_eq!(svhn_net_dense(&mut rng).forward(&x).dims(), &[10]);
+        let x = Tensor::ones(&[1, 3, 32, 32]);
+        let mut cifar = cifar_net_circulant(&mut rng);
+        assert_eq!(cifar.forward_batch(&x).dims(), &[1, 10]);
+        assert_eq!(svhn_net_dense(&mut rng).forward_batch(&x).dims(), &[1, 10]);
     }
 
     #[test]
     fn alexnet_surrogate_processes_64x64() {
         let mut rng = seeded_rng(4);
-        let x = Tensor::ones(&[3, 64, 64]);
+        let x = Tensor::ones(&[1, 3, 64, 64]);
         assert_eq!(
-            alexnet_surrogate_circulant(&mut rng).forward(&x).dims(),
-            &[20]
+            alexnet_surrogate_circulant(&mut rng)
+                .forward_batch(&x)
+                .dims(),
+            &[1, 20]
         );
     }
 
@@ -274,9 +277,9 @@ mod tests {
         let mut rng = seeded_rng(5);
         let mut dense = mlp_dense(&mut rng, &[64, 128, 32]);
         let mut circ = mlp_circulant(&mut rng, &[64, 128, 32], 32);
-        let x = Tensor::ones(&[64]);
-        assert_eq!(dense.forward(&x).dims(), &[32]);
-        assert_eq!(circ.forward(&x).dims(), &[32]);
+        let x = Tensor::ones(&[1, 64]);
+        assert_eq!(dense.forward_batch(&x).dims(), &[1, 32]);
+        assert_eq!(circ.forward_batch(&x).dims(), &[1, 32]);
         // Dense: 64·128+128 + 128·32+32; circulant: /32 on the weights.
         assert!(circ.param_count() < dense.param_count() / 16);
     }
@@ -285,9 +288,9 @@ mod tests {
     fn circulant_models_backpropagate() {
         let mut rng = seeded_rng(6);
         let mut net = lenet5_circulant(&mut rng);
-        let x = Tensor::ones(&[1, 28, 28]);
-        let out = net.forward(&x);
-        let gx = net.backward(&Tensor::ones(out.dims()));
-        assert_eq!(gx.dims(), &[1, 28, 28]);
+        let x = Tensor::ones(&[2, 1, 28, 28]);
+        let out = net.forward_batch(&x);
+        let gx = net.backward_batch(&x, &Tensor::ones(out.dims()));
+        assert_eq!(gx.dims(), &[2, 1, 28, 28]);
     }
 }

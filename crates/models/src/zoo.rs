@@ -366,8 +366,8 @@ mod tests {
         for b in Benchmark::all() {
             let ds = b.dataset(4, 0);
             let mut net = b.build_circulant(&mut rng);
-            let out = net.forward(&ds.image(0));
-            assert_eq!(out.len(), ds.num_classes, "{}", b.name());
+            let out = net.forward_batch(&ds.images);
+            assert_eq!(out.dims(), &[4, ds.num_classes], "{}", b.name());
             assert!(b.storage_fc_only().storage_ratio() > 1.0);
             assert!(b.descriptor().dense_equiv_ops() > 0);
         }
@@ -413,7 +413,7 @@ mod tests {
             let ds = b.dataset(2, 1);
             let mut dense = b.build_dense(&mut rng);
             // Must not panic: geometry agreement is the test.
-            let _ = dense.forward(&ds.image(1));
+            let _ = dense.forward_batch(&ds.images);
         }
     }
 

@@ -14,7 +14,7 @@ use crate::layer::Layer;
 /// use circnn_tensor::Tensor;
 ///
 /// let mut relu = Relu::new();
-/// let y = relu.forward(&Tensor::from_vec(vec![-2.0, 0.0, 3.0], &[3]));
+/// let y = relu.forward_batch(&Tensor::from_vec(vec![-2.0, 0.0, 3.0], &[1, 3]));
 /// assert_eq!(y.data(), &[0.0, 0.0, 3.0]);
 /// ```
 #[derive(Debug, Clone, Default)]
@@ -30,7 +30,8 @@ impl Relu {
 }
 
 impl Layer for Relu {
-    fn forward(&mut self, input: &Tensor) -> Tensor {
+    // Element-wise layers see a [batch, ...] tensor as just a bigger tensor.
+    fn forward_batch(&mut self, input: &Tensor) -> Tensor {
         self.mask = Some(
             input
                 .data()
@@ -41,8 +42,11 @@ impl Layer for Relu {
         input.map(|v| v.max(0.0))
     }
 
-    fn backward(&mut self, grad_output: &Tensor) -> Tensor {
-        let mask = self.mask.as_ref().expect("backward called before forward");
+    fn backward_batch(&mut self, _input: &Tensor, grad_output: &Tensor) -> Tensor {
+        let mask = self
+            .mask
+            .as_ref()
+            .expect("backward_batch called before forward_batch");
         assert_eq!(mask.len(), grad_output.len(), "relu grad length mismatch");
         let data = grad_output
             .data()
@@ -51,15 +55,6 @@ impl Layer for Relu {
             .map(|(&g, &m)| g * m)
             .collect();
         Tensor::from_vec(data, grad_output.dims())
-    }
-
-    fn forward_batch(&mut self, input: &Tensor) -> Tensor {
-        // Element-wise: a [batch, ...] tensor is just a bigger tensor.
-        self.forward(input)
-    }
-
-    fn backward_batch(&mut self, _input: &Tensor, grad_output: &Tensor) -> Tensor {
-        self.backward(grad_output)
     }
 
     fn infer_batch(&self, input: &Tensor, _scratch: &mut crate::InferScratch) -> Tensor {
@@ -95,17 +90,17 @@ pub(crate) fn sigmoid_scalar(x: f32) -> f32 {
 }
 
 impl Layer for Sigmoid {
-    fn forward(&mut self, input: &Tensor) -> Tensor {
+    fn forward_batch(&mut self, input: &Tensor) -> Tensor {
         let out = input.map(sigmoid_scalar);
         self.output = Some(out.data().to_vec());
         out
     }
 
-    fn backward(&mut self, grad_output: &Tensor) -> Tensor {
+    fn backward_batch(&mut self, _input: &Tensor, grad_output: &Tensor) -> Tensor {
         let y = self
             .output
             .as_ref()
-            .expect("backward called before forward");
+            .expect("backward_batch called before forward_batch");
         assert_eq!(y.len(), grad_output.len(), "sigmoid grad length mismatch");
         let data = grad_output
             .data()
@@ -114,15 +109,6 @@ impl Layer for Sigmoid {
             .map(|(&g, &s)| g * s * (1.0 - s))
             .collect();
         Tensor::from_vec(data, grad_output.dims())
-    }
-
-    fn forward_batch(&mut self, input: &Tensor) -> Tensor {
-        // Element-wise: a [batch, ...] tensor is just a bigger tensor.
-        self.forward(input)
-    }
-
-    fn backward_batch(&mut self, _input: &Tensor, grad_output: &Tensor) -> Tensor {
-        self.backward(grad_output)
     }
 
     fn infer_batch(&self, input: &Tensor, _scratch: &mut crate::InferScratch) -> Tensor {
@@ -152,17 +138,17 @@ impl Tanh {
 }
 
 impl Layer for Tanh {
-    fn forward(&mut self, input: &Tensor) -> Tensor {
+    fn forward_batch(&mut self, input: &Tensor) -> Tensor {
         let out = input.map(f32::tanh);
         self.output = Some(out.data().to_vec());
         out
     }
 
-    fn backward(&mut self, grad_output: &Tensor) -> Tensor {
+    fn backward_batch(&mut self, _input: &Tensor, grad_output: &Tensor) -> Tensor {
         let y = self
             .output
             .as_ref()
-            .expect("backward called before forward");
+            .expect("backward_batch called before forward_batch");
         assert_eq!(y.len(), grad_output.len(), "tanh grad length mismatch");
         let data = grad_output
             .data()
@@ -171,15 +157,6 @@ impl Layer for Tanh {
             .map(|(&g, &t)| g * (1.0 - t * t))
             .collect();
         Tensor::from_vec(data, grad_output.dims())
-    }
-
-    fn forward_batch(&mut self, input: &Tensor) -> Tensor {
-        // Element-wise: a [batch, ...] tensor is just a bigger tensor.
-        self.forward(input)
-    }
-
-    fn backward_batch(&mut self, _input: &Tensor, grad_output: &Tensor) -> Tensor {
-        self.backward(grad_output)
     }
 
     fn infer_batch(&self, input: &Tensor, _scratch: &mut crate::InferScratch) -> Tensor {
@@ -195,45 +172,25 @@ impl Layer for Tanh {
     }
 }
 
-/// Flattens any input to rank-1, remembering the original shape for the
-/// backward pass. Bridges CONV/POOL feature maps into FC layers.
+/// Flattens each sample of a `[batch, …]` input to rank 1 (`[batch, n]`
+/// out). Bridges CONV/POOL feature maps into FC layers.
 #[derive(Debug, Clone, Default)]
-pub struct Flatten {
-    input_dims: Option<Vec<usize>>,
-}
+pub struct Flatten;
 
 impl Flatten {
     /// Creates a flatten layer.
     pub fn new() -> Self {
-        Self::default()
+        Self
     }
 }
 
 impl Layer for Flatten {
-    fn forward(&mut self, input: &Tensor) -> Tensor {
-        self.input_dims = Some(input.dims().to_vec());
-        input.reshape(&[input.len()])
-    }
-
-    fn backward(&mut self, grad_output: &Tensor) -> Tensor {
-        let dims = self
-            .input_dims
-            .as_ref()
-            .expect("backward called before forward");
-        grad_output.reshape(dims)
-    }
-
     fn forward_batch(&mut self, input: &Tensor) -> Tensor {
         let batch = input.dims()[0];
-        self.input_dims = Some(input.dims()[1..].to_vec());
         input.reshape(&[batch, input.len() / batch])
     }
 
     fn backward_batch(&mut self, input: &Tensor, grad_output: &Tensor) -> Tensor {
-        let _ = self
-            .input_dims
-            .as_ref()
-            .expect("backward called before forward");
         grad_output.reshape(input.dims())
     }
 
@@ -259,34 +216,44 @@ mod tests {
     #[test]
     fn relu_forward_and_mask() {
         let mut relu = Relu::new();
-        let y = relu.forward(&Tensor::from_vec(vec![-1.0, 0.0, 2.0, -0.5], &[4]));
+        let x = Tensor::from_vec(vec![-1.0, 0.0, 2.0, -0.5], &[1, 4]);
+        let y = relu.forward_batch(&x);
         assert_eq!(y.data(), &[0.0, 0.0, 2.0, 0.0]);
-        let gx = relu.backward(&Tensor::from_vec(vec![1.0, 1.0, 1.0, 1.0], &[4]));
+        let gx = relu.backward_batch(&x, &Tensor::ones(&[1, 4]));
         assert_eq!(gx.data(), &[0.0, 0.0, 1.0, 0.0]);
     }
 
     #[test]
     fn sigmoid_range_and_gradient() {
         let mut s = Sigmoid::new();
-        let y = s.forward(&Tensor::from_vec(vec![-10.0, 0.0, 10.0], &[3]));
+        let x = Tensor::from_vec(vec![-10.0, 0.0, 10.0], &[1, 3]);
+        let y = s.forward_batch(&x);
         assert!(y.data()[0] < 0.001 && (y.data()[1] - 0.5).abs() < 1e-6 && y.data()[2] > 0.999);
         // Gradient at 0 is 0.25.
-        let gx = s.backward(&Tensor::ones(&[3]));
+        let gx = s.backward_batch(&x, &Tensor::ones(&[1, 3]));
         assert!((gx.data()[1] - 0.25).abs() < 1e-6);
     }
 
     #[test]
     fn tanh_gradient_at_zero_is_one() {
         let mut t = Tanh::new();
-        t.forward(&Tensor::zeros(&[1]));
-        let gx = t.backward(&Tensor::ones(&[1]));
+        let x = Tensor::zeros(&[1, 1]);
+        t.forward_batch(&x);
+        let gx = t.backward_batch(&x, &Tensor::ones(&[1, 1]));
         assert!((gx.data()[0] - 1.0).abs() < 1e-6);
     }
 
     #[test]
     fn activations_pass_gradient_check() {
         // Inputs chosen away from the ReLU kink so finite differences apply.
-        let input = Tensor::from_vec(vec![-1.5, -0.3, 0.4, 1.2, 2.0], &[5]);
+        let input = Tensor::from_vec(
+            vec![
+                -1.5, -0.3, 0.4, 1.2, 2.0, //
+                0.7, -2.2, 1.6, -0.9, 0.2, //
+                -0.6, 1.1, -1.3, 0.5, 2.4,
+            ],
+            &[3, 5],
+        );
         check_input_gradient(&mut Relu::new(), &input, 1e-2);
         check_input_gradient(&mut Sigmoid::new(), &input, 1e-2);
         check_input_gradient(&mut Tanh::new(), &input, 1e-2);
@@ -295,11 +262,20 @@ mod tests {
     #[test]
     fn flatten_round_trips_shape() {
         let mut f = Flatten::new();
-        let x = Tensor::ones(&[2, 3, 4]);
-        let y = f.forward(&x);
-        assert_eq!(y.dims(), &[24]);
-        let gx = f.backward(&Tensor::ones(&[24]));
-        assert_eq!(gx.dims(), &[2, 3, 4]);
+        let x = Tensor::ones(&[3, 2, 3, 4]);
+        let y = f.forward_batch(&x);
+        assert_eq!(y.dims(), &[3, 24]);
+        let gx = f.backward_batch(&x, &Tensor::ones(&[3, 24]));
+        assert_eq!(gx.dims(), &[3, 2, 3, 4]);
+    }
+
+    #[test]
+    fn flatten_passes_gradient_check() {
+        let input = Tensor::from_vec(
+            (0..24).map(|i| (i as f32 * 0.37).sin()).collect(),
+            &[3, 2, 2, 2],
+        );
+        check_input_gradient(&mut Flatten::new(), &input, 1e-2);
     }
 
     #[test]

@@ -11,7 +11,7 @@ use rand::Rng;
 
 use crate::layer::Layer;
 
-/// A dense convolution layer over `[C, H, W]` inputs.
+/// A dense convolution layer over `[B, C, H, W]` batches.
 ///
 /// # Examples
 ///
@@ -21,8 +21,8 @@ use crate::layer::Layer;
 ///
 /// // 1→4 channels, 5×5 kernel, stride 1, no padding (LeNet-5's first layer).
 /// let mut conv = Conv2d::new(&mut seeded_rng(0), 1, 4, 5, 1, 0);
-/// let y = conv.forward(&Tensor::ones(&[1, 28, 28]));
-/// assert_eq!(y.dims(), &[4, 24, 24]);
+/// let y = conv.forward_batch(&Tensor::ones(&[1, 1, 28, 28]));
+/// assert_eq!(y.dims(), &[1, 4, 24, 24]);
 /// ```
 #[derive(Debug, Clone)]
 pub struct Conv2d {
@@ -36,8 +36,6 @@ pub struct Conv2d {
     bias: Vec<f32>,
     wgrad: Tensor,
     bgrad: Vec<f32>,
-    cols_cache: Option<Tensor>,
-    geom_cache: Option<ConvGeometry>,
     /// Per-sample `(geometry, im2col matrix)` caches recorded by
     /// `forward_batch` (training mode only) for `backward_batch`.
     batch_caches: Vec<(ConvGeometry, Tensor)>,
@@ -70,8 +68,6 @@ impl Conv2d {
             bias: vec![0.0; out_channels],
             wgrad: Tensor::zeros(&[out_channels, patch]),
             bgrad: vec![0.0; out_channels],
-            cols_cache: None,
-            geom_cache: None,
             batch_caches: Vec::new(),
             training: true,
         }
@@ -108,8 +104,6 @@ impl Conv2d {
             bgrad: vec![0.0; out_channels],
             weight,
             bias,
-            cols_cache: None,
-            geom_cache: None,
             batch_caches: Vec::new(),
             training: true,
         }
@@ -161,61 +155,9 @@ impl Conv2d {
             cols,
         )
     }
-
-    /// Shared backward core over explicit forward caches.
-    fn backward_impl(
-        &mut self,
-        grad_output: &Tensor,
-        geom: &ConvGeometry,
-        cols: &Tensor,
-    ) -> Tensor {
-        let (oh, ow) = (geom.out_height(), geom.out_width());
-        assert_eq!(
-            grad_output.dims(),
-            &[self.out_channels, oh, ow],
-            "conv grad shape mismatch"
-        );
-        // Rearrange grad to [patches, P].
-        let mut gmat = vec![0.0f32; geom.num_patches() * self.out_channels];
-        for p in 0..self.out_channels {
-            for patch in 0..geom.num_patches() {
-                gmat[patch * self.out_channels + p] = grad_output.data()[p * oh * ow + patch];
-            }
-        }
-        let gmat = Tensor::from_vec(gmat, &[geom.num_patches(), self.out_channels]);
-        // ∂L/∂W = gᵀ·cols  ([P, patch_len])
-        let wgrad_delta = gmat.transpose().matmul(cols);
-        self.wgrad.axpy(1.0, &wgrad_delta);
-        for p in 0..self.out_channels {
-            self.bgrad[p] += (0..geom.num_patches())
-                .map(|patch| gmat.data()[patch * self.out_channels + p])
-                .sum::<f32>();
-        }
-        // ∂L/∂cols = g·W  ([patches, patch_len]), then scatter back.
-        let gcols = gmat.matmul(&self.weight);
-        col2im(&gcols, geom)
-    }
 }
 
 impl Layer for Conv2d {
-    fn forward(&mut self, input: &Tensor) -> Tensor {
-        let (out, geom, cols) = self.forward_impl(input);
-        self.geom_cache = Some(geom);
-        self.cols_cache = Some(cols);
-        out
-    }
-
-    fn backward(&mut self, grad_output: &Tensor) -> Tensor {
-        let geom = self.geom_cache.expect("backward called before forward");
-        let cols = self
-            .cols_cache
-            .take()
-            .expect("backward called before forward");
-        let gx = self.backward_impl(grad_output, &geom, &cols);
-        self.cols_cache = Some(cols);
-        gx
-    }
-
     fn forward_batch(&mut self, input: &Tensor) -> Tensor {
         let batch = input.dims()[0];
         assert!(batch > 0, "empty batch");
@@ -243,13 +185,30 @@ impl Layer for Conv2d {
             self.batch_caches.len(),
             "backward_batch called before forward_batch (or in inference mode)"
         );
-        let caches = core::mem::take(&mut self.batch_caches);
-        let gx = circnn_tensor::stack_samples(batch, |b| {
-            let (geom, cols) = &caches[b];
-            self.backward_impl(&grad_output.index_axis0(b), geom, cols)
-        });
-        self.batch_caches = caches;
-        gx
+        let p_out = self.out_channels;
+        circnn_tensor::stack_samples(batch, |b| {
+            let (geom, cols) = &self.batch_caches[b];
+            let (oh, ow, patches) = (geom.out_height(), geom.out_width(), geom.num_patches());
+            let g = grad_output.index_axis0(b);
+            assert_eq!(g.dims(), &[p_out, oh, ow], "conv grad shape mismatch");
+            // Rearrange grad to [patches, P].
+            let mut gmat = vec![0.0f32; patches * p_out];
+            for p in 0..p_out {
+                for patch in 0..patches {
+                    gmat[patch * p_out + p] = g.data()[p * oh * ow + patch];
+                }
+            }
+            let gmat = Tensor::from_vec(gmat, &[patches, p_out]);
+            // ∂L/∂W = gᵀ·cols  ([P, patch_len])
+            self.wgrad.axpy(1.0, &gmat.transpose().matmul(cols));
+            for p in 0..p_out {
+                self.bgrad[p] += (0..patches)
+                    .map(|patch| gmat.data()[patch * p_out + p])
+                    .sum::<f32>();
+            }
+            // ∂L/∂cols = g·W  ([patches, patch_len]), then scatter back.
+            col2im(&gmat.matmul(&self.weight), geom)
+        })
     }
 
     fn infer_batch(&self, input: &Tensor, _scratch: &mut crate::InferScratch) -> Tensor {
@@ -298,11 +257,11 @@ mod tests {
     fn output_shape_follows_geometry() {
         let mut rng = seeded_rng(0);
         let mut conv = Conv2d::new(&mut rng, 3, 8, 3, 1, 1);
-        let y = conv.forward(&Tensor::ones(&[3, 16, 16]));
-        assert_eq!(y.dims(), &[8, 16, 16]); // same padding
+        let y = conv.forward_batch(&Tensor::ones(&[2, 3, 16, 16]));
+        assert_eq!(y.dims(), &[2, 8, 16, 16]); // same padding
         let mut strided = Conv2d::new(&mut rng, 3, 8, 3, 2, 1);
-        let y2 = strided.forward(&Tensor::ones(&[3, 16, 16]));
-        assert_eq!(y2.dims(), &[8, 8, 8]);
+        let y2 = strided.forward_batch(&Tensor::ones(&[1, 3, 16, 16]));
+        assert_eq!(y2.dims(), &[1, 8, 8, 8]);
     }
 
     #[test]
@@ -310,9 +269,9 @@ mod tests {
         // Single 1×1 filter with weight 1 on channel 0.
         let w = Tensor::from_vec(vec![1.0, 0.0], &[1, 2]);
         let mut conv = Conv2d::from_weights(w, vec![0.0], 2, 1, 1, 0);
-        let x = Tensor::from_vec((0..18).map(|i| i as f32).collect(), &[2, 3, 3]);
-        let y = conv.forward(&x);
-        assert_eq!(y.dims(), &[1, 3, 3]);
+        let x = Tensor::from_vec((0..18).map(|i| i as f32).collect(), &[1, 2, 3, 3]);
+        let y = conv.forward_batch(&x);
+        assert_eq!(y.dims(), &[1, 1, 3, 3]);
         assert_eq!(y.data(), &x.data()[0..9]);
     }
 
@@ -320,7 +279,7 @@ mod tests {
     fn bias_shifts_all_outputs() {
         let w = Tensor::from_vec(vec![0.0; 4], &[1, 4]);
         let mut conv = Conv2d::from_weights(w, vec![2.5], 1, 2, 1, 0);
-        let y = conv.forward(&Tensor::ones(&[1, 3, 3]));
+        let y = conv.forward_batch(&Tensor::ones(&[1, 1, 3, 3]));
         assert!(y.data().iter().all(|&v| v == 2.5));
     }
 
@@ -328,7 +287,7 @@ mod tests {
     fn gradients_match_finite_differences() {
         let mut rng = seeded_rng(21);
         let mut conv = Conv2d::new(&mut rng, 2, 3, 3, 1, 1);
-        let input = circnn_tensor::init::uniform(&mut rng, &[2, 5, 5], -1.0, 1.0);
+        let input = circnn_tensor::init::uniform(&mut rng, &[3, 2, 5, 5], -1.0, 1.0);
         check_input_gradient(&mut conv, &input, 2e-2);
         check_param_gradients(&mut conv, &input, 2e-2);
     }
@@ -337,7 +296,7 @@ mod tests {
     fn strided_gradients_match_finite_differences() {
         let mut rng = seeded_rng(22);
         let mut conv = Conv2d::new(&mut rng, 1, 2, 3, 2, 1);
-        let input = circnn_tensor::init::uniform(&mut rng, &[1, 6, 6], -1.0, 1.0);
+        let input = circnn_tensor::init::uniform(&mut rng, &[3, 1, 6, 6], -1.0, 1.0);
         check_input_gradient(&mut conv, &input, 2e-2);
         check_param_gradients(&mut conv, &input, 2e-2);
     }
@@ -353,6 +312,6 @@ mod tests {
     #[should_panic(expected = "channel mismatch")]
     fn validates_input_channels() {
         let mut conv = Conv2d::new(&mut seeded_rng(0), 3, 4, 3, 1, 1);
-        let _ = conv.forward(&Tensor::ones(&[2, 8, 8]));
+        let _ = conv.forward_batch(&Tensor::ones(&[1, 2, 8, 8]));
     }
 }

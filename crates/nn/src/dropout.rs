@@ -21,8 +21,8 @@ use crate::layer::Layer;
 ///
 /// let mut drop = Dropout::new(0.5, 7);
 /// drop.set_training(false);
-/// let x = Tensor::ones(&[8]);
-/// assert_eq!(drop.forward(&x).data(), x.data()); // identity at inference
+/// let x = Tensor::ones(&[1, 8]);
+/// assert_eq!(drop.forward_batch(&x).data(), x.data()); // identity at inference
 /// ```
 #[derive(Debug, Clone)]
 pub struct Dropout {
@@ -59,7 +59,9 @@ impl Dropout {
 }
 
 impl Layer for Dropout {
-    fn forward(&mut self, input: &Tensor) -> Tensor {
+    // Element-wise: one mask over the whole [batch, ...] tensor draws the
+    // same per-unit Bernoulli stream as per-sample masks drawn in order.
+    fn forward_batch(&mut self, input: &Tensor) -> Tensor {
         if !self.training || self.p == 0.0 {
             self.mask = None;
             return input.clone();
@@ -85,7 +87,7 @@ impl Layer for Dropout {
         Tensor::from_vec(data, input.dims())
     }
 
-    fn backward(&mut self, grad_output: &Tensor) -> Tensor {
+    fn backward_batch(&mut self, _input: &Tensor, grad_output: &Tensor) -> Tensor {
         match &self.mask {
             None => grad_output.clone(),
             Some(mask) => {
@@ -103,16 +105,6 @@ impl Layer for Dropout {
                 Tensor::from_vec(data, grad_output.dims())
             }
         }
-    }
-
-    fn forward_batch(&mut self, input: &Tensor) -> Tensor {
-        // Element-wise: one mask over the whole [batch, ...] tensor draws the
-        // same per-unit Bernoulli stream as per-sample masks drawn in order.
-        self.forward(input)
-    }
-
-    fn backward_batch(&mut self, _input: &Tensor, grad_output: &Tensor) -> Tensor {
-        self.backward(grad_output)
     }
 
     fn infer_batch(&self, input: &Tensor, _scratch: &mut crate::InferScratch) -> Tensor {
@@ -142,16 +134,17 @@ mod tests {
     fn inference_mode_is_identity() {
         let mut d = Dropout::new(0.8, 1);
         d.set_training(false);
-        let x = Tensor::from_vec(vec![1.0, -2.0, 3.0], &[3]);
-        assert_eq!(d.forward(&x).data(), x.data());
-        assert_eq!(d.backward(&Tensor::ones(&[3])).data(), &[1.0, 1.0, 1.0]);
+        let x = Tensor::from_vec(vec![1.0, -2.0, 3.0], &[1, 3]);
+        assert_eq!(d.forward_batch(&x).data(), x.data());
+        let gx = d.backward_batch(&x, &Tensor::ones(&[1, 3]));
+        assert_eq!(gx.data(), &[1.0, 1.0, 1.0]);
     }
 
     #[test]
     fn training_mode_zeroes_about_p_and_rescales() {
         let mut d = Dropout::new(0.5, 2);
-        let x = Tensor::ones(&[10_000]);
-        let y = d.forward(&x);
+        let x = Tensor::ones(&[10, 1_000]);
+        let y = d.forward_batch(&x);
         let zeros = y.data().iter().filter(|&&v| v == 0.0).count();
         assert!((4_000..6_000).contains(&zeros), "zeros = {zeros}");
         // Survivors carry 1/keep = 2.0.
@@ -163,9 +156,9 @@ mod tests {
     #[test]
     fn backward_routes_through_the_same_mask() {
         let mut d = Dropout::new(0.5, 3);
-        let x = Tensor::ones(&[64]);
-        let y = d.forward(&x);
-        let g = d.backward(&Tensor::ones(&[64]));
+        let x = Tensor::ones(&[4, 16]);
+        let y = d.forward_batch(&x);
+        let g = d.backward_batch(&x, &Tensor::ones(&[4, 16]));
         for (yo, go) in y.data().iter().zip(g.data()) {
             assert_eq!(yo == &0.0, go == &0.0, "mask mismatch");
         }
@@ -174,8 +167,8 @@ mod tests {
     #[test]
     fn zero_probability_is_identity_even_in_training() {
         let mut d = Dropout::new(0.0, 4);
-        let x = Tensor::from_vec(vec![5.0, -1.0], &[2]);
-        assert_eq!(d.forward(&x).data(), x.data());
+        let x = Tensor::from_vec(vec![5.0, -1.0], &[1, 2]);
+        assert_eq!(d.forward_batch(&x).data(), x.data());
     }
 
     #[test]

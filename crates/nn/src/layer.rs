@@ -5,48 +5,66 @@ use circnn_tensor::Tensor;
 
 use crate::infer::InferScratch;
 
-/// A differentiable network layer processing one sample at a time.
+/// A differentiable network layer over a **batch** of samples stacked along
+/// axis 0 (`[batch, …]` in, `[batch, …]` out). A single sample is a batch
+/// of one: a `[1, …]` tensor.
 ///
 /// The calling convention is strict and simple:
 ///
-/// 1. [`forward`] consumes the input and may cache whatever it needs;
-/// 2. [`backward`] receives `∂L/∂output`, **accumulates** parameter
-///    gradients internally, and returns `∂L/∂input`;
+/// 1. [`forward_batch`] consumes the batch and may cache whatever its
+///    backward pass needs;
+/// 2. [`backward_batch`] receives the same input and `∂L/∂output`,
+///    **accumulates** parameter gradients over the whole batch internally,
+///    and returns `∂L/∂input`;
 /// 3. [`visit_params`] exposes `(parameter, gradient)` slice pairs in a
 ///    deterministic order so optimizers can update them;
 /// 4. [`zero_grads`] clears the accumulated gradients between batches.
 ///
-/// [`forward`]: Layer::forward
-/// [`backward`]: Layer::backward
+/// [`infer_batch`] is the read-only serving counterpart of
+/// [`forward_batch`].
+///
+/// [`forward_batch`]: Layer::forward_batch
+/// [`backward_batch`]: Layer::backward_batch
+/// [`infer_batch`]: Layer::infer_batch
 /// [`visit_params`]: Layer::visit_params
 /// [`zero_grads`]: Layer::zero_grads
 ///
 /// # Examples
 ///
-/// A parameter-free layer only needs `forward`/`backward`:
+/// A parameter-free layer on a batch of one:
 ///
 /// ```
 /// use circnn_nn::{Layer, Relu};
 /// use circnn_tensor::Tensor;
 ///
 /// let mut relu = Relu::new();
-/// let y = relu.forward(&Tensor::from_vec(vec![-1.0, 2.0], &[2]));
+/// let x = Tensor::from_vec(vec![-1.0, 2.0], &[1, 2]);
+/// let y = relu.forward_batch(&x);
 /// assert_eq!(y.data(), &[0.0, 2.0]);
-/// let gx = relu.backward(&Tensor::ones(&[2]));
+/// let gx = relu.backward_batch(&x, &Tensor::ones(&[1, 2]));
 /// assert_eq!(gx.data(), &[0.0, 1.0]);
 /// ```
 pub trait Layer {
-    /// Computes the layer output for one sample, caching activations needed
-    /// by the backward pass.
-    fn forward(&mut self, input: &Tensor) -> Tensor;
-
-    /// Propagates `∂L/∂output` to `∂L/∂input`, accumulating parameter
-    /// gradients along the way.
+    /// Computes the `[batch, …]` output of a `[batch, …]` input, caching
+    /// what [`Layer::backward_batch`] needs (in training mode).
     ///
     /// # Panics
     ///
-    /// Implementations may panic if called before [`Layer::forward`].
-    fn backward(&mut self, grad_output: &Tensor) -> Tensor;
+    /// Implementations panic on an empty batch or a malformed input.
+    fn forward_batch(&mut self, input: &Tensor) -> Tensor;
+
+    /// Propagates a `[batch, …]` output gradient to a `[batch, …]` input
+    /// gradient, accumulating parameter gradients over the whole batch.
+    ///
+    /// `input` is the same tensor that was passed to the preceding
+    /// [`Layer::forward_batch`].
+    ///
+    /// # Panics
+    ///
+    /// Implementations may panic if called before a training-mode
+    /// [`Layer::forward_batch`], or if the leading dimensions of `input`
+    /// and `grad_output` disagree.
+    fn backward_batch(&mut self, input: &Tensor, grad_output: &Tensor) -> Tensor;
 
     /// Visits every `(parameter, gradient)` pair in a deterministic order.
     ///
@@ -63,46 +81,6 @@ pub trait Layer {
     /// Total trainable parameter count.
     fn param_count(&self) -> usize {
         0
-    }
-
-    /// Computes the layer output for a **batch** of samples stacked along
-    /// axis 0 (`[batch, …]` in, `[batch, …]` out).
-    ///
-    /// The default implementation loops [`Layer::forward`] over the rows —
-    /// always correct, never fast. Layers with a real batched kernel
-    /// (`Linear`, `CirculantLinear`, `Sequential`, element-wise layers)
-    /// override it; gradients and caching semantics must match running the
-    /// samples one at a time.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the batch axis is empty.
-    fn forward_batch(&mut self, input: &Tensor) -> Tensor {
-        let batch = input.dims()[0];
-        circnn_tensor::stack_samples(batch, |b| self.forward(&input.index_axis0(b)))
-    }
-
-    /// Batched counterpart of [`Layer::backward`]: propagates a `[batch, …]`
-    /// output gradient to a `[batch, …]` input gradient, accumulating
-    /// parameter gradients over the whole batch.
-    ///
-    /// `input` is the same tensor that was passed to
-    /// [`Layer::forward_batch`]; the default implementation re-runs
-    /// [`Layer::forward`] per sample to restore that sample's cached state
-    /// before calling [`Layer::backward`] (correct for any pure layer, at
-    /// 2× forward cost). Batched layers override this and ignore `input`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the leading dimensions of `input` and `grad_output`
-    /// disagree.
-    fn backward_batch(&mut self, input: &Tensor, grad_output: &Tensor) -> Tensor {
-        let batch = input.dims()[0];
-        assert_eq!(batch, grad_output.dims()[0], "batch size mismatch");
-        circnn_tensor::stack_samples(batch, |b| {
-            let _ = self.forward(&input.index_axis0(b));
-            self.backward(&grad_output.index_axis0(b))
-        })
     }
 
     /// Read-only batched inference: computes the `[batch, …]` output of
@@ -169,7 +147,9 @@ pub trait Layer {
 
 #[cfg(test)]
 pub(crate) mod testutil {
-    //! Finite-difference gradient checking shared by the layer tests.
+    //! Finite-difference gradient checking shared by the layer tests. Both
+    //! checks drive the batched pair (`forward_batch`/`backward_batch`) on
+    //! a `[B, …]` input, so cross-sample accumulation is checked too.
 
     use super::Layer;
     use circnn_tensor::Tensor;
@@ -183,22 +163,22 @@ pub(crate) mod testutil {
     }
 
     fn forward_loss<L: Layer>(layer: &mut L, input: &Tensor) -> f32 {
-        let out = layer.forward(input);
+        let out = layer.forward_batch(input);
         let w = loss_weights(out.len());
         out.data().iter().zip(&w).map(|(&y, &c)| y * c).sum()
     }
 
-    /// Checks `∂L/∂input` against central differences.
+    /// Checks `∂L/∂input` of a `[B, …]` batch against central differences.
     ///
     /// # Panics
     ///
     /// Panics (failing the test) when any component disagrees beyond the
     /// mixed absolute/relative tolerance `tol`.
     pub fn check_input_gradient<L: Layer>(layer: &mut L, input: &Tensor, tol: f32) {
-        let out = layer.forward(input);
+        let out = layer.forward_batch(input);
         let w = loss_weights(out.len());
         let grad_out = Tensor::from_vec(w, out.dims());
-        let analytic = layer.backward(&grad_out);
+        let analytic = layer.backward_batch(input, &grad_out);
         let eps = 1e-2f32;
         for i in 0..input.len() {
             let mut plus = input.clone();
@@ -215,18 +195,19 @@ pub(crate) mod testutil {
         }
     }
 
-    /// Checks every parameter gradient against central differences.
+    /// Checks every parameter gradient, accumulated over a `[B, …]` batch,
+    /// against central differences.
     ///
     /// # Panics
     ///
     /// Panics (failing the test) when any parameter gradient disagrees
     /// beyond the mixed tolerance `tol`.
     pub fn check_param_gradients<L: Layer>(layer: &mut L, input: &Tensor, tol: f32) {
-        let out = layer.forward(input);
+        let out = layer.forward_batch(input);
         let w = loss_weights(out.len());
         let grad_out = Tensor::from_vec(w, out.dims());
         layer.zero_grads();
-        let _ = layer.backward(&grad_out);
+        let _ = layer.backward_batch(input, &grad_out);
         // Collect analytic gradients.
         let mut analytic: Vec<Vec<f32>> = Vec::new();
         layer.visit_params(&mut |_, g| analytic.push(g.to_vec()));

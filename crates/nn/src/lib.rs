@@ -4,15 +4,16 @@
 //!
 //! The paper trains its networks in Caffe on GPUs; this crate is the
 //! from-scratch CPU replacement: hand-written backward passes — small,
-//! auditable, and deterministic — plus batched forward/backward hooks that
-//! the block-circulant engine (`circnn-core`) and the serving layer
+//! auditable, and deterministic — over a batched layer contract that the
+//! block-circulant engine (`circnn-core`) and the serving layer
 //! (`circnn-serve`) plug their fast kernels into.
 //!
 //! Contents:
 //!
-//! * [`Layer`] — the forward/backward/parameter-visitation contract, plus
-//!   the batched training hooks (`forward_batch`/`backward_batch`) and the
-//!   read-only serving hook (`infer_batch`).
+//! * [`Layer`] — the batched training contract
+//!   (`forward_batch`/`backward_batch` over `[batch, …]` tensors; a single
+//!   sample is a batch of one), parameter visitation, and the read-only
+//!   serving hook (`infer_batch`).
 //! * [`InferScratch`] — per-worker scratch slots backing `infer_batch`, so
 //!   an `Arc`-shared network can serve many threads without locks.
 //! * [`Linear`], [`Conv2d`], [`MaxPool2d`], [`AvgPool2d`], [`Relu`],
@@ -40,8 +41,8 @@
 //!     .add(Linear::new(&mut rng, 4, 8))
 //!     .add(Relu::new())
 //!     .add(Linear::new(&mut rng, 8, 2));
-//! let out = net.forward(&Tensor::ones(&[4]));
-//! assert_eq!(out.dims(), &[2]);
+//! let out = net.forward_batch(&Tensor::ones(&[1, 4]));
+//! assert_eq!(out.dims(), &[1, 2]);
 //! ```
 
 #![forbid(unsafe_code)]

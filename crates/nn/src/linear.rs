@@ -19,8 +19,8 @@ use crate::layer::Layer;
 /// use circnn_tensor::{init::seeded_rng, Tensor};
 ///
 /// let mut layer = Linear::new(&mut seeded_rng(1), 3, 2);
-/// let y = layer.forward(&Tensor::ones(&[3]));
-/// assert_eq!(y.dims(), &[2]);
+/// let y = layer.forward_batch(&Tensor::ones(&[1, 3]));
+/// assert_eq!(y.dims(), &[1, 2]);
 /// assert_eq!(layer.param_count(), 3 * 2 + 2);
 /// ```
 #[derive(Debug, Clone)]
@@ -29,7 +29,6 @@ pub struct Linear {
     bias: Vec<f32>,
     wgrad: Tensor,
     bgrad: Vec<f32>,
-    input_cache: Option<Vec<f32>>,
     mask: Option<Vec<f32>>,
     in_dim: usize,
     out_dim: usize,
@@ -48,7 +47,6 @@ impl Linear {
             bias: vec![0.0; out_dim],
             wgrad: Tensor::zeros(&[out_dim, in_dim]),
             bgrad: vec![0.0; out_dim],
-            input_cache: None,
             mask: None,
             in_dim,
             out_dim,
@@ -70,7 +68,6 @@ impl Linear {
             bgrad: vec![0.0; out_dim],
             weight,
             bias,
-            input_cache: None,
             mask: None,
             in_dim,
             out_dim,
@@ -162,60 +159,6 @@ impl Linear {
 }
 
 impl Layer for Linear {
-    fn forward(&mut self, input: &Tensor) -> Tensor {
-        assert_eq!(input.len(), self.in_dim, "linear input length mismatch");
-        self.input_cache = Some(input.data().to_vec());
-        let mut y = self.weight.matvec(input.data());
-        for (v, &b) in y.iter_mut().zip(&self.bias) {
-            *v += b;
-        }
-        Tensor::from_vec(y, &[self.out_dim])
-    }
-
-    fn backward(&mut self, grad_output: &Tensor) -> Tensor {
-        assert_eq!(
-            grad_output.len(),
-            self.out_dim,
-            "linear grad length mismatch"
-        );
-        let x = self
-            .input_cache
-            .as_ref()
-            .expect("backward called before forward")
-            .clone();
-        let g = grad_output.data();
-        let wg = self.wgrad.data_mut();
-        for i in 0..self.out_dim {
-            let gi = g[i];
-            if gi != 0.0 {
-                let row = &mut wg[i * self.in_dim..(i + 1) * self.in_dim];
-                for (slot, &xj) in row.iter_mut().zip(&x) {
-                    *slot += gi * xj;
-                }
-            }
-            self.bgrad[i] += gi;
-        }
-        if let Some(mask) = &self.mask {
-            for (slot, &m) in wg.iter_mut().zip(mask) {
-                *slot *= m;
-            }
-        }
-        // ∂L/∂x = Wᵀ·g
-        let w = self.weight.data();
-        let mut gx = vec![0.0f32; self.in_dim];
-        for i in 0..self.out_dim {
-            let gi = g[i];
-            if gi == 0.0 {
-                continue;
-            }
-            let row = &w[i * self.in_dim..(i + 1) * self.in_dim];
-            for (slot, &wij) in gx.iter_mut().zip(row) {
-                *slot += gi * wij;
-            }
-        }
-        Tensor::from_vec(gx, &[self.in_dim])
-    }
-
     fn forward_batch(&mut self, input: &Tensor) -> Tensor {
         self.apply_batch(input)
     }
@@ -246,8 +189,8 @@ impl Layer for Linear {
         let wg = self.wgrad.data_mut();
         let w = self.weight.data();
         let mut gx = vec![0.0f32; batch * self.in_dim];
-        // Sample-outer loops keep the accumulation order identical to the
-        // per-sample path, so batched training is bit-stable with it.
+        // Sample-outer loops: a batch accumulates exactly what its samples
+        // would as batches of one, in order.
         for b in 0..batch {
             let xr = &x[b * self.in_dim..(b + 1) * self.in_dim];
             let gr = &g[b * self.out_dim..(b + 1) * self.out_dim];
@@ -297,7 +240,7 @@ mod tests {
     fn forward_matches_hand_computation() {
         let w = Tensor::from_vec(vec![1.0, 2.0, 3.0, 4.0, 5.0, 6.0], &[2, 3]);
         let mut layer = Linear::from_weights(w, vec![0.5, -0.5]);
-        let y = layer.forward(&Tensor::from_vec(vec![1.0, 0.0, -1.0], &[3]));
+        let y = layer.forward_batch(&Tensor::from_vec(vec![1.0, 0.0, -1.0], &[1, 3]));
         assert_eq!(y.data(), &[1.0 - 3.0 + 0.5, 4.0 - 6.0 - 0.5]);
     }
 
@@ -305,7 +248,7 @@ mod tests {
     fn gradients_match_finite_differences() {
         let mut rng = seeded_rng(11);
         let mut layer = Linear::new(&mut rng, 5, 4);
-        let input = circnn_tensor::init::uniform(&mut rng, &[5], -1.0, 1.0);
+        let input = circnn_tensor::init::uniform(&mut rng, &[3, 5], -1.0, 1.0);
         check_input_gradient(&mut layer, &input, 2e-2);
         check_param_gradients(&mut layer, &input, 2e-2);
     }
@@ -314,14 +257,14 @@ mod tests {
     fn gradients_accumulate_until_zeroed() {
         let mut rng = seeded_rng(3);
         let mut layer = Linear::new(&mut rng, 2, 2);
-        let x = Tensor::ones(&[2]);
-        let g = Tensor::ones(&[2]);
-        layer.forward(&x);
-        layer.backward(&g);
+        let x = Tensor::ones(&[1, 2]);
+        let g = Tensor::ones(&[1, 2]);
+        layer.forward_batch(&x);
+        layer.backward_batch(&x, &g);
         let mut first = Vec::new();
         layer.visit_params(&mut |_, gr| first.push(gr.to_vec()));
-        layer.forward(&x);
-        layer.backward(&g);
+        layer.forward_batch(&x);
+        layer.backward_batch(&x, &g);
         let mut second = Vec::new();
         layer.visit_params(&mut |_, gr| second.push(gr.to_vec()));
         for (a, b) in first.iter().zip(&second) {
@@ -348,8 +291,9 @@ mod tests {
         assert_eq!(layer.weight().data()[4], 0.0);
         assert_eq!(layer.nonzero_weights(), 4);
         // Masked entries receive zero gradient.
-        layer.forward(&Tensor::ones(&[3]));
-        layer.backward(&Tensor::ones(&[2]));
+        let x = Tensor::ones(&[1, 3]);
+        layer.forward_batch(&x);
+        layer.backward_batch(&x, &Tensor::ones(&[1, 2]));
         let mut grads = Vec::new();
         layer.visit_params(&mut |_, g| grads.push(g.to_vec()));
         assert_eq!(grads[0][0], 0.0);
@@ -361,7 +305,7 @@ mod tests {
     #[should_panic(expected = "input length mismatch")]
     fn forward_validates_input() {
         let mut layer = Linear::new(&mut seeded_rng(0), 3, 2);
-        let _ = layer.forward(&Tensor::ones(&[4]));
+        let _ = layer.forward_batch(&Tensor::ones(&[1, 4]));
     }
 
     #[test]

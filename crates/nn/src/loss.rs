@@ -1,5 +1,6 @@
 //! Loss functions. Each returns the scalar loss together with the gradient
-//! with respect to the network output, ready to feed `Layer::backward`.
+//! with respect to the network output, ready to feed
+//! `Layer::backward_batch`.
 
 use circnn_tensor::Tensor;
 

@@ -124,8 +124,6 @@ pub struct LowRankLinear {
     ugrad: Tensor,
     vtgrad: Tensor,
     bgrad: Vec<f32>,
-    input_cache: Option<Vec<f32>>,
-    mid_cache: Option<Vec<f32>>,
 }
 
 impl LowRankLinear {
@@ -158,8 +156,6 @@ impl LowRankLinear {
             u: u_scaled,
             vt: Tensor::from_vec(vt, &[r, n]),
             bias: layer.bias().to_vec(),
-            input_cache: None,
-            mid_cache: None,
         }
     }
 
@@ -175,51 +171,46 @@ impl LowRankLinear {
 }
 
 impl Layer for LowRankLinear {
-    fn forward(&mut self, input: &Tensor) -> Tensor {
-        let n = self.vt.dims()[1];
-        assert_eq!(input.len(), n, "low-rank input length mismatch");
-        self.input_cache = Some(input.data().to_vec());
-        let mid = self.vt.matvec(input.data());
-        self.mid_cache = Some(mid.clone());
-        let mut y = self.u.matvec(&mid);
-        for (v, &b) in y.iter_mut().zip(&self.bias) {
-            *v += b;
-        }
-        Tensor::from_vec(y, &[self.u.dims()[0]])
+    fn forward_batch(&mut self, input: &Tensor) -> Tensor {
+        // Stateless: the backward pass recomputes `Vᵀ·x` from its input.
+        self.infer_batch(input, &mut crate::InferScratch::new())
     }
 
-    fn backward(&mut self, grad_output: &Tensor) -> Tensor {
-        let x = self
-            .input_cache
-            .as_ref()
-            .expect("backward before forward")
-            .clone();
-        let mid = self
-            .mid_cache
-            .as_ref()
-            .expect("backward before forward")
-            .clone();
+    fn backward_batch(&mut self, input: &Tensor, grad_output: &Tensor) -> Tensor {
         let (m, r) = (self.u.dims()[0], self.u.dims()[1]);
         let n = self.vt.dims()[1];
-        let g = grad_output.data();
-        assert_eq!(g.len(), m, "low-rank grad length mismatch");
-        // ∂L/∂U = g·midᵀ ; ∂L/∂b = g
-        for i in 0..m {
+        let batch = input.dims()[0];
+        assert_eq!(input.len(), batch * n, "low-rank batch input mismatch");
+        assert_eq!(
+            grad_output.len(),
+            batch * m,
+            "low-rank grad length mismatch"
+        );
+        // Sample by sample, in order: the accumulation order of running the
+        // samples as batches of one.
+        circnn_tensor::stack_samples(batch, |b| {
+            let x = &input.data()[b * n..(b + 1) * n];
+            let g = &grad_output.data()[b * m..(b + 1) * m];
+            // The forward's `Vᵀ·x`, bit for bit.
+            let mid = self.vt.matvec(x);
+            // ∂L/∂U = g·midᵀ ; ∂L/∂b = g
+            for i in 0..m {
+                for c in 0..r {
+                    self.ugrad.data_mut()[i * r + c] += g[i] * mid[c];
+                }
+                self.bgrad[i] += g[i];
+            }
+            // g_mid = Uᵀ·g
+            let gmid = matvec_t(&self.u, g);
+            // ∂L/∂Vᵀ = g_mid·xᵀ
             for c in 0..r {
-                self.ugrad.data_mut()[i * r + c] += g[i] * mid[c];
+                for j in 0..n {
+                    self.vtgrad.data_mut()[c * n + j] += gmid[c] * x[j];
+                }
             }
-            self.bgrad[i] += g[i];
-        }
-        // g_mid = Uᵀ·g
-        let gmid = matvec_t(&self.u, g);
-        // ∂L/∂Vᵀ = g_mid·xᵀ
-        for c in 0..r {
-            for j in 0..n {
-                self.vtgrad.data_mut()[c * n + j] += gmid[c] * x[j];
-            }
-        }
-        // ∂L/∂x = Vᵀᵀ·g_mid = V·g_mid
-        Tensor::from_vec(matvec_t(&self.vt, &gmid), &[n])
+            // ∂L/∂x = Vᵀᵀ·g_mid = V·g_mid
+            Tensor::from_vec(matvec_t(&self.vt, &gmid), &[n])
+        })
     }
 
     fn infer_batch(&self, input: &Tensor, _scratch: &mut crate::InferScratch) -> Tensor {
@@ -328,11 +319,30 @@ mod tests {
         let mut rng = seeded_rng(5);
         let mut dense = Linear::new(&mut rng, 8, 8);
         let mut lr = LowRankLinear::compress(&dense, 8);
-        let x = circnn_tensor::init::uniform(&mut rng, &[8], -1.0, 1.0);
-        let yd = dense.forward(&x);
-        let yl = lr.forward(&x);
+        let x = circnn_tensor::init::uniform(&mut rng, &[3, 8], -1.0, 1.0);
+        let yd = dense.forward_batch(&x);
+        let yl = lr.forward_batch(&x);
         for (a, b) in yd.data().iter().zip(yl.data()) {
             assert!((a - b).abs() < 5e-2, "{a} vs {b}");
+        }
+    }
+
+    #[test]
+    fn training_forward_is_the_factored_matvecs_bit_for_bit() {
+        use crate::layer::Layer as _;
+        let mut rng = seeded_rng(8);
+        let mut lr = LowRankLinear::compress(&Linear::new(&mut rng, 6, 4), 3);
+        let mut x = circnn_tensor::init::uniform(&mut rng, &[3, 6], -1.0, 1.0);
+        x.data_mut()[6..12].fill(-0.0);
+        let bits = |v: &[f32]| v.iter().map(|f| f.to_bits()).collect::<Vec<_>>();
+        let trained = lr.forward_batch(&x);
+        for b in 0..3 {
+            // y = U·(Vᵀ·x) + b, one matvec at a time.
+            let mut expect = lr.u.matvec(&lr.vt.matvec(&x.data()[b * 6..(b + 1) * 6]));
+            for (v, &bias) in expect.iter_mut().zip(&lr.bias) {
+                *v += bias;
+            }
+            assert_eq!(bits(&trained.data()[b * 4..(b + 1) * 4]), bits(&expect));
         }
     }
 
@@ -342,7 +352,7 @@ mod tests {
         let mut rng = seeded_rng(6);
         let dense = Linear::new(&mut rng, 6, 4);
         let mut lr = LowRankLinear::compress(&dense, 2);
-        let x = circnn_tensor::init::uniform(&mut rng, &[6], -1.0, 1.0);
+        let x = circnn_tensor::init::uniform(&mut rng, &[3, 6], -1.0, 1.0);
         check_input_gradient(&mut lr, &x, 2e-2);
         check_param_gradients(&mut lr, &x, 2e-2);
     }

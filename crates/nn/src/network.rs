@@ -23,7 +23,7 @@ use crate::layer::Layer;
 ///     .add(Linear::new(&mut rng, 2, 16))
 ///     .add(Relu::new())
 ///     .add(Linear::new(&mut rng, 16, 3));
-/// assert_eq!(net.forward(&Tensor::ones(&[2])).dims(), &[3]);
+/// assert_eq!(net.forward_batch(&Tensor::ones(&[4, 2])).dims(), &[4, 3]);
 /// assert_eq!(net.depth(), 3);
 /// ```
 pub struct Sequential {
@@ -83,9 +83,12 @@ impl Sequential {
         self.layers.iter().map(|b| b.as_ref())
     }
 
-    /// Class prediction: forward pass + argmax over the final output.
+    /// Class prediction for one sample (no batch axis): a forward pass
+    /// over it as a batch of one, then the argmax of the output.
     pub fn predict(&mut self, input: &Tensor) -> usize {
-        self.forward(input).argmax()
+        let mut dims = vec![1];
+        dims.extend_from_slice(input.dims());
+        self.forward_batch(&input.reshape(&dims)).argmax()
     }
 
     /// Per-layer `(name, param_count)` summary.
@@ -133,22 +136,6 @@ impl Sequential {
 }
 
 impl Layer for Sequential {
-    fn forward(&mut self, input: &Tensor) -> Tensor {
-        let mut x = input.clone();
-        for layer in &mut self.layers {
-            x = layer.forward(&x);
-        }
-        x
-    }
-
-    fn backward(&mut self, grad_output: &Tensor) -> Tensor {
-        let mut g = grad_output.clone();
-        for layer in self.layers.iter_mut().rev() {
-            g = layer.backward(&g);
-        }
-        g
-    }
-
     fn forward_batch(&mut self, input: &Tensor) -> Tensor {
         self.batch_inputs.clear();
         let mut x = input.clone();
@@ -254,7 +241,7 @@ mod tests {
         let mut net = Sequential::new()
             .add(Linear::from_weights(w1, vec![0.0, 0.0]))
             .add(Linear::from_weights(w2, vec![1.0, 1.0]));
-        let y = net.forward(&Tensor::from_vec(vec![3.0, -4.0], &[2]));
+        let y = net.forward_batch(&Tensor::from_vec(vec![3.0, -4.0], &[1, 2]));
         assert_eq!(y.data(), &[7.0, -7.0]);
     }
 
@@ -265,10 +252,10 @@ mod tests {
             .add(Linear::new(&mut rng, 3, 5))
             .add(Relu::new())
             .add(Linear::new(&mut rng, 5, 2));
-        let x = Tensor::ones(&[3]);
-        net.forward(&x);
-        let gx = net.backward(&Tensor::ones(&[2]));
-        assert_eq!(gx.dims(), &[3]);
+        let x = Tensor::ones(&[2, 3]);
+        net.forward_batch(&x);
+        let gx = net.backward_batch(&x, &Tensor::ones(&[2, 2]));
+        assert_eq!(gx.dims(), &[2, 3]);
     }
 
     #[test]
@@ -279,7 +266,7 @@ mod tests {
             .add(Linear::new(&mut rng, 4, 6))
             .add(crate::activation::Tanh::new())
             .add(Linear::new(&mut rng, 6, 3));
-        let x = circnn_tensor::init::uniform(&mut rng, &[4], -1.0, 1.0);
+        let x = circnn_tensor::init::uniform(&mut rng, &[3, 4], -1.0, 1.0);
         check_input_gradient(&mut net, &x, 2e-2);
         check_param_gradients(&mut net, &x, 2e-2);
     }

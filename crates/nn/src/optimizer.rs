@@ -29,8 +29,9 @@ pub trait Optimizer {
 /// let mut layer = Linear::new(&mut seeded_rng(0), 2, 1);
 /// let mut opt = Sgd::new(0.1, 0.0);
 /// let before = layer.weight().data().to_vec();
-/// layer.forward(&Tensor::ones(&[2]));
-/// layer.backward(&Tensor::ones(&[1]));
+/// let x = Tensor::ones(&[1, 2]);
+/// layer.forward_batch(&x);
+/// layer.backward_batch(&x, &Tensor::ones(&[1, 1]));
 /// opt.step(&mut layer);
 /// assert_ne!(before, layer.weight().data());
 /// ```
@@ -178,17 +179,17 @@ mod tests {
     fn optimize_quadratic(opt: &mut dyn Optimizer, steps: usize) -> f32 {
         let mut rng = seeded_rng(42);
         let mut layer = Linear::new(&mut rng, 3, 2);
-        let x = Tensor::from_vec(vec![1.0, -0.5, 2.0], &[3]);
-        let target = Tensor::from_vec(vec![0.3, -0.7], &[2]);
+        let x = Tensor::from_vec(vec![1.0, -0.5, 2.0], &[1, 3]);
+        let target = Tensor::from_vec(vec![0.3, -0.7], &[1, 2]);
         let mse = crate::loss::MseLoss::new();
         let mut final_loss = f32::INFINITY;
         for _ in 0..steps {
             use crate::layer::Layer as _;
-            let out = layer.forward(&x);
+            let out = layer.forward_batch(&x);
             let (loss, grad) = mse.loss(&out, &target);
             final_loss = loss;
             layer.zero_grads();
-            layer.backward(&grad);
+            layer.backward_batch(&x, &grad);
             opt.step(&mut layer);
         }
         final_loss

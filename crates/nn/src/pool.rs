@@ -14,6 +14,22 @@ fn pooled_extent(inp: usize, window: usize, stride: usize) -> usize {
     (inp - window) / stride + 1
 }
 
+/// `[B, C, H, W]` dims and pooled extents of a pool layer's batch input.
+fn pool_dims(input: &Tensor, window: usize, stride: usize) -> ([usize; 4], usize, usize) {
+    assert_eq!(
+        input.shape().rank(),
+        4,
+        "pool batch input must be [B, C, H, W]"
+    );
+    let d = input.dims();
+    assert!(d[0] > 0, "empty batch");
+    let (oh, ow) = (
+        pooled_extent(d[2], window, stride),
+        pooled_extent(d[3], window, stride),
+    );
+    ([d[0], d[1], d[2], d[3]], oh, ow)
+}
+
 /// Shared read-only pooling core over a `[B, C, H, W]` batch: `reduce`
 /// folds one window into one output value. Pure (no layer state), so both
 /// pool layers serve through it.
@@ -23,22 +39,7 @@ fn pool_infer_batch(
     stride: usize,
     reduce: impl Fn(&[f32], usize, usize, usize, usize, usize) -> f32,
 ) -> Tensor {
-    assert_eq!(
-        input.shape().rank(),
-        4,
-        "pool batch input must be [B, C, H, W]"
-    );
-    let (batch, c, h, w) = (
-        input.dims()[0],
-        input.dims()[1],
-        input.dims()[2],
-        input.dims()[3],
-    );
-    assert!(batch > 0, "empty batch");
-    let (oh, ow) = (
-        pooled_extent(h, window, stride),
-        pooled_extent(w, window, stride),
-    );
+    let ([batch, c, h, w], oh, ow) = pool_dims(input, window, stride);
     let mut out = vec![0.0f32; batch * c * oh * ow];
     for b in 0..batch {
         let sample = &input.data()[b * c * h * w..(b + 1) * c * h * w];
@@ -64,21 +65,18 @@ fn pool_infer_batch(
 /// use circnn_tensor::Tensor;
 ///
 /// let mut pool = MaxPool2d::new(2, 2);
-/// let x = Tensor::from_vec((0..16).map(|i| i as f32).collect(), &[1, 4, 4]);
-/// let y = pool.forward(&x);
-/// assert_eq!(y.dims(), &[1, 2, 2]);
+/// let x = Tensor::from_vec((0..16).map(|i| i as f32).collect(), &[1, 1, 4, 4]);
+/// let y = pool.forward_batch(&x);
+/// assert_eq!(y.dims(), &[1, 1, 2, 2]);
 /// assert_eq!(y.data(), &[5.0, 7.0, 13.0, 15.0]);
 /// ```
 #[derive(Debug, Clone)]
 pub struct MaxPool2d {
     window: usize,
     stride: usize,
-    /// For each output element, the flat input index of its maximum.
-    argmax: Option<Vec<usize>>,
-    input_dims: Option<Vec<usize>>,
-    /// Per-sample argmax caches recorded by `forward_batch` (training mode
-    /// only) for `backward_batch`.
-    batch_argmax: Vec<Vec<usize>>,
+    /// For each output element of the last training-mode `forward_batch`,
+    /// the flat batch-input index of its window's maximum.
+    argmax: Vec<usize>,
     training: bool,
 }
 
@@ -93,96 +91,54 @@ impl MaxPool2d {
         Self {
             window,
             stride,
-            argmax: None,
-            input_dims: None,
-            batch_argmax: Vec::new(),
+            argmax: Vec::new(),
             training: true,
         }
     }
 }
 
 impl Layer for MaxPool2d {
-    fn forward(&mut self, input: &Tensor) -> Tensor {
-        assert_eq!(input.shape().rank(), 3, "pool input must be [C, H, W]");
-        let (c, h, w) = (input.dims()[0], input.dims()[1], input.dims()[2]);
-        let (oh, ow) = (
-            pooled_extent(h, self.window, self.stride),
-            pooled_extent(w, self.window, self.stride),
-        );
-        let mut out = vec![f32::NEG_INFINITY; c * oh * ow];
-        let mut argmax = vec![0usize; c * oh * ow];
+    fn forward_batch(&mut self, input: &Tensor) -> Tensor {
+        let ([batch, c, h, w], oh, ow) = pool_dims(input, self.window, self.stride);
         let data = input.data();
-        for ch in 0..c {
+        let mut out = Vec::with_capacity(batch * c * oh * ow);
+        self.argmax.clear();
+        for plane in 0..batch * c {
             for oy in 0..oh {
                 for ox in 0..ow {
-                    let oidx = (ch * oh + oy) * ow + ox;
+                    // The first strictly greater element wins; a window with
+                    // nothing above −∞ (all −∞ or NaN) routes its gradient
+                    // to its own first element.
+                    let first = (plane * h + oy * self.stride) * w + ox * self.stride;
+                    let (mut best, mut arg) = (f32::NEG_INFINITY, first);
                     for ky in 0..self.window {
                         for kx in 0..self.window {
-                            let iy = oy * self.stride + ky;
-                            let ix = ox * self.stride + kx;
-                            let iidx = (ch * h + iy) * w + ix;
-                            if data[iidx] > out[oidx] {
-                                out[oidx] = data[iidx];
-                                argmax[oidx] = iidx;
+                            let idx = first + ky * w + kx;
+                            if data[idx] > best {
+                                best = data[idx];
+                                arg = idx;
                             }
                         }
+                    }
+                    out.push(best);
+                    if self.training {
+                        self.argmax.push(arg);
                     }
                 }
             }
         }
-        self.argmax = Some(argmax);
-        self.input_dims = Some(vec![c, h, w]);
-        Tensor::from_vec(out, &[c, oh, ow])
-    }
-
-    fn backward(&mut self, grad_output: &Tensor) -> Tensor {
-        let argmax = self
-            .argmax
-            .as_ref()
-            .expect("backward called before forward");
-        let dims = self
-            .input_dims
-            .as_ref()
-            .expect("backward called before forward");
-        assert_eq!(grad_output.len(), argmax.len(), "pool grad length mismatch");
-        let mut gx = vec![0.0f32; dims.iter().product()];
-        for (&g, &idx) in grad_output.data().iter().zip(argmax) {
-            gx[idx] += g;
-        }
-        Tensor::from_vec(gx, dims)
-    }
-
-    fn forward_batch(&mut self, input: &Tensor) -> Tensor {
-        let batch = input.dims()[0];
-        assert!(batch > 0, "empty batch");
-        self.batch_argmax.clear();
-        circnn_tensor::stack_samples(batch, |b| {
-            let y = self.forward(&input.index_axis0(b));
-            if self.training {
-                let argmax = self.argmax.take().expect("forward always records argmax");
-                self.batch_argmax.push(argmax);
-            }
-            y
-        })
+        Tensor::from_vec(out, &[batch, c, oh, ow])
     }
 
     fn backward_batch(&mut self, input: &Tensor, grad_output: &Tensor) -> Tensor {
-        let batch = grad_output.dims()[0];
         assert_eq!(
-            batch,
-            self.batch_argmax.len(),
+            grad_output.len(),
+            self.argmax.len(),
             "backward_batch called before forward_batch (or in inference mode)"
         );
-        let in_len = input.len() / batch;
-        let out_len = grad_output.len() / batch;
-        let mut gx = vec![0.0f32; batch * in_len];
-        for (b, argmax) in self.batch_argmax.iter().enumerate() {
-            assert_eq!(argmax.len(), out_len, "pool grad length mismatch");
-            let grow = &grad_output.data()[b * out_len..(b + 1) * out_len];
-            let gxr = &mut gx[b * in_len..(b + 1) * in_len];
-            for (&g, &idx) in grow.iter().zip(argmax) {
-                gxr[idx] += g;
-            }
+        let mut gx = vec![0.0f32; input.len()];
+        for (&g, &idx) in grad_output.data().iter().zip(&self.argmax) {
+            gx[idx] += g;
         }
         Tensor::from_vec(gx, input.dims())
     }
@@ -207,7 +163,7 @@ impl Layer for MaxPool2d {
     fn set_training(&mut self, training: bool) {
         self.training = training;
         if !training {
-            self.batch_argmax.clear();
+            self.argmax.clear();
         }
     }
 
@@ -221,7 +177,6 @@ impl Layer for MaxPool2d {
 pub struct AvgPool2d {
     window: usize,
     stride: usize,
-    input_dims: Option<Vec<usize>>,
 }
 
 impl AvgPool2d {
@@ -232,82 +187,41 @@ impl AvgPool2d {
     /// Panics if `window` or `stride` is zero.
     pub fn new(window: usize, stride: usize) -> Self {
         assert!(window > 0 && stride > 0, "degenerate pooling");
-        Self {
-            window,
-            stride,
-            input_dims: None,
-        }
+        Self { window, stride }
     }
 }
 
 impl Layer for AvgPool2d {
-    fn forward(&mut self, input: &Tensor) -> Tensor {
-        assert_eq!(input.shape().rank(), 3, "pool input must be [C, H, W]");
-        let (c, h, w) = (input.dims()[0], input.dims()[1], input.dims()[2]);
-        let (oh, ow) = (
-            pooled_extent(h, self.window, self.stride),
-            pooled_extent(w, self.window, self.stride),
-        );
-        let norm = 1.0 / (self.window * self.window) as f32;
-        let mut out = vec![0.0f32; c * oh * ow];
-        let data = input.data();
-        for ch in 0..c {
-            for oy in 0..oh {
-                for ox in 0..ow {
-                    let mut acc = 0.0;
-                    for ky in 0..self.window {
-                        for kx in 0..self.window {
-                            let iy = oy * self.stride + ky;
-                            let ix = ox * self.stride + kx;
-                            acc += data[(ch * h + iy) * w + ix];
-                        }
-                    }
-                    out[(ch * oh + oy) * ow + ox] = acc * norm;
-                }
-            }
-        }
-        self.input_dims = Some(vec![c, h, w]);
-        Tensor::from_vec(out, &[c, oh, ow])
-    }
-
-    fn backward(&mut self, grad_output: &Tensor) -> Tensor {
-        let dims = self
-            .input_dims
-            .as_ref()
-            .expect("backward called before forward");
-        let (c, h, w) = (dims[0], dims[1], dims[2]);
-        let (oh, ow) = (
-            pooled_extent(h, self.window, self.stride),
-            pooled_extent(w, self.window, self.stride),
-        );
-        assert_eq!(grad_output.dims(), &[c, oh, ow], "pool grad shape mismatch");
-        let norm = 1.0 / (self.window * self.window) as f32;
-        let mut gx = vec![0.0f32; c * h * w];
-        let g = grad_output.data();
-        for ch in 0..c {
-            for oy in 0..oh {
-                for ox in 0..ow {
-                    let gv = g[(ch * oh + oy) * ow + ox] * norm;
-                    for ky in 0..self.window {
-                        for kx in 0..self.window {
-                            let iy = oy * self.stride + ky;
-                            let ix = ox * self.stride + kx;
-                            gx[(ch * h + iy) * w + ix] += gv;
-                        }
-                    }
-                }
-            }
-        }
-        Tensor::from_vec(gx, dims)
+    fn forward_batch(&mut self, input: &Tensor) -> Tensor {
+        // Stateless: training and serving share one arithmetic.
+        self.infer_batch(input, &mut InferScratch::new())
     }
 
     fn backward_batch(&mut self, input: &Tensor, grad_output: &Tensor) -> Tensor {
-        // The only backward state is the (shared) input geometry from the
-        // last forward, so looping the single-sample backward is exact and
-        // free of the default override's forward recomputation.
-        let batch = grad_output.dims()[0];
-        assert_eq!(batch, input.dims()[0], "batch size mismatch");
-        circnn_tensor::stack_samples(batch, |b| self.backward(&grad_output.index_axis0(b)))
+        let ([batch, c, h, w], oh, ow) = pool_dims(input, self.window, self.stride);
+        assert_eq!(
+            grad_output.dims(),
+            &[batch, c, oh, ow],
+            "pool grad shape mismatch"
+        );
+        let norm = 1.0 / (self.window * self.window) as f32;
+        let mut gx = vec![0.0f32; input.len()];
+        let g = grad_output.data();
+        for plane in 0..batch * c {
+            for oy in 0..oh {
+                for ox in 0..ow {
+                    let gv = g[(plane * oh + oy) * ow + ox] * norm;
+                    for ky in 0..self.window {
+                        for kx in 0..self.window {
+                            let iy = oy * self.stride + ky;
+                            let ix = ox * self.stride + kx;
+                            gx[(plane * h + iy) * w + ix] += gv;
+                        }
+                    }
+                }
+            }
+        }
+        Tensor::from_vec(gx, input.dims())
     }
 
     fn infer_batch(&self, input: &Tensor, _scratch: &mut InferScratch) -> Tensor {
@@ -348,36 +262,111 @@ mod tests {
                 9.0, 10.0, 13.0, 14.0, //
                 11.0, 12.0, 15.0, 16.0,
             ],
-            &[1, 4, 4],
+            &[1, 1, 4, 4],
         );
-        let y = pool.forward(&x);
+        let y = pool.forward_batch(&x);
         assert_eq!(y.data(), &[4.0, 8.0, 12.0, 16.0]);
     }
 
     #[test]
     fn max_pool_backward_routes_to_argmax() {
         let mut pool = MaxPool2d::new(2, 2);
-        let x = Tensor::from_vec(vec![1.0, 2.0, 3.0, 4.0], &[1, 2, 2]);
-        pool.forward(&x);
-        let gx = pool.backward(&Tensor::from_vec(vec![5.0], &[1, 1, 1]));
-        assert_eq!(gx.data(), &[0.0, 0.0, 0.0, 5.0]);
+        let x = Tensor::from_vec(vec![1.0, 2.0, 3.0, 4.0, 8.0, 7.0, 6.0, 5.0], &[2, 1, 2, 2]);
+        pool.forward_batch(&x);
+        let gx = pool.backward_batch(&x, &Tensor::from_vec(vec![5.0, 6.0], &[2, 1, 1, 1]));
+        assert_eq!(gx.data(), &[0.0, 0.0, 0.0, 5.0, 6.0, 0.0, 0.0, 0.0]);
+    }
+
+    #[test]
+    fn max_pool_routes_a_window_without_a_maximum_to_its_own_first_element() {
+        // Channel 1 is all −∞: no element beats the −∞ seed, so its
+        // gradient must land on channel 1's first pixel, not channel 0's.
+        let mut pool = MaxPool2d::new(2, 2);
+        let ninf = f32::NEG_INFINITY;
+        let x = Tensor::from_vec(
+            vec![1.0, 2.0, 3.0, 4.0, ninf, ninf, ninf, ninf],
+            &[1, 2, 2, 2],
+        );
+        let y = pool.forward_batch(&x);
+        assert_eq!(y.data(), &[4.0, ninf]);
+        let gx = pool.backward_batch(&x, &Tensor::from_vec(vec![10.0, 20.0], &[1, 2, 1, 1]));
+        assert_eq!(gx.data(), &[0.0, 0.0, 0.0, 10.0, 20.0, 0.0, 0.0, 0.0]);
+        // Same for an all-NaN window in the second sample of a batch.
+        let nan = f32::NAN;
+        let x = Tensor::from_vec(vec![1.0, 2.0, 3.0, 4.0, nan, nan, nan, nan], &[2, 1, 2, 2]);
+        pool.forward_batch(&x);
+        let gx = pool.backward_batch(&x, &Tensor::from_vec(vec![10.0, 20.0], &[2, 1, 1, 1]));
+        assert_eq!(gx.data(), &[0.0, 0.0, 0.0, 10.0, 20.0, 0.0, 0.0, 0.0]);
+    }
+
+    #[test]
+    fn max_pool_keeps_the_first_of_tied_maxima() {
+        // Strict `>`: the first of equal values wins, signed zeros included.
+        let mut pool = MaxPool2d::new(2, 2);
+        let x = Tensor::from_vec(vec![-0.0, 0.0, 0.0, -0.0], &[1, 1, 2, 2]);
+        let y = pool.forward_batch(&x);
+        assert_eq!(y.data()[0].to_bits(), (-0.0f32).to_bits());
+        let gx = pool.backward_batch(&x, &Tensor::ones(&[1, 1, 1, 1]));
+        assert_eq!(gx.data(), &[1.0, 0.0, 0.0, 0.0]);
     }
 
     #[test]
     fn avg_pool_averages() {
         let mut pool = AvgPool2d::new(2, 2);
-        let x = Tensor::from_vec(vec![1.0, 2.0, 3.0, 4.0], &[1, 2, 2]);
-        let y = pool.forward(&x);
+        let x = Tensor::from_vec(vec![1.0, 2.0, 3.0, 4.0], &[1, 1, 2, 2]);
+        let y = pool.forward_batch(&x);
         assert_eq!(y.data(), &[2.5]);
-        let gx = pool.backward(&Tensor::from_vec(vec![4.0], &[1, 1, 1]));
+        let gx = pool.backward_batch(&x, &Tensor::from_vec(vec![4.0], &[1, 1, 1, 1]));
         assert_eq!(gx.data(), &[1.0, 1.0, 1.0, 1.0]);
+    }
+
+    #[test]
+    fn avg_pool_training_forward_is_the_per_window_sum_bit_for_bit() {
+        // The training forward serves through the same core as
+        // `infer_batch`; pin it to the plain per-window reference
+        // (`acc = +0; acc += x; acc · 1/r²`), signed zeros included.
+        let mut vals: Vec<f32> = (0..2 * 2 * 5 * 5)
+            .map(|i| (i as f32 * 0.713).sin() * 1e3)
+            .collect();
+        vals[..3].copy_from_slice(&[-0.0, -0.0, -0.0]);
+        vals[5..8].copy_from_slice(&[-0.0, -0.0, -0.0]);
+        let x = Tensor::from_vec(vals, &[2, 2, 5, 5]);
+        let (win, stride) = (3, 2);
+        let y = AvgPool2d::new(win, stride).forward_batch(&x);
+        let norm = 1.0 / (win * win) as f32;
+        let mut expect = Vec::new();
+        for plane in 0..4 {
+            for oy in 0..2 {
+                for ox in 0..2 {
+                    let mut acc = 0.0f32;
+                    for ky in 0..win {
+                        for kx in 0..win {
+                            acc += x.data()[(plane * 5 + oy * stride + ky) * 5 + ox * stride + kx];
+                        }
+                    }
+                    expect.push(acc * norm);
+                }
+            }
+        }
+        let bits = |v: &[f32]| v.iter().map(|f| f.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(y.data()), bits(&expect));
+        let mut zeros = AvgPool2d::new(2, 2);
+        let z = zeros.forward_batch(&Tensor::from_vec(vec![-0.0; 4], &[1, 1, 2, 2]));
+        assert_eq!(
+            z.data()[0].to_bits(),
+            0.0f32.to_bits(),
+            "+0 seed absorbs −0"
+        );
     }
 
     #[test]
     fn multi_channel_pooling_is_independent() {
         let mut pool = MaxPool2d::new(2, 2);
-        let x = Tensor::from_vec(vec![1.0, 2.0, 3.0, 4.0, -1.0, -2.0, -3.0, -4.0], &[2, 2, 2]);
-        let y = pool.forward(&x);
+        let x = Tensor::from_vec(
+            vec![1.0, 2.0, 3.0, 4.0, -1.0, -2.0, -3.0, -4.0],
+            &[1, 2, 2, 2],
+        );
+        let y = pool.forward_batch(&x);
         assert_eq!(y.data(), &[4.0, -1.0]);
     }
 
@@ -385,21 +374,34 @@ mod tests {
     fn gradient_checks() {
         // Distinct values so the max is stable under ±ε nudges.
         let x = Tensor::from_vec(
-            (0..32)
+            (0..96)
                 .map(|i| (i as f32 * 0.713).sin() * 3.0 + i as f32 * 0.01)
                 .collect(),
-            &[2, 4, 4],
+            &[3, 2, 4, 4],
         );
         check_input_gradient(&mut MaxPool2d::new(2, 2), &x, 1e-2);
         check_input_gradient(&mut AvgPool2d::new(2, 2), &x, 1e-2);
+        check_input_gradient(&mut MaxPool2d::new(3, 1), &x, 1e-2);
+        check_input_gradient(&mut AvgPool2d::new(3, 1), &x, 1e-2);
+    }
+
+    #[test]
+    fn inference_mode_records_no_argmax() {
+        let mut pool = MaxPool2d::new(2, 2);
+        pool.set_training(false);
+        let x = Tensor::ones(&[2, 1, 2, 2]);
+        let y = pool.forward_batch(&x);
+        let mut scratch = InferScratch::new();
+        assert_eq!(y.data(), pool.infer_batch(&x, &mut scratch).data());
+        assert!(pool.argmax.is_empty());
     }
 
     #[test]
     fn overlapping_stride() {
         let mut pool = MaxPool2d::new(3, 2);
-        let x = Tensor::from_vec((0..25).map(|i| i as f32).collect(), &[1, 5, 5]);
-        let y = pool.forward(&x);
-        assert_eq!(y.dims(), &[1, 2, 2]);
+        let x = Tensor::from_vec((0..25).map(|i| i as f32).collect(), &[1, 1, 5, 5]);
+        let y = pool.forward_batch(&x);
+        assert_eq!(y.dims(), &[1, 1, 2, 2]);
         assert_eq!(y.data(), &[12.0, 14.0, 22.0, 24.0]);
     }
 
@@ -407,6 +409,6 @@ mod tests {
     #[should_panic(expected = "larger than input")]
     fn rejects_oversized_window() {
         let mut pool = MaxPool2d::new(5, 1);
-        let _ = pool.forward(&Tensor::ones(&[1, 3, 3]));
+        let _ = pool.forward_batch(&Tensor::ones(&[1, 1, 3, 3]));
     }
 }

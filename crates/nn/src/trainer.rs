@@ -4,8 +4,7 @@
 //! each mini-batch is assembled into one `[batch, …]` tensor, runs through
 //! [`Layer::forward_batch`] / [`Layer::backward_batch`] (one weight-spectrum
 //! sweep per batch for the block-circulant layers), and steps the optimizer
-//! once — with deterministic shuffling, and gradient semantics identical to
-//! the old per-sample loop. Both the dense baselines and the block-circulant
+//! once — with deterministic shuffling. Both the dense baselines and the block-circulant
 //! models (which implement the same [`Layer`] trait from `circnn-core`)
 //! train through these entry points, so the Fig.-7b accuracy comparisons
 //! exercise identical code paths.
@@ -233,9 +232,12 @@ pub fn evaluate_accuracy(net: &mut Sequential, images: &Tensor, labels: &[usize]
     correct as f32 / n as f32
 }
 
-/// Mean loss of a classifier over a dataset (no training).
+/// Mean loss of a classifier over a dataset (no training). Like
+/// [`evaluate_accuracy`], it switches the network to inference mode, so
+/// dropout is the identity and repeated calls agree.
 pub fn evaluate_loss(net: &mut Sequential, images: &Tensor, labels: &[usize]) -> f32 {
     let n = images.dims()[0];
+    net.set_training(false);
     let loss_fn = SoftmaxCrossEntropy::new();
     let mut total = 0.0f64;
     let order: Vec<usize> = (0..n).collect();
@@ -337,6 +339,28 @@ mod tests {
         assert!((acc - 1.0).abs() < 1e-6);
         let acc_bad = evaluate_accuracy(&mut net, &x, &[1, 0, 1]);
         assert_eq!(acc_bad, 0.0);
+    }
+
+    #[test]
+    fn loss_evaluation_runs_in_inference_mode() {
+        use crate::dropout::Dropout;
+        let mut rng = seeded_rng(12);
+        let mut net = Sequential::new()
+            .add(Linear::new(&mut rng, 4, 8))
+            .add(Dropout::new(0.5, 1))
+            .add(Linear::new(&mut rng, 8, 3));
+        let x = circnn_tensor::init::uniform(&mut rng, &[6, 4], -1.0, 1.0);
+        let labels = [0, 1, 2, 0, 1, 2];
+        let first = evaluate_loss(&mut net, &x, &labels);
+        let second = evaluate_loss(&mut net, &x, &labels);
+        assert_eq!(first.to_bits(), second.to_bits(), "dropout drew masks");
+        // The inference-mode loss, computed by hand from `infer`.
+        let out = net.infer(&x, &mut crate::InferScratch::new());
+        let loss_fn = SoftmaxCrossEntropy::new();
+        let total: f64 = (0..6)
+            .map(|i| f64::from(loss_fn.loss(&out.index_axis0(i), labels[i]).0))
+            .sum();
+        assert_eq!(first, (total / 6.0) as f32);
     }
 
     #[test]

@@ -46,8 +46,8 @@ proptest! {
     fn relu_is_idempotent(xs in prop::collection::vec(-10.0f32..10.0, 1..32)) {
         let n = xs.len();
         let mut relu = Relu::new();
-        let once = relu.forward(&Tensor::from_vec(xs, &[n]));
-        let twice = relu.forward(&once);
+        let once = relu.forward_batch(&Tensor::from_vec(xs, &[1, n]));
+        let twice = relu.forward_batch(&once);
         prop_assert_eq!(once.data(), twice.data());
         prop_assert!(once.data().iter().all(|&v| v >= 0.0));
     }
@@ -56,19 +56,19 @@ proptest! {
     fn sgd_descends_a_quadratic(seed in any::<u64>(), lr in 0.01f32..0.2) {
         let mut rng = seeded_rng(seed);
         let mut layer = Linear::new(&mut rng, 3, 2);
-        let x = Tensor::from_vec(vec![0.5, -1.0, 0.25], &[3]);
-        let target = Tensor::from_vec(vec![0.1, -0.2], &[2]);
+        let x = Tensor::from_vec(vec![0.5, -1.0, 0.25], &[1, 3]);
+        let target = Tensor::from_vec(vec![0.1, -0.2], &[1, 2]);
         let mse = MseLoss::new();
         let mut opt = Sgd::new(lr, 0.0);
-        let initial = mse.loss(&layer.forward(&x), &target).0;
+        let initial = mse.loss(&layer.forward_batch(&x), &target).0;
         for _ in 0..25 {
-            let out = layer.forward(&x);
+            let out = layer.forward_batch(&x);
             let (_, grad) = mse.loss(&out, &target);
             layer.zero_grads();
-            layer.backward(&grad);
+            layer.backward_batch(&x, &grad);
             opt.step(&mut layer);
         }
-        let final_loss = mse.loss(&layer.forward(&x), &target).0;
+        let final_loss = mse.loss(&layer.forward_batch(&x), &target).0;
         prop_assert!(final_loss <= initial + 1e-6, "{initial} -> {final_loss}");
     }
 

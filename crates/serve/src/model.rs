@@ -378,10 +378,10 @@ mod tests {
         // rejection path needs a deliberately opaque custom layer.
         struct Opaque;
         impl Layer for Opaque {
-            fn forward(&mut self, input: &Tensor) -> Tensor {
+            fn forward_batch(&mut self, input: &Tensor) -> Tensor {
                 input.clone()
             }
-            fn backward(&mut self, grad: &Tensor) -> Tensor {
+            fn backward_batch(&mut self, _input: &Tensor, grad: &Tensor) -> Tensor {
                 grad.clone()
             }
             fn name(&self) -> &'static str {
@@ -401,10 +401,10 @@ mod tests {
         // when the model is wrapped — not assert per request in a worker.
         struct Stale;
         impl Layer for Stale {
-            fn forward(&mut self, input: &Tensor) -> Tensor {
+            fn forward_batch(&mut self, input: &Tensor) -> Tensor {
                 input.clone()
             }
-            fn backward(&mut self, grad: &Tensor) -> Tensor {
+            fn backward_batch(&mut self, _input: &Tensor, grad: &Tensor) -> Tensor {
                 grad.clone()
             }
             fn infer_batch(&self, input: &Tensor, _scratch: &mut InferScratch) -> Tensor {

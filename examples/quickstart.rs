@@ -54,11 +54,13 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!("== training (fit a random circulant operator) ==");
     for step in 0..=60 {
         let xs: Vec<f32> = (0..32).map(|i| ((i + step) as f32 * 0.3).sin()).collect();
-        let target = Tensor::from_vec(target_op.matvec(&xs)?, &[32]);
-        let out = layer.forward(&Tensor::from_vec(xs, &[32]));
+        // One sample is a batch of one: [1, 32] in, [1, 32] out.
+        let target = Tensor::from_vec(target_op.matvec(&xs)?, &[1, 32]);
+        let x = Tensor::from_vec(xs, &[1, 32]);
+        let out = layer.forward_batch(&x);
         let (loss, grad) = mse.loss(&out, &target);
         layer.zero_grads();
-        layer.backward(&grad);
+        layer.backward_batch(&x, &grad);
         opt.step(&mut layer);
         if step % 20 == 0 {
             println!("step {step:>3}: loss {loss:.5}");
