@@ -1,9 +1,17 @@
-//! Dense 2-D convolution via im2col lowering (the paper's Fig. 6 pipeline).
+//! Dense 2-D convolution, the layer the paper's networks leave dense.
 //!
 //! The weight matrix is stored in the lowered `[P, C·r²]` layout with the
 //! input channel fastest (see `circnn_tensor::im2col`), the same layout the
 //! block-circulant CONV layer in `circnn-core` uses — so the two are
 //! directly interchangeable and comparable.
+//!
+//! The forward pass (training and serving alike) is one direct kernel over
+//! the whole batch: no im2col matrix, no per-sample tensors. It adds each
+//! output's taps in the im2col column order, so it returns the bits of the
+//! lowered product (the paper's Fig. 6 pipeline, kept as
+//! [`conv2d_direct`](circnn_tensor::im2col::conv2d_direct), its test
+//! oracle). The backward pass lowers the forward input with `im2col` and
+//! works on the lowered matrices.
 
 use circnn_tensor::im2col::{col2im, im2col, ConvGeometry};
 use circnn_tensor::{init, Tensor};
@@ -12,6 +20,9 @@ use rand::Rng;
 use crate::layer::Layer;
 
 /// A dense convolution layer over `[B, C, H, W]` batches.
+///
+/// Stateless between calls: the backward pass re-lowers the input it is
+/// handed, so the layer keeps no activation cache.
 ///
 /// # Examples
 ///
@@ -36,10 +47,6 @@ pub struct Conv2d {
     bias: Vec<f32>,
     wgrad: Tensor,
     bgrad: Vec<f32>,
-    /// Per-sample `(geometry, im2col matrix)` caches recorded by
-    /// `forward_batch` (training mode only) for `backward_batch`.
-    batch_caches: Vec<(ConvGeometry, Tensor)>,
-    training: bool,
 }
 
 impl Conv2d {
@@ -68,8 +75,6 @@ impl Conv2d {
             bias: vec![0.0; out_channels],
             wgrad: Tensor::zeros(&[out_channels, patch]),
             bgrad: vec![0.0; out_channels],
-            batch_caches: Vec::new(),
-            training: true,
         }
     }
 
@@ -104,8 +109,6 @@ impl Conv2d {
             bgrad: vec![0.0; out_channels],
             weight,
             bias,
-            batch_caches: Vec::new(),
-            training: true,
         }
     }
 
@@ -119,76 +122,150 @@ impl Conv2d {
         self.out_channels
     }
 
-    fn geometry_for(&self, input: &Tensor) -> ConvGeometry {
-        assert_eq!(input.shape().rank(), 3, "conv input must be [C, H, W]");
-        assert_eq!(input.dims()[0], self.in_channels, "input channel mismatch");
-        ConvGeometry::new(
-            self.in_channels,
-            input.dims()[1],
-            input.dims()[2],
-            self.kernel,
-            self.stride,
-            self.padding,
-        )
-    }
-}
-
-impl Conv2d {
-    /// Shared forward core: returns the output plus the caches backward
-    /// needs. Takes `&self` — the dense conv pipeline is pure — so the
-    /// read-only [`Layer::infer_batch`] path reuses it verbatim.
-    fn forward_impl(&self, input: &Tensor) -> (Tensor, ConvGeometry, Tensor) {
-        let geom = self.geometry_for(input);
-        let cols = im2col(input, &geom);
-        // [patches, patch_len] · [patch_len, P] → [patches, P]
-        let out = cols.matmul(&self.weight.transpose());
-        let (oh, ow) = (geom.out_height(), geom.out_width());
-        let mut chw = vec![0.0f32; self.out_channels * oh * ow];
-        for patch in 0..geom.num_patches() {
-            for p in 0..self.out_channels {
-                chw[p * oh * ow + patch] = out.data()[patch * self.out_channels + p] + self.bias[p];
-            }
-        }
-        (
-            Tensor::from_vec(chw, &[self.out_channels, oh, ow]),
-            geom,
-            cols,
-        )
-    }
-}
-
-impl Layer for Conv2d {
-    fn forward_batch(&mut self, input: &Tensor) -> Tensor {
+    /// The one forward kernel, over the whole `[B, C, H, W]` batch.
+    ///
+    /// Each sample is first copied into `padded`, a zero-bordered
+    /// `[C, H + 2·pad, pw]` grid whose width `pw` lets every tile read
+    /// inside it. Then, per output channel (the filter hoisted) and output
+    /// row, [`TILE`] output pixels at a time hold their sums in registers
+    /// across all `C·r²` taps — at stride 1 each tap is one contiguous
+    /// slice zip — and are written once, bias last.
+    ///
+    /// Every output adds its taps in ascending `(kh, kw, c)` order — the
+    /// im2col column order — and skips a tap whose input is exactly zero,
+    /// the padding's included, as `Tensor::matmul` skips a zero left-hand
+    /// entry. That is
+    /// [`conv2d_direct`](circnn_tensor::im2col::conv2d_direct)'s
+    /// im2col + matmul arithmetic addition for addition, so the two agree
+    /// bit for bit, non-finite weights included.
+    fn conv_forward(&self, input: &Tensor, padded: &mut Vec<f32>) -> Tensor {
+        let geom = self.geometry(input);
         let batch = input.dims()[0];
         assert!(batch > 0, "empty batch");
+        let (oh, ow) = (geom.out_height(), geom.out_width());
+        let (c_in, h, w, pad) = (geom.channels, geom.height, geom.width, geom.padding);
+        let ph = h + 2 * pad;
+        let pw = (w + 2 * pad).max((ow.div_ceil(TILE) * TILE - 1) * geom.stride + geom.kernel);
+        padded.clear();
+        padded.resize(c_in * ph * pw, 0.0);
+        let mut out = Tensor::zeros(&[batch, self.out_channels, oh, ow]);
+        let samples = input.data().chunks_exact(geom.input_len());
+        let out_samples = out.data_mut().chunks_exact_mut(self.out_channels * oh * ow);
+        for (sample, out_sample) in samples.zip(out_samples) {
+            for (src, ch) in sample
+                .chunks_exact(h * w)
+                .zip(padded.chunks_exact_mut(ph * pw))
+            {
+                for (src_row, dst_row) in src.chunks_exact(w).zip(ch[pad * pw..].chunks_mut(pw)) {
+                    dst_row[pad..pad + w].copy_from_slice(src_row);
+                }
+            }
+            let filters = self.weight.data().chunks_exact(geom.patch_len());
+            for ((o_plane, filter), &bias) in out_sample
+                .chunks_exact_mut(oh * ow)
+                .zip(filters)
+                .zip(&self.bias)
+            {
+                for (oy, o_row) in o_plane.chunks_exact_mut(ow).enumerate() {
+                    for (t, o_tile) in o_row.chunks_mut(TILE).enumerate() {
+                        let ox0 = t * TILE;
+                        let acc = if geom.stride == 1 {
+                            tile_sums::<true>(padded, &geom, pw, filter, oy, ox0)
+                        } else {
+                            tile_sums::<false>(padded, &geom, pw, filter, oy, ox0)
+                        };
+                        for (o, a) in o_tile.iter_mut().zip(acc) {
+                            *o = a + bias;
+                        }
+                    }
+                }
+            }
+        }
+        out
+    }
+
+    /// Checks a `[B, C, H, W]` batch against the layer and returns the
+    /// per-sample geometry.
+    fn geometry(&self, input: &Tensor) -> ConvGeometry {
         assert_eq!(
             input.shape().rank(),
             4,
             "conv batch input must be [B, C, H, W]"
         );
-        self.batch_caches.clear();
-        circnn_tensor::stack_samples(batch, |b| {
-            let (y, geom, cols) = self.forward_impl(&input.index_axis0(b));
-            // Caches only matter to a backward pass; at inference they
-            // would just pile up im2col matrices.
-            if self.training {
-                self.batch_caches.push((geom, cols));
+        let d = input.dims();
+        assert_eq!(d[1], self.in_channels, "input channel mismatch");
+        ConvGeometry::new(d[1], d[2], d[3], self.kernel, self.stride, self.padding)
+    }
+}
+
+/// Output pixels the forward kernel holds in registers at once.
+const TILE: usize = 16;
+
+/// The sums (bias not yet added) of one filter's `TILE` outputs at row
+/// `oy`, columns `ox0..ox0 + TILE`, read from a sample's zero-bordered
+/// `[C, H + 2·pad, pw]` grid; `UNIT` says the stride is 1, which makes
+/// every tap one contiguous slice.
+#[inline(always)]
+fn tile_sums<const UNIT: bool>(
+    grid: &[f32],
+    g: &ConvGeometry,
+    pw: usize,
+    filter: &[f32],
+    oy: usize,
+    ox0: usize,
+) -> [f32; TILE] {
+    let (r, c_in, s) = (g.kernel, g.channels, g.stride);
+    let plane = (g.height + 2 * g.padding) * pw;
+    let mut acc = [0.0f32; TILE];
+    for kh in 0..r {
+        let row = (oy * s + kh) * pw + ox0 * s;
+        for kw in 0..r {
+            let taps = &filter[(kh * r + kw) * c_in..][..c_in];
+            let mut at = row + kw;
+            for &wt in taps {
+                let xs = &grid[at..];
+                at += plane;
+                if UNIT {
+                    for (a, &x) in acc.iter_mut().zip(&xs[..TILE]) {
+                        mac(a, x, wt);
+                    }
+                } else {
+                    let xs = &xs[..(TILE - 1) * s + 1];
+                    for (a, &x) in acc.iter_mut().zip(xs.iter().step_by(s)) {
+                        mac(a, x, wt);
+                    }
+                }
             }
-            y
-        })
+        }
+    }
+    acc
+}
+
+/// `acc += x · wt`, skipping (as a select) an exactly zero `x` the way
+/// `Tensor::matmul` skips a zero left-hand entry. The sums start at +0 and
+/// so never hold −0, which makes adding +0 the identity; the select only
+/// matters for a non-finite `wt`.
+#[inline(always)]
+fn mac(acc: &mut f32, x: f32, wt: f32) {
+    let t = x * wt;
+    *acc += if x == 0.0 { 0.0 } else { t };
+}
+
+impl Layer for Conv2d {
+    fn forward_batch(&mut self, input: &Tensor) -> Tensor {
+        self.conv_forward(input, &mut Vec::new())
     }
 
-    fn backward_batch(&mut self, _input: &Tensor, grad_output: &Tensor) -> Tensor {
-        let batch = grad_output.dims()[0];
-        assert_eq!(
-            batch,
-            self.batch_caches.len(),
-            "backward_batch called before forward_batch (or in inference mode)"
-        );
+    /// Lowers `input` (the forward input, per the [`Layer`] contract) one
+    /// sample at a time with `im2col` and runs the lowered-matrix gradients.
+    fn backward_batch(&mut self, input: &Tensor, grad_output: &Tensor) -> Tensor {
+        let geom = self.geometry(input);
+        let batch = input.dims()[0];
+        assert_eq!(grad_output.dims()[0], batch, "conv grad batch mismatch");
         let p_out = self.out_channels;
+        let (oh, ow, patches) = (geom.out_height(), geom.out_width(), geom.num_patches());
         circnn_tensor::stack_samples(batch, |b| {
-            let (geom, cols) = &self.batch_caches[b];
-            let (oh, ow, patches) = (geom.out_height(), geom.out_width(), geom.num_patches());
+            let cols = im2col(&input.index_axis0(b), &geom);
             let g = grad_output.index_axis0(b);
             assert_eq!(g.dims(), &[p_out, oh, ow], "conv grad shape mismatch");
             // Rearrange grad to [patches, P].
@@ -200,37 +277,23 @@ impl Layer for Conv2d {
             }
             let gmat = Tensor::from_vec(gmat, &[patches, p_out]);
             // ∂L/∂W = gᵀ·cols  ([P, patch_len])
-            self.wgrad.axpy(1.0, &gmat.transpose().matmul(cols));
+            self.wgrad.axpy(1.0, &gmat.transpose().matmul(&cols));
             for p in 0..p_out {
                 self.bgrad[p] += (0..patches)
                     .map(|patch| gmat.data()[patch * p_out + p])
                     .sum::<f32>();
             }
             // ∂L/∂cols = g·W  ([patches, patch_len]), then scatter back.
-            col2im(&gmat.matmul(&self.weight), geom)
+            col2im(&gmat.matmul(&self.weight), &geom)
         })
     }
 
-    fn infer_batch(&self, input: &Tensor, _scratch: &mut crate::InferScratch) -> Tensor {
-        let batch = input.dims()[0];
-        assert!(batch > 0, "empty batch");
-        assert_eq!(
-            input.shape().rank(),
-            4,
-            "conv batch input must be [B, C, H, W]"
-        );
-        circnn_tensor::stack_samples(batch, |b| self.forward_impl(&input.index_axis0(b)).0)
+    fn infer_batch(&self, input: &Tensor, scratch: &mut crate::InferScratch) -> Tensor {
+        self.conv_forward(input, scratch.slot())
     }
 
     fn supports_infer(&self) -> bool {
         true
-    }
-
-    fn set_training(&mut self, training: bool) {
-        self.training = training;
-        if !training {
-            self.batch_caches.clear();
-        }
     }
 
     fn visit_params(&mut self, visitor: &mut dyn FnMut(&mut [f32], &mut [f32])) {

@@ -30,26 +30,37 @@ fn pool_dims(input: &Tensor, window: usize, stride: usize) -> ([usize; 4], usize
     ([d[0], d[1], d[2], d[3]], oh, ow)
 }
 
-/// Shared read-only pooling core over a `[B, C, H, W]` batch: `reduce`
-/// folds one window into one output value. Pure (no layer state), so both
-/// pool layers serve through it.
-fn pool_infer_batch(
+/// Shared read-only pooling core over a `[B, C, H, W]` batch, one output
+/// row `(plane, oy)` at a time: every window of the row starts at `init`,
+/// folds its inputs in with `fold` in `(ky, kx)` order, and ends as
+/// `finish` of the fold. Pure (no layer state), so both pool layers serve
+/// through it.
+fn pool_rows(
     input: &Tensor,
     window: usize,
     stride: usize,
-    reduce: impl Fn(&[f32], usize, usize, usize, usize, usize) -> f32,
+    init: f32,
+    fold: impl Fn(f32, f32) -> f32,
+    finish: impl Fn(f32) -> f32,
 ) -> Tensor {
     let ([batch, c, h, w], oh, ow) = pool_dims(input, window, stride);
-    let mut out = vec![0.0f32; batch * c * oh * ow];
-    for b in 0..batch {
-        let sample = &input.data()[b * c * h * w..(b + 1) * c * h * w];
-        let orow = &mut out[b * c * oh * ow..(b + 1) * c * oh * ow];
-        for ch in 0..c {
-            for oy in 0..oh {
-                for ox in 0..ow {
-                    orow[(ch * oh + oy) * ow + ox] =
-                        reduce(sample, ch, oy * stride, ox * stride, h, w);
+    let mut out = vec![init; batch * c * oh * ow];
+    for (plane, o_plane) in input
+        .data()
+        .chunks_exact(h * w)
+        .zip(out.chunks_exact_mut(oh * ow))
+    {
+        for (oy, o_row) in o_plane.chunks_exact_mut(ow).enumerate() {
+            for ky in 0..window {
+                let row = &plane[(oy * stride + ky) * w..][..w];
+                for kx in 0..window {
+                    for (o, &x) in o_row.iter_mut().zip(row[kx..].iter().step_by(stride)) {
+                        *o = fold(*o, x);
+                    }
                 }
+            }
+            for o in o_row.iter_mut() {
+                *o = finish(*o);
             }
         }
     }
@@ -144,16 +155,14 @@ impl Layer for MaxPool2d {
     }
 
     fn infer_batch(&self, input: &Tensor, _scratch: &mut InferScratch) -> Tensor {
-        let win = self.window;
-        pool_infer_batch(input, win, self.stride, |sample, ch, iy0, ix0, h, w| {
-            let mut best = f32::NEG_INFINITY;
-            for ky in 0..win {
-                for kx in 0..win {
-                    best = best.max(sample[(ch * h + iy0 + ky) * w + ix0 + kx]);
-                }
-            }
-            best
-        })
+        pool_rows(
+            input,
+            self.window,
+            self.stride,
+            f32::NEG_INFINITY,
+            f32::max,
+            |best| best,
+        )
     }
 
     fn supports_infer(&self) -> bool {
@@ -225,17 +234,15 @@ impl Layer for AvgPool2d {
     }
 
     fn infer_batch(&self, input: &Tensor, _scratch: &mut InferScratch) -> Tensor {
-        let win = self.window;
-        let norm = 1.0 / (win * win) as f32;
-        pool_infer_batch(input, win, self.stride, |sample, ch, iy0, ix0, h, w| {
-            let mut acc = 0.0;
-            for ky in 0..win {
-                for kx in 0..win {
-                    acc += sample[(ch * h + iy0 + ky) * w + ix0 + kx];
-                }
-            }
-            acc * norm
-        })
+        let norm = 1.0 / (self.window * self.window) as f32;
+        pool_rows(
+            input,
+            self.window,
+            self.stride,
+            0.0,
+            |acc, x| acc + x,
+            |acc| acc * norm,
+        )
     }
 
     fn supports_infer(&self) -> bool {
@@ -308,6 +315,45 @@ mod tests {
         assert_eq!(y.data()[0].to_bits(), (-0.0f32).to_bits());
         let gx = pool.backward_batch(&x, &Tensor::ones(&[1, 1, 1, 1]));
         assert_eq!(gx.data(), &[1.0, 0.0, 0.0, 0.0]);
+    }
+
+    #[test]
+    fn max_pool_serving_row_pass_matches_training_forward_bit_for_bit() {
+        // 2×2 windows at stride 3 (the gap pixels are never read), one
+        // window per awkward case, in two planes of a batch of two.
+        let (nan, ninf) = (f32::NAN, f32::NEG_INFINITY);
+        let windows: [[f32; 4]; 8] = [
+            [-0.0, 0.0, -0.0, 0.0],
+            [0.0, -0.0, 0.0, -0.0],
+            [nan, -1.0, 2.0, 0.5],
+            [-1.0, 0.5, 2.0, nan],
+            [nan, nan, nan, nan],
+            [ninf, ninf, ninf, ninf],
+            [nan, -0.0, 0.0, nan],
+            [ninf, nan, -0.0, ninf],
+        ];
+        let (rows, cols) = (2, 4);
+        let (h, w) = (3 * rows - 1, 3 * cols - 1);
+        let mut x = vec![100.0f32; 2 * h * w];
+        for plane in 0..2 {
+            for (i, win) in windows.iter().enumerate() {
+                // The second plane takes the windows in reverse order.
+                let slot = if plane == 0 { i } else { windows.len() - 1 - i };
+                let (oy, ox) = (slot / cols, slot % cols);
+                for (k, &v) in win.iter().enumerate() {
+                    x[(plane * h + 3 * oy + k / 2) * w + 3 * ox + k % 2] = v;
+                }
+            }
+        }
+        let x = Tensor::from_vec(x, &[2, 1, h, w]);
+        let mut pool = MaxPool2d::new(2, 3);
+        let trained = pool.forward_batch(&x);
+        let served = pool.infer_batch(&x, &mut InferScratch::new());
+        assert_eq!(served.dims(), &[2, 1, rows, cols]);
+        let bits = |t: &Tensor| t.data().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(&served), bits(&trained));
+        let expect = [-0.0, 0.0, 2.0, 2.0, ninf, ninf, -0.0, -0.0].map(f32::to_bits);
+        assert_eq!(bits(&served)[..8], expect);
     }
 
     #[test]

@@ -197,3 +197,66 @@ proptest! {
         prop_assert_eq!(again.data(), trained.data());
     }
 }
+
+fn bits(v: &[f32]) -> Vec<u32> {
+    v.iter().map(|f| f.to_bits()).collect()
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// The dense conv's one forward kernel against its oracle:
+    /// `infer_batch` ≡ `forward_batch` ≡ `conv2d_direct` (im2col + matmul)
+    /// plus the bias, bit for bit, over any stride and padding the geometry
+    /// accepts, on inputs that are at least a third exact zeros (both
+    /// signs); and each row of a batch ≡ that sample's own batch-of-one
+    /// call. Every fourth case carries an infinite weight, so the zero skip
+    /// is pinned too.
+    #[test]
+    fn conv_kernel_matches_lowered_oracle_bitwise(
+        seed in any::<u64>(),
+        (c, p, r) in (1usize..4, 1usize..5, 1usize..6),
+        (h, w) in (1usize..10, 1usize..10),
+        (stride, padding) in (1usize..4, 0usize..3),
+        batch in 1usize..4,
+    ) {
+        use circnn_nn::{Conv2d, InferScratch};
+        use circnn_tensor::im2col::{conv2d_direct, ConvGeometry};
+        use circnn_tensor::init::uniform;
+        prop_assume!(h + 2 * padding >= r && w + 2 * padding >= r);
+        let mut rng = seeded_rng(seed);
+        let mut weight = uniform(&mut rng, &[p, c * r * r], -1.0, 1.0);
+        if seed % 4 == 0 {
+            let at = (seed as usize / 4) % weight.len();
+            weight.data_mut()[at] = f32::INFINITY;
+        }
+        let bias = uniform(&mut rng, &[p], -1.0, 1.0).data().to_vec();
+        let mut x = uniform(&mut rng, &[batch, c, h, w], -1.0, 1.0);
+        let phase = (seed % 3) as usize;
+        for (i, v) in x.data_mut().iter_mut().enumerate() {
+            if i % 3 == phase {
+                *v = if i % 2 == 0 { 0.0 } else { -0.0 };
+            }
+        }
+        let mut conv = Conv2d::from_weights(weight.clone(), bias.clone(), c, r, stride, padding);
+        let served = conv.infer_batch(&x, &mut InferScratch::new());
+        let trained = conv.forward_batch(&x);
+        prop_assert_eq!(bits(served.data()), bits(trained.data()));
+
+        let geom = ConvGeometry::new(c, h, w, r, stride, padding);
+        let plane = geom.num_patches();
+        let sample_len = p * plane;
+        prop_assert_eq!(served.dims(), &[batch, p, geom.out_height(), geom.out_width()][..]);
+        for b in 0..batch {
+            let sample = x.index_axis0(b);
+            let mut oracle = conv2d_direct(&sample, &weight, &geom);
+            for (o_plane, &bv) in oracle.data_mut().chunks_exact_mut(plane).zip(&bias) {
+                o_plane.iter_mut().for_each(|v| *v += bv);
+            }
+            let row = &served.data()[b * sample_len..][..sample_len];
+            prop_assert_eq!(bits(row), bits(oracle.data()), "sample {} vs oracle", b);
+            let alone = conv.infer_batch(&sample.reshape(&[1, c, h, w]), &mut InferScratch::new());
+            prop_assert_eq!(bits(row), bits(alone.data()), "sample {} vs its batch of one", b);
+        }
+    }
+}

@@ -182,8 +182,14 @@ pub fn col2im(cols: &Tensor, geom: &ConvGeometry) -> Tensor {
     Tensor::from_vec(out, &[geom.channels, geom.height, geom.width])
 }
 
-/// Direct evaluation of the paper's Eqn. (6) — the `O(WHr²CP)` reference
-/// convolution used to validate the lowered path.
+/// The paper's Eqn. (6) as its Fig. 6 lowering: [`im2col`] and one
+/// `Tensor::matmul` by the transposed filter matrix, `O(WHr²CP)`, rearranged
+/// to `[P, out_h, out_w]` (no bias).
+///
+/// Each output sums its taps in the im2col column order `(kh, kw, c)`,
+/// skipping zero inputs (padding included) as `matmul` skips a zero entry.
+/// It is the test oracle of `circnn_nn::Conv2d`'s direct forward kernel,
+/// which keeps that order and so returns these bits plus the bias.
 ///
 /// `filters` is `[P, r, r, C]`-shaped logically but passed as a flat tensor
 /// `[P, r*r*C]` whose inner layout matches the im2col column order.
