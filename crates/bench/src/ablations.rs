@@ -201,7 +201,8 @@ pub fn block_size_sweep(quick: bool) -> Vec<BlockSweepRow> {
 /// CirCNN compresses the parameters themselves. One row per method:
 /// `(name, forward seconds, stored floats)`.
 pub fn lecun_comparison(quick: bool) -> Vec<(String, f64, usize)> {
-    use circnn_core::{CirculantConv2d, LeCunFftConv2d};
+    use crate::lecun::LeCunFftConv2d;
+    use circnn_core::CirculantConv2d;
     use circnn_nn::Conv2d;
     use circnn_tensor::Tensor;
     // Large 11×11 kernels on a 32×32 map — the regime [52] targets.

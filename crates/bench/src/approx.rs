@@ -4,16 +4,14 @@
 //! with error bound `O(1/n)` in the layer width `n`. This module provides
 //! the experiment: fit a fixed smooth function on `[0,1]^d` with one-hidden-
 //! layer networks — dense vs. block-circulant — across widths, and report
-//! the test error. The `universal_approx` example and the ablation bench
-//! sweep widths and show the error falling with `n` at matching rates.
+//! the test error. The root crate's `universal_approx` example sweeps
+//! widths and shows the error falling with `n` at matching rates.
 
+use circnn_core::{CircError, CirculantLinear};
 use circnn_nn::trainer::{train_regressor, TrainConfig};
 use circnn_nn::{Adam, Sequential, Tanh};
 use circnn_tensor::{init::seeded_rng, Tensor};
 use rand::Rng;
-
-use crate::error::CircError;
-use crate::fc::CirculantLinear;
 
 /// Input dimensionality of the benchmark function.
 pub const INPUT_DIM: usize = 8;

@@ -12,15 +12,15 @@
 //!   in state-of-the-art DCNNs)";
 //! * there is no asymptotic `O(n log n)` gain over the layer as a whole.
 //!
-//! Contrast with [`crate::CirculantConv2d`], which restructures the
+//! Contrast with [`circnn_core::CirculantConv2d`], which restructures the
 //! parameters themselves.
 
-use circnn_fft::fft2d::Fft2dPlan;
+use circnn_core::CircError;
 use circnn_fft::Complex;
 use circnn_tensor::Tensor;
 use rand::Rng;
 
-use crate::error::CircError;
+use crate::fft2d::Fft2dPlan;
 
 /// A LeCun-style FFT convolution engine for `[C, H, W] → [P, oh, ow]`
 /// valid convolution (stride 1, no padding — the regime \[52\] analyses).
@@ -80,33 +80,6 @@ impl LeCunFftConv2d {
         })
     }
 
-    /// Builds from explicit filters in `[P][C][r][r]` order.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CircError::BadWeightLength`] if the buffer is mis-sized.
-    pub fn from_filters(
-        in_channels: usize,
-        out_channels: usize,
-        kernel: usize,
-        filters: Vec<f32>,
-    ) -> Result<Self, CircError> {
-        let expected = out_channels * in_channels * kernel * kernel;
-        if filters.len() != expected {
-            return Err(CircError::BadWeightLength {
-                expected,
-                got: filters.len(),
-            });
-        }
-        Ok(Self {
-            in_channels,
-            out_channels,
-            kernel,
-            filters,
-            plan: None,
-        })
-    }
-
     /// Parameter count — identical to a dense conv ("the underlying neural
     /// network structure and parameters remain unchanged").
     pub fn parameter_count(&self) -> usize {
@@ -118,25 +91,6 @@ impl LeCunFftConv2d {
     /// forward pass.
     pub fn spectrum_storage_floats(&self) -> usize {
         self.plan.as_ref().map_or(0, |p| p.filter_spectra.len() * 2)
-    }
-
-    /// The filters in the im2col channel-fastest lowering, loadable into
-    /// `circnn_nn::Conv2d::from_weights` for equivalence testing.
-    pub fn to_lowered_weights(&self) -> Tensor {
-        let (c, p, r) = (self.in_channels, self.out_channels, self.kernel);
-        let patch = c * r * r;
-        let mut lowered = vec![0.0f32; p * patch];
-        for pi in 0..p {
-            for ci in 0..c {
-                for ky in 0..r {
-                    for kx in 0..r {
-                        lowered[pi * patch + (ky * r + kx) * c + ci] =
-                            self.filters[((pi * c + ci) * r + ky) * r + kx];
-                    }
-                }
-            }
-        }
-        Tensor::from_vec(lowered, &[p, patch])
     }
 
     fn ensure_plan(&mut self, h: usize, w: usize) -> Result<(), CircError> {
@@ -243,11 +197,30 @@ mod tests {
     use circnn_nn::{Conv2d, Layer};
     use circnn_tensor::init::seeded_rng;
 
+    /// The filters in the im2col channel-fastest lowering, loadable into
+    /// `circnn_nn::Conv2d::from_weights`.
+    fn to_lowered_weights(lecun: &LeCunFftConv2d) -> Tensor {
+        let (c, p, r) = (lecun.in_channels, lecun.out_channels, lecun.kernel);
+        let patch = c * r * r;
+        let mut lowered = vec![0.0f32; p * patch];
+        for pi in 0..p {
+            for ci in 0..c {
+                for ky in 0..r {
+                    for kx in 0..r {
+                        lowered[pi * patch + (ky * r + kx) * c + ci] =
+                            lecun.filters[((pi * c + ci) * r + ky) * r + kx];
+                    }
+                }
+            }
+        }
+        Tensor::from_vec(lowered, &[p, patch])
+    }
+
     #[test]
     fn matches_dense_convolution_exactly() {
         let mut rng = seeded_rng(1);
         let mut lecun = LeCunFftConv2d::new(&mut rng, 3, 4, 5).unwrap();
-        let lowered = lecun.to_lowered_weights();
+        let lowered = to_lowered_weights(&lecun);
         let mut dense = Conv2d::from_weights(lowered, vec![0.0; 4], 3, 5, 1, 0);
         let x = circnn_tensor::init::uniform(&mut rng, &[3, 12, 12], -1.0, 1.0);
         let yf = lecun.forward(&x).unwrap();
@@ -292,6 +265,5 @@ mod tests {
         let mut lecun = LeCunFftConv2d::new(&mut rng, 2, 2, 5).unwrap();
         assert!(lecun.forward(&Tensor::ones(&[3, 8, 8])).is_err());
         assert!(lecun.forward(&Tensor::ones(&[2, 4, 4])).is_err());
-        assert!(LeCunFftConv2d::from_filters(2, 2, 3, vec![0.0; 5]).is_err());
     }
 }

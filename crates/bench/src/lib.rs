@@ -18,6 +18,12 @@
 //! | [`wire`] / `wire` | front-end connection sweep, 16 → 4096 connections (`BENCH_wire.json`) |
 //! | [`fault`] / `fault` | overload policies under offered load + replica failover (`BENCH_fault.json`) |
 //!
+//! Three modules hold comparison points that nothing in the served or
+//! trained library calls: [`lecun`] (LeCun et al.'s spatial FFT
+//! convolution, §2.3, on the 2-D FFT in [`fft2d`]) feeds the `ablations`
+//! LeCun row, and [`approx`] is the §3.3 universal-approximation
+//! experiment behind the root crate's `universal_approx` example.
+//!
 //! Steady-state performance — engine ns/sample, serving throughput and
 //! latency, the layer ladder — is measured by the repo benchmark in
 //! `benchmark/` (`bash benchmark/run.sh`, contract in `BENCHMARK.json`),
@@ -30,11 +36,14 @@
 #![forbid(unsafe_code)]
 
 pub mod ablations;
+pub mod approx;
 pub mod fault;
+pub mod fft2d;
 pub mod fig13;
 pub mod fig14;
 pub mod fig15;
 pub mod fig7;
+pub mod lecun;
 pub mod sec53;
 pub mod table;
 pub mod train_speedup;

@@ -7,6 +7,11 @@
 //! input and output widths differ. CirCNN's block partitioning "avoids the
 //! wasted storage/computation due to zero padding" and adds the
 //! block-size accuracy/compression knob.
+//!
+//! Nothing on the serving or training path calls this layer, but it stays
+//! in the library rather than in the figure harness (`circnn-bench`):
+//! `tests/training_bits.rs` pins its training bits, and a `circnn-core`
+//! test cannot depend on `circnn-bench`, which depends on `circnn-core`.
 
 use circnn_nn::Layer;
 use circnn_tensor::Tensor;

@@ -13,8 +13,8 @@
 //!
 //! Contents:
 //!
-//! * [`CirculantMatrix`] — a single `k×k` circulant block.
-//! * [`BlockCirculantMatrix`] — the partitioned `m×n` operator. Its
+//! * [`BlockCirculantMatrix`] — the partitioned `m×n` operator (a single
+//!   `k×k` circulant block is its `p = q = 1` case). Its
 //!   resident weight-spectrum planes are the paper's "RAM stores
 //!   `FFT(w_ij)`" (§4.2); one batched engine over them implements
 //!   Algorithm 1 (forward), the transpose apply, and the Algorithm-2
@@ -26,7 +26,11 @@
 //!   one big zero-padded circulant matrix; kept to quantify the storage
 //!   waste block partitioning removes (paper Fig. 4).
 //! * [`compression`] — storage accounting (parameters/bytes/ratios).
-//! * [`approx`] — utilities for the §3.3 universal-approximation experiment.
+//!
+//! The paper's comparison points that nothing here serves or trains —
+//! LeCun et al.'s spatial FFT convolution (§2.3) and the §3.3
+//! universal-approximation experiment — live in the figure harness,
+//! `circnn-bench`.
 //!
 //! ## Example
 //!
@@ -51,27 +55,22 @@
 #![warn(missing_docs)]
 
 mod baseline54;
-mod circulant;
 mod engine;
 mod error;
 mod fc;
 mod matrix;
 mod simd;
 
-pub mod approx;
 pub mod compression;
 pub mod conv;
-pub mod lecun;
 pub mod quantized;
 pub mod rnn;
 pub mod serialize;
 
 pub use baseline54::SingleCirculantLinear;
-pub use circulant::CirculantMatrix;
 pub use conv::{CirculantConv2d, ConvWorkspace};
 pub use error::CircError;
 pub use fc::CirculantLinear;
-pub use lecun::LeCunFftConv2d;
 pub use matrix::{default_batch_threads, BlockCirculantMatrix, RowSlice, Workspace};
 pub use quantized::{
     QuantConfig, QuantWorkspace, QuantizedConv2d, QuantizedLinear, QuantizedOperator,

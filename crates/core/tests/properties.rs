@@ -2,7 +2,7 @@
 //! whole reproduction stands on, checked against dense materializations on
 //! randomized shapes.
 
-use circnn_core::{BlockCirculantMatrix, CirculantMatrix, Workspace};
+use circnn_core::{BlockCirculantMatrix, Workspace};
 use circnn_nn::LinearOp;
 use proptest::prelude::*;
 
@@ -22,6 +22,46 @@ fn random_weights(len: usize, seed: u64) -> Vec<f32> {
             (((state >> 33) as f32 / (1u64 << 31) as f32) - 1.0) * 0.5
         })
         .collect()
+}
+
+/// The dense `m×n` matrix in f64, built straight from the defining vectors
+/// rather than through `to_dense()`: block `(i, j)` holds
+/// `W[i·k+s][j·k+t] = w_ij[(t − s) mod k]` (the first-row convention of
+/// `matrix.rs`; Snippet 1's `roll(flip(row), 1)` is the same matrix), cropped
+/// to `m×n`. Row-major.
+fn dense_f64(m: usize, n: usize, k: usize, weights: &[f32]) -> Vec<f64> {
+    let q = n.div_ceil(k);
+    let mut dense = vec![0.0f64; m * n];
+    for r in 0..m {
+        for c in 0..n {
+            let (i, s, j, t) = (r / k, r % k, c / k, c % k);
+            dense[r * n + c] = f64::from(weights[(i * q + j) * k + (t + k - s) % k]);
+        }
+    }
+    dense
+}
+
+/// `‖v[b·k .. (b+1)·k]‖₂` for every length-`k` block of `v` (the last one
+/// ragged), in f64.
+fn block_norms(v: &[f32], k: usize) -> Vec<f64> {
+    v.chunks(k)
+        .map(|c| c.iter().map(|&x| f64::from(x).powi(2)).sum::<f64>().sqrt())
+        .collect()
+}
+
+/// Rounding budget of one output block of an FFT block-circulant apply.
+/// Each of the `terms` blocks summed into it goes through a forward
+/// transform, a spectral multiply and (once, after the spectral sum) an
+/// inverse transform of depth `log₂k`; the ℓ2 error of such a circular
+/// correlation is at most `c·(log₂k + 1)·ε·√k·‖w‖₂‖x‖₂` per term, and the
+/// `terms`-long f32 sum adds `terms·ε` relative to the same scale. `scale`
+/// is `Σ_terms ‖w_ij‖₂‖x_j‖₂`, which also bounds `|y|` on that block
+/// (Cauchy–Schwarz), so the budget is relative to the outputs' own size.
+/// `c = 4` is a first-order worst case, not a fit to observed errors.
+fn fft_apply_tolerance(k: usize, terms: usize, scale: f64) -> f64 {
+    let log2k = f64::from(k.trailing_zeros());
+    let eps = f64::from(f32::EPSILON);
+    (4.0 * (log2k + 1.0) * (k as f64).sqrt() + terms as f64) * eps * scale + 1e-30
 }
 
 /// Batch sizes on both sides of the SSE2 (4) and AVX2 (8) vector widths
@@ -99,29 +139,140 @@ proptest! {
         prop_assert!(w.compression_ratio() <= k as f64 + 1e-9);
     }
 
+    /// Projecting a block-circulant matrix returns its weights, and
+    /// projecting again changes nothing. On a ragged edge block a cyclic
+    /// diagonal can fall wholly outside the `m×n` crop; its weight never
+    /// reaches the matrix, and the projection sets it to 0.
     #[test]
     fn projection_is_idempotent((m, n, k, seed) in shapes()) {
         let p = m.div_ceil(k);
         let q = n.div_ceil(k);
-        let w = BlockCirculantMatrix::from_weights(m, n, k, &random_weights(p * q * k, seed)).unwrap();
+        let weights = random_weights(p * q * k, seed);
+        let w = BlockCirculantMatrix::from_weights(m, n, k, &weights).unwrap();
         let reproj = BlockCirculantMatrix::project_from_dense(&w.to_dense(), k).unwrap();
+        for (idx, (&got, &set)) in reproj.weights().iter().zip(&weights).enumerate() {
+            let (i, j, d) = (idx / (q * k), idx / k % q, idx % k);
+            let seen = (0..k).any(|s| i * k + s < m && j * k + (s + d) % k < n);
+            let expect = if seen { set } else { 0.0 };
+            prop_assert!((got - expect).abs() <= 1e-6 * expect.abs().max(1.0),
+                "({},{},{}) block ({},{}) diagonal {}: {} vs {}", m, n, k, i, j, d, got, expect);
+        }
         let again = BlockCirculantMatrix::project_from_dense(&reproj.to_dense(), k).unwrap();
         for (a, b) in reproj.weights().iter().zip(again.weights()) {
             prop_assert!((a - b).abs() < 1e-4);
         }
     }
 
+    /// Each defining entry of a projection is the mean of its cyclic
+    /// diagonal over the entries the `m×n` crop keeps (Snippet 3's
+    /// least-squares circulant), the mean taken here in f64. The f32 sum
+    /// of at most `k` entries errs by at most `k·ε` times their absolute
+    /// sum, and the division adds one rounding: `(k + 1)·ε` times the mean
+    /// absolute entry.
     #[test]
-    fn single_block_matches_circulant_matrix(logk in 0u32..6, seed in any::<u64>()) {
-        let k = 1usize << logk;
-        let weights = random_weights(k, seed);
-        let block = BlockCirculantMatrix::from_weights(k, k, k, &weights).unwrap();
-        let single = CirculantMatrix::from_first_row(weights).unwrap();
-        let x = random_weights(k, seed ^ 9);
-        let a = block.matvec(&x).unwrap();
-        let b = single.matvec(&x).unwrap();
-        for (u, v) in a.iter().zip(&b) {
-            prop_assert!((u - v).abs() < 1e-4);
+    fn projection_entries_are_cropped_diagonal_means((m, n, k, seed) in shapes()) {
+        let q = n.div_ceil(k);
+        let dense = random_weights(m * n, seed);
+        let tensor = circnn_tensor::Tensor::from_vec(dense.clone(), &[m, n]);
+        let proj = BlockCirculantMatrix::project_from_dense(&tensor, k).unwrap();
+        for (idx, &got) in proj.weights().iter().enumerate() {
+            let (i, j, d) = (idx / (q * k), idx / k % q, idx % k);
+            let diagonal: Vec<f64> = (0..k)
+                .map(|s| (i * k + s, j * k + (s + d) % k))
+                .filter(|&(r, c)| r < m && c < n)
+                .map(|(r, c)| f64::from(dense[r * n + c]))
+                .collect();
+            let (mean, abs) = if diagonal.is_empty() {
+                (0.0, 0.0)
+            } else {
+                let len = diagonal.len() as f64;
+                (diagonal.iter().sum::<f64>() / len, diagonal.iter().map(|v| v.abs()).sum::<f64>() / len)
+            };
+            let tol = (k as f64 + 1.0) * f64::from(f32::EPSILON) * abs;
+            prop_assert!((f64::from(got) - mean).abs() <= tol,
+                "({},{},{}) block ({},{}) diagonal {}: {} vs mean {}", m, n, k, i, j, d, got, mean);
+        }
+    }
+
+    /// No perturbation of the projected weights brings the block-circulant
+    /// matrix closer to the dense input in Frobenius norm: the projection
+    /// is the least-squares point of the block-circulant subspace. The
+    /// error is computed in f64 from the defining vectors. Perturbing a
+    /// diagonal the crop hides leaves the error unchanged, hence `≥`.
+    #[test]
+    fn projection_minimizes_frobenius_error((m, n, k, seed) in shapes(), scale_exp in -4i32..0) {
+        let p = m.div_ceil(k);
+        let q = n.div_ceil(k);
+        let dense = random_weights(m * n, seed);
+        let tensor = circnn_tensor::Tensor::from_vec(dense.clone(), &[m, n]);
+        let proj = BlockCirculantMatrix::project_from_dense(&tensor, k).unwrap();
+        let error = |w: &[f32]| -> f64 {
+            dense_f64(m, n, k, w)
+                .iter()
+                .zip(&dense)
+                .map(|(a, &b)| (a - f64::from(b)).powi(2))
+                .sum()
+        };
+        let base = error(proj.weights());
+        let step = 10f32.powi(scale_exp);
+        for trial in 0..8u64 {
+            let delta = random_weights(p * q * k, seed ^ (0xD17A + trial));
+            let moved: Vec<f32> =
+                proj.weights().iter().zip(&delta).map(|(w, d)| w + step * d).collect();
+            let err = error(&moved);
+            prop_assert!(err >= base * (1.0 - 1e-9),
+                "({},{},{}) perturbation {} at step {}: {} < {}", m, n, k, trial, step, err, base);
+        }
+    }
+
+    /// The operator against the dense f64 reference `dense_f64`, which
+    /// shares no code with the engine: `matvec`, `matvec_t`, and every
+    /// single-block-row `row_slice`, ragged `m` and `n` included. Each
+    /// output block is held to `fft_apply_tolerance` over its own terms.
+    #[test]
+    fn operator_matches_dense_f64_reference((m, n, k, seed) in shapes()) {
+        let p = m.div_ceil(k);
+        let q = n.div_ceil(k);
+        let weights = random_weights(p * q * k, seed);
+        let w = BlockCirculantMatrix::from_weights(m, n, k, &weights).unwrap();
+        let dense = dense_f64(m, n, k, &weights);
+        let wnorm = block_norms(&weights, k);
+        let x = random_weights(n, seed ^ 0xDE25);
+        let y = random_weights(m, seed ^ 0x7125);
+        let (xnorm, ynorm) = (block_norms(&x, k), block_norms(&y, k));
+
+        // W·x, block row i: Σ_j ‖w_ij‖‖x_j‖.
+        let row_tol: Vec<f64> = (0..p)
+            .map(|i| fft_apply_tolerance(k, q, (0..q).map(|j| wnorm[i * q + j] * xnorm[j]).sum()))
+            .collect();
+        let expect: Vec<f64> = (0..m)
+            .map(|r| (0..n).map(|c| dense[r * n + c] * f64::from(x[c])).sum())
+            .collect();
+        let got = w.matvec(&x).unwrap();
+        for r in 0..m {
+            prop_assert!((f64::from(got[r]) - expect[r]).abs() <= row_tol[r / k],
+                "({},{},{}) W·x row {}: {} vs {}", m, n, k, r, got[r], expect[r]);
+        }
+
+        // Wᵀ·y, block column j: Σ_i ‖w_ij‖‖y_i‖.
+        let got_t = w.matvec_t(&y).unwrap();
+        for c in 0..n {
+            let j = c / k;
+            let tol = fft_apply_tolerance(k, p, (0..p).map(|i| wnorm[i * q + j] * ynorm[i]).sum());
+            let expect_t: f64 = (0..m).map(|r| dense[r * n + c] * f64::from(y[r])).sum();
+            prop_assert!((f64::from(got_t[c]) - expect_t).abs() <= tol,
+                "({},{},{}) Wᵀ·y column {}: {} vs {}", m, n, k, c, got_t[c], expect_t);
+        }
+
+        // Each block row served alone, as a shard would.
+        for i in 0..p {
+            let slice = w.row_slice(i..i + 1).unwrap();
+            let part = slice.operator.matvec(&x).unwrap();
+            for (off, &v) in part.iter().enumerate() {
+                let r = slice.row_start + off;
+                prop_assert!((f64::from(v) - expect[r]).abs() <= row_tol[i],
+                    "({},{},{}) row slice {} row {}: {} vs {}", m, n, k, i, r, v, expect[r]);
+            }
         }
     }
 

@@ -1,26 +1,17 @@
-//! Fixed-point FFT modelling the CirCNN hardware datapath.
+//! The signed fixed-point format of the CirCNN hardware datapath.
 //!
 //! The paper's architecture computes with "16-bit fixed point numbers for
 //! input and weight representations" (§4.2) and evaluates an aggressive
-//! 4-bit mode for the near-threshold study (§5.2, noting accuracy collapses
-//! below 20% for AlexNet at 4 bits). This module provides a bit-accurate
-//! software model: inputs are quantized to a [`QFormat`], butterflies run in
-//! integer arithmetic with round-to-nearest shifts, and every stage halves
-//! the data (the standard hardware guard against overflow), so a forward
-//! transform returns `DFT(x)/n`.
+//! 4-bit mode for the near-threshold study (§5.2). [`QFormat`] names such a
+//! format — total bits and fractional bits — and rounds values to and from
+//! its integer codes with saturation.
 //!
-//! Two consumers build on this model. `circnn-quant` sweeps accuracy vs.
-//! bit width with the simulated fixed-point transform, reproducing the
-//! qualitative 16-bit-fine / 4-bit-broken result. `circnn-core` uses only
-//! [`QFormat`] from here — its serving-time quantized path
-//! (`QuantizedOperator`) keeps the FFT itself in f32 and applies the
-//! format's step size to hold **spectra** as i16 codes, because the
-//! spectral-plane engine's cost is streaming weight planes through the
-//! MAC, not the transform. The bit-accurate butterflies below stay the
-//! reference for what a hardware datapath would additionally lose.
-
-use crate::complex::Complex;
-use crate::error::FftError;
+//! `circnn-core`'s i16 serving path (`QuantizedOperator` and its conv and
+//! RNN twins) uses it to hold the weight **spectra** and the staged inputs
+//! as integer codes, while the FFT itself stays in f32: the spectral-plane
+//! engine's cost is streaming weight planes through the MAC, not the
+//! transform. That path states its own error bound against the f32 engine
+//! (`QuantizedOperator::error_bound`).
 
 /// A signed fixed-point format: `bits` total bits, `frac` fractional bits.
 ///
@@ -116,228 +107,9 @@ impl QFormat {
     }
 }
 
-/// A complex value held as integer fixed-point codes.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct FixedComplex {
-    /// Real-part code.
-    pub re: i64,
-    /// Imaginary-part code.
-    pub im: i64,
-}
-
-/// Round-to-nearest arithmetic shift right.
-#[inline]
-fn rshift_round(v: i64, s: u32) -> i64 {
-    if s == 0 {
-        v
-    } else {
-        (v + (1i64 << (s - 1))) >> s
-    }
-}
-
-/// A planned fixed-point complex FFT.
-///
-/// Twiddles are stored in Q(bits−1) (one sign bit, full fractional
-/// precision, matching a hardware ROM); data uses the caller's [`QFormat`].
-/// Each butterfly level halves its outputs, so `forward` computes
-/// `DFT(x) / n` without overflow.
-#[derive(Debug, Clone)]
-pub struct FixedFftPlan {
-    n: usize,
-    format: QFormat,
-    /// Twiddle fractional bits (`format.bits() − 1`).
-    tw_frac: u32,
-    twiddles: Vec<FixedComplex>,
-    bitrev: Vec<u32>,
-}
-
-impl FixedFftPlan {
-    /// Builds a fixed-point plan of length `n` in the given data format.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`FftError`] for zero or non-power-of-two `n`.
-    pub fn new(n: usize, format: QFormat) -> Result<Self, FftError> {
-        if n == 0 {
-            return Err(FftError::ZeroLength);
-        }
-        if !n.is_power_of_two() {
-            return Err(FftError::NotPowerOfTwo(n));
-        }
-        let log2n = n.trailing_zeros();
-        let tw_frac = format.bits().max(8) - 1; // ROM precision tracks datapath width, >= Q7
-        let tw_scale = (1i64 << tw_frac) as f64;
-        let mut twiddles = Vec::with_capacity(n / 2);
-        for k in 0..n / 2 {
-            let theta = -2.0 * core::f64::consts::PI * k as f64 / n as f64;
-            twiddles.push(FixedComplex {
-                re: (theta.cos() * tw_scale).round() as i64,
-                im: (theta.sin() * tw_scale).round() as i64,
-            });
-        }
-        let mut bitrev = vec![0u32; n];
-        if n > 1 {
-            for (i, slot) in bitrev.iter_mut().enumerate() {
-                *slot = (i as u32).reverse_bits() >> (32 - log2n);
-            }
-        }
-        Ok(Self {
-            n,
-            format,
-            tw_frac,
-            twiddles,
-            bitrev,
-        })
-    }
-
-    /// Transform length.
-    #[inline]
-    pub fn len(&self) -> usize {
-        self.n
-    }
-
-    /// Always `false`; for API completeness.
-    #[inline]
-    pub fn is_empty(&self) -> bool {
-        false
-    }
-
-    /// Data format of this plan.
-    #[inline]
-    pub fn format(&self) -> QFormat {
-        self.format
-    }
-
-    /// In-place forward transform; the result is `DFT(x) / n` in integer
-    /// codes of [`Self::format`] (per-stage halving).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`FftError::LengthMismatch`] on buffer size mismatch.
-    pub fn forward(&self, data: &mut [FixedComplex]) -> Result<(), FftError> {
-        if data.len() != self.n {
-            return Err(FftError::LengthMismatch {
-                expected: self.n,
-                got: data.len(),
-            });
-        }
-        if self.n == 1 {
-            return Ok(());
-        }
-        for i in 0..self.n {
-            let j = self.bitrev[i] as usize;
-            if i < j {
-                data.swap(i, j);
-            }
-        }
-        let mut half = 1usize;
-        while half < self.n {
-            let stride = self.n / (2 * half);
-            for start in (0..self.n).step_by(2 * half) {
-                for k in 0..half {
-                    let tw = self.twiddles[k * stride];
-                    let a = data[start + k];
-                    let b = data[start + k + half];
-                    // b * tw in integer arithmetic, rescaled by tw_frac.
-                    let br = rshift_round(b.re * tw.re - b.im * tw.im, self.tw_frac);
-                    let bi = rshift_round(b.re * tw.im + b.im * tw.re, self.tw_frac);
-                    // Per-stage halving keeps the datapath in range; this is
-                    // the standard scaled-FFT hardware schedule.
-                    let sum_re = rshift_round(a.re + br, 1);
-                    let sum_im = rshift_round(a.im + bi, 1);
-                    let dif_re = rshift_round(a.re - br, 1);
-                    let dif_im = rshift_round(a.im - bi, 1);
-                    data[start + k] = FixedComplex {
-                        re: self.format.saturate(sum_re),
-                        im: self.format.saturate(sum_im),
-                    };
-                    data[start + k + half] = FixedComplex {
-                        re: self.format.saturate(dif_re),
-                        im: self.format.saturate(dif_im),
-                    };
-                }
-            }
-            half *= 2;
-        }
-        Ok(())
-    }
-
-    /// Convenience: quantize a real `f64` signal, run the fixed-point FFT,
-    /// and return the de-quantized spectrum **rescaled by `n`** so it is
-    /// directly comparable with a floating-point DFT.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`FftError::LengthMismatch`] if `input.len() != self.len()`.
-    pub fn forward_real(&self, input: &[f64]) -> Result<Vec<Complex<f64>>, FftError> {
-        if input.len() != self.n {
-            return Err(FftError::LengthMismatch {
-                expected: self.n,
-                got: input.len(),
-            });
-        }
-        let mut data: Vec<FixedComplex> = input
-            .iter()
-            .map(|&x| FixedComplex {
-                re: self.format.quantize(x),
-                im: 0,
-            })
-            .collect();
-        self.forward(&mut data)?;
-        let n = self.n as f64;
-        Ok(data
-            .iter()
-            .map(|c| {
-                Complex::new(
-                    self.format.dequantize(c.re) * n,
-                    self.format.dequantize(c.im) * n,
-                )
-            })
-            .collect())
-    }
-}
-
-/// Signal-to-noise ratio (dB) of the fixed-point FFT of `signal` relative to
-/// a double-precision reference. Higher is better; with the per-stage
-/// halving schedule, 16-bit formats land around 40–45 dB at n = 256 while
-/// 4-bit formats collapse below ~15 dB.
-///
-/// # Errors
-///
-/// Returns [`FftError`] if `signal.len()` is not a power of two.
-pub fn fixed_fft_snr_db(signal: &[f64], format: QFormat) -> Result<f64, FftError> {
-    let n = signal.len();
-    let plan = FixedFftPlan::new(n, format)?;
-    let approx = plan.forward_real(signal)?;
-    let refplan = crate::plan::FftPlan::<f64>::new(n)?;
-    let exact = refplan.forward_real(signal)?;
-    let mut sig_energy = 0.0;
-    let mut err_energy = 0.0;
-    for (a, e) in approx.iter().zip(&exact) {
-        sig_energy += e.norm_sqr();
-        err_energy += (*a - *e).norm_sqr();
-    }
-    if err_energy == 0.0 {
-        return Ok(f64::INFINITY);
-    }
-    Ok(10.0 * (sig_energy / err_energy).log10())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    fn seeded(n: usize, seed: u64) -> Vec<f64> {
-        let mut state = seed.wrapping_mul(0x9E3779B97F4A7C15) | 1;
-        (0..n)
-            .map(|_| {
-                state = state
-                    .wrapping_mul(6364136223846793005)
-                    .wrapping_add(1442695040888963407);
-                (((state >> 33) as f64 / (1u64 << 31) as f64) - 1.0) * 0.9
-            })
-            .collect()
-    }
 
     #[test]
     fn qformat_round_trip_within_one_step() {
@@ -360,73 +132,5 @@ mod tests {
     #[should_panic(expected = "integer/sign bit")]
     fn qformat_rejects_all_fraction() {
         let _ = QFormat::new(8, 8);
-    }
-
-    #[test]
-    fn rshift_rounds_to_nearest() {
-        assert_eq!(rshift_round(5, 1), 3); // 2.5 -> 3
-        assert_eq!(rshift_round(4, 1), 2);
-        assert_eq!(rshift_round(-5, 1), -2); // -2.5 -> -2 (round half up)
-        assert_eq!(rshift_round(7, 0), 7);
-    }
-
-    #[test]
-    fn sixteen_bit_fft_is_accurate() {
-        let n = 256;
-        let snr = fixed_fft_snr_db(&seeded(n, 1), QFormat::q16()).unwrap();
-        assert!(snr > 35.0, "16-bit SNR too low: {snr} dB");
-    }
-
-    #[test]
-    fn four_bit_fft_is_badly_degraded() {
-        // Mirrors §5.2: "overall accuracy when using 4-bit representation is
-        // low" — the datapath itself is the bottleneck.
-        let n = 256;
-        let snr16 = fixed_fft_snr_db(&seeded(n, 2), QFormat::q16()).unwrap();
-        let snr4 = fixed_fft_snr_db(&seeded(n, 2), QFormat::q4()).unwrap();
-        assert!(snr4 < 20.0, "4-bit SNR unexpectedly high: {snr4} dB");
-        assert!(snr16 > snr4 + 25.0);
-    }
-
-    #[test]
-    fn snr_improves_monotonically_with_bits() {
-        let sig = seeded(128, 3);
-        let mut last = -100.0;
-        for bits in [6u32, 8, 10, 12, 16] {
-            let snr = fixed_fft_snr_db(&sig, QFormat::new(bits, bits - 4)).unwrap();
-            assert!(snr > last, "bits = {bits}: {snr} !> {last}");
-            last = snr;
-        }
-    }
-
-    #[test]
-    fn forward_real_matches_float_dft_shape() {
-        let n = 64;
-        let sig = seeded(n, 4);
-        let plan = FixedFftPlan::new(n, QFormat::q16()).unwrap();
-        let approx = plan.forward_real(&sig).unwrap();
-        let exact = crate::plan::FftPlan::<f64>::new(n)
-            .unwrap()
-            .forward_real(&sig)
-            .unwrap();
-        // DC bin should agree to within quantization noise.
-        assert!((approx[0].re - exact[0].re).abs() < 0.1);
-    }
-
-    #[test]
-    fn plan_rejects_bad_lengths_and_buffers() {
-        assert!(FixedFftPlan::new(0, QFormat::q16()).is_err());
-        assert!(FixedFftPlan::new(12, QFormat::q16()).is_err());
-        let plan = FixedFftPlan::new(8, QFormat::q16()).unwrap();
-        let mut buf = vec![FixedComplex::default(); 4];
-        assert!(plan.forward(&mut buf).is_err());
-    }
-
-    #[test]
-    fn length_one_is_identity() {
-        let plan = FixedFftPlan::new(1, QFormat::q16()).unwrap();
-        let mut buf = vec![FixedComplex { re: 100, im: -3 }];
-        plan.forward(&mut buf).unwrap();
-        assert_eq!(buf[0], FixedComplex { re: 100, im: -3 });
     }
 }

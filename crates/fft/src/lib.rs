@@ -23,14 +23,9 @@
 //! * [`convolve`] — circular convolution/correlation, both direct `O(n²)`
 //!   and FFT-based `O(n log n)`; the circulant-matvec identities the whole
 //!   project rests on are tested here against brute force.
-//! * [`fft2d`] — 2-D FFT and LeCun-style spatial FFT convolution (the
-//!   paper's §2.3 related-work baseline \[52\]).
-//! * [`fixed`] — a 16-bit-style fixed-point FFT with per-stage scaling,
-//!   modelling the hardware datapath of Section 4.2 ("16-bit fixed point
-//!   numbers for input and weight representations").
-//! * [`recursive`] — an explicit recursive decomposition mirroring the
-//!   paper's Fig. 9, with a butterfly trace used to cross-validate the
-//!   cycle model in `circnn-hw`.
+//! * [`fixed`] — [`fixed::QFormat`], the signed fixed-point format of the
+//!   §4.2 16-bit datapath (and the §5.2 4-bit mode) that `circnn-core`'s
+//!   i16 serving path quantizes its spectra and inputs with.
 //! * [`ops`] — closed-form operation counts for FFT workloads.
 //!
 //! ## Example
@@ -60,10 +55,8 @@ mod plan;
 mod rfft;
 
 pub mod convolve;
-pub mod fft2d;
 pub mod fixed;
 pub mod ops;
-pub mod recursive;
 
 pub use batched::BatchFftPlan;
 pub use complex::{Complex, Complex32, Complex64};

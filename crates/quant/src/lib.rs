@@ -10,7 +10,7 @@
 //! AlexNet) — 4 bits exists only to compare energy against equally-crippled
 //! baselines.
 //!
-//! This crate provides both halves of that story:
+//! This crate provides the accuracy and the storage side of that story:
 //!
 //! * [`fake_quantize`] / [`fake_quantize_layer`] — round weights through a
 //!   `b`-bit symmetric grid in place, so any trained network (dense or
@@ -18,9 +18,6 @@
 //!   given precision. The Fig.-7 accuracy-vs-bits sweep uses this.
 //! * [`QuantizedVector`] — actual integer storage with scale, for byte
 //!   accounting.
-//! * [`fixed_circulant_correlate`] — a circulant matvec executed on the
-//!   bit-accurate fixed-point FFT from `circnn-fft::fixed`, modelling the
-//!   hardware datapath end to end.
 //!
 //! ## Calibration vs. fake-quantize vs. the serving path
 //!
@@ -52,8 +49,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-use circnn_fft::fixed::{FixedFftPlan, QFormat};
-use circnn_fft::Complex;
 use circnn_nn::Layer;
 
 /// Statistics of one quantization pass.
@@ -214,58 +209,6 @@ pub fn packed_model_bytes(layer: &mut dyn Layer, bits: u32) -> u64 {
     total
 }
 
-/// Circulant matvec (`y = corr(w, x)`, the first-row convention used across
-/// this workspace) executed entirely on the bit-accurate fixed-point FFT —
-/// the software model of the paper's 16-bit datapath.
-///
-/// Returns the result and the SNR versus a double-precision reference.
-///
-/// # Errors
-///
-/// Returns [`circnn_fft::FftError`] if `w`/`x` lengths differ or are not a
-/// power of two.
-pub fn fixed_circulant_correlate(
-    w: &[f32],
-    x: &[f32],
-    format: QFormat,
-) -> Result<(Vec<f32>, f64), circnn_fft::FftError> {
-    if w.len() != x.len() {
-        return Err(circnn_fft::FftError::LengthMismatch {
-            expected: w.len(),
-            got: x.len(),
-        });
-    }
-    let k = w.len();
-    let plan = FixedFftPlan::new(k, format)?;
-    let wf: Vec<f64> = w.iter().map(|&v| f64::from(v)).collect();
-    let xf: Vec<f64> = x.iter().map(|&v| f64::from(v)).collect();
-    let ws = plan.forward_real(&wf)?;
-    let xs = plan.forward_real(&xf)?;
-    // conj(W) ∘ X, then inverse via the forward transform of the conjugate
-    // (IFFT(z) = conj(FFT(conj(z)))/n; we fold the 1/n into the fixed plan's
-    // own scaling by reusing the float inverse on the dequantized spectrum —
-    // the datapath under test is the forward FFT pair and the multiply).
-    let prod: Vec<Complex<f64>> = ws.iter().zip(&xs).map(|(&a, &b)| a.conj() * b).collect();
-    let fplan = circnn_fft::FftPlan::<f64>::new(k)?;
-    let mut buf = prod.clone();
-    fplan.inverse(&mut buf)?;
-    let approx: Vec<f32> = buf.iter().map(|c| c.re as f32).collect();
-    // Reference in f64.
-    let reference = circnn_fft::convolve::circular_correlate_direct(&wf, &xf);
-    let mut sig = 0.0f64;
-    let mut err = 0.0f64;
-    for (a, r) in approx.iter().zip(&reference) {
-        sig += r * r;
-        err += (f64::from(*a) - r).powi(2);
-    }
-    let snr = if err == 0.0 {
-        f64::INFINITY
-    } else {
-        10.0 * (sig / err).log10()
-    };
-    Ok((approx, snr))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -342,22 +285,6 @@ mod tests {
         }
         let q4 = QuantizedVector::quantize(&v, 4);
         assert_eq!(q4.storage_bytes(), 50 + 4);
-    }
-
-    #[test]
-    fn fixed_datapath_correlate_is_accurate_at_16_bits() {
-        let k = 64;
-        let w = seeded(k, 6);
-        let x = seeded(k, 7);
-        let (_, snr16) = fixed_circulant_correlate(&w, &x, QFormat::q16()).unwrap();
-        let (_, snr4) = fixed_circulant_correlate(&w, &x, QFormat::q4()).unwrap();
-        assert!(snr16 > 30.0, "16-bit datapath snr {snr16}");
-        assert!(snr4 < 15.0, "4-bit datapath snr {snr4}");
-    }
-
-    #[test]
-    fn fixed_correlate_validates_lengths() {
-        assert!(fixed_circulant_correlate(&[0.0; 4], &[0.0; 8], QFormat::q16()).is_err());
     }
 
     #[test]

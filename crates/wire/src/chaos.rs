@@ -1,5 +1,5 @@
 //! Fault-injection test support: a chaos TCP proxy and a faulty model
-//! wrapper (behind the default-on `chaos` feature).
+//! wrapper.
 //!
 //! The serving stack's failure model is only trustworthy if something
 //! exercises it. This module provides the two fault sources the soak

@@ -62,7 +62,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-#[cfg(feature = "chaos")]
 pub mod chaos;
 mod client;
 mod error;

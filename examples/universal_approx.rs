@@ -6,8 +6,8 @@
 //! cargo run --example universal_approx --release
 //! ```
 
-use circnn::core::approx::{circulant_regressor, dense_regressor, train_and_eval};
 use circnn::tensor::init::seeded_rng;
+use circnn_bench::approx::{circulant_regressor, dense_regressor, train_and_eval};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!("target: fixed smooth function on [0,1]^8; held-out MSE vs hidden width\n");
