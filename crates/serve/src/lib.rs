@@ -28,8 +28,8 @@
 //!   │                       │   ▼                                      │
 //!  ResponseHandle ◄──────── │ worker 0 ░ [B,n] slab ─► Arc<model>      │
 //!   .wait() → [m] row       │ worker 1 ░ [B,n] slab ─► (shared,        │
-//!   .on_ready(callback)     │   each owns one scratch    read-only)    │
-//!                           │   per tenant it has served               │
+//!   .on_ready(callback)     │   scratches kept by      read-only)    │
+//!                           │   the tenant                             │
 //!                           └──────────────────────────────────────────┘
 //! ```
 //!
@@ -45,7 +45,9 @@
 //!   slab runs queue up behind it and leave together). While other workers
 //!   are busy the slab keeps filling until the *oldest* collected request
 //!   has waited [`TenantConfig::max_wait`] or a busy worker finishes.
-//!   Full slabs flush immediately.
+//!   Full slabs flush immediately. On an idle pool an event loop runs a
+//!   short slab itself ([`MultiServer::serve_idle`]), so a lone request
+//!   crosses no thread; at most `workers` slabs run at once either way.
 //! * **Backpressure and overload** — the queue is bounded
 //!   ([`TenantConfig::queue_capacity`]); at capacity
 //!   [`TenantHandle::submit`] blocks, fails fast or sheds the stalest
@@ -57,11 +59,12 @@
 //!   tenants preempt a slack tenant's batching slack, and requests whose
 //!   deadline passes before dispatch fail fast with
 //!   [`ServeError::DeadlineExceeded`].
-//! * **Workers** — each owns one pre-warmed scratch
-//!   ([`circnn_core::Workspace`] / [`circnn_nn::InferScratch`]) per tenant
-//!   it has served, all sharing the read-only models. A panicking model
-//!   costs its batch, not the worker: co-batched requests are retried
-//!   alone so only the poison request is canceled.
+//! * **Workers** — share the read-only models; a slab borrows one of its
+//!   tenant's pre-warmed scratches ([`circnn_core::Workspace`] /
+//!   [`circnn_nn::InferScratch`]) and gives it back, so a tenant keeps as
+//!   many as ran at once and they go with it on removal. A panicking
+//!   model costs its batch, not the thread running it: co-batched
+//!   requests are retried alone so only the poison request is canceled.
 //! * **Determinism** — the batched kernels are batch-composition
 //!   invariant, so a request's answer is **bit-identical** no matter which
 //!   batch the scheduler packed it into. Serving never changes results.
@@ -113,5 +116,5 @@ pub use config::{OverloadPolicy, TenantConfig};
 pub use error::ServeError;
 pub use handle::ResponseHandle;
 pub use model::{SequentialModel, ServeModel};
-pub use sched::{MultiServer, TenantHandle};
+pub use sched::{MultiServer, Runner, TenantHandle};
 pub use stats::{FlushReason, ServeStats};

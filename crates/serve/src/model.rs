@@ -3,9 +3,10 @@
 //! The server is generic over anything that can turn a `[batch, n]` slab
 //! into a `[batch, m]` slab from behind a shared reference: the raw
 //! [`BlockCirculantMatrix`] operator, or a whole network via
-//! [`SequentialModel`]. Per-worker mutable state (FFT planes, spectra
-//! arenas) lives in the associated `Scratch` type — one per worker thread,
-//! created by the model so it can pre-warm buffers.
+//! [`SequentialModel`]. Mutable state (FFT planes, spectra arenas) lives
+//! in the associated `Scratch` type — one per slab running at once, kept
+//! by the tenant between slabs and created by the model so it can
+//! pre-warm buffers.
 
 use circnn_core::{
     default_batch_threads, BlockCirculantMatrix, QuantWorkspace, QuantizedLinear,
@@ -24,10 +25,13 @@ use crate::error::ServeError;
 /// (the batch dimension is an independent SIMD lane), which is what lets
 /// the server batch freely without changing any client's answer.
 pub trait ServeModel: Send + Sync + 'static {
-    /// Per-worker mutable scratch (spectra arenas, staging planes, …).
+    /// Mutable scratch of one running slab (spectra arenas, staging
+    /// planes, …).
     type Scratch: Send + 'static;
 
-    /// Creates one worker's scratch. Called once per worker at startup.
+    /// Creates one scratch. The scheduler calls it when a slab of this
+    /// model finds none free (the first slab, or more slabs at once than
+    /// ever before) and after a panic discarded one.
     fn make_scratch(&self) -> Self::Scratch;
 
     /// Length of one request vector (`n`).
@@ -110,8 +114,8 @@ impl ServeModel for QuantizedLinear {
 /// Wraps the network together with its flat per-request input/output
 /// lengths (a `Sequential` does not know its own geometry) and pins it to
 /// inference mode. Batches run through the read-only
-/// [`Sequential::infer`] path, so one wrapped network serves every worker
-/// thread, each with a private [`InferScratch`].
+/// [`Sequential::infer`] path, so one wrapped network serves every thread
+/// that runs its slabs, each slab with its own [`InferScratch`].
 ///
 /// # Examples
 ///

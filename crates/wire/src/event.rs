@@ -28,8 +28,16 @@
 //! * **Reads** go through a [`frame::FrameAssembler`]: a frame may arrive
 //!   split at any byte boundary over any number of readable events.
 //! * **Dispatch** hands the decoded request to an [`EventDispatch`] with
-//!   a [`ReplyTicket`]; completions come back through a queue + wakeup
-//!   pipe, so worker threads never touch a socket.
+//!   a [`ReplyTicket`]; completions come back through a queue, so worker
+//!   threads never touch a socket. Once per pass, after the pass's
+//!   requests are dispatched, the loop calls [`EventDispatch::end_pass`]:
+//!   the registry's dispatcher then runs a short slab on this thread if
+//!   the pool is idle, or wakes the pool's workers (see
+//!   [`circnn_serve::MultiServer::serve_idle`]).
+//! * **Wakeups**: a completion pushed while the loop is between a poll
+//!   return and its next poll needs no pipe write — the loop drains the
+//!   completion queue before it polls again. Only a completion that finds
+//!   the loop asleep (or about to sleep) writes the wakeup pipe.
 //! * **Writes** are buffered; on `WouldBlock` the loop registers
 //!   `WRITABLE` interest and resumes when the socket drains.
 //! * **Backpressure**: a parked request (tenant queue full under the
@@ -49,6 +57,16 @@
 //! requests carry a client-chosen `u64` id echoed in the reply and may
 //! complete **out of order**: a slow tenant's request no longer blocks a
 //! fast tenant's reply behind it on the same connection.
+//!
+//! ## A lone request
+//!
+//! On an idle pool a request decoded by a loop is run by that loop:
+//! read → decode → offer → [`EventDispatch::end_pass`] runs the slab →
+//! the reply is queued → the same pass encodes and flushes it. No thread
+//! hand-off and no wakeup pipe write. A slab runs inline only when its
+//! tenant's measured cost is within the tenant's `max_wait`, so the loop
+//! stops reading for no longer than the batching slack the tenant already
+//! grants; anything longer, larger or concurrent goes to a worker.
 
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, VecDeque};
@@ -60,7 +78,7 @@ use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use circnn_serve::{ResponseHandle, ServeError};
+use circnn_serve::{ResponseHandle, Runner, ServeError};
 use polling::{Event, Interest, Poller, WakeReader};
 
 use crate::error::{ErrorCode, WireError};
@@ -132,17 +150,26 @@ pub enum Dispatched {
 /// A request sink for the event loop: the bridge between socket-facing
 /// I/O threads and whatever executes requests.
 ///
-/// Implementations must **never block**: `dispatch` runs on an I/O
-/// thread that is multiplexing thousands of connections. Answer inline
-/// (control frames), hand off to a queue/scheduler and complete the
-/// ticket later from any thread, or return [`Dispatched::Busy`] to
-/// backpressure the connection.
+/// Implementations must **never block**: `dispatch` and `end_pass` run on
+/// an I/O thread that is multiplexing thousands of connections. Answer
+/// inline (control frames), hand off to a queue/scheduler and complete
+/// the ticket later from any thread, or return [`Dispatched::Busy`] to
+/// backpressure the connection. The one bounded exception is
+/// `end_pass`: it may run a request's computation on the loop thread when
+/// the computation is expected to finish within the request's own
+/// batching slack (its tenant's `max_wait`).
 pub trait EventDispatch: Send + Sync + 'static {
     /// Handles one decoded request. The ticket routes the reply back to
     /// the right connection and request slot; dropping it without
     /// completing answers a typed `Internal` error (no request is ever
     /// silently swallowed).
     fn dispatch(&self, req: Request, ticket: ReplyTicket) -> Dispatched;
+
+    /// Called once per loop pass, after the pass's requests were
+    /// dispatched and before the loop polls again, with the loop's own
+    /// [`Runner`]. A dispatcher that defers work (the registry's defers
+    /// its pool wake) finishes it here; the default does nothing.
+    fn end_pass(&self, _runner: &mut Runner) {}
 }
 
 /// One completed reply travelling from a worker back to its loop.
@@ -160,6 +187,10 @@ struct LoopShared {
     completions: Mutex<Vec<Completion>>,
     injected: Mutex<Vec<TcpStream>>,
     waker: polling::Waker,
+    /// Set while the loop is between a poll return and its next poll:
+    /// it will drain `completions` before polling, so a completion needs
+    /// no pipe write.
+    in_pass: AtomicBool,
 }
 
 impl LoopShared {
@@ -177,8 +208,11 @@ impl LoopShared {
         };
         // One pipe write per drained batch, not per reply: the loop takes
         // the whole list at once, so whoever pushed onto a non-empty list
-        // knows the wake for it is still pending.
-        if was_empty {
+        // knows the wake for it is still pending. And none while the loop
+        // is in a pass: it looks at the list after clearing `in_pass`, so
+        // a push that lands after that look sees the flag clear and
+        // writes the pipe.
+        if was_empty && !self.in_pass.load(Ordering::SeqCst) {
             self.waker.wake();
         }
     }
@@ -364,6 +398,7 @@ impl EventServer {
                 completions: Mutex::new(Vec::new()),
                 injected: Mutex::new(Vec::new()),
                 waker,
+                in_pass: AtomicBool::new(false),
             }));
             wake_readers.push(reader);
         }
@@ -454,6 +489,8 @@ struct IoLoop<'a> {
     scratch: Vec<u8>,
     /// Scratch for socket reads.
     rdbuf: Vec<u8>,
+    /// Staging for slabs the dispatcher runs on this thread.
+    runner: Runner,
 }
 
 fn run_loop(global: &Global, index: usize, wake_rx: &WakeReader, listener: Option<&TcpListener>) {
@@ -482,11 +519,21 @@ fn run_loop(global: &Global, index: usize, wake_rx: &WakeReader, listener: Optio
         timers: BinaryHeap::new(),
         scratch: Vec::new(),
         rdbuf: vec![0u8; 64 * 1024],
+        runner: Runner::default(),
     };
     let mut events: Vec<Event> = Vec::new();
     while !global.stop.load(Ordering::SeqCst) {
-        let timeout = lp.next_timeout();
+        // Leave the pass, then look at the completion list once more: a
+        // completion pushed before the flag cleared wrote no pipe byte,
+        // so the poll must not block on it.
+        lp.shared.in_pass.store(false, Ordering::SeqCst);
+        let timeout = if lp.completions_owed() {
+            Some(Duration::ZERO)
+        } else {
+            lp.next_timeout()
+        };
         let _ = lp.poller.wait(&mut events, timeout);
+        lp.shared.in_pass.store(true, Ordering::SeqCst);
         if global.stop.load(Ordering::SeqCst) {
             break;
         }
@@ -505,6 +552,7 @@ fn run_loop(global: &Global, index: usize, wake_rx: &WakeReader, listener: Optio
         lp.adopt_injected();
         lp.apply_completions();
         lp.retry_parked();
+        lp.finish_pass();
         lp.expire_idle();
     }
     // Teardown: close every connection this loop holds. In-flight
@@ -652,6 +700,28 @@ impl IoLoop<'_> {
         for slot in touched {
             self.drive(slot);
         }
+    }
+
+    /// The end of a pass: the dispatcher's deferred work (a slab run here
+    /// or a pool wake) for what the pass dispatched, then the replies it
+    /// produced, so a slab run here is answered in the same pass. Applying
+    /// replies can dispatch more requests (a connection paused on a full
+    /// pipeline resumes), so the dispatcher gets a last call; what that
+    /// one completes goes out next pass.
+    fn finish_pass(&mut self) {
+        self.global.dispatch.end_pass(&mut self.runner);
+        self.apply_completions();
+        self.global.dispatch.end_pass(&mut self.runner);
+    }
+
+    /// Whether completed replies are waiting to be applied.
+    fn completions_owed(&self) -> bool {
+        !self
+            .shared
+            .completions
+            .lock()
+            .unwrap_or_else(|e| e.into_inner())
+            .is_empty()
     }
 
     /// Re-offers parked requests (the park tick).
@@ -1090,6 +1160,10 @@ impl RegistryDispatch {
 }
 
 impl EventDispatch for RegistryDispatch {
+    fn end_pass(&self, runner: &mut Runner) {
+        self.registry.serve_idle(runner);
+    }
+
     fn dispatch(&self, req: Request, ticket: ReplyTicket) -> Dispatched {
         match req {
             Request::Ping => ticket.complete(Reply::Pong),

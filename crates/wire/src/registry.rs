@@ -15,7 +15,8 @@ use circnn_core::serialize::{self, SerializeError};
 use circnn_core::RowSlice;
 use circnn_nn::Sequential;
 use circnn_serve::{
-    MultiServer, SequentialModel, ServeError, ServeModel, ServeStats, TenantConfig, TenantHandle,
+    MultiServer, Runner, SequentialModel, ServeError, ServeModel, ServeStats, TenantConfig,
+    TenantHandle,
 };
 
 use crate::frame::{HealthInfo, ModelInfo, TenantHealth};
@@ -303,6 +304,13 @@ impl ModelRegistry {
             }
             None => false,
         }
+    }
+
+    /// The pool's deferred wake after offers: runs one slab on the calling
+    /// thread if the pool is idle, wakes the workers otherwise
+    /// ([`MultiServer::serve_idle`]). Returns whether a slab ran here.
+    pub fn serve_idle(&self, runner: &mut Runner) -> bool {
+        self.pool.serve_idle(runner)
     }
 
     /// The tenant handle for `name` (a cheap clone — connections cache it
