@@ -403,7 +403,7 @@ pub(crate) fn forward_pass<P: Precision>(
         runs,
         step: g.stride,
     };
-    engine::mac(&mut side, threads, &map, s.wa, s.wb);
+    engine::mac(&mut side, threads, &map);
     // Stage 3: one real plane inverse per output block row with the fused
     // epilogue — the per-channel bias is added to each block right after
     // its IFFT, so the scatter into the [B, P, OH, OW] slab is a pure

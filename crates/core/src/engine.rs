@@ -25,14 +25,17 @@
 //!   compute. Each output element accumulates `Σ_offsets Σ_blocks w∘x`
 //!   over the runs a [`LaneMap`] describes (`(out_lane, in_lane, len)` at
 //!   an input `step`), one register-resident sweep per (bin, row tile,
-//!   run). FC/RNN use one unit-step run; conv describes every kernel
-//!   offset as a constant plane shift — including **strided** convs, whose
-//!   input lanes advance by `stride` per output lane.
+//!   run) — or, for an i16 unit-step run of a few lanes on AVX2, one
+//!   row-vector sweep per (bin, run). FC/RNN use one unit-step run; conv
+//!   describes every kernel offset as a constant plane shift — including
+//!   **strided** convs, whose input lanes advance by `stride` per output
+//!   lane.
 //! * [`ifft_epilogue_blocks`] / [`ifft_sides`] — stage C: one plane IFFT
 //!   per output block. The caller's `fill` writes the block's spectrum rows
 //!   (a copy, or a dequant of one or two i32 sets — the recurrent step's
-//!   two sides meet here), and a per-row **bias add and activation** is
-//!   applied to each block right after its inverse, while it is cache-hot.
+//!   two sides meet here), and a per-row **bias add**, then the
+//!   **activation** over the whole block, are applied right after its
+//!   inverse, while it is cache-hot.
 //!   The finished rows land in `[block][k][lanes]` staging; the only pass
 //!   left is a pure layout copy.
 //!
@@ -47,7 +50,7 @@ use circnn_fft::BatchFftPlan;
 
 use crate::error::CircError;
 use crate::matrix::BlockCirculantMatrix;
-use crate::simd::{cmac_rows, RowSweep};
+use crate::simd::{cmac_rows, qmac, qmac_rows, qmac_rowvec, QSweep, RowSweep};
 
 /// Element-wise nonlinearity a fused IFFT epilogue can apply.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -176,11 +179,8 @@ pub(crate) trait Precision: Sync {
     /// Stage A's copy-out of one block's half-spectrum rows `pr`/`pi`
     /// (`bins · lanes` each) into that block's spectrum planes.
     fn copy_out(&self, pr: &[f32], pi: &[f32], re: &mut [Self::Spec], im: &mut [Self::Spec]);
-    /// Per-worker `i32` scratch elements the MAC needs in each of `wa`/`wb`.
-    fn mac_scratch(&self) -> usize;
     /// Stage B over output blocks `i0..i0 + icount`, into their block-major
     /// accumulator chunk.
-    #[allow(clippy::too_many_arguments)]
     fn mac(
         &self,
         i0: usize,
@@ -189,8 +189,6 @@ pub(crate) trait Precision: Sync {
         x: (&[Self::Spec], &[Self::Spec]),
         acc_re: &mut [Self::Acc],
         acc_im: &mut [Self::Acc],
-        wa: &mut [i32],
-        wb: &mut [i32],
     );
     /// Stage C's fill of output block `i`: its `re.len()` elements of each
     /// accumulator plane as f32 spectrum rows, written — or, for a further
@@ -238,10 +236,6 @@ impl Precision for F32<'_> {
         im.copy_from_slice(pi);
     }
 
-    fn mac_scratch(&self) -> usize {
-        0
-    }
-
     fn mac(
         &self,
         i0: usize,
@@ -250,8 +244,6 @@ impl Precision for F32<'_> {
         x: (&[f32], &[f32]),
         acc_re: &mut [f32],
         acc_im: &mut [f32],
-        _: &mut [i32],
-        _: &mut [i32],
     ) {
         run_mac(
             self.engines,
@@ -285,9 +277,10 @@ impl Precision for F32<'_> {
 /// dequantizes output block row `i` by `dq[i]` — one multiply per element
 /// fused into a pass the f32 path already pays.
 pub(crate) struct I16<'a> {
-    /// One `[bin][p][q]` `(re, im)` code-plane pair per fused operator (the
-    /// conv's `r²` kernel offsets share one scale per block row).
-    pub codes: &'a [(Vec<i16>, Vec<i16>)],
+    /// One `[bin][q][p]` plane of [`crate::simd::madd_pair`]-packed
+    /// `(re, im)` code words per fused operator (the conv's `r²` kernel
+    /// offsets share one scale per block row).
+    pub codes: &'a [Vec<i32>],
     /// Block columns `q`.
     pub q: usize,
     /// The block size's plane FFT.
@@ -330,10 +323,6 @@ impl Precision for I16<'_> {
         }
     }
 
-    fn mac_scratch(&self) -> usize {
-        self.codes.len() * TI * self.q
-    }
-
     fn mac(
         &self,
         i0: usize,
@@ -342,13 +331,9 @@ impl Precision for I16<'_> {
         x: (&[i16], &[i16]),
         acc_re: &mut [i32],
         acc_im: &mut [i32],
-        wa: &mut [i32],
-        wb: &mut [i32],
     ) {
         let (p, q) = self.blocks();
-        run_mac_i16(
-            self.codes, p, q, i0, icount, map, x.0, acc_re, acc_im, wa, wb,
-        );
+        run_mac_i16(self.codes, p, q, i0, icount, map, x.0, acc_re, acc_im);
     }
 
     fn fill(&self, i: usize, acc: (&[i32], &[i32]), re: &mut [f32], im: &mut [f32], add: bool) {
@@ -398,8 +383,7 @@ pub(crate) struct Side<'a, P: Precision> {
 }
 
 /// The rest of an [`Arena`]'s loan: time-domain staging `[block][k][lanes]`,
-/// per-worker FFT plane scratch, the i16 MAC's per-worker madd constants,
-/// and the conv's run/shift plans.
+/// per-worker FFT plane scratch, and the conv's run/shift plans.
 pub(crate) struct Scratch<'a> {
     /// Stage-C output staging.
     pub stage: &'a mut [f32],
@@ -407,10 +391,6 @@ pub(crate) struct Scratch<'a> {
     pub pr: &'a mut [f32],
     /// Second per-worker plane scratch.
     pub pi: &'a mut [f32],
-    /// Per-worker i16 madd constants (empty on the f32 path).
-    pub wa: &'a mut [i32],
-    /// Second set of madd constants.
-    pub wb: &'a mut [i32],
     /// Conv MAC runs.
     pub runs: &'a mut Vec<(usize, usize, usize)>,
     /// Conv per-offset plane shifts.
@@ -436,10 +416,6 @@ pub(crate) struct Arena<S, A> {
     pub pr: Vec<f32>,
     /// See [`Scratch::pi`].
     pub pi: Vec<f32>,
-    /// See [`Scratch::wa`].
-    pub wa: Vec<i32>,
-    /// See [`Scratch::wb`].
-    pub wb: Vec<i32>,
     /// See [`Scratch::runs`].
     pub runs: Vec<(usize, usize, usize)>,
     /// See [`Scratch::shifts`].
@@ -464,23 +440,18 @@ impl<S: Copy + Default, A: Copy + Default> Arena<S, A> {
     {
         let k = sides[0].0.plan().len();
         let (bins, out_blocks) = (k / 2 + 1, sides[0].0.blocks().0);
-        let mac = sides.iter().map(|s| s.0.mac_scratch()).max().unwrap_or(0);
         let Arena {
             xs,
             acc,
             stage,
             pr,
             pi,
-            wa,
-            wb,
             runs,
             shifts,
         } = self;
         grow(stage, out_blocks * k * l_acc);
         grow(pr, threads * k * l_pad.max(l_acc));
         grow(pi, threads * k * l_pad.max(l_acc));
-        grow(wa, threads * mac);
-        grow(wb, threads * mac);
         let (mut xs, mut acc) = (xs.iter_mut().skip(slot), acc.iter_mut());
         let la = out_blocks * bins * l_acc;
         let sides = sides.map(|(prec, src)| {
@@ -507,8 +478,6 @@ impl<S: Copy + Default, A: Copy + Default> Arena<S, A> {
             stage: &mut stage[..out_blocks * k * l_acc],
             pr,
             pi,
-            wa,
-            wb,
             runs,
             shifts,
         };
@@ -560,39 +529,35 @@ pub(crate) fn fft_blocks<P: Precision>(
 }
 
 /// Stage B: `side`'s MAC into its accumulator set, parallel over output
-/// blocks, each worker with its own share of the `wa`/`wb` MAC scratch.
-pub(crate) fn mac<P: Precision>(
-    side: &mut Side<'_, P>,
-    threads: usize,
-    map: &LaneMap<'_>,
-    wa: &mut [i32],
-    wb: &mut [i32],
-) {
+/// blocks.
+pub(crate) fn mac<P: Precision>(side: &mut Side<'_, P>, threads: usize, map: &LaneMap<'_>) {
     let prec = side.prec;
     let x = (&*side.xs.0, &*side.xs.1);
     let chunk = (prec.plan().len() / 2 + 1) * map.l_acc;
-    par_planes(
+    par_planes::<_, u8, _>(
         threads,
         prec.blocks().0,
         chunk,
         side.acc.0,
         side.acc.1,
-        prec.mac_scratch(),
-        wa,
-        wb,
-        |i0, icount, re_c, im_c, wa_c, wb_c| {
-            prec.mac(i0, icount, map, x, re_c, im_c, wa_c, wb_c);
-        },
+        0,
+        &mut [],
+        &mut [],
+        |i0, icount, re_c, im_c, _, _| prec.mac(i0, icount, map, x, re_c, im_c),
     );
 }
 
 /// Stage C: one real-input plane inverse per output block with the
 /// **fused epilogue**, parallel over blocks. `fill(i, re, im)` writes
 /// block `i`'s `bins · lanes` spectrum rows straight into its staging block
-/// and the worker's `pi` scratch; the inverse runs in place there, and each
-/// finished time-domain row takes the bias for logical row `i·k + t` and
-/// the activation while the block is cache-hot. Rows land in
-/// `stage[block][k][lanes]`, chunked per block, so threads never race.
+/// and the worker's `pi` scratch; the inverse runs in place there. While
+/// the block is cache-hot, each finished time-domain row `t` takes the bias
+/// for logical row `i·k + t`, and then the activation runs once over the
+/// whole `[k][lanes]` block: [`crate::simd::tanh`] vectorizes across rows
+/// as well as lanes, so a lone sample's k values fill its vectors. Each
+/// element still sees bias-then-activation, so the bits do not depend on
+/// the lane count. Rows land in `stage[block][k][lanes]`, chunked per
+/// block, so threads never race.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn ifft_epilogue_blocks(
     plan: &BatchFftPlan<f32>,
@@ -606,6 +571,7 @@ pub(crate) fn ifft_epilogue_blocks(
 ) {
     let k = plan.len();
     let (n, plane) = ((k / 2 + 1) * lanes, k * lanes);
+    let isa = crate::simd::isa();
     par_planes(
         threads,
         blocks,
@@ -621,20 +587,15 @@ pub(crate) fn ifft_epilogue_blocks(
                 fill(i, &mut block[..n], &mut pim[..n]);
                 plan.inverse_planes_real(block, &mut pim[..plane], lanes)
                     .expect("plane buffers are sized before dispatch");
-                if epi.bias.is_none() && epi.act == Activation::Identity {
-                    continue;
+                if let Some(bias) = epi.bias {
+                    // Rows past the slice are ragged padding: no bias.
+                    let rows = bias.get(i * k..).unwrap_or_default().iter().take(k);
+                    for (row, &b) in block.chunks_exact_mut(lanes).zip(rows) {
+                        row.iter_mut().for_each(|v| *v += b);
+                    }
                 }
-                for (t, row) in block.chunks_exact_mut(lanes).enumerate() {
-                    if let Some(&b) = epi.bias.and_then(|bias| bias.get(i * k + t)) {
-                        for v in row.iter_mut() {
-                            *v += b;
-                        }
-                    }
-                    if epi.act == Activation::Tanh {
-                        for v in row.iter_mut() {
-                            *v = v.tanh();
-                        }
-                    }
+                if epi.act == Activation::Tanh {
+                    crate::simd::tanh(isa, block);
                 }
             }
         },
@@ -813,19 +774,25 @@ pub(crate) fn quantize_code(v: f32, inv_step: f32, max_code: i32) -> i16 {
 /// Output block rows per MAC tile (both precisions).
 const TI: usize = 4;
 
-/// The i16 instantiation of [`run_mac`]: identical tiling, run/shift
-/// mapping and fixed accumulation order, over interleaved `(re, im)` code
-/// pairs with i32 accumulators. No real-bin branch — DC/Nyquist imaginary
-/// codes are zero by construction on both the weight and input sides, so
-/// the uniform pairwise kernel computes the right (zero) imaginary terms
-/// there. `wq` holds one `(re, im)` code-plane pair per kernel offset in
-/// the same `[bin][p][q]` layout as the f32 weight planes; `xq` is the
-/// block-major `[q][bins][l_pad][2]` code plane; accumulators are
-/// block-major `[icount][bins][l_acc]` and written exactly once. `wa`/`wb`
-/// are the worker's [`Precision::mac_scratch`] madd constants.
-#[allow(clippy::needless_range_loop, clippy::too_many_arguments)]
+/// The i16 instantiation of [`run_mac`]: the same run/shift mapping and
+/// row tiles, over interleaved `(re, im)` code pairs with i32
+/// accumulators. No real-bin branch — DC/Nyquist imaginary codes are zero
+/// by construction on both the weight and input sides, so the uniform
+/// pairwise kernels compute the right (zero) imaginary terms there. `wq`
+/// holds one `[bin][q][p]` plane of packed code words per kernel offset;
+/// `xq` is the block-major `[q][bins][l_pad][2]` code plane; accumulators
+/// are block-major `[icount][bins][l_acc]` and written exactly once.
+///
+/// A unit-step run runs as one of two sweep shapes over the same planes:
+/// with at most [`crate::simd::Isa::rowvec_lanes`] lanes, as the
+/// row-vector sweep [`qmac_rowvec`] over all `icount` rows at once;
+/// otherwise as the lane sweep [`qmac_rows`] per tile of [`TI`] rows.
+/// Strided runs (conv stride > 1) gather their lanes into a staging tile
+/// for the per-term [`qmac`]. Integer accumulation is exact, so all three
+/// agree bit for bit.
+#[allow(clippy::too_many_arguments)]
 pub(crate) fn run_mac_i16(
-    wq: &[(Vec<i16>, Vec<i16>)],
+    wq: &[Vec<i32>],
     p: usize,
     q: usize,
     i0: usize,
@@ -834,107 +801,70 @@ pub(crate) fn run_mac_i16(
     xq: &[i16],
     acc_re: &mut [i32],
     acc_im: &mut [i32],
-    wa: &mut [i32],
-    wb: &mut [i32],
 ) {
     const LANES: usize = 16;
     let isa = crate::simd::isa();
     let (l_pad, l_acc, shifts, step) = (map.l_pad, map.l_acc, map.shifts, map.step);
-    let bins = wq[0].0.len() / (p * q);
+    let bins = wq[0].len() / (p * q);
+    let sweep = |bin: usize, (out0, in_base, len): (usize, usize, usize)| QSweep {
+        w: wq,
+        wbase: bin * q * p + i0,
+        wstride: p,
+        q,
+        x: xq,
+        xbase: 2 * (bin * l_pad + in_base),
+        shifts,
+        xstride: 2 * bins * l_pad,
+        len,
+        abase: bin * l_acc + out0,
+        astride: bins * l_acc,
+    };
+    let rowvec = |len: usize| step == 1 && len <= isa.rowvec_lanes();
     let mut sx = [0i16; 2 * LANES];
-    let mut aos = [0usize; TI];
-    // Pairwise madd constants for the current row tile, `[e][u][j]`:
-    // `wa = pack(wr, wi)` produces the real-part term, `wb = pack(−wi, wr)`
-    // the imaginary one. Built once per (bin, tile) and reused across every
-    // run and lane chunk.
     for bin in 0..bins {
-        let mut it = 0;
-        while it < icount {
+        for &run in map.runs.iter().filter(|run| rowvec(run.2)) {
+            qmac_rowvec(isa, icount, &sweep(bin, run), acc_re, acc_im);
+        }
+        for it in (0..icount).step_by(TI) {
             let tl = TI.min(icount - it);
-            for (e, (wre, wim)) in wq.iter().enumerate() {
-                // Slice views, not `Vec` indexing: through the `Vec`s this
-                // loop does not vectorize, and a lone sample's apply is
-                // mostly this loop.
-                let (wre, wim) = (wre.as_slice(), wim.as_slice());
-                for u in 0..tl {
-                    let wrow = (bin * p + i0 + it + u) * q;
-                    for j in 0..q {
-                        let (r, im) = (wre[wrow + j], wim[wrow + j]);
-                        wa[(e * TI + u) * q + j] = crate::simd::madd_pair(r, im);
-                        wb[(e * TI + u) * q + j] = crate::simd::madd_pair(im.wrapping_neg(), r);
-                    }
+            for &run in map.runs.iter().filter(|run| !rowvec(run.2)) {
+                let s = sweep(bin, run);
+                if step == 1 {
+                    let tile = QSweep {
+                        wbase: s.wbase + it,
+                        abase: s.abase + it * s.astride,
+                        ..s
+                    };
+                    qmac_rows(isa, tl, &tile, acc_re, acc_im);
+                    continue;
                 }
-            }
-            if step == 1 {
-                // Unit-stride lanes: the register-resident row kernel sweeps
-                // every engine's q columns per row with the running sums in
-                // registers, writing straight into the accumulator planes.
-                for &(out0, in_base, len) in map.runs {
-                    for (u, slot) in aos[..tl].iter_mut().enumerate() {
-                        *slot = ((it + u) * bins + bin) * l_acc + out0;
-                    }
-                    crate::simd::qmac_rows(
-                        isa,
-                        wa,
-                        wb,
-                        tl,
-                        TI * q,
-                        q,
-                        xq,
-                        2 * (bin * l_pad + in_base),
-                        shifts,
-                        2 * bins * l_pad,
-                        len,
-                        acc_re,
-                        acc_im,
-                        &aos[..tl],
-                    );
-                }
-            } else {
-                // Strided lanes (conv stride > 1): gather each column's
-                // lanes into a contiguous staging tile, then run the per-
-                // column kernel over register tiles. Integer accumulation
-                // is exact, so this ordering and the row kernel's agree
-                // bitwise.
-                for &(out0, in_base, len) in map.runs {
-                    let mut t0 = 0;
-                    while t0 < len {
-                        let l = LANES.min(len - t0);
-                        let mut tr = [[0i32; LANES]; TI];
-                        let mut ti_ = [[0i32; LANES]; TI];
-                        for ((wre, wim), &shift) in wq.iter().zip(shifts) {
-                            for j in 0..q {
-                                // Block-major code planes: [q][bins][l_pad][2].
-                                let xo = (j * bins + bin) * l_pad + in_base + shift + t0 * step;
-                                for t in 0..l {
-                                    sx[2 * t] = xq[2 * (xo + t * step)];
-                                    sx[2 * t + 1] = xq[2 * (xo + t * step) + 1];
-                                }
-                                let x = &sx[..2 * l];
-                                for u in 0..tl {
-                                    let i = i0 + it + u;
-                                    let widx = (bin * p + i) * q + j;
-                                    crate::simd::qmac(
-                                        isa,
-                                        wre[widx],
-                                        wim[widx],
-                                        x,
-                                        &mut tr[u][..l],
-                                        &mut ti_[u][..l],
-                                    );
-                                }
+                let (_, in_base, len) = run;
+                let mut t0 = 0;
+                while t0 < len {
+                    let l = LANES.min(len - t0);
+                    let mut tr = [[0i32; LANES]; TI];
+                    let mut ti_ = [[0i32; LANES]; TI];
+                    for (w, &shift) in wq.iter().zip(shifts) {
+                        for j in 0..q {
+                            let xo = (j * bins + bin) * l_pad + in_base + shift + t0 * step;
+                            for t in 0..l {
+                                sx[2 * t] = xq[2 * (xo + t * step)];
+                                sx[2 * t + 1] = xq[2 * (xo + t * step) + 1];
+                            }
+                            let wj = &w[s.wbase + it + j * p..][..tl];
+                            for (u, &wu) in wj.iter().enumerate() {
+                                qmac(isa, wu, &sx[..2 * l], &mut tr[u][..l], &mut ti_[u][..l]);
                             }
                         }
-                        for u in 0..tl {
-                            let ao = ((it + u) * bins + bin) * l_acc + out0 + t0;
-                            acc_re[ao..ao + l].copy_from_slice(&tr[u][..l]);
-                            acc_im[ao..ao + l].copy_from_slice(&ti_[u][..l]);
-                        }
-                        t0 += l;
                     }
+                    for u in 0..tl {
+                        let ao = s.abase + (it + u) * s.astride + t0;
+                        acc_re[ao..ao + l].copy_from_slice(&tr[u][..l]);
+                        acc_im[ao..ao + l].copy_from_slice(&ti_[u][..l]);
+                    }
+                    t0 += l;
                 }
             }
-            it += tl;
         }
     }
 }

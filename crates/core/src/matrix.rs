@@ -1007,7 +1007,7 @@ pub(crate) fn slab_apply<P: Precision, const N: usize>(
     };
     for side in sides.iter_mut() {
         slab_spectra(side, batch, threads, s.pr, s.pi);
-        engine::mac(side, threads, &map, s.wa, s.wb);
+        engine::mac(side, threads, &map);
     }
     engine::ifft_sides(&sides, threads, batch, epi, s.stage, s.pi);
     engine::unstage_slab(s.stage, sides[0].prec.plan().len(), batch, out);

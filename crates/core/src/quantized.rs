@@ -43,6 +43,7 @@ use circnn_tensor::Tensor;
 use crate::engine::{self, Activation, Arena, Epilogue, I16};
 use crate::error::CircError;
 use crate::matrix::{slab_apply, BlockCirculantMatrix};
+use crate::simd::{madd_pair, unpack_pair};
 
 /// Fixed-point formats and the declared input range of a quantized
 /// operator.
@@ -122,7 +123,7 @@ impl QuantConfig {
     /// dequantized by `dq`.
     fn datapath<'a>(
         &self,
-        codes: &'a [(Vec<i16>, Vec<i16>)],
+        codes: &'a [Vec<i32>],
         q: usize,
         plan: &'a BatchFftPlan<f32>,
         step: f32,
@@ -141,12 +142,11 @@ impl QuantConfig {
 
 /// Calibrates one shared per-block-row scale over every plane in `planes`
 /// (the conv case: all `r²` kernel offsets accumulate into row `i`'s
-/// accumulator, so they must share its scale) and emits the i16 code
+/// accumulator, so they must share its scale) and emits the resident code
 /// planes. Row scales come from [`circnn_quant::fake_quantize`] on the
 /// row's gathered spectra — its `QuantStats::scale` is exactly
 /// `max_abs / max_code`. Imaginary codes at DC/Nyquist are forced to zero
 /// so the MAC needs no real-bin branch.
-#[allow(clippy::type_complexity)]
 fn quantize_weight_planes(
     planes: &[(&[f32], &[f32])],
     p: usize,
@@ -154,13 +154,10 @@ fn quantize_weight_planes(
     bins: usize,
     k: usize,
     format: QFormat,
-) -> (Vec<f32>, Vec<(Vec<i16>, Vec<i16>)>) {
+) -> (Vec<f32>, Vec<Vec<i32>>) {
     let max_code = format.max_code() as i32;
     let mut w_step = vec![1.0f32; p];
-    let mut codes: Vec<(Vec<i16>, Vec<i16>)> = planes
-        .iter()
-        .map(|_| (vec![0i16; bins * p * q], vec![0i16; bins * p * q]))
-        .collect();
+    let mut codes: Vec<Vec<i32>> = planes.iter().map(|_| vec![0; bins * p * q]).collect();
     let mut row = Vec::with_capacity(planes.len() * 2 * bins * q);
     for i in 0..p {
         row.clear();
@@ -176,23 +173,45 @@ fn quantize_weight_planes(
         let stats = circnn_quant::fake_quantize(&mut row, format.bits());
         w_step[i] = stats.scale;
         let inv = 1.0 / stats.scale;
-        for (o, &(wre, wim)) in planes.iter().enumerate() {
-            let (cr, ci) = &mut codes[o];
+        for (c, &(wre, wim)) in codes.iter_mut().zip(planes) {
             for bin in 0..bins {
                 let real_bin = bin == 0 || (k >= 2 && bin == bins - 1);
                 for j in 0..q {
                     let widx = (bin * p + i) * q + j;
-                    cr[widx] = engine::quantize_code(wre[widx], inv, max_code);
-                    ci[widx] = if real_bin {
+                    let re = engine::quantize_code(wre[widx], inv, max_code);
+                    let im = if real_bin {
                         0
                     } else {
                         engine::quantize_code(wim[widx], inv, max_code)
                     };
+                    c[(bin * q + j) * p + i] = madd_pair(re, im);
                 }
             }
         }
     }
     (w_step, codes)
+}
+
+/// The resident code plane of split `[bin][p][q]` `(re, im)` code planes
+/// (the stream layout): `[bin][q][p]` [`madd_pair`] words, which both MAC
+/// sweep shapes read.
+fn pack_codes(re: &[i16], im: &[i16], p: usize, q: usize) -> Vec<i32> {
+    let mut words = vec![0; re.len()];
+    for (idx, (&r, &i)) in re.iter().zip(im).enumerate() {
+        let (bin, row, j) = (idx / (p * q), idx / q % p, idx % q);
+        words[(bin * q + j) * p + row] = madd_pair(r, i);
+    }
+    words
+}
+
+/// The inverse of [`pack_codes`].
+fn unpack_codes(words: &[i32], p: usize, q: usize) -> (Vec<i16>, Vec<i16>) {
+    let (mut re, mut im) = (vec![0; words.len()], vec![0; words.len()]);
+    for (idx, (r, i)) in re.iter_mut().zip(&mut im).enumerate() {
+        let (bin, row, j) = (idx / (p * q), idx / q % p, idx % q);
+        (*r, *i) = unpack_pair(words[(bin * q + j) * p + row]);
+    }
+    (re, im)
 }
 
 /// Reusable scratch arena for the quantized pipelines: the engine's plane
@@ -221,8 +240,8 @@ pub struct QuantizedOperator {
     n: usize,
     k: usize,
     q: usize,
-    /// Weight code planes `(re, im)`, `[bin][p][q]` (the f32 plane layout).
-    wq: (Vec<i16>, Vec<i16>),
+    /// Weight code words, `[bin][q][p]` (see [`pack_codes`]).
+    wq: Vec<i32>,
     /// Per-block-row weight scale (`p` entries).
     w_step: Vec<f32>,
     /// Input spectrum scale.
@@ -298,7 +317,7 @@ impl QuantizedOperator {
                 got: w_step.len(),
             });
         }
-        Self::assemble(m, n, k, cfg, w_step, (wq_re, wq_im))
+        Self::assemble(m, n, k, cfg, w_step, pack_codes(&wq_re, &wq_im, p, q))
     }
 
     fn assemble(
@@ -307,7 +326,7 @@ impl QuantizedOperator {
         k: usize,
         cfg: QuantConfig,
         w_step: Vec<f32>,
-        wq: (Vec<i16>, Vec<i16>),
+        wq: Vec<i32>,
     ) -> Result<Self, CircError> {
         let x_step = cfg.x_step(k);
         let dq = w_step.iter().map(|&s| s * x_step).collect();
@@ -350,9 +369,9 @@ impl QuantizedOperator {
         &self.w_step
     }
 
-    /// Serialized views of the code planes (`[bin][p][q]`, split re/im).
-    pub(crate) fn code_planes(&self) -> (&[i16], &[i16]) {
-        (&self.wq.0, &self.wq.1)
+    /// The code planes in the stream layout (`[bin][p][q]`, split re/im).
+    pub(crate) fn code_planes(&self) -> (Vec<i16>, Vec<i16>) {
+        unpack_codes(&self.wq, self.m.div_ceil(self.k), self.q)
     }
 
     /// Conservative max-abs-error bound versus the f32 engine for inputs
@@ -470,8 +489,8 @@ pub struct QuantizedConv2d {
     stride: usize,
     padding: usize,
     q: usize,
-    /// One `(re, im)` code-plane pair per kernel offset, offset-major.
-    wq: Vec<(Vec<i16>, Vec<i16>)>,
+    /// One code-word plane per kernel offset, offset-major.
+    wq: Vec<Vec<i32>>,
     x_step: f32,
     dq: Vec<f32>,
     cfg: QuantConfig,
@@ -591,8 +610,8 @@ pub struct QuantizedRnnCell {
     in_dim: usize,
     q_ih: usize,
     q_hh: usize,
-    wq_ih: (Vec<i16>, Vec<i16>),
-    wq_hh: (Vec<i16>, Vec<i16>),
+    wq_ih: Vec<i32>,
+    wq_hh: Vec<i32>,
     dq_ih: Vec<f32>,
     dq_hh: Vec<f32>,
     x_step: f32,

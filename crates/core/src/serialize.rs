@@ -39,6 +39,9 @@
 //! wq_re, wq_im             i16 × bins·p·q each ([bin][p][q] planes)
 //! ```
 //!
+//! The operator keeps its codes as one `[bin][q][p]` plane of packed pairs
+//! (the layout both i16 MAC sweeps read) and transposes on load and save.
+//!
 //! Loading funnels through [`QuantizedOperator::from_raw_parts`], so a
 //! stream whose formats could overflow i32 accumulation is rejected with
 //! the same typed [`CircError::QuantOverflow`] as construction.
@@ -307,7 +310,7 @@ pub fn save_quantized_spectra<W: Write>(
     }
     let (wq_re, wq_im) = op.code_planes();
     for plane in [wq_re, wq_im] {
-        for &c in plane {
+        for c in plane {
             out.write_all(&c.to_le_bytes())?;
         }
     }

@@ -1,26 +1,42 @@
-//! Runtime-dispatched SIMD MAC kernels for the spectral-plane engine.
+//! Runtime-dispatched SIMD kernels for the spectral-plane engine.
 //!
-//! Both precisions have the same kernel shape — a **register-resident row
-//! sweep**: a tile of up to four output block rows accumulates every
-//! kernel offset × block column term with the running sums in vector
-//! registers, and each accumulator is written exactly once.
+//! The kernels:
 //!
-//! * [`cmac_rows`] — the f32 sweep
-//!   (`ar += wr·xr + wi·xi`, `ai += wr·xi − wi·xr`), with a real-bin form
-//!   (`ar += wr·xr`) and the conjugated form the transpose apply uses.
-//! * [`qmac_rows`] — the i16×i16→i32 sweep over interleaved `(re, im)` code
-//!   pairs, the `_mm_madd_epi16` shape: one pairwise multiply-add yields
-//!   `wr·xr + wi·xi` (or `wr·xi − wi·xr`) per 32-bit accumulator lane.
-//!   [`qmac`] is its per-term form for strided lanes.
+//! * [`cmac_rows`] — the f32 MAC, a **register-resident lane sweep**: a
+//!   tile of up to four output block rows accumulates every kernel offset ×
+//!   block column term (`ar += wr·xr + wi·xi`, `ai += wr·xi − wi·xr`, with
+//!   a real-bin form `ar += wr·xr` and the conjugated form the transpose
+//!   apply uses) with the running sums in vector registers, one vector per
+//!   8 (AVX2) or 4 (SSE2) lanes of a row, and writes each accumulator
+//!   exactly once.
+//! * The i16×i16→i32 MAC over `(re, im)` code pairs, the `_mm_madd_epi16`
+//!   shape: one pairwise multiply-add yields `wr·xr + wi·xi` (or
+//!   `wr·xi − wi·xr`) per 32-bit lane. It has two sweep shapes over one
+//!   resident weight layout, `[bin][q][p]` pairs packed one per i32 word
+//!   ([`QSweep`]):
+//!   - [`qmac_rows`], the **lane sweep**: like `cmac_rows`, a vector holds
+//!     lanes of one row; each stored word is broadcast as it is, and the
+//!     imaginary term multiplies it by the `(xi, −xr)` swizzle of the input.
+//!   - [`qmac_rowvec`], the **row-vector sweep**, for unit-step runs of
+//!     at most [`Isa::rowvec_lanes`] lanes (AVX2 only): a vector holds 8
+//!     block rows of one lane and one bin; the input pair is broadcast as
+//!     `pack(xr, xi)` and `pack(xi, −xr)` and the rows' words load
+//!     contiguously, so a lone sample fills every vector lane.
+//!
+//!   [`qmac`] is the per-term form for strided conv lanes.
+//! * [`tanh`] — the fused epilogue's activation: AVX2 computes every branch
+//!   of the fdlibm `tanhf` port ([`circnn_tensor::tanh`]) for eight lanes
+//!   and blends; other ISAs run the port.
+//! * [`qpack`] — the fused quantize-and-interleave of stage A's copy-out.
 //!
 //! Dispatch is by runtime CPUID check (`is_x86_feature_detected!`), cached
 //! in a `OnceLock`, resolved **once per MAC chunk** and threaded into the
-//! kernels as a value — the hot loops never touch the atomic. The f32
-//! vector lanes use the same mul/mul/add(sub) association as the scalar
-//! loop and no FMA, so scalar and SIMD results are bitwise identical lane
-//! for lane; the i16 kernels are pure integer arithmetic and therefore
-//! unconditionally bitwise stable. With the `simd` feature off (or off
-//! x86-64) every wrapper collapses to the scalar body.
+//! kernels as a value — the hot loops never touch the atomic. Every kernel
+//! returns the same bits on every ISA: the f32 vector lanes use the same
+//! mul/mul/add(sub) association as the scalar loop and no FMA, the vector
+//! `tanh` replays the port's operations lane for lane, and the i16 kernels
+//! are pure integer arithmetic, exact in any order. With the `simd` feature
+//! off (or off x86-64) every wrapper collapses to the scalar body.
 
 // The only unsafe in the crate: `core::arch` intrinsic calls, each gated
 // behind the matching runtime feature check in `detect()`.
@@ -196,169 +212,240 @@ fn cmac_rows_scalar<'w>(
 }
 
 // ---------------------------------------------------------------------------
+// vector tanh (the fused epilogue's activation)
+// ---------------------------------------------------------------------------
+
+/// `v[t] = tanh(v[t])` for every element, bit-identical to
+/// [`circnn_tensor::tanh`] (the fdlibm `tanhf` port) on every ISA. AVX2
+/// runs eight lanes through every branch of the port and blends; SSE2 and
+/// the scalar build run the port itself.
+pub(crate) fn tanh(isa: Isa, v: &mut [f32]) {
+    match isa {
+        // SAFETY: `isa()` only reports an ISA the CPU has; the body
+        // touches `v` through its own chunking only.
+        #[cfg(all(feature = "simd", target_arch = "x86_64"))]
+        Isa::Avx2 => unsafe { tanh_avx2(v) },
+        _ => v.iter_mut().for_each(|y| *y = circnn_tensor::tanh(*y)),
+    }
+}
+
+// ---------------------------------------------------------------------------
 // i16 complex MAC (interleaved (re, im) pairs → i32 accumulators)
 // ---------------------------------------------------------------------------
 
-/// Quantized complex MAC: `x` holds `l` interleaved `(re, im)` i16 code
-/// pairs (`x.len() == 2·l`); for each lane `t`,
-/// `ar[t] += wr·xr − (−wi)·xi = wr·xr + wi·xi` and
-/// `ai[t] += wr·xi − wi·xr`, all in i32.
-///
-/// The symmetric quantizer clamps codes to `[−C, C]` with
-/// `C ≤ 2¹⁵ − 1`, so each pairwise product sum fits i32 by construction
-/// (the registration-time overflow check guarantees the running total
-/// does too), and `wi.wrapping_neg()` below can never hit `i16::MIN`.
-#[inline(always)]
-pub(crate) fn qmac(isa: Isa, wr: i16, wi: i16, x: &[i16], ar: &mut [i32], ai: &mut [i32]) {
-    match isa {
-        #[cfg(all(feature = "simd", target_arch = "x86_64"))]
-        Isa::Avx2 => unsafe { qmac_avx2(wr, wi, x, ar, ai) },
-        #[cfg(all(feature = "simd", target_arch = "x86_64"))]
-        Isa::Sse2 => unsafe { qmac_sse2(wr, wi, x, ar, ai) },
-        _ => qmac_scalar(wr, wi, x, ar, ai),
-    }
-}
-
-#[inline(always)]
-fn qmac_scalar(wr: i16, wi: i16, x: &[i16], ar: &mut [i32], ai: &mut [i32]) {
-    let (wr, wi) = (i32::from(wr), i32::from(wi));
-    let l = ar.len();
-    for t in 0..l {
-        let xr = i32::from(x[2 * t]);
-        let xi = i32::from(x[2 * t + 1]);
-        ar[t] += wr * xr + wi * xi;
-        ai[t] += wr * xi - wi * xr;
-    }
-}
-
 /// Packs two i16 words into the i32 madd constant `(hi << 16) | lo` so a
 /// pairwise i16 multiply-add against an `(re, im)` pair (re in the low
-/// element) computes `lo·re + hi·im`.
+/// element) computes `lo·re + hi·im`. A resident weight code pair is stored
+/// as `madd_pair(wr, wi)`, which is also its little-endian memory image.
 #[inline(always)]
 pub(crate) fn madd_pair(lo: i16, hi: i16) -> i32 {
     ((hi as u16 as i32) << 16) | (lo as u16 as i32)
 }
 
-/// Register-resident quantized MAC over a tile of `tl ≤ 4` block rows:
-/// for each row `u`, **overwrites** `acc_re/acc_im[aos[u]..]` with
-/// `Σ_e Σ_j w[e][u][j] ∘ x[e][j]` over every engine (fused operator —
-/// e.g. the r² kernel offsets of a convolution) and block column, for
-/// `len` lanes. The running sums stay in SIMD registers across the entire
-/// `e × j` sweep — the per-`j` [`qmac`] formulation pays accumulator loads
-/// and stores on every weight element; this one pays the stores once per
-/// tile, which is what makes small-`q` shapes (convolution with
-/// `in_c == k`, so `q == 1`) profitable.
+/// The `(re, im)` codes of a word packed by [`madd_pair`].
+#[inline(always)]
+pub(crate) fn unpack_pair(w: i32) -> (i16, i16) {
+    (w as i16, (w >> 16) as i16)
+}
+
+/// Quantized complex MAC for one weight word `w = madd_pair(wr, wi)`: `x`
+/// holds `l` interleaved `(re, im)` i16 code pairs (`x.len() == 2·l`); for
+/// each lane `t`, `ar[t] += wr·xr + wi·xi` and `ai[t] += wr·xi − wi·xr`,
+/// all in i32. The strided conv lanes' per-term form of [`qmac_rows`].
 ///
-/// `wa[e·es + u·q + j]` / `wb[...]` are [`madd_pair`] constants
-/// (`pack(wr, wi)` and `pack(−wi, wr)`); `xq` holds interleaved `(re, im)`
-/// pairs with lane `t` of engine `e`'s column `j` at
-/// `xbase + 2·shifts[e] + j·xstride + 2t`. Integer accumulation is exact,
-/// so every ISA — and the per-`j` [`qmac`] ordering — produces bitwise
-/// identical results.
+/// The symmetric quantizer clamps codes to `[−C, C]` with
+/// `C ≤ 2¹⁵ − 1`, so each pairwise product sum fits i32 by construction
+/// (the registration-time overflow check guarantees the running total
+/// does too), and no code negation below can hit `i16::MIN`.
+#[inline(always)]
+pub(crate) fn qmac(isa: Isa, w: i32, x: &[i16], ar: &mut [i32], ai: &mut [i32]) {
+    match isa {
+        #[cfg(all(feature = "simd", target_arch = "x86_64"))]
+        Isa::Avx2 => unsafe { qmac_avx2(w, x, ar, ai) },
+        #[cfg(all(feature = "simd", target_arch = "x86_64"))]
+        Isa::Sse2 => unsafe { qmac_sse2(w, x, ar, ai) },
+        _ => qmac_scalar(w, x, ar, ai),
+    }
+}
+
+#[inline(always)]
+fn qmac_scalar(w: i32, x: &[i16], ar: &mut [i32], ai: &mut [i32]) {
+    let (wr, wi) = unpack_pair(w);
+    let (wr, wi) = (i32::from(wr), i32::from(wi));
+    for (t, (r, i)) in ar.iter_mut().zip(ai.iter_mut()).enumerate() {
+        let (xr, xi) = (i32::from(x[2 * t]), i32::from(x[2 * t + 1]));
+        *r += wr * xr + wi * xi;
+        *i += wr * xi - wi * xr;
+    }
+}
+
+/// Where one i16 sweep finds its operands, in the one resident code layout
+/// both sweep shapes read. Offset `e`'s weight plane `w[e]` holds
+/// `[bin][q][p]` `(re, im)` code pairs, one [`madd_pair`] word each: row
+/// `u`'s word for block column `j` is `wbase + j·wstride + u`, so a bin's
+/// block rows lie contiguous for every column. The input holds interleaved
+/// `(re, im)` i16 pairs: lane `t` of offset `e`'s column `j` starts at
+/// `xbase + 2·(shifts[e] + t) + j·xstride`. Row `u`'s output lane `t` is
+/// element `abase + u·astride + t` of both accumulator planes.
+#[derive(Clone, Copy)]
+pub(crate) struct QSweep<'a> {
+    pub w: &'a [Vec<i32>],
+    pub wbase: usize,
+    pub wstride: usize,
+    pub q: usize,
+    pub x: &'a [i16],
+    pub xbase: usize,
+    pub shifts: &'a [usize],
+    pub xstride: usize,
+    pub len: usize,
+    pub abase: usize,
+    pub astride: usize,
+}
+
+impl QSweep<'_> {
+    /// Whether `rows` output rows of this sweep have any term to add,
+    /// after asserting that every operand index they describe is in bounds
+    /// — the preconditions of the vector bodies.
+    fn check(&self, rows: usize, acc_re: &[i32], acc_im: &[i32]) -> bool {
+        assert_eq!(
+            self.w.len(),
+            self.shifts.len(),
+            "one plane shift per offset"
+        );
+        let Some(&shift) = self.shifts.iter().max() else {
+            return false;
+        };
+        if rows == 0 || self.q == 0 || self.len == 0 {
+            return false;
+        }
+        let w_end = self.wbase + (self.q - 1) * self.wstride + rows;
+        assert!(self.w.iter().all(|w| w_end <= w.len()), "weight words");
+        let x_end = self.xbase + 2 * (shift + self.len) + (self.q - 1) * self.xstride;
+        assert!(x_end <= self.x.len(), "input lanes");
+        let a_end = self.abase + (rows - 1) * self.astride + self.len;
+        assert!(a_end <= acc_re.len().min(acc_im.len()), "accumulator rows");
+        true
+    }
+}
+
+impl Isa {
+    /// The longest unit-step run the i16 MAC sends through the row-vector
+    /// sweep ([`qmac_rowvec`]) rather than the lane sweep. Row-vector cost
+    /// grows with every lane while the lane sweep covers up to eight lanes
+    /// in one (masked) vector; pinned on an AVX2 host, whole i16 calls
+    /// (FC 512×512 and 2048×1024, RNN steps at k = 16 and 32) ran faster
+    /// through the row-vector sweep at 1–4 lanes on every shape and slower
+    /// on the k = 32 RNN at 5. Other ISAs have no row-vector body.
+    pub(crate) fn rowvec_lanes(self) -> usize {
+        match self {
+            Isa::Avx2 => 4,
+            Isa::Sse2 | Isa::Scalar => 0,
+        }
+    }
+}
+
+/// The i16 **lane sweep**, register-resident over a tile of `tl ≤ 4` block
+/// rows: for each row `u`, **overwrites** its `len` accumulator lanes with
+/// `Σ_e Σ_j w[e][u][j] ∘ x[e][j]` over every offset (the conv's r² kernel
+/// offsets) and block column. A vector holds 8 (AVX2) or 4 (SSE2) lanes of
+/// one row; each weight word is broadcast as stored and multiplied by the
+/// `(xr, xi)` pairs for the real term and by their `(xi, −xr)` swizzle for
+/// the imaginary one: the resident plane is the only weight operand.
+/// Integer accumulation is exact, so every ISA and [`qmac_rowvec`] produce
+/// bitwise identical results.
 ///
 /// # Panics
 ///
-/// Panics if `tl` is not in `1..=4` or an index described above falls
-/// outside its slice — the bounds the vector bodies rely on.
-#[allow(clippy::too_many_arguments)]
-#[inline(always)]
+/// Panics if `tl` is not in `1..=4` or an index `s` describes for `tl`
+/// rows falls outside its slice.
 pub(crate) fn qmac_rows(
     isa: Isa,
-    wa: &[i32],
-    wb: &[i32],
     tl: usize,
-    es: usize,
-    q: usize,
-    xq: &[i16],
-    xbase: usize,
-    shifts: &[usize],
-    xstride: usize,
-    len: usize,
+    s: &QSweep<'_>,
     acc_re: &mut [i32],
     acc_im: &mut [i32],
-    aos: &[usize],
 ) {
-    assert!((1..=4).contains(&tl) && aos.len() == tl && tl * q <= es);
-    let Some(&shift) = shifts.iter().max() else {
-        return;
-    };
-    if q == 0 || len == 0 {
+    assert!((1..=4).contains(&tl), "row tile of 1..=4");
+    if !s.check(tl, acc_re, acc_im) {
         return;
     }
-    let w_end = (shifts.len() - 1) * es + tl * q;
-    assert!(w_end <= wa.len().min(wb.len()), "madd constants");
-    let x_end = xbase + 2 * shift + (q - 1) * xstride + 2 * len;
-    assert!(x_end <= xq.len(), "input lanes");
-    let a_end = aos.iter().max().expect("tl ≥ 1") + len;
-    assert!(a_end <= acc_re.len().min(acc_im.len()), "accumulator rows");
     #[cfg(all(feature = "simd", target_arch = "x86_64"))]
     macro_rules! rows {
         ($f:ident) => {
             match tl {
-                1 => $f::<1>(
-                    wa, wb, es, q, xq, xbase, shifts, xstride, len, acc_re, acc_im, aos,
-                ),
-                2 => $f::<2>(
-                    wa, wb, es, q, xq, xbase, shifts, xstride, len, acc_re, acc_im, aos,
-                ),
-                3 => $f::<3>(
-                    wa, wb, es, q, xq, xbase, shifts, xstride, len, acc_re, acc_im, aos,
-                ),
-                _ => $f::<4>(
-                    wa, wb, es, q, xq, xbase, shifts, xstride, len, acc_re, acc_im, aos,
-                ),
+                1 => $f::<1>(s, acc_re, acc_im),
+                2 => $f::<2>(s, acc_re, acc_im),
+                3 => $f::<3>(s, acc_re, acc_im),
+                _ => $f::<4>(s, acc_re, acc_im),
             }
         };
     }
     match isa {
-        // SAFETY: `isa()` only reports an ISA the CPU has, and the asserts
-        // above are the kernels' index preconditions.
+        // SAFETY: `isa()` only reports an ISA the CPU has, and `check`
+        // asserted the kernels' index preconditions.
         #[cfg(all(feature = "simd", target_arch = "x86_64"))]
         Isa::Avx2 => unsafe { rows!(qmac_rows_avx2) },
         #[cfg(all(feature = "simd", target_arch = "x86_64"))]
         Isa::Sse2 => unsafe { rows!(qmac_rows_sse2) },
-        _ => qmac_rows_lanes(
-            wa, tl, es, q, xq, xbase, shifts, xstride, 0, len, acc_re, acc_im, aos,
-        ),
+        _ => qmac_rows_lanes(s, 0..tl, 0, acc_re, acc_im),
     }
 }
 
-/// Scalar row MAC over lanes `t0..len` — the portable body and the vector
-/// kernels' shared tail. Unpacks `wr`/`wi` back out of the `wa` constants
-/// so one constant table serves every ISA.
-#[allow(clippy::too_many_arguments)]
-fn qmac_rows_lanes(
-    wa: &[i32],
-    tl: usize,
-    es: usize,
-    q: usize,
-    xq: &[i16],
-    xbase: usize,
-    shifts: &[usize],
-    xstride: usize,
-    t0: usize,
-    len: usize,
+/// The i16 **row-vector sweep**, for runs of at most
+/// [`Isa::rowvec_lanes`] lanes: overwrites the `len` lanes of output rows
+/// `0..rows` with the same sums as [`qmac_rows`], but an AVX2 vector holds
+/// 8 block rows of one lane. For each lane and column it broadcasts
+/// `pack(xr, xi)` and `pack(xi, −xr)`, loads the rows' stored `(wr, wi)`
+/// words contiguously, and accumulates with pairwise madds; a lone sample
+/// then fills every vector lane instead of one. Up to four row vectors
+/// stay in registers per pass; the row tail is masked. Other ISAs run the
+/// scalar reference.
+///
+/// # Panics
+///
+/// Panics if an index `s` describes for `rows` rows falls outside its
+/// slice.
+pub(crate) fn qmac_rowvec(
+    isa: Isa,
+    rows: usize,
+    s: &QSweep<'_>,
     acc_re: &mut [i32],
     acc_im: &mut [i32],
-    aos: &[usize],
 ) {
-    for u in 0..tl {
-        let ao = aos[u];
-        acc_re[ao + t0..ao + len].fill(0);
-        acc_im[ao + t0..ao + len].fill(0);
-        for (e, &shift) in shifts.iter().enumerate() {
-            let xb = xbase + 2 * shift;
-            for j in 0..q {
-                let w = wa[e * es + u * q + j];
-                let wr = w as i16 as i32;
-                let wi = w >> 16;
-                let xo = xb + j * xstride;
-                for t in t0..len {
-                    let xr = i32::from(xq[xo + 2 * t]);
-                    let xi = i32::from(xq[xo + 2 * t + 1]);
-                    acc_re[ao + t] += wr * xr + wi * xi;
-                    acc_im[ao + t] += wr * xi - wi * xr;
-                }
+    if !s.check(rows, acc_re, acc_im) {
+        return;
+    }
+    match isa {
+        // SAFETY: as in `qmac_rows`.
+        #[cfg(all(feature = "simd", target_arch = "x86_64"))]
+        Isa::Avx2 => unsafe { qmac_rowvec_avx2(s, rows, acc_re, acc_im) },
+        _ => qmac_rows_lanes(s, 0..rows, 0, acc_re, acc_im),
+    }
+}
+
+/// Scalar i16 MAC over output `rows` and lanes `t0..len`: the portable body
+/// of both sweeps, their shared tail, and the reference the vector bodies
+/// must match.
+fn qmac_rows_lanes(
+    s: &QSweep<'_>,
+    rows: core::ops::Range<usize>,
+    t0: usize,
+    acc_re: &mut [i32],
+    acc_im: &mut [i32],
+) {
+    for u in rows {
+        let ao = s.abase + u * s.astride;
+        let (ar, ai) = (
+            &mut acc_re[ao + t0..ao + s.len],
+            &mut acc_im[ao + t0..ao + s.len],
+        );
+        ar.fill(0);
+        ai.fill(0);
+        for (w, &shift) in s.w.iter().zip(s.shifts) {
+            for j in 0..s.q {
+                let xo = s.xbase + 2 * (shift + t0) + j * s.xstride;
+                let x = &s.x[xo..xo + 2 * ar.len()];
+                qmac_scalar(w[s.wbase + j * s.wstride + u], x, ar, ai);
             }
         }
     }
@@ -428,7 +515,9 @@ fn qpack_scalar(pr: &[f32], pi: Option<&[f32]>, inv_step: f32, max_code: i32, ou
 mod x86 {
     use core::arch::x86_64::*;
 
-    use super::{madd_pair, qmac_rows_lanes, qpack_scalar, RowSweep};
+    use super::{
+        madd_pair, qmac_rows_lanes, qmac_scalar, qpack_scalar, unpack_pair, QSweep, RowSweep,
+    };
 
     /// The `TL` tile rows' `s.q` weights in one plane — bounds-checked
     /// here, once per offset, so the column loops index rows of exactly
@@ -627,12 +716,123 @@ mod x86 {
         }
     }
 
+    /// [`circnn_tensor::tanh`] on eight lanes: every branch of the fdlibm
+    /// port is computed for all lanes and the results blended, with the
+    /// port's operations in its order and no FMA, so each lane returns the
+    /// port's bits. `expm1` is specialised to the arguments `tanh` passes
+    /// it, `2|x|` ∈ [2, 44) and `−2|x|` ∈ (−2, −2⁻⁵⁴]: its reduction `k`
+    /// is then 0, −1, −2, −3 or 3…64, and the `1 − 2⁻ᵏ` term of
+    /// 3 ≤ k < 23 comes from a per-lane `srlv`. Lanes outside a branch's
+    /// domain compute garbage that its blend discards.
+    #[inline]
+    #[target_feature(enable = "avx2")]
+    unsafe fn tanh8(x: __m256) -> __m256 {
+        use circnn_tensor::tanhf::{INV_LN2, LN2_HI, LN2_LO, Q};
+        let f = |v: f32| _mm256_set1_ps(v);
+        let i = |v: i32| _mm256_set1_epi32(v);
+        let lt = |a: __m256i, c: i32| _mm256_cmpgt_epi32(i(c), a);
+        let gt = |a: __m256i, c: i32| _mm256_cmpgt_epi32(a, i(c));
+        let pick =
+            |a: __m256, b: __m256, m: __m256i| _mm256_blendv_ps(a, b, _mm256_castsi256_ps(m));
+        let bits = _mm256_castps_si256(x);
+        let sign = _mm256_castsi256_ps(_mm256_and_si256(bits, i(i32::MIN)));
+        let ix = _mm256_and_si256(bits, i(0x7fff_ffff));
+        // |x| ≥ 1 takes expm1(2|x|), smaller |x| expm1(−2|x|).
+        let big = gt(ix, 0x3f7f_ffff);
+        let arg = _mm256_mul_ps(pick(f(-2.0), f(2.0), big), _mm256_castsi256_ps(ix));
+        let hx = _mm256_and_si256(_mm256_castps_si256(arg), i(0x7fff_ffff));
+        // Reduction: k = 0 for |arg| ≤ 0.5·ln2, ±1 below 1.5·ln2, else
+        // trunc(arg/ln2 ± 0.5); r = hi − lo with the correction c.
+        let half = pick(f(-0.5), f(0.5), big);
+        let kr = _mm256_cvttps_epi32(_mm256_add_ps(_mm256_mul_ps(f(INV_LN2), arg), half));
+        let k1 = _mm256_blendv_epi8(i(-1), i(1), big);
+        let k = _mm256_blendv_epi8(kr, k1, lt(hx, 0x3f85_1592));
+        let k = _mm256_and_si256(k, gt(hx, 0x3eb1_7218));
+        let kf = _mm256_cvtepi32_ps(k);
+        let hi = _mm256_sub_ps(arg, _mm256_mul_ps(kf, f(LN2_HI)));
+        let lo = _mm256_mul_ps(kf, f(LN2_LO));
+        let r = _mm256_sub_ps(hi, lo);
+        let c = _mm256_sub_ps(_mm256_sub_ps(hi, r), lo);
+        // The primary-range rational approximation.
+        let hfx = _mm256_mul_ps(f(0.5), r);
+        let hxs = _mm256_mul_ps(r, hfx);
+        let mut poly = _mm256_add_ps(f(Q[3]), _mm256_mul_ps(hxs, f(Q[4])));
+        for q in [Q[2], Q[1], Q[0]] {
+            poly = _mm256_add_ps(f(q), _mm256_mul_ps(hxs, poly));
+        }
+        let r1 = _mm256_add_ps(f(1.0), _mm256_mul_ps(hxs, poly));
+        let t = _mm256_sub_ps(f(3.0), _mm256_mul_ps(r1, hfx));
+        let e = _mm256_mul_ps(
+            hxs,
+            _mm256_div_ps(
+                _mm256_sub_ps(r1, t),
+                _mm256_sub_ps(f(6.0), _mm256_mul_ps(r, t)),
+            ),
+        );
+        let at_k0 = _mm256_sub_ps(r, _mm256_sub_ps(_mm256_mul_ps(r, e), hxs));
+        let e = _mm256_sub_ps(_mm256_sub_ps(_mm256_mul_ps(r, _mm256_sub_ps(e, c)), c), hxs);
+        let at_km1 = _mm256_sub_ps(_mm256_mul_ps(f(0.5), _mm256_sub_ps(r, e)), f(0.5));
+        // The three reconstructions that add k to an exponent.
+        let k23 = _mm256_slli_epi32::<23>(k);
+        let scale = |y: __m256| _mm256_castsi256_ps(_mm256_add_epi32(_mm256_castps_si256(y), k23));
+        let far = _mm256_sub_ps(scale(_mm256_sub_ps(f(1.0), _mm256_sub_ps(e, r))), f(1.0));
+        let one_minus = _mm256_sub_epi32(i(0x3f80_0000), _mm256_srlv_epi32(i(0x0100_0000), k));
+        let near = scale(_mm256_sub_ps(
+            _mm256_castsi256_ps(one_minus),
+            _mm256_sub_ps(e, r),
+        ));
+        let two_minus = _mm256_castsi256_ps(_mm256_slli_epi32::<23>(_mm256_sub_epi32(i(0x7f), k)));
+        let mid = scale(_mm256_add_ps(
+            _mm256_sub_ps(r, _mm256_add_ps(e, two_minus)),
+            f(1.0),
+        ));
+        let mut em1 = pick(mid, near, lt(k, 23));
+        em1 = pick(em1, far, _mm256_or_si256(lt(k, -1), gt(k, 56)));
+        em1 = pick(em1, at_km1, _mm256_cmpeq_epi32(k, i(-1)));
+        em1 = pick(em1, at_k0, _mm256_cmpeq_epi32(k, i(0)));
+        em1 = pick(em1, arg, lt(hx, 0x3300_0000));
+        // tanh from expm1, then |x| ≥ 22, the sign, tiny |x| (±0
+        // included: ±0·(1 ± 0) = ±0) and ±inf/NaN.
+        let den = _mm256_add_ps(em1, f(2.0));
+        let z_big = _mm256_sub_ps(f(1.0), _mm256_div_ps(f(2.0), den));
+        let z_small = _mm256_div_ps(_mm256_xor_ps(em1, f(-0.0)), den);
+        let mut z = pick(z_small, z_big, big);
+        z = pick(z, f(1.0), gt(ix, 0x41af_ffff));
+        z = _mm256_xor_ps(z, sign);
+        z = pick(
+            z,
+            _mm256_mul_ps(x, _mm256_add_ps(f(1.0), x)),
+            lt(ix, 0x2400_0000),
+        );
+        let at_inf = _mm256_add_ps(_mm256_div_ps(f(1.0), x), _mm256_or_ps(f(1.0), sign));
+        pick(z, at_inf, gt(ix, 0x7f7f_ffff))
+    }
+
+    /// The AVX2 body of [`super::tanh`]: [`tanh8`] over whole vectors, the
+    /// port over the tail.
+    ///
+    /// # Safety
+    ///
+    /// The CPU has AVX2.
+    #[target_feature(enable = "avx2")]
+    pub(super) unsafe fn tanh_avx2(v: &mut [f32]) {
+        let mut chunks = v.chunks_exact_mut(8);
+        for c in &mut chunks {
+            let p = c.as_mut_ptr();
+            _mm256_storeu_ps(p, tanh8(_mm256_loadu_ps(p)));
+        }
+        for y in chunks.into_remainder() {
+            *y = circnn_tensor::tanh(*y);
+        }
+    }
+
     #[target_feature(enable = "sse2")]
-    pub(super) unsafe fn qmac_sse2(wr: i16, wi: i16, x: &[i16], ar: &mut [i32], ai: &mut [i32]) {
+    pub(super) unsafe fn qmac_sse2(w: i32, x: &[i16], ar: &mut [i32], ai: &mut [i32]) {
         let l = ar.len();
         // madd over (re, im) pairs: wa yields wr·re + wi·im (the ar term),
         // wb yields (−wi)·re + wr·im = wr·im − wi·re (the ai term).
-        let wa = _mm_set1_epi32(madd_pair(wr, wi));
+        let (wr, wi) = unpack_pair(w);
+        let wa = _mm_set1_epi32(w);
         let wb = _mm_set1_epi32(madd_pair(wi.wrapping_neg(), wr));
         let mut t = 0;
         while t + 4 <= l {
@@ -645,20 +845,16 @@ mod x86 {
             _mm_storeu_si128(ai.as_mut_ptr().add(t).cast(), _mm_add_epi32(aiv, im));
             t += 4;
         }
-        let (wr, wi) = (i32::from(wr), i32::from(wi));
-        while t < l {
-            let xr = i32::from(x[2 * t]);
-            let xi = i32::from(x[2 * t + 1]);
-            ar[t] += wr * xr + wi * xi;
-            ai[t] += wr * xi - wi * xr;
-            t += 1;
+        if t < l {
+            qmac_scalar(w, &x[2 * t..], &mut ar[t..], &mut ai[t..]);
         }
     }
 
     #[target_feature(enable = "avx2")]
-    pub(super) unsafe fn qmac_avx2(wr: i16, wi: i16, x: &[i16], ar: &mut [i32], ai: &mut [i32]) {
+    pub(super) unsafe fn qmac_avx2(w: i32, x: &[i16], ar: &mut [i32], ai: &mut [i32]) {
         let l = ar.len();
-        let wa = _mm256_set1_epi32(madd_pair(wr, wi));
+        let (wr, wi) = unpack_pair(w);
+        let wa = _mm256_set1_epi32(w);
         let wb = _mm256_set1_epi32(madd_pair(wi.wrapping_neg(), wr));
         let mut t = 0;
         while t + 8 <= l {
@@ -671,145 +867,237 @@ mod x86 {
             _mm256_storeu_si256(ai.as_mut_ptr().add(t).cast(), _mm256_add_epi32(aiv, im));
             t += 8;
         }
-        let (wr, wi) = (i32::from(wr), i32::from(wi));
-        while t < l {
-            let xr = i32::from(x[2 * t]);
-            let xi = i32::from(x[2 * t + 1]);
-            ar[t] += wr * xr + wi * xi;
-            ai[t] += wr * xi - wi * xr;
-            t += 1;
+        if t < l {
+            qmac_scalar(w, &x[2 * t..], &mut ar[t..], &mut ai[t..]);
         }
     }
 
-    /// The SSE2 body of [`super::qmac_rows`].
+    /// Each `(xr, xi)` i16 pair of `v` as `(xi, −xr)`: a pairwise madd of
+    /// it against a stored `(wr, wi)` word is the imaginary term
+    /// `wr·xi − wi·xr`. `(a ^ m) − m` negates the words where `m` is −1.
+    #[inline]
+    #[target_feature(enable = "sse2")]
+    unsafe fn swap_neg4(v: __m128i) -> __m128i {
+        let m = _mm_set1_epi32(0xffff_0000_u32 as i32);
+        let sw = _mm_shufflehi_epi16::<0xb1>(_mm_shufflelo_epi16::<0xb1>(v));
+        _mm_sub_epi16(_mm_xor_si128(sw, m), m)
+    }
+
+    /// [`swap_neg4`] over eight pairs.
+    #[inline]
+    #[target_feature(enable = "avx2")]
+    unsafe fn swap_neg8(v: __m256i) -> __m256i {
+        let m = _mm256_set1_epi32(0xffff_0000_u32 as i32);
+        let sw = _mm256_shufflehi_epi16::<0xb1>(_mm256_shufflelo_epi16::<0xb1>(v));
+        _mm256_sub_epi16(_mm256_xor_si256(sw, m), m)
+    }
+
+    /// The SSE2 body of [`super::qmac_rows`]: four lanes per register, the
+    /// lane tail scalar.
     ///
     /// # Safety
     ///
-    /// The CPU has SSE2 and the wrapper's asserts hold: `aos.len() == TL`,
-    /// the madd constants cover `(shifts.len() − 1)·es + TL·q` entries, and
-    /// every `(e, j, t)` code pair and `(u, t)` accumulator lane is in
-    /// bounds.
-    #[allow(clippy::too_many_arguments)]
+    /// The CPU has SSE2 and `QSweep::check` passed for `TL` rows.
     #[target_feature(enable = "sse2")]
     pub(super) unsafe fn qmac_rows_sse2<const TL: usize>(
-        wa: &[i32],
-        wb: &[i32],
-        es: usize,
-        q: usize,
-        xq: &[i16],
-        xbase: usize,
-        shifts: &[usize],
-        xstride: usize,
-        len: usize,
+        s: &QSweep<'_>,
         acc_re: &mut [i32],
         acc_im: &mut [i32],
-        aos: &[usize],
     ) {
         let mut t0 = 0;
-        while t0 + 4 <= len {
+        while t0 + 4 <= s.len {
             let mut ar = [_mm_setzero_si128(); TL];
             let mut ai = [_mm_setzero_si128(); TL];
-            for (e, &shift) in shifts.iter().enumerate() {
-                let xb = xbase + 2 * shift;
-                for j in 0..q {
-                    let xv = _mm_loadu_si128(xq.as_ptr().add(xb + j * xstride + 2 * t0).cast());
+            for (w, &shift) in s.w.iter().zip(s.shifts) {
+                let w = w.as_ptr().add(s.wbase);
+                let x = s.x.as_ptr().add(s.xbase + 2 * (shift + t0));
+                for j in 0..s.q {
+                    let xv = _mm_loadu_si128(x.add(j * s.xstride).cast());
+                    let xs = swap_neg4(xv);
+                    let wj = w.add(j * s.wstride);
                     for u in 0..TL {
-                        let wav = _mm_set1_epi32(*wa.get_unchecked(e * es + u * q + j));
-                        let wbv = _mm_set1_epi32(*wb.get_unchecked(e * es + u * q + j));
-                        ar[u] = _mm_add_epi32(ar[u], _mm_madd_epi16(xv, wav));
-                        ai[u] = _mm_add_epi32(ai[u], _mm_madd_epi16(xv, wbv));
+                        let wv = _mm_set1_epi32(*wj.add(u));
+                        ar[u] = _mm_add_epi32(ar[u], _mm_madd_epi16(xv, wv));
+                        ai[u] = _mm_add_epi32(ai[u], _mm_madd_epi16(xs, wv));
                     }
                 }
             }
             for u in 0..TL {
-                _mm_storeu_si128(acc_re.as_mut_ptr().add(aos[u] + t0).cast(), ar[u]);
-                _mm_storeu_si128(acc_im.as_mut_ptr().add(aos[u] + t0).cast(), ai[u]);
+                let ao = s.abase + u * s.astride + t0;
+                _mm_storeu_si128(acc_re.as_mut_ptr().add(ao).cast(), ar[u]);
+                _mm_storeu_si128(acc_im.as_mut_ptr().add(ao).cast(), ai[u]);
             }
             t0 += 4;
         }
-        if t0 < len {
-            qmac_rows_lanes(
-                wa, TL, es, q, xq, xbase, shifts, xstride, t0, len, acc_re, acc_im, aos,
-            );
+        if t0 < s.len {
+            qmac_rows_lanes(s, 0..TL, t0, acc_re, acc_im);
         }
     }
 
-    /// The AVX2 body of [`super::qmac_rows`].
+    /// The register-resident core of [`qmac_rows_avx2`]: the `TL` rows'
+    /// sums for the eight lanes from `t0`, loaded whole or (`MASKED`)
+    /// under the tail `mask`, whose off lanes read as zero.
     ///
     /// # Safety
     ///
-    /// As [`qmac_rows_sse2`], with AVX2.
-    #[allow(clippy::too_many_arguments)]
+    /// As [`qmac_rows_avx2`], for the lanes `mask` enables.
+    #[inline]
     #[target_feature(enable = "avx2")]
-    pub(super) unsafe fn qmac_rows_avx2<const TL: usize>(
-        wa: &[i32],
-        wb: &[i32],
-        es: usize,
-        q: usize,
-        xq: &[i16],
-        xbase: usize,
-        shifts: &[usize],
-        xstride: usize,
-        len: usize,
-        acc_re: &mut [i32],
-        acc_im: &mut [i32],
-        aos: &[usize],
-    ) {
-        let mut t0 = 0;
-        while t0 + 8 <= len {
-            let mut ar = [_mm256_setzero_si256(); TL];
-            let mut ai = [_mm256_setzero_si256(); TL];
-            for (e, &shift) in shifts.iter().enumerate() {
-                let xb = xbase + 2 * shift;
-                for j in 0..q {
-                    let xv = _mm256_loadu_si256(xq.as_ptr().add(xb + j * xstride + 2 * t0).cast());
-                    for u in 0..TL {
-                        let wav = _mm256_set1_epi32(*wa.get_unchecked(e * es + u * q + j));
-                        let wbv = _mm256_set1_epi32(*wb.get_unchecked(e * es + u * q + j));
-                        ar[u] = _mm256_add_epi32(ar[u], _mm256_madd_epi16(xv, wav));
-                        ai[u] = _mm256_add_epi32(ai[u], _mm256_madd_epi16(xv, wbv));
-                    }
+    unsafe fn lanes8<const TL: usize, const MASKED: bool>(
+        s: &QSweep<'_>,
+        t0: usize,
+        mask: __m256i,
+    ) -> ([__m256i; TL], [__m256i; TL]) {
+        let mut ar = [_mm256_setzero_si256(); TL];
+        let mut ai = [_mm256_setzero_si256(); TL];
+        for (w, &shift) in s.w.iter().zip(s.shifts) {
+            let w = w.as_ptr().add(s.wbase);
+            let x = s.x.as_ptr().add(s.xbase + 2 * (shift + t0));
+            for j in 0..s.q {
+                let xp = x.add(j * s.xstride);
+                let xv = if MASKED {
+                    // One i32 lane per (re, im) pair.
+                    _mm256_maskload_epi32(xp.cast(), mask)
+                } else {
+                    _mm256_loadu_si256(xp.cast())
+                };
+                let xs = swap_neg8(xv);
+                let wj = w.add(j * s.wstride);
+                for u in 0..TL {
+                    let wv = _mm256_set1_epi32(*wj.add(u));
+                    ar[u] = _mm256_add_epi32(ar[u], _mm256_madd_epi16(xv, wv));
+                    ai[u] = _mm256_add_epi32(ai[u], _mm256_madd_epi16(xs, wv));
                 }
             }
+        }
+        (ar, ai)
+    }
+
+    /// The AVX2 body of [`super::qmac_rows`]: eight lanes per register, the
+    /// lane tail at full width under a mask.
+    ///
+    /// # Safety
+    ///
+    /// The CPU has AVX2 and `QSweep::check` passed for `TL` rows.
+    #[target_feature(enable = "avx2")]
+    pub(super) unsafe fn qmac_rows_avx2<const TL: usize>(
+        s: &QSweep<'_>,
+        acc_re: &mut [i32],
+        acc_im: &mut [i32],
+    ) {
+        let iota = _mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7);
+        let mut t0 = 0;
+        while t0 < s.len {
+            let n = (s.len - t0).min(8);
+            let mask = _mm256_cmpgt_epi32(_mm256_set1_epi32(n as i32), iota);
+            let (ar, ai) = if n == 8 {
+                lanes8::<TL, false>(s, t0, mask)
+            } else {
+                lanes8::<TL, true>(s, t0, mask)
+            };
             for u in 0..TL {
-                _mm256_storeu_si256(acc_re.as_mut_ptr().add(aos[u] + t0).cast(), ar[u]);
-                _mm256_storeu_si256(acc_im.as_mut_ptr().add(aos[u] + t0).cast(), ai[u]);
+                let ao = s.abase + u * s.astride + t0;
+                for (plane, v) in [(&mut *acc_re, ar[u]), (&mut *acc_im, ai[u])] {
+                    let p = plane.as_mut_ptr().add(ao);
+                    if n == 8 {
+                        _mm256_storeu_si256(p.cast(), v);
+                    } else {
+                        _mm256_maskstore_epi32(p, mask, v);
+                    }
+                }
             }
             t0 += 8;
         }
-        if t0 < len {
-            // Masked tail: each i32 lane is one `(re, im)` i16 pair, so a
-            // maskload/maskstore pair runs the remainder at full vector
-            // width — masked-off x lanes read as zero and contribute
-            // nothing. Short conv runs (padded plane length per sample)
-            // would otherwise pay a scalar sweep over all e·q columns per
-            // leftover lane.
-            let rem = (len - t0) as i32;
-            let mv = _mm256_cmpgt_epi32(
-                _mm256_set1_epi32(rem),
-                _mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7),
-            );
-            let mut ar = [_mm256_setzero_si256(); TL];
-            let mut ai = [_mm256_setzero_si256(); TL];
-            for (e, &shift) in shifts.iter().enumerate() {
-                let xb = xbase + 2 * shift;
-                for j in 0..q {
-                    let xv = _mm256_maskload_epi32(
-                        xq.as_ptr().add(xb + j * xstride + 2 * t0).cast(),
-                        mv,
-                    );
-                    for u in 0..TL {
-                        let wav = _mm256_set1_epi32(*wa.get_unchecked(e * es + u * q + j));
-                        let wbv = _mm256_set1_epi32(*wb.get_unchecked(e * es + u * q + j));
-                        ar[u] = _mm256_add_epi32(ar[u], _mm256_madd_epi16(xv, wav));
-                        ai[u] = _mm256_add_epi32(ai[u], _mm256_madd_epi16(xv, wbv));
+    }
+
+    /// One pass of [`qmac_rowvec_avx2`]: the `live` rows from `r0` in `G`
+    /// groups of eight, every lane; with `MASKED`, the last group loads
+    /// only the rows `mask` enables.
+    ///
+    /// # Safety
+    ///
+    /// As [`qmac_rowvec_avx2`], for rows `r0..r0 + live`.
+    #[inline]
+    #[target_feature(enable = "avx2")]
+    unsafe fn rowvec8<const G: usize, const MASKED: bool>(
+        s: &QSweep<'_>,
+        r0: usize,
+        live: usize,
+        mask: __m256i,
+        acc_re: &mut [i32],
+        acc_im: &mut [i32],
+    ) {
+        for t in 0..s.len {
+            let mut ar = [_mm256_setzero_si256(); G];
+            let mut ai = [_mm256_setzero_si256(); G];
+            for (w, &shift) in s.w.iter().zip(s.shifts) {
+                let w = w.as_ptr().add(s.wbase + r0);
+                let x = s.x.as_ptr().add(s.xbase + 2 * (shift + t));
+                for j in 0..s.q {
+                    let (xr, xi) = (*x.add(j * s.xstride), *x.add(j * s.xstride + 1));
+                    let bre = _mm256_set1_epi32(madd_pair(xr, xi));
+                    let bim = _mm256_set1_epi32(madd_pair(xi, xr.wrapping_neg()));
+                    let wj = w.add(j * s.wstride);
+                    for g in 0..G {
+                        let wv = if MASKED && g + 1 == G {
+                            _mm256_maskload_epi32(wj.add(8 * g), mask)
+                        } else {
+                            _mm256_loadu_si256(wj.add(8 * g).cast())
+                        };
+                        ar[g] = _mm256_add_epi32(ar[g], _mm256_madd_epi16(wv, bre));
+                        ai[g] = _mm256_add_epi32(ai[g], _mm256_madd_epi16(wv, bim));
                     }
                 }
             }
-            for u in 0..TL {
-                _mm256_maskstore_epi32(acc_re.as_mut_ptr().add(aos[u] + t0).cast(), mv, ar[u]);
-                _mm256_maskstore_epi32(acc_im.as_mut_ptr().add(aos[u] + t0).cast(), mv, ai[u]);
+            // Spill through the stack: output rows sit `astride` apart.
+            for g in 0..G {
+                let (mut re, mut im) = ([0i32; 8], [0i32; 8]);
+                _mm256_storeu_si256(re.as_mut_ptr().cast(), ar[g]);
+                _mm256_storeu_si256(im.as_mut_ptr().cast(), ai[g]);
+                for u in 0..8.min(live - 8 * g) {
+                    let ao = s.abase + (r0 + 8 * g + u) * s.astride + t;
+                    acc_re[ao] = re[u];
+                    acc_im[ao] = im[u];
+                }
             }
+        }
+    }
+
+    /// The AVX2 body of [`super::qmac_rowvec`]: up to 32 rows (four
+    /// vectors of eight) per pass, a row tail under a load mask.
+    ///
+    /// # Safety
+    ///
+    /// The CPU has AVX2 and `QSweep::check` passed for `rows` rows.
+    #[target_feature(enable = "avx2")]
+    pub(super) unsafe fn qmac_rowvec_avx2(
+        s: &QSweep<'_>,
+        rows: usize,
+        acc_re: &mut [i32],
+        acc_im: &mut [i32],
+    ) {
+        let iota = _mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7);
+        let mut r0 = 0;
+        while r0 < rows {
+            let n = (rows - r0).min(32);
+            // Rows the last group of this pass holds.
+            let mask = _mm256_cmpgt_epi32(_mm256_set1_epi32(((n - 1) % 8 + 1) as i32), iota);
+            macro_rules! pass {
+                ($g:literal) => {
+                    if n % 8 == 0 {
+                        rowvec8::<$g, false>(s, r0, n, mask, acc_re, acc_im)
+                    } else {
+                        rowvec8::<$g, true>(s, r0, n, mask, acc_re, acc_im)
+                    }
+                };
+            }
+            match n.div_ceil(8) {
+                1 => pass!(1),
+                2 => pass!(2),
+                3 => pass!(3),
+                _ => pass!(4),
+            }
+            r0 += n;
         }
     }
 
@@ -907,8 +1195,8 @@ mod x86 {
 
 #[cfg(all(feature = "simd", target_arch = "x86_64"))]
 use x86::{
-    cmac_rows_avx2, cmac_rows_sse2, qmac_avx2, qmac_rows_avx2, qmac_rows_sse2, qmac_sse2,
-    qpack_avx2, qpack_sse2,
+    cmac_rows_avx2, cmac_rows_sse2, qmac_avx2, qmac_rows_avx2, qmac_rows_sse2, qmac_rowvec_avx2,
+    qmac_sse2, qpack_avx2, qpack_sse2, tanh_avx2,
 };
 
 #[cfg(test)]
@@ -929,6 +1217,94 @@ mod tests {
             }
         }
         v
+    }
+
+    /// `n` pseudo-random i16 codes in `(−m, m)` from `seed`.
+    fn codes(n: usize, seed: u64, m: i16) -> Vec<i16> {
+        (0..n)
+            .map(|t| {
+                let h = seed
+                    .wrapping_mul(0x9e37_79b9_7f4a_7c15)
+                    .wrapping_add((t as u64).wrapping_mul(0x2545_f491_4f6c_dd1d));
+                ((h >> 48) as i16) % m
+            })
+            .collect()
+    }
+
+    /// `tanh` inputs at the port's branch edges: ±0, subnormals, |x| at
+    /// 2⁻⁵⁵, 1 and 22 and one ulp either side, the `expm1` argument 2|x| at
+    /// 2⁻²⁵, 0.5·ln2 and 1.5·ln2, the k = 22/23 and 56/57 switches, the
+    /// largest finite values, ±inf, and quiet and signalling NaNs.
+    const TANH_SPECIALS: [u32; 36] = [
+        0x0000_0000,
+        0x8000_0000,
+        0x0000_0001,
+        0x807f_ffff,
+        0x23ff_ffff,
+        0x2400_0000,
+        0xa400_0001,
+        0x3f7f_ffff,
+        0x3f80_0000,
+        0xbf80_0001,
+        0x41af_ffff,
+        0x41b0_0000,
+        0xc1b0_0001,
+        0x327f_ffff,
+        0x3280_0000,
+        0xb280_0001,
+        0x3e31_7217,
+        0x3e31_7218,
+        0xbe31_7219,
+        0x3f05_1591,
+        0x3f05_1592,
+        0xbf05_1593,
+        0x40f9_999a,
+        0xc0f9_999a,
+        0x419c_0000,
+        0x419c_cccd,
+        0xc1a0_0000,
+        0x41af_f000,
+        0x7f7f_ffff,
+        0xff7f_ffff,
+        0x7f80_0000,
+        0xff80_0000,
+        0x7fc0_0000,
+        0xffc0_0001,
+        0x7f80_0001,
+        0xff81_2345,
+    ];
+
+    /// Every one of the 2³² inputs through the port and each host ISA's
+    /// body, against the host libm's `tanhf` (a NaN matches any NaN). The
+    /// port reproduces the fdlibm `tanhf` glibc shipped, so this holds only
+    /// on glibc releases that still ship it (checked on 2.36); a libm with a
+    /// different `tanhf`, such as a correctly rounded one, fails it without
+    /// the port being wrong. Run it with `cargo test --release -p
+    /// circnn-core --lib tanh_matches_libm_exhaustively -- --ignored`.
+    #[test]
+    #[ignore = "exhaustive over 2^32 inputs: about two minutes in release"]
+    #[cfg(target_env = "gnu")]
+    fn tanh_matches_libm_exhaustively() {
+        let isas = host_isas();
+        let mut xs = vec![0.0f32; 1 << 16];
+        let mut mismatches = vec![0u64; isas.len()];
+        for hi in 0..1u32 << 16 {
+            for (lo, x) in xs.iter_mut().enumerate() {
+                *x = f32::from_bits(hi << 16 | lo as u32);
+            }
+            let libm: Vec<f32> = xs.iter().map(|x| x.tanh()).collect();
+            for (n, &isa) in isas.iter().enumerate() {
+                let mut got = xs.clone();
+                tanh(isa, &mut got);
+                let same =
+                    |(g, w): (&f32, &f32)| g.to_bits() == w.to_bits() || g.is_nan() && w.is_nan();
+                mismatches[n] += got.iter().zip(&libm).filter(|&p| !same(p)).count() as u64;
+            }
+        }
+        assert!(
+            mismatches.iter().all(|&m| m == 0),
+            "{isas:?}: {mismatches:?}"
+        );
     }
 
     proptest! {
@@ -1007,69 +1383,97 @@ mod tests {
             wi in -2047i16..=2047,
             seed in any::<u64>(),
         ) {
-            let x: Vec<i16> = (0..2 * len)
-                .map(|t| {
-                    let h = seed
-                        .wrapping_mul(0x9e37_79b9_7f4a_7c15)
-                        .wrapping_add((t as u64).wrapping_mul(0x2545_f491_4f6c_dd1d));
-                    ((h >> 48) as i16) % 1024
-                })
-                .collect();
+            let x = codes(2 * len, seed, 1024);
             let a0: Vec<i32> = (0..len).map(|t| (t as i32 - 7) * 1023).collect();
             let (mut gr, mut gi) = (a0.clone(), a0.clone());
-            qmac_scalar(wr, wi, &x, &mut gr, &mut gi);
+            qmac_scalar(madd_pair(wr, wi), &x, &mut gr, &mut gi);
             for &isa in &host_isas() {
                 let (mut tr, mut ti) = (a0.clone(), a0.clone());
-                qmac(isa, wr, wi, &x, &mut tr, &mut ti);
+                qmac(isa, madd_pair(wr, wi), &x, &mut tr, &mut ti);
                 prop_assert_eq!(&tr, &gr);
                 prop_assert_eq!(&ti, &gi);
             }
         }
 
-        /// Register-tiled i16 row MAC: bitwise across ISAs for every tile
-        /// height, engine count, column count, lane length, and stride.
+        /// Both i16 sweep shapes on every host ISA equal the scalar
+        /// reference bitwise — the lane sweep per tile of 1..=4 rows, the
+        /// row-vector sweep over any row count (row tails past the 8-row
+        /// vectors included) — for several kernel offsets and plane
+        /// shifts, 1..=7 lanes and beyond, misaligned bases, and codes at
+        /// the clamp edge. Each writes exactly its rows' `len` lanes.
         #[test]
-        fn qmac_rows_matches_scalar_bitwise(
-            tl in 1usize..=4,
-            ne in 1usize..=4,
-            q in 1usize..6,
-            len in 1usize..40,
-            xstride_pad in 0usize..5,
+        fn qmac_sweeps_match_scalar_bitwise(
+            (rows, tl, ne, q) in (1usize..40, 1usize..=4, 1usize..=4, 1usize..6),
+            (len_pick, len_any) in (0usize..10, 1usize..30),
+            (pad, wpad) in (0usize..5, 0usize..3),
             seed in any::<u64>(),
         ) {
-            let xstride = 2 * len + 2 * xstride_pad;
-            let xq: Vec<i16> = (0..(ne + 1) * 2 * xstride_pad + q * xstride + 2 * len)
-                .map(|t| {
-                    let h = seed
-                        .wrapping_mul(0x9e37_79b9_7f4a_7c15)
-                        .wrapping_add((t as u64).wrapping_mul(0x2545_f491_4f6c_dd1d));
-                    ((h >> 48) as i16) % 1024
+            let len = [1, 2, 3, 5, 7, 8].get(len_pick).copied().unwrap_or(len_any);
+            let shifts: Vec<usize> = (0..ne).map(|e| (e * 3 + pad) % 5).collect();
+            // Rows padded apart like a bin's p rows inside a wider plane.
+            let wstride = rows + wpad;
+            let w: Vec<Vec<i32>> = (0..ne as u64)
+                .map(|e| {
+                    let c = codes(2 * (wpad + q * wstride), seed ^ (e + 1), 2048);
+                    c.chunks_exact(2).map(|c| madd_pair(c[0], c[1])).collect()
                 })
                 .collect();
-            // Per-engine lane shifts like the conv kernel-offset shifts.
-            let shifts: Vec<usize> = (0..ne).map(|e| xstride_pad * (e + 1)).collect();
-            let es = 4 * q; // TI·q, with TI = 4 as in the engine
-            let (wa, wb): (Vec<i32>, Vec<i32>) = (0..ne * es)
-                .map(|t| {
-                    let h = seed
-                        .wrapping_mul(0x2545_f491_4f6c_dd1d)
-                        .wrapping_add((t as u64).wrapping_mul(0x9e37_79b9_7f4a_7c15));
-                    let wr = ((h >> 40) as i16) % 2048;
-                    let wi = ((h >> 24) as i16) % 2048;
-                    (madd_pair(wr, wi), madd_pair(wi.wrapping_neg(), wr))
-                })
-                .unzip();
-            // Accumulator rows laid out back-to-back with a guard gap, and
-            // pre-filled with garbage the kernel must overwrite.
-            let aos: Vec<usize> = (0..tl).map(|u| u * (len + 3)).collect();
-            let a0: Vec<i32> = (0..tl * (len + 3)).map(|t| (t as i32 - 9) * 515).collect();
+            let xstride = 2 * (len + 5) + pad;
+            let x = codes(pad + 2 * (5 + len) + q * xstride, seed ^ 0xabcd, 1024);
+            let astride = len + pad + 1;
+            let s = QSweep {
+                w: &w,
+                wbase: wpad,
+                wstride,
+                q,
+                x: &x,
+                xbase: pad,
+                shifts: &shifts,
+                xstride,
+                len,
+                abase: pad,
+                astride,
+            };
+            let a0: Vec<i32> = (0..pad + rows * astride).map(|t| (t as i32 - 9) * 515).collect();
             let (mut gr, mut gi) = (a0.clone(), a0.clone());
-            qmac_rows_lanes(&wa, tl, es, q, &xq, 0, &shifts, xstride, 0, len, &mut gr, &mut gi, &aos);
+            qmac_rows_lanes(&s, 0..rows, 0, &mut gr, &mut gi);
+            for u in 0..rows {
+                let gap = pad + u * astride + len..(pad + (u + 1) * astride).min(a0.len());
+                prop_assert_eq!(&gr[gap.clone()], &a0[gap]);
+            }
+            let tl = tl.min(rows);
+            let rows_of = |v: &[i32], n: usize| v[..pad + n * astride].to_vec();
             for &isa in &host_isas() {
                 let (mut tr, mut ti) = (a0.clone(), a0.clone());
-                qmac_rows(isa, &wa, &wb, tl, es, q, &xq, 0, &shifts, xstride, len, &mut tr, &mut ti, &aos);
-                prop_assert_eq!(&tr, &gr);
-                prop_assert_eq!(&ti, &gi);
+                qmac_rowvec(isa, rows, &s, &mut tr, &mut ti);
+                prop_assert_eq!(&tr, &gr, "row-vector {:?}", isa);
+                prop_assert_eq!(&ti, &gi, "row-vector {:?}", isa);
+                let (mut tr, mut ti) = (a0.clone(), a0.clone());
+                qmac_rows(isa, tl, &s, &mut tr, &mut ti);
+                prop_assert_eq!(rows_of(&tr, tl), rows_of(&gr, tl), "lane sweep {:?}", isa);
+                prop_assert_eq!(rows_of(&ti, tl), rows_of(&gi, tl), "lane sweep {:?}", isa);
+            }
+        }
+
+        /// The vector `tanh` equals the fdlibm port bitwise on every host
+        /// ISA, NaN payloads included, over every special input plus
+        /// random bit patterns (the exponent is uniform, so every branch is
+        /// hit), rotated so each value lands in every vector lane and in
+        /// the scalar tail.
+        #[test]
+        fn tanh_matches_port_bitwise(
+            raw in prop::collection::vec(any::<u32>(), 0..40),
+            rot in 0usize..80,
+        ) {
+            let mut xs: Vec<f32> = TANH_SPECIALS.iter().chain(&raw).map(|&b| f32::from_bits(b)).collect();
+            let r = rot % xs.len();
+            xs.rotate_left(r);
+            let port: Vec<u32> = xs.iter().map(|&x| circnn_tensor::tanh(x).to_bits()).collect();
+            for &isa in &host_isas() {
+                let mut got = xs.clone();
+                tanh(isa, &mut got);
+                let got: Vec<u32> = got.iter().map(|y| y.to_bits()).collect();
+                prop_assert_eq!(&got, &port, "{:?}", isa);
             }
         }
 

@@ -117,8 +117,8 @@ fn batched_round_trip_is_allocation_free_after_warmup() {
     let mut rout = vec![0.0f32; rnn_batch * 2 * 16];
 
     // The i16 twins ride the proof as well — operator, conv (whose MAC
-    // builds per-tile madd constants for all r² offsets) and recurrent
-    // cell, each out of one warm QuantWorkspace.
+    // sweeps all r² offsets) and recurrent cell, each out of one warm
+    // QuantWorkspace.
     let qop = QuantizedOperator::from_operator(&w, QuantConfig::default()).unwrap();
     let qconv = conv.quantize(QuantConfig::default()).unwrap();
     let qcell = rnn.cell().quantize(QuantConfig::default()).unwrap();

@@ -139,7 +139,7 @@ impl Tanh {
 
 impl Layer for Tanh {
     fn forward_batch(&mut self, input: &Tensor) -> Tensor {
-        let out = input.map(f32::tanh);
+        let out = input.map(circnn_tensor::tanh);
         self.output = Some(out.data().to_vec());
         out
     }
@@ -160,7 +160,7 @@ impl Layer for Tanh {
     }
 
     fn infer_batch(&self, input: &Tensor, _scratch: &mut crate::InferScratch) -> Tensor {
-        input.map(f32::tanh)
+        input.map(circnn_tensor::tanh)
     }
 
     fn supports_infer(&self) -> bool {

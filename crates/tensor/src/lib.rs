@@ -12,6 +12,9 @@
 //!   ("reformulation of Eqn. (6) to matrix multiplication"), plus its
 //!   adjoint `col2im` used by the backward pass.
 //! * [`init`] — seeded Xavier/He initializers built on `rand`.
+//! * [`tanh`] — the library's one `tanh`, a port of the fdlibm `tanhf`
+//!   glibc shipped ([`tanhf`] holds its constants), so activations do not
+//!   depend on the host libm.
 //!
 //! Everything is deterministic given a seed; no threading, no SIMD
 //! intrinsics — results are bit-reproducible across runs, which the
@@ -36,6 +39,8 @@ mod tensor;
 
 pub mod im2col;
 pub mod init;
+pub mod tanhf;
 
 pub use shape::Shape;
+pub use tanhf::tanh;
 pub use tensor::{stack_samples, Tensor};
