@@ -12,8 +12,8 @@
 //! the event loop parks the connection (reading pauses — natural TCP
 //! backpressure) until a slot frees up.
 //!
-//! Replies go out in arrival order for v2 clients and by request id for
-//! v3 clients, exactly as on the model-serving [`circnn_wire::EventServer`].
+//! Replies go out tagged by request id as they complete, exactly as on
+//! the model-serving [`circnn_wire::EventServer`].
 
 use std::collections::VecDeque;
 use std::net::{SocketAddr, ToSocketAddrs};

@@ -32,7 +32,7 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 use crate::error::WireError;
-use crate::frame::{self, HealthInfo, ModelInfo, Reply, Request, Tag, MAX_PAYLOAD};
+use crate::frame::{self, HealthInfo, ModelInfo, Reply, Request, MAX_PAYLOAD};
 
 /// Timeout and retry policy of a [`WireClient`].
 #[derive(Debug, Clone)]
@@ -57,11 +57,6 @@ pub struct ClientConfig {
     /// Seed of the deterministic jitter stream (two clients with the same
     /// seed back off identically — tests stay reproducible).
     pub retry_seed: u64,
-    /// Protocol version to speak: `3` (request-id framing — replies may
-    /// complete out of order, the id pairs them) or `2` (legacy: no ids,
-    /// replies strictly in request order). The server answers either on
-    /// the same port.
-    pub protocol: u8,
 }
 
 impl Default for ClientConfig {
@@ -76,7 +71,6 @@ impl Default for ClientConfig {
             backoff_base: Duration::from_millis(10),
             backoff_cap: Duration::from_secs(1),
             retry_seed: 0x5eed_c1bc,
-            protocol: frame::VERSION,
         }
     }
 }
@@ -95,7 +89,7 @@ enum PendingKind {
 
 /// One pipelined request awaiting its reply.
 struct PendingReq {
-    tag: Tag,
+    id: u64,
     kind: PendingKind,
 }
 
@@ -121,11 +115,12 @@ impl Read for TrackedReader<'_> {
 /// A blocking client over one connection.
 ///
 /// Simple callers use the synchronous round-trip methods
-/// ([`WireClient::infer`], [`WireClient::list_models`], …). Because the
-/// server answers **in arrival order per connection**, a caller can also
-/// pipeline: issue several [`WireClient::send_infer`]s, then collect the
-/// matching [`WireClient::recv_infer`]s in the same order — that is what
-/// keeps the server's batcher fed from a single socket.
+/// ([`WireClient::infer`], [`WireClient::list_models`], …). A caller can
+/// also pipeline: issue several [`WireClient::send_infer`]s, then collect
+/// the matching [`WireClient::recv_infer`]s in the same order — that is
+/// what keeps the server's batcher fed from a single socket. Every
+/// request carries an id, so replies that complete out of order on the
+/// socket are still handed back in send order.
 ///
 /// See [`ClientConfig`] for the timeout/retry failure model; configure
 /// it with [`WireClient::connect_with`].
@@ -144,10 +139,10 @@ pub struct WireClient {
     /// While nonempty, no call is retried (a replay could re-pair
     /// replies with requests).
     pending: VecDeque<PendingReq>,
-    /// Replies that arrived out of order (v3 only), parked until their
-    /// `recv_*` call claims them by id.
+    /// Replies that arrived out of order, parked until their `recv_*`
+    /// call claims them by id.
     ready: HashMap<u64, Reply>,
-    /// Next request id (v3). Monotonic per connection; ids of in-flight
+    /// Next request id. Monotonic per connection from 1; ids of in-flight
     /// requests are unique, which is all the pairing needs.
     next_id: u64,
     /// Deterministic backoff jitter.
@@ -186,9 +181,6 @@ impl WireClient {
     /// Propagates socket errors; fails with [`WireError::Malformed`] if
     /// `addr` resolves to no addresses.
     pub fn connect_with(addr: impl ToSocketAddrs, cfg: ClientConfig) -> Result<Self, WireError> {
-        if !(frame::MIN_VERSION..=frame::VERSION).contains(&cfg.protocol) {
-            return Err(WireError::Malformed("unsupported protocol version"));
-        }
         let addrs: Vec<SocketAddr> = addr.to_socket_addrs()?.collect();
         let stream = Self::open_stream(&addrs, &cfg)?;
         let rng = StdRng::seed_from_u64(cfg.retry_seed);
@@ -279,8 +271,8 @@ impl WireClient {
         if self.broken {
             self.reconnect()?;
         }
-        let tag = self.send(req)?;
-        self.recv(tag)
+        let id = self.send(req)?;
+        self.recv(id)
     }
 
     /// Round-trips an **idempotent** request, retrying safely-retryable
@@ -315,19 +307,9 @@ impl WireClient {
         WireError::Malformed(why)
     }
 
-    /// Fresh id envelope for one outgoing request: a unique id under
-    /// protocol v3, nothing under v2.
-    fn fresh_tag(&mut self) -> Tag {
-        (self.cfg.protocol >= 3).then(|| {
-            let id = self.next_id;
-            self.next_id += 1;
-            id
-        })
-    }
-
-    /// Encodes and writes one request, returning the id envelope it was
-    /// sent under (the reply must echo it).
-    fn send(&mut self, req: &Request) -> Result<Tag, WireError> {
+    /// Encodes and writes one request, returning the id it was sent under
+    /// (the reply must echo it).
+    fn send(&mut self, req: &Request) -> Result<u64, WireError> {
         // Oversized requests would be rejected by the peer anyway; fail
         // before writing a frame that desynchronizes the stream. The name
         // bound also keeps the encoder's u16 string prefix exact (the
@@ -356,8 +338,9 @@ impl WireClient {
                 });
             }
         }
-        let tag = self.fresh_tag();
-        frame::encode_request_tagged(tag, req, &mut self.buf);
+        let id = self.next_id;
+        self.next_id += 1;
+        frame::encode_request_v3(id, req, &mut self.buf);
         // The new round trip has not seen reply bytes yet.
         self.reply_started = false;
         if let Err(e) = frame::write_frame(&mut self.stream, &self.buf) {
@@ -366,15 +349,15 @@ impl WireClient {
             self.broken = true;
             return Err(e);
         }
-        Ok(tag)
+        Ok(id)
     }
 
-    /// Receives the reply for `expected`. Under v3, replies for *other*
+    /// Receives the reply for request `expected`. Replies for *other*
     /// outstanding pipelined requests may arrive first (out-of-order
     /// completion); they are parked in the ready stash by id. A reply
     /// whose id matches nothing outstanding means the stream is
     /// answering some other conversation — hard-close.
-    fn recv(&mut self, expected: Tag) -> Result<Reply, WireError> {
+    fn recv(&mut self, expected: u64) -> Result<Reply, WireError> {
         loop {
             let mut progressed = false;
             let read = {
@@ -400,7 +383,7 @@ impl WireClient {
                     return Err(e);
                 }
             };
-            if tag == expected {
+            if tag == Some(expected) {
                 return match reply {
                     Reply::Error { code, message } => Err(WireError::Remote { code, message }),
                     reply => Ok(reply),
@@ -411,15 +394,14 @@ impl WireClient {
                 // its reply (typed errors included — the owning `recv_*`
                 // surfaces them) and keep reading for ours.
                 Some(id)
-                    if self.pending.iter().any(|p| p.tag == Some(id))
-                        && !self.ready.contains_key(&id) =>
+                    if self.pending.iter().any(|p| p.id == id) && !self.ready.contains_key(&id) =>
                 {
                     self.ready.insert(id, reply);
                 }
-                // An untagged error while expecting an id: the server
-                // could not attribute the failure to a request (e.g. a
-                // malformed frame verdict) and is about to hang up.
-                None if expected.is_some() => {
+                // An untagged error: the server could not attribute the
+                // failure to a request (a malformed frame verdict) and is
+                // about to hang up.
+                None => {
                     if let Reply::Error { code, message } = reply {
                         self.hard_close();
                         return Err(WireError::Remote { code, message });
@@ -489,7 +471,7 @@ impl WireClient {
             self.reconnect()?;
         }
         let _ = self.stream.set_read_timeout(Some(timeout));
-        let result = self.send(&Request::Health).and_then(|tag| self.recv(tag));
+        let result = self.send(&Request::Health).and_then(|id| self.recv(id));
         // Restore the configured timeout (harmless on a hard-closed
         // stream; the next reconnect re-applies the config anyway).
         let _ = self.stream.set_read_timeout(self.cfg.read_timeout);
@@ -637,7 +619,7 @@ impl WireClient {
 
     /// Pipelining: sends one inference request without waiting for the
     /// reply. Collect replies with [`WireClient::recv_infer`] **in send
-    /// order** (the per-connection ordering guarantee).
+    /// order**; replies that arrive earlier are held by id until claimed.
     ///
     /// Pipelined requests are **never retried**: after a connection
     /// failure the outstanding tail is lost and each pending
@@ -709,8 +691,8 @@ impl WireClient {
                 "connection broken with pipelined requests outstanding",
             ));
         }
-        let tag = self.send(req)?;
-        self.pending.push_back(PendingReq { tag, kind });
+        let id = self.send(req)?;
+        self.pending.push_back(PendingReq { id, kind });
         Ok(())
     }
 
@@ -786,16 +768,14 @@ impl WireClient {
                 "pipelined replies must be received in send order and kind",
             ));
         }
-        let PendingReq { tag, kind } = self.pending.pop_front().expect("front exists");
-        if let Some(id) = tag {
-            if let Some(reply) = self.ready.remove(&id) {
-                return match reply {
-                    Reply::Error { code, message } => Err(WireError::Remote { code, message }),
-                    reply => Ok((kind, reply)),
-                };
-            }
+        let PendingReq { id, kind } = self.pending.pop_front().expect("front exists");
+        if let Some(reply) = self.ready.remove(&id) {
+            return match reply {
+                Reply::Error { code, message } => Err(WireError::Remote { code, message }),
+                reply => Ok((kind, reply)),
+            };
         }
-        self.recv(tag).map(|reply| (kind, reply))
+        self.recv(id).map(|reply| (kind, reply))
     }
 
     /// Pipelined requests sent but not yet received.

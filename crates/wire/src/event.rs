@@ -52,11 +52,12 @@
 //!
 //! ## Reply ordering
 //!
-//! Protocol-v2 requests (no id) are answered **in arrival order** per
-//! connection — the ordering shim existing clients rely on. Protocol-v3
-//! requests carry a client-chosen `u64` id echoed in the reply and may
-//! complete **out of order**: a slow tenant's request no longer blocks a
-//! fast tenant's reply behind it on the same connection.
+//! Every request carries a client-chosen `u64` id, and its reply is
+//! encoded under that id into the connection's write buffer the moment
+//! it completes. Replies therefore leave in completion order: a slow
+//! tenant's request never holds a fast tenant's reply behind it on the
+//! same connection, and one tenant's replies, which complete in order,
+//! leave in order.
 //!
 //! ## A lone request
 //!
@@ -69,7 +70,7 @@
 //! grants; anything longer, larger or concurrent goes to a worker.
 
 use std::cmp::Reverse;
-use std::collections::{BinaryHeap, VecDeque};
+use std::collections::BinaryHeap;
 use std::io::{Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::os::unix::io::AsRawFd;
@@ -82,7 +83,7 @@ use circnn_serve::{ResponseHandle, Runner, ServeError};
 use polling::{Event, Interest, Poller, WakeReader};
 
 use crate::error::{ErrorCode, WireError};
-use crate::frame::{self, budget_of, FrameAssembler, Reply, Request, Tag};
+use crate::frame::{self, budget_of, FrameAssembler, Reply, Request, NO_REQUEST};
 use crate::registry::ModelRegistry;
 
 /// Front-end knobs.
@@ -176,7 +177,7 @@ pub trait EventDispatch: Send + Sync + 'static {
 struct Completion {
     slot: usize,
     conn_id: u64,
-    seq: u64,
+    id: u64,
     reply: Reply,
 }
 
@@ -194,14 +195,14 @@ struct LoopShared {
 }
 
 impl LoopShared {
-    fn complete(&self, slot: usize, conn_id: u64, seq: u64, reply: Reply) {
+    fn complete(&self, slot: usize, conn_id: u64, id: u64, reply: Reply) {
         let was_empty = {
             let mut list = self.completions.lock().unwrap_or_else(|e| e.into_inner());
             let was_empty = list.is_empty();
             list.push(Completion {
                 slot,
                 conn_id,
-                seq,
+                id,
                 reply,
             });
             was_empty
@@ -218,15 +219,16 @@ impl LoopShared {
     }
 }
 
-/// Routes one reply to the request it answers. Completing is
-/// fire-and-forget from any thread; if the connection died meanwhile the
-/// reply is discarded (the `conn_id` generation check makes a recycled
-/// slot unmistakable for its previous tenant).
+/// Routes one reply to the request it answers: the connection, and the
+/// request id the reply is encoded under. Completing is fire-and-forget
+/// from any thread; if the connection died meanwhile the reply is
+/// discarded (the `conn_id` generation check makes a recycled slot
+/// unmistakable for its previous tenant).
 pub struct ReplyTicket {
     shared: Arc<LoopShared>,
     slot: usize,
     conn_id: u64,
-    seq: u64,
+    id: u64,
     armed: bool,
 }
 
@@ -235,7 +237,7 @@ impl core::fmt::Debug for ReplyTicket {
         f.debug_struct("ReplyTicket")
             .field("slot", &self.slot)
             .field("conn_id", &self.conn_id)
-            .field("seq", &self.seq)
+            .field("id", &self.id)
             .finish()
     }
 }
@@ -245,11 +247,11 @@ impl ReplyTicket {
     pub fn complete(mut self, reply: Reply) {
         self.armed = false;
         self.shared
-            .complete(self.slot, self.conn_id, self.seq, reply);
+            .complete(self.slot, self.conn_id, self.id, reply);
     }
 
     /// Defuses the ticket without answering — only for the `Busy` path,
-    /// where the loop removes the in-flight entry itself.
+    /// where the request goes back to its connection unanswered.
     fn disarm(mut self) {
         self.armed = false;
     }
@@ -265,7 +267,7 @@ impl Drop for ReplyTicket {
             self.shared.complete(
                 self.slot,
                 self.conn_id,
-                self.seq,
+                self.id,
                 Reply::Error {
                     code: ErrorCode::Internal,
                     message: "request dropped by the dispatcher without a reply".into(),
@@ -286,14 +288,6 @@ struct Global {
     loops: Vec<Arc<LoopShared>>,
 }
 
-/// One request awaiting its reply (or, once `reply` is set, awaiting its
-/// turn to be encoded — a v2 entry must wait for every earlier entry).
-struct InFlight {
-    seq: u64,
-    tag: Tag,
-    reply: Option<Reply>,
-}
-
 /// One connection's state machine.
 struct Conn {
     stream: TcpStream,
@@ -304,11 +298,11 @@ struct Conn {
     /// Buffered outgoing bytes; `wbuf[wpos..]` is unsent.
     wbuf: Vec<u8>,
     wpos: usize,
-    inflight: VecDeque<InFlight>,
-    next_seq: u64,
-    /// A decoded request the dispatcher refused (`Busy`): re-offered on
-    /// the park tick; while set, the connection is not read.
-    parked: Option<(Tag, Request)>,
+    /// Requests dispatched and not yet answered.
+    inflight: usize,
+    /// A decoded request (and its id) the dispatcher refused (`Busy`):
+    /// re-offered on the park tick; while set, the connection is not read.
+    parked: Option<(u64, Request)>,
     last_activity: Instant,
     /// Stop reading, flush what is owed, then close (protocol error).
     closing: bool,
@@ -323,7 +317,7 @@ impl Conn {
     /// the write backlog is under its cap.
     fn has_room(&self, max_pipeline: usize) -> bool {
         !self.closing
-            && self.inflight.len() < max_pipeline
+            && self.inflight < max_pipeline
             && self.wbuf.len() - self.wpos < MAX_UNSENT_BYTES
     }
 
@@ -336,8 +330,7 @@ impl Conn {
 /// The serving front end over a shared [`ModelRegistry`] (or any
 /// [`EventDispatch`]).
 ///
-/// Speaks protocol v2 and v3 on the same port: v2 clients get replies in
-/// arrival order, v3 clients get id-tagged replies as they complete.
+/// Replies are id-tagged and leave as they complete.
 /// [`EventServer::shutdown`] wakes every loop through its pipe and joins
 /// them — no timeout-based teardown.
 pub struct EventServer {
@@ -485,10 +478,13 @@ struct IoLoop<'a> {
     /// a popped entry whose connection has been active since is pushed
     /// back with the refreshed deadline instead of closing it.
     timers: BinaryHeap<Reverse<(Instant, usize, u64)>>,
-    /// Scratch for encoding one reply frame.
-    scratch: Vec<u8>,
     /// Scratch for socket reads.
     rdbuf: Vec<u8>,
+    /// Completions taken from [`LoopShared::completions`], swapped with it
+    /// each drain so neither list reallocates.
+    batch: Vec<Completion>,
+    /// Slots [`IoLoop::apply_completions`] has to drive this drain.
+    touched: Vec<usize>,
     /// Staging for slabs the dispatcher runs on this thread.
     runner: Runner,
 }
@@ -517,8 +513,9 @@ fn run_loop(global: &Global, index: usize, wake_rx: &WakeReader, listener: Optio
         conns: Vec::new(),
         free: Vec::new(),
         timers: BinaryHeap::new(),
-        scratch: Vec::new(),
         rdbuf: vec![0u8; 64 * 1024],
+        batch: Vec::new(),
+        touched: Vec::new(),
         runner: Runner::default(),
     };
     let mut events: Vec<Event> = Vec::new();
@@ -660,8 +657,7 @@ impl IoLoop<'_> {
             asm: FrameAssembler::new(),
             wbuf: Vec::new(),
             wpos: 0,
-            inflight: VecDeque::new(),
-            next_seq: 0,
+            inflight: 0,
             parked: None,
             last_activity: now,
             closing: false,
@@ -673,33 +669,35 @@ impl IoLoop<'_> {
         }
     }
 
-    /// Routes completed replies to their in-flight entries, then drives
-    /// the touched connections (encode + flush).
+    /// Encodes completed replies under their request ids straight into
+    /// their connections' write buffers, then drives each touched
+    /// connection once (flush, and input the freed room lets in).
     fn apply_completions(&mut self) {
-        let batch: Vec<Completion> = std::mem::take(
+        std::mem::swap(
             &mut *self
                 .shared
                 .completions
                 .lock()
                 .unwrap_or_else(|e| e.into_inner()),
+            &mut self.batch,
         );
-        let mut touched = Vec::new();
-        for c in batch {
+        for c in self.batch.drain(..) {
             let Some(conn) = self.conns.get_mut(c.slot).and_then(Option::as_mut) else {
                 continue; // connection closed before the reply arrived
             };
             if conn.conn_id != c.conn_id {
                 continue; // slot recycled: reply belongs to a dead connection
             }
-            if let Some(entry) = conn.inflight.iter_mut().find(|e| e.seq == c.seq) {
-                entry.reply = Some(c.reply);
-                touched.push(c.slot);
-            }
+            frame::append_reply(c.id, &c.reply, &mut conn.wbuf);
+            conn.inflight -= 1;
+            self.touched.push(c.slot);
         }
-        touched.dedup();
-        for slot in touched {
-            self.drive(slot);
+        self.touched.sort_unstable();
+        self.touched.dedup();
+        for i in 0..self.touched.len() {
+            self.drive(self.touched[i]);
         }
+        self.touched.clear();
     }
 
     /// The end of a pass: the dispatcher's deferred work (a slab run here
@@ -814,21 +812,19 @@ impl IoLoop<'_> {
     }
 
     /// The state machine: take input (unpark, decode, dispatch, read),
-    /// then encode and flush — and again while that frees room for input
-    /// that was paused. Returns `false` when the connection should close.
+    /// then flush — and again while that frees room for input that was
+    /// paused. Returns `false` when the connection should close.
     fn progress(&mut self, slot: usize, conn: &mut Conn) -> bool {
         let max_pipeline = self.global.cfg.max_pipeline;
         loop {
             if !self.take_input(slot, conn) {
                 return false;
             }
-            // Encoding pops in-flight entries and flushing shrinks the
-            // write backlog. If input was paused on either, frames already
-            // buffered in `asm` (or a parked request) are owed another
-            // pass now: no readiness event will come for bytes this loop
-            // has already read.
+            // Flushing shrinks the write backlog. If input was paused on
+            // it, frames already buffered in `asm` (or a parked request)
+            // are owed another pass now: no readiness event will come for
+            // bytes this loop has already read.
             let was_full = !conn.has_room(max_pipeline);
-            self.encode_ready(conn);
             if !flush_writes(conn) {
                 return false;
             }
@@ -839,8 +835,7 @@ impl IoLoop<'_> {
         // A draining connection closes once everything owed is on the
         // wire. Bytes left over after EOF (a torn trailing frame) are
         // fine to discard — there is no request in them to answer.
-        let drained =
-            conn.inflight.is_empty() && conn.parked.is_none() && conn.wpos >= conn.wbuf.len();
+        let drained = conn.inflight == 0 && conn.parked.is_none() && conn.wpos >= conn.wbuf.len();
         !((conn.closing || conn.read_eof) && drained)
     }
 
@@ -855,8 +850,8 @@ impl IoLoop<'_> {
             // within the connection is preserved because nothing is
             // decoded past a parked request.
             if conn.has_room(max_pipeline) {
-                if let Some((tag, req)) = conn.parked.take() {
-                    match self.try_dispatch(slot, conn, tag, req) {
+                if let Some((id, req)) = conn.parked.take() {
+                    match self.try_dispatch(slot, conn, id, req) {
                         Some(back) => conn.parked = Some(back),
                         None => advanced = true,
                     }
@@ -865,31 +860,27 @@ impl IoLoop<'_> {
             // Decode and dispatch every complete frame already buffered.
             while conn.accepts_input(max_pipeline) {
                 let decoded = match conn.asm.next_frame() {
-                    Ok(Some(frame)) => frame::decode_request_tagged(frame),
+                    Ok(Some(frame)) => frame::decode_request_id(frame),
                     Ok(None) => break,
                     Err(e) => Err(e),
                 };
                 advanced = true;
                 match decoded {
-                    Ok((tag, req)) => {
-                        if let Some(back) = self.try_dispatch(slot, conn, tag, req) {
+                    Ok((id, req)) => {
+                        if let Some(back) = self.try_dispatch(slot, conn, id, req) {
                             conn.parked = Some(back);
                         }
                     }
-                    // Strict rejection: a typed Malformed reply, drain
-                    // what is owed, hang up — a peer that framed one
-                    // request wrong has desynchronized the stream.
+                    // Strict rejection: a typed Malformed verdict under
+                    // the id that answers no request, drain what is owed,
+                    // hang up — a peer that framed one request wrong has
+                    // desynchronized the stream.
                     Err(e) => {
-                        let seq = conn.next_seq;
-                        conn.next_seq += 1;
-                        conn.inflight.push_back(InFlight {
-                            seq,
-                            tag: None,
-                            reply: Some(Reply::Error {
-                                code: ErrorCode::Malformed,
-                                message: e.to_string(),
-                            }),
-                        });
+                        let verdict = Reply::Error {
+                            code: ErrorCode::Malformed,
+                            message: e.to_string(),
+                        };
+                        frame::append_reply(NO_REQUEST, &verdict, &mut conn.wbuf);
                         conn.closing = true;
                     }
                 }
@@ -917,69 +908,32 @@ impl IoLoop<'_> {
         }
     }
 
-    /// Registers one in-flight entry and offers the request to the
-    /// dispatcher. Returns the request back if the dispatcher is busy.
+    /// Offers one request to the dispatcher, counting it in flight if
+    /// accepted. Returns the request back if the dispatcher is busy.
     fn try_dispatch(
         &mut self,
         slot: usize,
         conn: &mut Conn,
-        tag: Tag,
+        id: u64,
         req: Request,
-    ) -> Option<(Tag, Request)> {
-        let seq = conn.next_seq;
-        conn.next_seq += 1;
-        conn.inflight.push_back(InFlight {
-            seq,
-            tag,
-            reply: None,
-        });
+    ) -> Option<(u64, Request)> {
         let ticket = ReplyTicket {
             shared: Arc::clone(self.shared),
             slot,
             conn_id: conn.conn_id,
-            seq,
+            id,
             armed: true,
         };
+        // Counting after `dispatch` returns is safe: completions are
+        // applied by this thread, never synchronously inside `dispatch`.
         match self.global.dispatch.dispatch(req, ticket) {
-            Dispatched::Accepted => None,
+            Dispatched::Accepted => {
+                conn.inflight += 1;
+                None
+            }
             Dispatched::Busy(req, ticket) => {
                 ticket.disarm();
-                // The entry just pushed is still the back: completions
-                // are applied by this thread, never synchronously inside
-                // `dispatch`.
-                debug_assert_eq!(conn.inflight.back().map(|e| e.seq), Some(seq));
-                conn.inflight.pop_back();
-                Some((tag, req))
-            }
-        }
-    }
-
-    /// Moves completed replies into the write buffer. Ordering shim:
-    /// entries pop from the front in arrival order; when the front is
-    /// still pending, **v3** entries behind it may overtake (their id
-    /// pairs them), v2 entries may not.
-    fn encode_ready(&mut self, conn: &mut Conn) {
-        loop {
-            match conn.inflight.front() {
-                Some(e) if e.reply.is_some() => {
-                    let e = conn.inflight.pop_front().expect("front exists");
-                    let reply = e.reply.expect("checked above");
-                    frame::encode_reply_tagged(e.tag, &reply, &mut self.scratch);
-                    conn.wbuf.extend_from_slice(&self.scratch);
-                }
-                _ => break,
-            }
-        }
-        let mut i = 0;
-        while i < conn.inflight.len() {
-            let overtakes = conn.inflight[i].tag.is_some() && conn.inflight[i].reply.is_some();
-            if overtakes {
-                let e = conn.inflight.remove(i).expect("index in bounds");
-                let reply = e.reply.expect("checked above");
-                frame::encode_reply_tagged(e.tag, &reply, &mut self.scratch);
-                conn.wbuf.extend_from_slice(&self.scratch);
-            } else {
-                i += 1;
+                Some((id, req))
             }
         }
     }

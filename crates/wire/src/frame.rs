@@ -5,19 +5,20 @@
 //! ```text
 //! offset  size  field
 //! 0       1     magic     0xC7 (rejects non-protocol peers instantly)
-//! 1       1     version   2 or 3 (v3 = request-id framing)
+//! 1       1     version   3
 //! 2       1     opcode    frame type (request 0x0*, reply 0x8*)
 //! 3       1     reserved  must be 0
-//! 4       4     len       payload byte length, ≤ MAX_PAYLOAD
-//! 8       len   payload   opcode-specific fields, little-endian
+//! 4       4     len       payload byte length, id included, ≤ MAX_PAYLOAD
+//! 8       8     id        request id: chosen by the client, echoed back
+//! 16      …     fields    opcode-specific, little-endian
 //! ```
 //!
-//! A **version 3** frame carries a `u64` request id as the first eight
-//! payload bytes of *every* frame — requests choose it, replies (including
-//! `Error`) echo it — so replies may complete out of arrival order and a
-//! pipelining client matches them by id instead of position. Version 2
-//! frames have no id; a v3 server still serves them through an ordering
-//! shim (replies in arrival order per connection).
+//! Every frame carries a `u64` request id as its first eight payload
+//! bytes — requests choose it, replies (including `Error`) echo it — so
+//! replies may complete out of arrival order and a pipelining client
+//! matches them by id instead of position. One id is reserved:
+//! [`NO_REQUEST`] marks the `Malformed` verdict a server sends before it
+//! hangs up on a stream it cannot frame, which answers no request.
 //!
 //! Strings are `u16` length + UTF-8 bytes; `f32`/`f64` are IEEE-754 LE
 //! bit patterns. Decoding is **strict**: truncated fields, trailing bytes,
@@ -38,15 +39,15 @@ use crate::error::{ErrorCode, WireError};
 
 /// First byte of every frame.
 pub const MAGIC: u8 = 0xC7;
-/// Protocol version this build speaks by default. Version 2 added the
-/// `InferSegment` opcode pair (row-sliced scatter/gather for the sharded
-/// serving tier); version 3 added the per-frame `u64` request id so
-/// replies no longer need arrival order. Decoders accept
-/// [`MIN_VERSION`]..=[`VERSION`]; anything else is a hard
-/// [`WireError::BadVersion`].
+/// The protocol version: the only one encoded or decoded. Any other
+/// version byte is a hard [`WireError::BadVersion`].
 pub const VERSION: u8 = 3;
-/// Oldest protocol version still decoded (v2 clients stay servable).
-pub const MIN_VERSION: u8 = 2;
+/// The reserved request id of a reply that answers no request: the
+/// `Malformed` verdict a server sends before it hangs up on a stream it
+/// cannot frame. [`decode_reply_tagged`] reports an `Error` under this id
+/// as `Tag = None`; a client should not send it on a request whose
+/// errors it needs to attribute.
+pub const NO_REQUEST: u64 = u64::MAX;
 /// Frame header length in bytes.
 pub const HEADER_LEN: usize = 8;
 /// Hard cap on a frame payload (64 MiB) — the length prefix is validated
@@ -268,48 +269,35 @@ fn put_f32s(buf: &mut Vec<u8>, xs: &[f32]) {
     }
 }
 
-/// The request-id envelope of a frame: `None` encodes/decodes protocol
-/// v2 (no id field), `Some(id)` protocol v3 (the id rides as the first
-/// eight payload bytes).
+/// The request id a decoded frame carries: `Some(id)`, except `None` for
+/// a reply `Error` under [`NO_REQUEST`] — a verdict that answers no
+/// request.
 pub type Tag = Option<u64>;
 
-/// Starts a frame in `buf` (cleared first): header for the version `tag`
-/// implies, zero length ([`finish_frame`] patches it), and the id field
-/// when the tag carries one.
-fn start_frame(buf: &mut Vec<u8>, tag: Tag, op: u8) {
-    buf.clear();
-    let version = if tag.is_some() { VERSION } else { MIN_VERSION };
-    buf.extend_from_slice(&[MAGIC, version, op, 0]);
+/// Appends a frame header (zero length; [`finish_frame`] patches it) and
+/// the request id to `buf`.
+fn start_frame(buf: &mut Vec<u8>, id: u64, op: u8) {
+    buf.extend_from_slice(&[MAGIC, VERSION, op, 0]);
     put_u32(buf, 0);
-    if let Some(id) = tag {
-        put_u64(buf, id);
-    }
+    put_u64(buf, id);
 }
 
-fn finish_frame(buf: &mut [u8]) {
-    let len = (buf.len() - HEADER_LEN) as u32;
-    buf[4..8].copy_from_slice(&len.to_le_bytes());
+/// Patches the length prefix of the frame that starts at `start`.
+fn finish_frame(buf: &mut [u8], start: usize) {
+    let len = (buf.len() - start - HEADER_LEN) as u32;
+    buf[start + 4..start + 8].copy_from_slice(&len.to_le_bytes());
 }
 
-/// Encodes `req` as one complete **v2** frame into `buf` (cleared first).
-pub fn encode_request(req: &Request, buf: &mut Vec<u8>) {
-    encode_request_tagged(None, req, buf);
-}
-
-/// Encodes `req` as one complete **v3** frame carrying `id` into `buf`
-/// (cleared first). The server echoes the id in the matching reply.
+/// Encodes `req` as one complete frame carrying `id` into `buf` (cleared
+/// first). The server echoes the id in the matching reply.
 pub fn encode_request_v3(id: u64, req: &Request, buf: &mut Vec<u8>) {
-    encode_request_tagged(Some(id), req, buf);
-}
-
-/// Encodes `req` under the given id envelope (`None` = v2, `Some` = v3).
-pub fn encode_request_tagged(tag: Tag, req: &Request, buf: &mut Vec<u8>) {
+    buf.clear();
     match req {
-        Request::Ping => start_frame(buf, tag, opcode::PING),
-        Request::ListModels => start_frame(buf, tag, opcode::LIST_MODELS),
-        Request::Health => start_frame(buf, tag, opcode::HEALTH),
+        Request::Ping => start_frame(buf, id, opcode::PING),
+        Request::ListModels => start_frame(buf, id, opcode::LIST_MODELS),
+        Request::Health => start_frame(buf, id, opcode::HEALTH),
         Request::Stats { model } => {
-            start_frame(buf, tag, opcode::STATS);
+            start_frame(buf, id, opcode::STATS);
             put_str(buf, model);
         }
         Request::Infer {
@@ -317,7 +305,7 @@ pub fn encode_request_tagged(tag: Tag, req: &Request, buf: &mut Vec<u8>) {
             deadline_micros,
             input,
         } => {
-            start_frame(buf, tag, opcode::INFER);
+            start_frame(buf, id, opcode::INFER);
             put_str(buf, model);
             put_u64(buf, *deadline_micros);
             put_u32(buf, input.len() as u32);
@@ -329,7 +317,7 @@ pub fn encode_request_tagged(tag: Tag, req: &Request, buf: &mut Vec<u8>) {
             batch,
             input,
         } => {
-            start_frame(buf, tag, opcode::INFER_BATCH);
+            start_frame(buf, id, opcode::INFER_BATCH);
             put_str(buf, model);
             put_u64(buf, *deadline_micros);
             put_u32(buf, *batch);
@@ -344,7 +332,7 @@ pub fn encode_request_tagged(tag: Tag, req: &Request, buf: &mut Vec<u8>) {
             batch,
             input,
         } => {
-            start_frame(buf, tag, opcode::INFER_SEGMENT);
+            start_frame(buf, id, opcode::INFER_SEGMENT);
             put_str(buf, model);
             put_u64(buf, *deadline_micros);
             put_u32(buf, *row_start);
@@ -354,29 +342,24 @@ pub fn encode_request_tagged(tag: Tag, req: &Request, buf: &mut Vec<u8>) {
             put_f32s(buf, input);
         }
     }
-    finish_frame(buf);
+    finish_frame(buf, 0);
 }
 
-/// Encodes `reply` as one complete **v2** frame into `buf` (cleared
-/// first).
-pub fn encode_reply(reply: &Reply, buf: &mut Vec<u8>) {
-    encode_reply_tagged(None, reply, buf);
-}
-
-/// Encodes `reply` as one complete **v3** frame echoing the request's
-/// `id` into `buf` (cleared first).
+/// Encodes `reply` as one complete frame echoing the request's `id` into
+/// `buf` (cleared first).
 pub fn encode_reply_v3(id: u64, reply: &Reply, buf: &mut Vec<u8>) {
-    encode_reply_tagged(Some(id), reply, buf);
+    buf.clear();
+    append_reply(id, reply, buf);
 }
 
-/// Encodes `reply` under the given id envelope (`None` = v2, `Some` =
-/// v3) — what a dual-version server calls with the envelope the request
-/// arrived under.
-pub fn encode_reply_tagged(tag: Tag, reply: &Reply, buf: &mut Vec<u8>) {
+/// Appends `reply` as one complete frame under `id` to `buf` — how the
+/// server queues a reply straight into a connection's write buffer.
+pub(crate) fn append_reply(id: u64, reply: &Reply, buf: &mut Vec<u8>) {
+    let start = buf.len();
     match reply {
-        Reply::Pong => start_frame(buf, tag, opcode::PONG),
+        Reply::Pong => start_frame(buf, id, opcode::PONG),
         Reply::ModelList(models) => {
-            start_frame(buf, tag, opcode::MODEL_LIST);
+            start_frame(buf, id, opcode::MODEL_LIST);
             put_u32(buf, models.len() as u32);
             for m in models {
                 put_str(buf, &m.name);
@@ -386,7 +369,7 @@ pub fn encode_reply_tagged(tag: Tag, reply: &Reply, buf: &mut Vec<u8>) {
             }
         }
         Reply::Stats { model, stats } => {
-            start_frame(buf, tag, opcode::STATS_REPLY);
+            start_frame(buf, id, opcode::STATS_REPLY);
             put_str(buf, model);
             put_u64(buf, stats.requests);
             put_u64(buf, stats.batches);
@@ -406,18 +389,18 @@ pub fn encode_reply_tagged(tag: Tag, reply: &Reply, buf: &mut Vec<u8>) {
             put_u64(buf, stats.idle_flushes);
         }
         Reply::Infer { output } => {
-            start_frame(buf, tag, opcode::INFER_REPLY);
+            start_frame(buf, id, opcode::INFER_REPLY);
             put_u32(buf, output.len() as u32);
             put_f32s(buf, output);
         }
         Reply::InferBatch { batch, output } => {
-            start_frame(buf, tag, opcode::INFER_BATCH_REPLY);
+            start_frame(buf, id, opcode::INFER_BATCH_REPLY);
             put_u32(buf, *batch);
             put_u32(buf, output.len() as u32);
             put_f32s(buf, output);
         }
         Reply::Health(health) => {
-            start_frame(buf, tag, opcode::HEALTH_REPLY);
+            start_frame(buf, id, opcode::HEALTH_REPLY);
             put_u32(buf, health.models);
             put_u32(buf, health.tenants.len() as u32);
             for t in &health.tenants {
@@ -435,7 +418,7 @@ pub fn encode_reply_tagged(tag: Tag, reply: &Reply, buf: &mut Vec<u8>) {
             batch,
             output,
         } => {
-            start_frame(buf, tag, opcode::INFER_SEGMENT_REPLY);
+            start_frame(buf, id, opcode::INFER_SEGMENT_REPLY);
             put_u32(buf, *row_start);
             put_u32(buf, *row_end);
             put_u32(buf, *batch);
@@ -443,12 +426,12 @@ pub fn encode_reply_tagged(tag: Tag, reply: &Reply, buf: &mut Vec<u8>) {
             put_f32s(buf, output);
         }
         Reply::Error { code, message } => {
-            start_frame(buf, tag, opcode::ERROR);
+            start_frame(buf, id, opcode::ERROR);
             put_u16(buf, *code as u16);
             put_str(buf, message);
         }
     }
-    finish_frame(buf);
+    finish_frame(buf, start);
 }
 
 // ---------------------------------------------------------------------
@@ -524,28 +507,17 @@ impl<'a> Cur<'a> {
 ///
 /// # Errors
 ///
-/// Typed [`WireError`]s for a short header, bad magic, a version outside
-/// [`MIN_VERSION`]..=[`VERSION`], a nonzero reserved byte, or an
-/// oversized length prefix.
+/// Typed [`WireError`]s for a short header, bad magic, a version other
+/// than [`VERSION`], a nonzero reserved byte, or an oversized length
+/// prefix.
 pub fn decode_header(header: &[u8]) -> Result<(u8, usize), WireError> {
-    let (_, op, len) = decode_header_versioned(header)?;
-    Ok((op, len))
-}
-
-/// As [`decode_header`], also returning the frame's protocol version —
-/// what a dual-version server needs to pick the reply envelope.
-///
-/// # Errors
-///
-/// As [`decode_header`].
-pub fn decode_header_versioned(header: &[u8]) -> Result<(u8, u8, usize), WireError> {
     if header.len() < HEADER_LEN {
         return Err(WireError::Malformed("frame shorter than its header"));
     }
     if header[0] != MAGIC {
         return Err(WireError::BadMagic(header[0]));
     }
-    if !(MIN_VERSION..=VERSION).contains(&header[1]) {
+    if header[1] != VERSION {
         return Err(WireError::BadVersion {
             got: header[1],
             want: VERSION,
@@ -561,48 +533,49 @@ pub fn decode_header_versioned(header: &[u8]) -> Result<(u8, u8, usize), WireErr
             max: MAX_PAYLOAD,
         });
     }
-    Ok((header[1], header[2], len))
+    Ok((header[2], len))
 }
 
-fn frame_payload(frame: &[u8]) -> Result<(Tag, u8, &[u8]), WireError> {
-    let (version, op, len) = decode_header_versioned(frame)?;
+/// Splits a whole frame into `(id, opcode, fields)`.
+fn frame_payload(frame: &[u8]) -> Result<(u64, u8, &[u8]), WireError> {
+    let (op, len) = decode_header(frame)?;
     let payload = &frame[HEADER_LEN..];
     if payload.len() != len {
         return Err(WireError::Malformed(
             "length prefix disagrees with the bytes present",
         ));
     }
-    if version >= 3 {
-        // The v3 id envelope: first eight payload bytes on every frame.
-        if payload.len() < 8 {
-            return Err(WireError::Malformed("v3 frame too short for its id"));
-        }
-        let id = u64::from_le_bytes(payload[..8].try_into().expect("checked length"));
-        Ok((Some(id), op, &payload[8..]))
-    } else {
-        Ok((None, op, payload))
+    if payload.len() < 8 {
+        return Err(WireError::Malformed("frame too short for its request id"));
     }
+    let id = u64::from_le_bytes(payload[..8].try_into().expect("checked length"));
+    Ok((id, op, &payload[8..]))
 }
 
 /// Decodes one complete request frame (header + payload, exactly),
-/// discarding the id envelope. Servers use [`decode_request_tagged`] so
-/// the reply can echo the id.
+/// discarding the id. Servers use [`decode_request_tagged`] so the reply
+/// can echo the id.
 ///
 /// # Errors
 ///
 /// Typed [`WireError`]s on any structural problem; never panics.
 pub fn decode_request(frame: &[u8]) -> Result<Request, WireError> {
-    decode_request_tagged(frame).map(|(_, req)| req)
+    decode_request_id(frame).map(|(_, req)| req)
 }
 
-/// Decodes one complete request frame along with its id envelope
-/// (`None` = a v2 frame, `Some(id)` = v3).
+/// Decodes one complete request frame along with its id (always `Some`:
+/// a request answers nothing).
 ///
 /// # Errors
 ///
 /// Typed [`WireError`]s on any structural problem; never panics.
 pub fn decode_request_tagged(frame: &[u8]) -> Result<(Tag, Request), WireError> {
-    let (tag, op, payload) = frame_payload(frame)?;
+    decode_request_id(frame).map(|(id, req)| (Some(id), req))
+}
+
+/// Decodes one complete request frame along with its id.
+pub(crate) fn decode_request_id(frame: &[u8]) -> Result<(u64, Request), WireError> {
+    let (id, op, payload) = frame_payload(frame)?;
     let mut c = Cur {
         buf: payload,
         pos: 0,
@@ -648,12 +621,12 @@ pub fn decode_request_tagged(frame: &[u8]) -> Result<(Tag, Request), WireError> 
         other => return Err(WireError::UnknownOpcode(other)),
     };
     c.finish()?;
-    Ok((tag, req))
+    Ok((id, req))
 }
 
 /// Decodes one complete reply frame (header + payload, exactly),
-/// discarding the id envelope. Pipelining clients use
-/// [`decode_reply_tagged`] to match replies by id.
+/// discarding the id. Pipelining clients use [`decode_reply_tagged`] to
+/// match replies by id.
 ///
 /// # Errors
 ///
@@ -662,14 +635,15 @@ pub fn decode_reply(frame: &[u8]) -> Result<Reply, WireError> {
     decode_reply_tagged(frame).map(|(_, reply)| reply)
 }
 
-/// Decodes one complete reply frame along with its id envelope
-/// (`None` = a v2 frame, `Some(id)` = v3).
+/// Decodes one complete reply frame along with its [`Tag`]: `Some(id)`
+/// for a reply to request `id`, `None` for an `Error` under
+/// [`NO_REQUEST`].
 ///
 /// # Errors
 ///
 /// Typed [`WireError`]s on any structural problem; never panics.
 pub fn decode_reply_tagged(frame: &[u8]) -> Result<(Tag, Reply), WireError> {
-    let (tag, op, payload) = frame_payload(frame)?;
+    let (id, op, payload) = frame_payload(frame)?;
     let mut c = Cur {
         buf: payload,
         pos: 0,
@@ -762,7 +736,8 @@ pub fn decode_reply_tagged(frame: &[u8]) -> Result<(Tag, Reply), WireError> {
         other => return Err(WireError::UnknownOpcode(other)),
     };
     c.finish()?;
-    Ok((tag, reply))
+    let answers_none = id == NO_REQUEST && matches!(reply, Reply::Error { .. });
+    Ok(((!answers_none).then_some(id), reply))
 }
 
 // ---------------------------------------------------------------------

@@ -8,9 +8,10 @@
 //!
 //! * [`frame`] — a versioned, length-prefixed little-endian binary
 //!   protocol (`Infer`, `InferBatch`, `ListModels`, `Stats`, `Ping`, plus
-//!   typed error replies). Decoding is strict: truncated frames,
-//!   oversized length prefixes, unknown opcodes and version mismatches
-//!   all return typed errors, never panics.
+//!   typed error replies). Every frame carries a `u64` request id that
+//!   the reply echoes. Decoding is strict: truncated frames, oversized
+//!   length prefixes, unknown opcodes and any version but the one this
+//!   build speaks all return typed errors, never panics.
 //! * [`ModelRegistry`] — named, hot-swappable models (multi-tenancy):
 //!   each registered model is a tenant of one shared
 //!   [`circnn_serve::MultiServer`] worker pool with its own bounded
@@ -22,9 +23,8 @@
 //! * [`EventServer`] / [`WireClient`] — the front end (a fixed pool of
 //!   readiness loops multiplexing every connection over nonblocking
 //!   sockets, shared worker pool behind it) and a blocking client with
-//!   pipelining primitives. Protocol-v3 requests carry an id and may
-//!   complete out of order; id-less v2 requests are answered in
-//!   **arrival order per connection**.
+//!   pipelining primitives. Replies leave as they complete, possibly out
+//!   of order; the client pairs them with their requests by id.
 //!
 //! Requests may carry a **deadline budget**; the scheduler serves the
 //! queue whose oldest deadline is tightest and fails past-deadline

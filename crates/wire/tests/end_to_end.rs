@@ -180,7 +180,8 @@ fn half_written_frame_then_reset_leaves_other_connections_intact() {
     // The hostile peer: a valid Infer frame cut off mid-payload, then an
     // abrupt close.
     let mut frame = Vec::new();
-    circnn_wire::frame::encode_request(
+    circnn_wire::frame::encode_request_v3(
+        0,
         &circnn_wire::Request::Infer {
             model: "mlp".to_string(),
             deadline_micros: 0,

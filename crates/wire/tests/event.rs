@@ -1,9 +1,10 @@
 //! The front end, end to end: readiness-loop serving is bitwise-identical
-//! to direct inference, protocol v3 request ids complete out of order, v2
-//! clients keep arrival-order replies, stalled half-frame connections and
-//! peers that flood without reading are reaped without a dedicated
-//! thread, paused input resumes when the pipeline or the write backlog
-//! drains, the connection cap holds, and teardown is prompt and complete.
+//! to direct inference, replies complete out of order under their request
+//! ids, stalled half-frame connections and peers that flood without
+//! reading are reaped without a dedicated thread, paused input resumes
+//! when the pipeline or the write backlog drains, the connection cap
+//! holds, a peer that frames a request wrong gets one typed verdict, and
+//! teardown is prompt and complete.
 
 mod common;
 
@@ -18,9 +19,7 @@ use circnn_serve::{ServeModel, TenantConfig};
 use circnn_tensor::init::seeded_rng;
 use circnn_tensor::Tensor;
 use circnn_wire::frame::{self, Reply, Request};
-use circnn_wire::{
-    ClientConfig, ErrorCode, EventConfig, EventServer, ModelRegistry, WireClient, WireError,
-};
+use circnn_wire::{ErrorCode, EventConfig, EventServer, ModelRegistry, WireClient, WireError};
 
 use common::{convnet, drop_poll, mlp, request, Doubler, SlowEcho};
 
@@ -151,11 +150,11 @@ fn event_server_serves_bitwise_identical_replies() {
     server.shutdown();
 }
 
-/// Protocol v3 on the raw socket: two tagged requests pipelined to a
-/// slow and a fast tenant; the fast reply overtakes the slow one and
+/// The raw socket: two tagged requests pipelined to a slow and a fast
+/// tenant; the fast reply overtakes the slow one and
 /// each reply echoes its request's id.
 #[test]
-fn v3_replies_complete_out_of_order_by_request_id() {
+fn replies_complete_out_of_order_by_request_id() {
     let registry = slow_fast_registry(Duration::from_millis(150));
     let server =
         EventServer::bind("127.0.0.1:0", Arc::clone(&registry), EventConfig::default()).unwrap();
@@ -208,11 +207,11 @@ fn v3_replies_complete_out_of_order_by_request_id() {
     server.shutdown();
 }
 
-/// The v3 pipelining client matches replies by id: with the fast reply
+/// The pipelining client matches replies by id: with the fast reply
 /// arriving first on the socket, `recv_infer` still hands back replies
 /// in send order, each bitwise its own.
 #[test]
-fn v3_client_matches_out_of_order_replies_by_id() {
+fn client_matches_out_of_order_replies_by_id() {
     let registry = slow_fast_registry(Duration::from_millis(120));
     let server =
         EventServer::bind("127.0.0.1:0", Arc::clone(&registry), EventConfig::default()).unwrap();
@@ -226,35 +225,6 @@ fn v3_client_matches_out_of_order_replies_by_id() {
     assert_eq!(wire.recv_infer().unwrap(), vec![3.0; 4]);
     assert_eq!(wire.recv_infer().unwrap(), vec![3.0; 8]);
     assert_eq!(wire.pipelined(), 0);
-    server.shutdown();
-}
-
-/// A v2 client against the v3 event server: replies stay in arrival
-/// order — the fast reply must NOT overtake the slow one, because an
-/// id-less client attributes replies by position.
-#[test]
-fn v2_client_keeps_arrival_order_on_the_event_server() {
-    let registry = slow_fast_registry(Duration::from_millis(120));
-    let server =
-        EventServer::bind("127.0.0.1:0", Arc::clone(&registry), EventConfig::default()).unwrap();
-
-    let mut wire = WireClient::connect_with(
-        server.local_addr(),
-        ClientConfig {
-            protocol: 2,
-            ..Default::default()
-        },
-    )
-    .unwrap();
-    wire.ping().unwrap();
-    wire.send_infer("slow", &[5.0; 4], None).unwrap();
-    wire.send_infer("fast", &[2.0; 8], None).unwrap();
-    assert_eq!(
-        wire.recv_infer().unwrap(),
-        vec![5.0; 4],
-        "v2 replies must keep arrival order"
-    );
-    assert_eq!(wire.recv_infer().unwrap(), vec![5.0; 8]);
     server.shutdown();
 }
 
@@ -322,15 +292,16 @@ impl ServeModel for Inflate {
     }
 }
 
-/// Writes `count` pipelined v2 `Infer` frames (input `[i]` for frame `i`)
-/// from a side thread, so a test can read replies while the tail of the
-/// burst is still going out.
+/// Writes `count` pipelined `Infer` frames (id `i`, input `[i]` for frame
+/// `i`) from a side thread, so a test can read replies while the tail of
+/// the burst is still going out.
 fn pipeline_infers(raw: &TcpStream, model: &'static str, count: usize) {
     let mut raw = raw.try_clone().unwrap();
     std::thread::spawn(move || {
         let mut buf = Vec::new();
         for i in 0..count {
-            frame::encode_request(
+            frame::encode_request_v3(
+                i as u64,
                 &Request::Infer {
                     model: model.to_string(),
                     deadline_micros: 0,
@@ -343,12 +314,14 @@ fn pipeline_infers(raw: &TcpStream, model: &'static str, count: usize) {
     });
 }
 
-/// Reads `count` v2 replies and checks reply `i` is `width` copies of `i`.
-/// Drains the socket in large reads first (a fast reader lets the server
-/// flush its whole backlog in one write), then decodes.
+/// Reads `count` replies and checks that each id `i` in `0..count` is
+/// answered exactly once, with `width` copies of `i`. Drains the socket in
+/// large reads first (a fast reader lets the server flush its whole
+/// backlog in one write), then decodes.
 fn expect_inflated(raw: &mut TcpStream, count: usize, width: usize) {
     let mut one = Vec::new();
-    frame::encode_reply(
+    frame::encode_reply_v3(
+        0,
         &Reply::Infer {
             output: vec![0.0; width],
         },
@@ -367,9 +340,16 @@ fn expect_inflated(raw: &mut TcpStream, count: usize, width: usize) {
             Err(e) => panic!("only {} of {count} replies came: {e}", got / frame_len),
         }
     }
-    for (i, reply) in bytes.chunks_exact(frame_len).enumerate() {
+    let mut answered = vec![false; count];
+    for reply in bytes.chunks_exact(frame_len) {
+        let (tag, reply) = frame::decode_reply_tagged(reply).unwrap();
+        let i = tag.expect("every reply answers a request") as usize;
+        assert!(
+            !std::mem::replace(&mut answered[i], true),
+            "id {i} answered twice"
+        );
         assert_eq!(
-            frame::decode_reply(reply).unwrap(),
+            reply,
             Reply::Infer {
                 output: vec![i as f32; width]
             },
@@ -383,7 +363,7 @@ fn expect_inflated(raw: &mut TcpStream, count: usize, width: usize) {
 /// socket buffers), reads nothing for a while, then reads everything: the
 /// loop stops pulling requests while the backlog is over the cap, and
 /// picks the already-buffered frames up again as the client drains it —
-/// every reply arrives, in order, bitwise.
+/// every reply arrives, under its own id, bitwise.
 #[test]
 fn deep_pipeline_resumes_after_the_write_backlog_drains() {
     const N: usize = 2000;
@@ -408,9 +388,9 @@ fn deep_pipeline_resumes_after_the_write_backlog_drains() {
 /// A connection may pipeline more requests than `max_pipeline`: the
 /// excess waits (in the kernel or the frame assembler) and is picked up
 /// as replies free in-flight entries — including when every in-flight
-/// entry completes in one batch — so all replies arrive, in order.
+/// entry completes in one batch — so every request is answered once.
 #[test]
-fn pipeline_deeper_than_max_pipeline_is_served_in_order() {
+fn pipeline_deeper_than_max_pipeline_is_served() {
     const N: usize = 200;
     let registry = Arc::new(ModelRegistry::new(2).unwrap());
     registry
@@ -465,7 +445,8 @@ fn flooding_peer_that_never_reads_is_reaped_by_idle_timeout() {
     let mut block = Vec::new();
     let mut one = Vec::new();
     for i in 0..64 {
-        frame::encode_request(
+        frame::encode_request_v3(
+            i,
             &Request::Infer {
                 model: "inflate".to_string(),
                 deadline_micros: 0,
@@ -597,8 +578,9 @@ fn shutdown_is_prompt_with_live_connections() {
     }
 }
 
-/// Garbage on the event socket gets one typed Malformed error frame
-/// back, then the server hangs up — and stays healthy for other peers.
+/// Garbage on the event socket gets exactly one typed Malformed error
+/// frame back, under the id that answers no request, then the server
+/// hangs up — and stays healthy for other peers.
 #[test]
 fn malformed_frames_get_a_typed_error_then_disconnect() {
     let registry = slow_fast_registry(Duration::ZERO);
@@ -611,14 +593,15 @@ fn malformed_frames_get_a_typed_error_then_disconnect() {
     raw.write_all(b"GET / HTTP/1.1\r\n\r\n").unwrap();
     let mut reply = Vec::new();
     raw.read_to_end(&mut reply).unwrap(); // server replies, then closes
-    match frame::decode_reply(&reply).unwrap() {
-        Reply::Error { code, .. } => assert_eq!(code, ErrorCode::Malformed),
-        other => panic!("expected a Malformed error frame, got {other:?}"),
+    match frame::decode_reply_tagged(&reply).unwrap() {
+        (None, Reply::Error { code, .. }) => assert_eq!(code, ErrorCode::Malformed),
+        other => panic!("expected one Malformed verdict, got {other:?}"),
     }
 
     // A half-written frame followed by reset leaves other peers intact.
     let mut frame_buf = Vec::new();
-    frame::encode_request(
+    frame::encode_request_v3(
+        0,
         &Request::Infer {
             model: "fast".to_string(),
             deadline_micros: 0,

@@ -1,10 +1,12 @@
-//! Protocol robustness: random frames round-trip exactly; malformed
-//! input of every stripe is rejected with typed errors and zero panics.
+//! Protocol robustness: random frames round-trip exactly, ids included;
+//! malformed input of every stripe — truncation, a wrong length prefix,
+//! any single corrupted byte, random garbage — is rejected with typed
+//! errors and zero panics.
 
 use circnn_serve::ServeStats;
 use circnn_wire::frame::{
-    self, decode_reply, decode_request, encode_reply, encode_request, HEADER_LEN, MAGIC,
-    MAX_PAYLOAD, VERSION,
+    self, decode_reply, decode_reply_tagged, decode_request, decode_request_tagged,
+    encode_reply_v3, encode_request_v3, Tag, HEADER_LEN, MAGIC, MAX_PAYLOAD, NO_REQUEST, VERSION,
 };
 use circnn_wire::{ErrorCode, HealthInfo, ModelInfo, Reply, Request, TenantHealth, WireError};
 use proptest::prelude::*;
@@ -165,33 +167,104 @@ fn reply_strategy() -> impl Strategy<Value = Reply> {
         )
 }
 
+/// The tag a reply frame under `id` decodes to: the id itself, except
+/// for an `Error` under the reserved id, which answers no request.
+fn expected_tag(id: u64, reply: &Reply) -> Tag {
+    (id != NO_REQUEST || !matches!(reply, Reply::Error { .. })).then_some(id)
+}
+
+/// The ids a client might pick first or last: the repo benchmark's load
+/// generator numbers its requests from 0, `WireClient` from 1, and
+/// `u64::MAX − 1` is the largest id that is not reserved.
+const EDGE_IDS: [u64; 3] = [0, 1, u64::MAX - 1];
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(128))]
 
-    /// Every request survives encode → decode exactly.
+    /// Every request survives encode → decode exactly, id included.
     #[test]
-    fn requests_round_trip(req in request_strategy()) {
+    fn requests_round_trip(req in request_strategy(), id in any::<u64>()) {
         let mut buf = Vec::new();
-        encode_request(&req, &mut buf);
-        let back = decode_request(&buf).expect("own encoding must decode");
+        encode_request_v3(id, &req, &mut buf);
+        prop_assert_eq!(buf[1], VERSION);
+        let (tag, back) = decode_request_tagged(&buf).expect("own encoding must decode");
+        prop_assert_eq!(tag, Some(id));
         prop_assert_eq!(back, req);
     }
 
-    /// Every reply survives encode → decode exactly.
+    /// Every reply survives encode → decode exactly, and echoes its id.
     #[test]
-    fn replies_round_trip(reply in reply_strategy()) {
+    fn replies_round_trip(reply in reply_strategy(), id in any::<u64>()) {
         let mut buf = Vec::new();
-        encode_reply(&reply, &mut buf);
-        let back = decode_reply(&buf).expect("own encoding must decode");
+        encode_reply_v3(id, &reply, &mut buf);
+        let (tag, back) = decode_reply_tagged(&buf).expect("own encoding must decode");
+        prop_assert_eq!(tag, expected_tag(id, &reply));
         prop_assert_eq!(back, reply);
+    }
+
+    /// The edge ids round-trip on requests and replies alike, errors
+    /// included.
+    #[test]
+    fn edge_ids_round_trip(
+        req in request_strategy(),
+        reply in reply_strategy(),
+        pick in 0usize..EDGE_IDS.len(),
+    ) {
+        let id = EDGE_IDS[pick];
+        let mut buf = Vec::new();
+        encode_request_v3(id, &req, &mut buf);
+        prop_assert_eq!(decode_request_tagged(&buf).expect("request decodes").0, Some(id));
+        encode_reply_v3(id, &reply, &mut buf);
+        prop_assert_eq!(decode_reply_tagged(&buf).expect("reply decodes"), (Some(id), reply));
+    }
+
+    /// Any single corrupted byte of a valid request or reply frame either
+    /// fails typed or decodes to a value that re-encodes to exactly the
+    /// corrupted bytes — never a panic, never a silent reinterpretation.
+    /// The one lossy field is an `Error`'s code: codes this build does
+    /// not know decode as `Internal` by design.
+    #[test]
+    fn single_byte_corruption_fails_typed_or_re_encodes_exactly(
+        req in request_strategy(),
+        reply in reply_strategy(),
+        id in any::<u64>(),
+        at in 0.0f64..1.0,
+        flip in 1u8..=255,
+    ) {
+        let mut buf = Vec::new();
+        let mut again = Vec::new();
+        encode_request_v3(id, &req, &mut buf);
+        let pos = ((buf.len() as f64 * at) as usize).min(buf.len() - 1);
+        buf[pos] ^= flip;
+        if let Ok((tag, back)) = decode_request_tagged(&buf) {
+            encode_request_v3(tag.expect("requests always carry an id"), &back, &mut again);
+            prop_assert_eq!(&again, &buf, "request corrupted at byte {}", pos);
+        }
+
+        encode_reply_v3(id, &reply, &mut buf);
+        let pos = ((buf.len() as f64 * at) as usize).min(buf.len() - 1);
+        buf[pos] ^= flip;
+        if let Ok((tag, back)) = decode_reply_tagged(&buf) {
+            encode_reply_v3(tag.unwrap_or(NO_REQUEST), &back, &mut again);
+            let code_field = HEADER_LEN + 8..HEADER_LEN + 10;
+            let lossy_code = matches!(back, Reply::Error { code: ErrorCode::Internal, .. })
+                && code_field.contains(&pos);
+            if !lossy_code {
+                prop_assert_eq!(&again, &buf, "reply corrupted at byte {}", pos);
+            }
+        }
     }
 
     /// Truncating a valid frame at ANY byte boundary yields a typed
     /// error — header-level or payload-level — and never a panic.
     #[test]
-    fn truncated_frames_are_rejected(req in request_strategy(), frac in 0.0f64..1.0) {
+    fn truncated_frames_are_rejected(
+        req in request_strategy(),
+        id in any::<u64>(),
+        frac in 0.0f64..1.0,
+    ) {
         let mut buf = Vec::new();
-        encode_request(&req, &mut buf);
+        encode_request_v3(id, &req, &mut buf);
         let cut = ((buf.len() as f64 * frac) as usize).min(buf.len().saturating_sub(1));
         prop_assert!(
             decode_request(&buf[..cut]).is_err(),
@@ -203,9 +276,13 @@ proptest! {
     /// Flipping a payload length prefix to disagree with the bytes
     /// actually present is rejected (both directions).
     #[test]
-    fn wrong_length_prefix_is_rejected(req in request_strategy(), delta in 1u32..64) {
+    fn wrong_length_prefix_is_rejected(
+        req in request_strategy(),
+        id in any::<u64>(),
+        delta in 1u32..64,
+    ) {
         let mut buf = Vec::new();
-        encode_request(&req, &mut buf);
+        encode_request_v3(id, &req, &mut buf);
         let len = u32::from_le_bytes(buf[4..8].try_into().unwrap());
         buf[4..8].copy_from_slice(&(len + delta).to_le_bytes());
         prop_assert!(decode_request(&buf).is_err());
@@ -236,9 +313,10 @@ proptest! {
         pending in any::<u32>(),
     ) {
         let mut sbuf = Vec::new();
-        encode_reply(&Reply::Stats { model: name.clone(), stats: stats.clone() }, &mut sbuf);
+        encode_reply_v3(1, &Reply::Stats { model: name.clone(), stats: stats.clone() }, &mut sbuf);
         let mut hbuf = Vec::new();
-        encode_reply(
+        encode_reply_v3(
+            2,
             &Reply::Health(HealthInfo {
                 models: 1,
                 tenants: vec![TenantHealth {
@@ -269,7 +347,7 @@ proptest! {
 
 fn valid_frame(req: &Request) -> Vec<u8> {
     let mut buf = Vec::new();
-    encode_request(req, &mut buf);
+    encode_request_v3(0, req, &mut buf);
     buf
 }
 
@@ -306,7 +384,7 @@ fn unknown_opcodes_are_rejected() {
     }
     // Reply opcodes are not request opcodes and vice versa.
     let mut reply_frame = Vec::new();
-    encode_reply(&Reply::Pong, &mut reply_frame);
+    encode_reply_v3(0, &Reply::Pong, &mut reply_frame);
     assert!(matches!(
         decode_request(&reply_frame),
         Err(WireError::UnknownOpcode(_))
@@ -315,12 +393,22 @@ fn unknown_opcodes_are_rejected() {
 
 #[test]
 fn version_and_magic_mismatches_are_rejected() {
-    let mut buf = valid_frame(&Request::Ping);
-    buf[1] = VERSION + 1;
-    assert!(matches!(
-        decode_request(&buf),
-        Err(WireError::BadVersion { got, want }) if got == VERSION + 1 && want == VERSION
-    ));
+    // Every version byte but this build's is rejected, the older
+    // id-less version 2 included.
+    for version in (0..=u8::MAX).filter(|&v| v != VERSION) {
+        let mut buf = valid_frame(&Request::Ping);
+        buf[1] = version;
+        assert!(matches!(
+            decode_request(&buf),
+            Err(WireError::BadVersion { got, want }) if got == version && want == VERSION
+        ));
+        let mut asm = frame::FrameAssembler::new();
+        asm.push(&buf);
+        assert!(matches!(
+            asm.next_frame(),
+            Err(WireError::BadVersion { .. })
+        ));
+    }
     let mut buf = valid_frame(&Request::Ping);
     buf[0] = MAGIC.wrapping_add(1);
     assert!(matches!(decode_request(&buf), Err(WireError::BadMagic(_))));
@@ -350,9 +438,9 @@ fn inconsistent_f32_count_is_rejected() {
         deadline_micros: 0,
         input: vec![1.0, 2.0],
     });
-    // The count field sits right after the name (2+1 bytes) and the
-    // deadline (8 bytes) in the payload.
-    let count_at = HEADER_LEN + 3 + 8;
+    // The count field sits right after the id (8 bytes), the name (2+1
+    // bytes) and the deadline (8 bytes) in the payload.
+    let count_at = HEADER_LEN + 8 + 3 + 8;
     buf[count_at..count_at + 4].copy_from_slice(&u32::MAX.to_le_bytes());
     assert!(matches!(decode_request(&buf), Err(WireError::Malformed(_))));
 }
@@ -366,13 +454,15 @@ fn string_length_prefix_exceeding_payload_is_rejected() {
     let mut buf = valid_frame(&Request::Stats {
         model: "model".to_string(),
     });
-    // The name length prefix is the first payload field.
-    buf[HEADER_LEN..HEADER_LEN + 2].copy_from_slice(&u16::MAX.to_le_bytes());
+    // The name length prefix is the first field after the id.
+    let name_len_at = HEADER_LEN + 8;
+    buf[name_len_at..name_len_at + 2].copy_from_slice(&u16::MAX.to_le_bytes());
     assert!(matches!(decode_request(&buf), Err(WireError::Malformed(_))));
 
     // Same for replies: a Health frame whose tenant name is cut short.
     let mut buf = Vec::new();
-    encode_reply(
+    encode_reply_v3(
+        0,
         &Reply::Health(HealthInfo {
             models: 1,
             tenants: vec![TenantHealth {
@@ -386,8 +476,9 @@ fn string_length_prefix_exceeding_payload_is_rejected() {
         }),
         &mut buf,
     );
-    // models(4) + count(4) in the payload, then the name length prefix.
-    let name_len_at = HEADER_LEN + 8;
+    // id(8) + models(4) + count(4) in the payload, then the name length
+    // prefix.
+    let name_len_at = HEADER_LEN + 16;
     buf[name_len_at..name_len_at + 2].copy_from_slice(&u16::MAX.to_le_bytes());
     assert!(matches!(decode_reply(&buf), Err(WireError::Malformed(_))));
 }
@@ -397,8 +488,9 @@ fn health_tenant_count_exceeding_payload_is_rejected() {
     // A Health reply claiming more tenants than its payload can hold is
     // rejected before any per-tenant allocation.
     let mut buf = Vec::new();
-    encode_reply(&Reply::Health(HealthInfo::default()), &mut buf);
-    let count_at = HEADER_LEN + 4;
+    encode_reply_v3(0, &Reply::Health(HealthInfo::default()), &mut buf);
+    // id(8) + models(4), then the tenant count.
+    let count_at = HEADER_LEN + 12;
     buf[count_at..count_at + 4].copy_from_slice(&u32::MAX.to_le_bytes());
     assert!(matches!(decode_reply(&buf), Err(WireError::Malformed(_))));
 }
@@ -409,9 +501,13 @@ proptest! {
     /// Truncating a reply frame at any byte boundary — including inside a
     /// string field — yields a typed error, never a panic.
     #[test]
-    fn truncated_replies_are_rejected(reply in reply_strategy(), frac in 0.0f64..1.0) {
+    fn truncated_replies_are_rejected(
+        reply in reply_strategy(),
+        id in any::<u64>(),
+        frac in 0.0f64..1.0,
+    ) {
         let mut buf = Vec::new();
-        encode_reply(&reply, &mut buf);
+        encode_reply_v3(id, &reply, &mut buf);
         let cut = ((buf.len() as f64 * frac) as usize).min(buf.len().saturating_sub(1));
         prop_assert!(
             decode_reply(&buf[..cut]).is_err(),
@@ -421,44 +517,16 @@ proptest! {
     }
 }
 
-fn tag_strategy() -> impl Strategy<Value = Option<u64>> {
-    (any::<bool>(), any::<u64>()).prop_map(|(v3, id)| v3.then_some(id))
-}
-
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(128))]
-
-    /// Protocol v3: any request id survives encode → decode exactly, on
-    /// requests and replies alike, and the id-less envelope (`None`)
-    /// still round-trips as v2.
-    #[test]
-    fn request_ids_round_trip(req in request_strategy(), tag in tag_strategy()) {
-        let mut buf = Vec::new();
-        frame::encode_request_tagged(tag, &req, &mut buf);
-        let expected_version = if tag.is_some() { VERSION } else { frame::MIN_VERSION };
-        prop_assert_eq!(buf[1], expected_version, "the tag decides the envelope version");
-        let (back_tag, back) = frame::decode_request_tagged(&buf).expect("own encoding decodes");
-        prop_assert_eq!(back_tag, tag);
-        prop_assert_eq!(back, req);
-    }
-
-    /// Reply frames echo any id bit-exactly.
-    #[test]
-    fn reply_ids_round_trip(reply in reply_strategy(), tag in tag_strategy()) {
-        let mut buf = Vec::new();
-        frame::encode_reply_tagged(tag, &reply, &mut buf);
-        let (back_tag, back) = frame::decode_reply_tagged(&buf).expect("own encoding decodes");
-        prop_assert_eq!(back_tag, tag);
-        prop_assert_eq!(back, reply);
-    }
 
     /// Incremental decode: a frame split at EVERY byte boundary — one
     /// byte at a time through the assembler — yields exactly the original
     /// frame, and never a partial one early.
     #[test]
-    fn assembler_decodes_split_at_every_byte(req in request_strategy(), tag in tag_strategy()) {
+    fn assembler_decodes_split_at_every_byte(req in request_strategy(), id in any::<u64>()) {
         let mut buf = Vec::new();
-        frame::encode_request_tagged(tag, &req, &mut buf);
+        encode_request_v3(id, &req, &mut buf);
         let mut asm = frame::FrameAssembler::new();
         for (i, &byte) in buf.iter().enumerate() {
             asm.push(&[byte]);
@@ -528,8 +596,8 @@ proptest! {
 }
 
 #[test]
-fn v3_frames_reject_payloads_shorter_than_the_id() {
-    // A v3 envelope promises eight id bytes; a shorter payload is
+fn frames_reject_payloads_shorter_than_the_id() {
+    // Every frame promises eight id bytes; a shorter payload is
     // malformed, not a partial id.
     for short in 0..8usize {
         let mut buf = vec![MAGIC, VERSION, 0x01 /* PING */, 0];
@@ -537,9 +605,33 @@ fn v3_frames_reject_payloads_shorter_than_the_id() {
         buf.extend_from_slice(&vec![0u8; short]);
         assert!(
             frame::decode_request_tagged(&buf).is_err(),
-            "a {short}-byte v3 payload cannot carry the id"
+            "a {short}-byte payload cannot carry the id"
         );
     }
+}
+
+/// The reserved id marks only an `Error` as answering no request: any
+/// other reply under it (the repo benchmark's load generator pings with
+/// `u64::MAX`) and any request under it keep their id.
+#[test]
+fn the_reserved_id_marks_only_an_error_as_answering_no_request() {
+    let mut buf = Vec::new();
+    let verdict = Reply::Error {
+        code: ErrorCode::Malformed,
+        message: "bad magic".to_string(),
+    };
+    encode_reply_v3(NO_REQUEST, &verdict, &mut buf);
+    assert_eq!(decode_reply_tagged(&buf).unwrap(), (None, verdict));
+    encode_reply_v3(NO_REQUEST, &Reply::Pong, &mut buf);
+    assert_eq!(
+        decode_reply_tagged(&buf).unwrap(),
+        (Some(NO_REQUEST), Reply::Pong)
+    );
+    encode_request_v3(NO_REQUEST, &Request::Ping, &mut buf);
+    assert_eq!(
+        decode_request_tagged(&buf).unwrap(),
+        (Some(NO_REQUEST), Request::Ping)
+    );
 }
 
 #[test]
@@ -572,7 +664,8 @@ fn overlong_strings_encode_to_valid_truncated_frames() {
     // boundary rather than corrupt the frame.
     let message = "é".repeat(40_000); // 80 000 bytes of two-byte chars
     let mut buf = Vec::new();
-    encode_reply(
+    encode_reply_v3(
+        0,
         &Reply::Error {
             code: ErrorCode::Internal,
             message,

@@ -1,19 +1,21 @@
 //! The serving tier through the `circnn` facade, so the root test gate
 //! runs it: scheduler → event-loop front end → client, and the sharded
 //! path behind a router, each bitwise against the direct product, with a
-//! clean teardown.
+//! clean teardown; and the wire contract: one protocol version, replies
+//! matched by id, a typed verdict for a peer that speaks anything else.
 
+use std::io::Read;
 use std::net::TcpStream;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use circnn::core::{BlockCirculantMatrix, Workspace};
-use circnn::serve::TenantConfig;
+use circnn::serve::{ServeModel, TenantConfig};
 use circnn::shard::topology::{segment_ranges, split_operator, ClusterSpec};
 use circnn::shard::{RouterConfig, RouterServer, ShardRouter};
 use circnn::tensor::init::{seeded_rng, uniform};
-use circnn::wire::frame::{self, Reply, Request};
-use circnn::wire::{ClientConfig, EventConfig, EventServer, ModelRegistry, WireClient};
+use circnn::wire::frame::{self, Reply, Request, HEADER_LEN};
+use circnn::wire::{ErrorCode, EventConfig, EventServer, ModelRegistry, WireClient};
 
 fn request(len: usize, seed: u64) -> Vec<f32> {
     uniform(&mut seeded_rng(seed), &[len], -1.0, 1.0)
@@ -30,10 +32,10 @@ fn wait_until_no_connections(count: impl Fn() -> usize) {
     }
 }
 
-/// One tenant on a one-worker pool behind an `EventServer`: protocol v2
-/// and v3 clients both get replies bitwise-equal to direct `matmat`.
+/// One tenant on a one-worker pool behind an `EventServer`: a client's
+/// replies are bitwise-equal to direct `matmat`.
 #[test]
-fn one_tenant_over_the_wire_is_bitwise_on_v2_and_v3() {
+fn one_tenant_over_the_wire_is_bitwise() {
     let w = BlockCirculantMatrix::random(&mut seeded_rng(11), 48, 64, 16).unwrap();
     let registry = Arc::new(ModelRegistry::new(1).unwrap());
     registry
@@ -43,19 +45,127 @@ fn one_tenant_over_the_wire_is_bitwise_on_v2_and_v3() {
         EventServer::bind("127.0.0.1:0", Arc::clone(&registry), EventConfig::default()).unwrap();
 
     let mut ws = Workspace::new();
-    for protocol in [2u8, 3] {
-        let cfg = ClientConfig {
-            protocol,
-            ..Default::default()
-        };
-        let mut wire = WireClient::connect_with(server.local_addr(), cfg).unwrap();
-        for r in 0..4 {
-            let x = request(64, 100 * u64::from(protocol) + r);
-            let direct = w.matmat(&x, 1, &mut ws).unwrap();
-            assert_eq!(wire.infer("fc", &x).unwrap(), direct, "v{protocol} #{r}");
-        }
+    let mut wire = WireClient::connect(server.local_addr()).unwrap();
+    for r in 0..8 {
+        let x = request(64, 100 + r);
+        let direct = w.matmat(&x, 1, &mut ws).unwrap();
+        assert_eq!(wire.infer("fc", &x).unwrap(), direct, "request {r}");
     }
 
+    drop(wire);
+    wait_until_no_connections(|| server.connection_count());
+    server.shutdown();
+}
+
+/// An operator that holds its pool worker for a fixed time before it
+/// answers, so another tenant's reply can overtake it.
+struct Slow(BlockCirculantMatrix, Duration);
+
+impl ServeModel for Slow {
+    type Scratch = Workspace;
+    fn make_scratch(&self) -> Workspace {
+        Workspace::new()
+    }
+    fn input_len(&self) -> usize {
+        self.0.input_len()
+    }
+    fn output_len(&self) -> usize {
+        self.0.output_len()
+    }
+    fn infer_batch(&self, x: &[f32], batch: usize, scratch: &mut Workspace, out: &mut [f32]) {
+        std::thread::sleep(self.1);
+        self.0.infer_batch(x, batch, scratch, out);
+    }
+}
+
+/// The one-protocol contract. A frame of the older, id-less version 2
+/// gets exactly one typed `Malformed` error frame, under the id that
+/// answers no request, and then the server closes the connection. A
+/// second connection is unaffected: on it a fast tenant's reply overtakes
+/// a slow tenant's, and each reply, matched by its id, is bitwise the
+/// direct product.
+#[test]
+fn only_v3_is_spoken_and_replies_are_matched_by_id() {
+    let slow_w = BlockCirculantMatrix::random(&mut seeded_rng(14), 32, 64, 16).unwrap();
+    let fast_w = BlockCirculantMatrix::random(&mut seeded_rng(15), 48, 64, 16).unwrap();
+    // Two workers, and no batching slack, so no slab runs on the loop
+    // and the fast slab runs while the slow one sleeps.
+    let registry = Arc::new(ModelRegistry::new(2).unwrap());
+    let unbatched = TenantConfig {
+        max_batch: 1,
+        max_wait: Duration::ZERO,
+        ..Default::default()
+    };
+    registry
+        .add_model(
+            "slow",
+            Slow(slow_w.clone(), Duration::from_millis(150)),
+            unbatched.clone(),
+        )
+        .unwrap();
+    registry
+        .add_model("fast", fast_w.clone(), unbatched)
+        .unwrap();
+    let server =
+        EventServer::bind("127.0.0.1:0", Arc::clone(&registry), EventConfig::default()).unwrap();
+    let mut good = TcpStream::connect(server.local_addr()).unwrap();
+    good.set_read_timeout(Some(Duration::from_secs(10)))
+        .unwrap();
+
+    // A version-2 `Infer`: the same fields without the id.
+    let infer = |model: &str, input: Vec<f32>| Request::Infer {
+        model: model.to_string(),
+        deadline_micros: 0,
+        input,
+    };
+    let mut v2 = Vec::new();
+    frame::encode_request_v3(0, &infer("fast", request(64, 400)), &mut v2);
+    v2.drain(HEADER_LEN..HEADER_LEN + 8);
+    v2[1] = 2;
+    let len = (v2.len() - HEADER_LEN) as u32;
+    v2[4..8].copy_from_slice(&len.to_le_bytes());
+    let mut old = TcpStream::connect(server.local_addr()).unwrap();
+    old.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
+    frame::write_frame(&mut old, &v2).unwrap();
+    let mut answer = Vec::new();
+    old.read_to_end(&mut answer).unwrap(); // returns once the server hangs up
+    let (_, len) = frame::decode_header(&answer).unwrap();
+    assert_eq!(
+        answer.len(),
+        HEADER_LEN + len,
+        "exactly one frame, then EOF"
+    );
+    match frame::decode_reply_tagged(&answer).unwrap() {
+        (None, Reply::Error { code, .. }) => assert_eq!(code, ErrorCode::Malformed),
+        other => panic!("expected one Malformed verdict, got {other:?}"),
+    }
+
+    let slow_x = request(64, 401);
+    let fast_x = request(64, 402);
+    let mut burst = Vec::new();
+    let mut buf = Vec::new();
+    frame::encode_request_v3(7, &infer("slow", slow_x.clone()), &mut buf);
+    burst.extend_from_slice(&buf);
+    frame::encode_request_v3(8, &infer("fast", fast_x.clone()), &mut buf);
+    burst.extend_from_slice(&buf);
+    frame::write_frame(&mut good, &burst).unwrap();
+    let mut ws = Workspace::new();
+    let mut arrived = Vec::new();
+    for _ in 0..2 {
+        frame::read_frame(&mut good, &mut buf).unwrap();
+        let (tag, reply) = frame::decode_reply_tagged(&buf).unwrap();
+        let (w, x) = match tag {
+            Some(7) => (&slow_w, &slow_x),
+            Some(8) => (&fast_w, &fast_x),
+            other => panic!("reply under an id nobody sent: {other:?}"),
+        };
+        let direct = w.matmat(x, 1, &mut ws).unwrap();
+        assert_eq!(reply, Reply::Infer { output: direct }, "request {tag:?}");
+        arrived.push(tag);
+    }
+    assert_eq!(arrived, [Some(8), Some(7)], "the fast reply overtakes");
+
+    drop(good);
     wait_until_no_connections(|| server.connection_count());
     server.shutdown();
 }
