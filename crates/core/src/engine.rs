@@ -203,8 +203,8 @@ pub(crate) trait Precision: Sync {
     );
 }
 
-/// The f32 datapath over `engines`' weight planes (`forward`: `conj(w)·x`
-/// over the forward planes; otherwise the transpose product): split f32
+/// The f32 datapath over `engines`' weight planes (`forward`: `conj(w)·x`;
+/// otherwise the transpose product, from the same planes): split f32
 /// spectra, copies in and out, and [`run_mac`].
 pub(crate) struct F32<'a> {
     /// The fused operators (the conv's `r²` kernel offsets; one otherwise).
@@ -700,10 +700,11 @@ pub(crate) fn unstage_slab(stage: &[f32], k: usize, batch: usize, out: &mut [f32
 /// fixed order, so results are bit-stable across thread counts and batch
 /// compositions) and is written exactly once: one
 /// [`crate::simd::cmac_rows`] sweep per (bin, tile of four output block
-/// rows, run) over `map`'s lanes. `forward` selects `conj(w)·x` over the
-/// forward weight planes versus the transpose product over the transposed
-/// ones. Inputs are block-major `[blocks][bins][l_pad]`, accumulators
-/// block-major `[icount][bins][l_acc]`.
+/// rows, run) over `map`'s lanes. Both directions read each engine's one
+/// `[bin][q][p]` weight plane set: `forward` computes `conj(w)·x` with
+/// weight strides `(row, column) = (1, p)`, the transpose product `w·x`
+/// with `(p, 1)`. Inputs are block-major `[blocks][bins][l_pad]`,
+/// accumulators block-major `[icount][bins][l_acc]`.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn run_mac(
     engines: &[BlockCirculantMatrix],
@@ -728,7 +729,8 @@ pub(crate) fn run_mac(
     } else {
         (e0.block_cols(), e0.block_rows())
     };
-    let w = |e: usize| engines[e].wplanes(forward);
+    let w = |e: usize| engines[e].wplanes();
+    let (wrow, wcol) = if forward { (1, out_blocks) } else { (q, 1) };
     for bin in 0..bins {
         // Spectra of real signals are real at DC and (for k ≥ 2) the
         // Nyquist bin, so those bins need one real multiply per term.
@@ -741,8 +743,9 @@ pub(crate) fn run_mac(
                     shifts: map.shifts,
                     jstride: bins * map.l_pad,
                     step: map.step,
-                    wbase: (bin * out_blocks + i0 + it) * q,
-                    wstride: q,
+                    wbase: bin * out_blocks * q + (i0 + it) * wrow,
+                    wrow,
+                    wcol,
                     q,
                     len,
                     abase: (it * bins + bin) * map.l_acc + out0,

@@ -107,14 +107,12 @@ pub struct BlockCirculantMatrix {
     /// Batch-plane FFT for the batched engine (one dispatch per block for a
     /// whole batch of samples).
     bplan: BatchFftPlan<f32>,
-    /// Weight spectra re-laid out for the batched MAC: `[bins][p][q]`
-    /// (forward: contiguous sweep over block columns `j`).
+    /// The weight spectra, the one copy every MAC reads: block `(i, j)`'s
+    /// bin `bin` at `(bin·q + j)·p + i`, the `[bin][q][p]` layout of the
+    /// i16 code plane. The forward product sweeps it with row stride 1 and
+    /// column stride `p`, the transpose apply with `p` and 1.
     wplane_re: Vec<f32>,
     wplane_im: Vec<f32>,
-    /// Transposed planes `[bins][q][p]` for the backward sweep over block
-    /// rows.
-    wplane_t_re: Vec<f32>,
-    wplane_t_im: Vec<f32>,
 }
 
 /// Source of per-instance identities for the workspace stamps.
@@ -137,8 +135,6 @@ impl Clone for BlockCirculantMatrix {
             bplan: self.bplan.clone(),
             wplane_re: self.wplane_re.clone(),
             wplane_im: self.wplane_im.clone(),
-            wplane_t_re: self.wplane_t_re.clone(),
-            wplane_t_im: self.wplane_t_im.clone(),
         }
     }
 }
@@ -207,8 +203,6 @@ impl BlockCirculantMatrix {
             bplan: BatchFftPlan::new(k)?,
             wplane_re: vec![0.0; bins * p * q],
             wplane_im: vec![0.0; bins * p * q],
-            wplane_t_re: vec![0.0; bins * p * q],
-            wplane_t_im: vec![0.0; bins * p * q],
         })
     }
 
@@ -407,8 +401,8 @@ impl BlockCirculantMatrix {
 
     /// Recomputes the weight-spectrum planes from the time-domain weights:
     /// each block's `FFT(w_ij)` is transformed once into a `bins`-long
-    /// scratch and scattered into the forward `[bin][p][q]` and transposed
-    /// `[bin][q][p]` planes the MAC sweeps.
+    /// scratch and scattered into the one `[bin][q][p]` plane pair both
+    /// MAC directions sweep.
     pub(crate) fn refresh_spectra(&mut self) -> Result<(), CircError> {
         let (k, p, q) = (self.k, self.p, self.q);
         let mut spec = vec![Complex::zero(); self.bins];
@@ -422,10 +416,8 @@ impl BlockCirculantMatrix {
                     &mut scratch,
                 )?;
                 for (bin, w) in spec.iter().enumerate() {
-                    self.wplane_re[(bin * p + i) * q + j] = w.re;
-                    self.wplane_im[(bin * p + i) * q + j] = w.im;
-                    self.wplane_t_re[(bin * q + j) * p + i] = w.re;
-                    self.wplane_t_im[(bin * q + j) * p + i] = w.im;
+                    self.wplane_re[(bin * q + j) * p + i] = w.re;
+                    self.wplane_im[(bin * q + j) * p + i] = w.im;
                 }
             }
         }
@@ -886,16 +878,12 @@ impl BlockCirculantMatrix {
         &self.bplan
     }
 
-    /// Crate-internal view of the weight-spectrum planes the MAC streams,
-    /// split re/im: `[bin][p][q]` for the forward product, the transposed
-    /// `[bin][q][p]` for the transpose apply.
+    /// Crate-internal view of the weight-spectrum planes the MAC streams
+    /// in both directions and the i16 quantizer reads, split re/im,
+    /// `[bin][q][p]`.
     #[inline]
-    pub(crate) fn wplanes(&self, forward: bool) -> (&[f32], &[f32]) {
-        if forward {
-            (&self.wplane_re, &self.wplane_im)
-        } else {
-            (&self.wplane_t_re, &self.wplane_t_im)
-        }
+    pub(crate) fn wplanes(&self) -> (&[f32], &[f32]) {
+        (&self.wplane_re, &self.wplane_im)
     }
 
     /// Worker for the batched weight gradient: frequency-domain batch

@@ -143,10 +143,11 @@ impl QuantConfig {
 /// Calibrates one shared per-block-row scale over every plane in `planes`
 /// (the conv case: all `r²` kernel offsets accumulate into row `i`'s
 /// accumulator, so they must share its scale) and emits the resident code
-/// planes. Row scales come from [`circnn_quant::fake_quantize`] on the
-/// row's gathered spectra — its `QuantStats::scale` is exactly
-/// `max_abs / max_code`. Imaginary codes at DC/Nyquist are forced to zero
-/// so the MAC needs no real-bin branch.
+/// planes. The f32 spectra and the codes share the `[bin][q][p]` layout,
+/// so each code lands at its spectrum's index. Row scales come from
+/// [`circnn_quant::fake_quantize`] on the row's gathered spectra — its
+/// `QuantStats::scale` is exactly `max_abs / max_code`. Imaginary codes at
+/// DC/Nyquist are forced to zero so the MAC needs no real-bin branch.
 fn quantize_weight_planes(
     planes: &[(&[f32], &[f32])],
     p: usize,
@@ -164,7 +165,7 @@ fn quantize_weight_planes(
         for &(wre, wim) in planes {
             for bin in 0..bins {
                 for j in 0..q {
-                    let widx = (bin * p + i) * q + j;
+                    let widx = (bin * q + j) * p + i;
                     row.push(wre[widx]);
                     row.push(wim[widx]);
                 }
@@ -177,14 +178,14 @@ fn quantize_weight_planes(
             for bin in 0..bins {
                 let real_bin = bin == 0 || (k >= 2 && bin == bins - 1);
                 for j in 0..q {
-                    let widx = (bin * p + i) * q + j;
+                    let widx = (bin * q + j) * p + i;
                     let re = engine::quantize_code(wre[widx], inv, max_code);
                     let im = if real_bin {
                         0
                     } else {
                         engine::quantize_code(wim[widx], inv, max_code)
                     };
-                    c[(bin * q + j) * p + i] = madd_pair(re, im);
+                    c[widx] = madd_pair(re, im);
                 }
             }
         }
@@ -264,7 +265,7 @@ impl QuantizedOperator {
         let (p, q, k, bins) = (op.block_rows(), op.block_cols(), op.block_size(), op.bins());
         cfg.check_accumulation(q)?;
         let (w_step, mut codes) =
-            quantize_weight_planes(&[op.wplanes(true)], p, q, bins, k, cfg.weight_format);
+            quantize_weight_planes(&[op.wplanes()], p, q, bins, k, cfg.weight_format);
         let wq = codes.pop().expect("one plane in, one plane out");
         Self::assemble(op.rows(), op.cols(), k, cfg, w_step, wq)
     }
@@ -516,7 +517,7 @@ impl QuantizedConv2d {
         let (p, q, k, bins) = (e0.block_rows(), e0.block_cols(), e0.block_size(), e0.bins());
         // Every kernel offset's q block products land in one accumulator.
         cfg.check_accumulation(q * engines.len())?;
-        let planes: Vec<(&[f32], &[f32])> = engines.iter().map(|e| e.wplanes(true)).collect();
+        let planes: Vec<(&[f32], &[f32])> = engines.iter().map(|e| e.wplanes()).collect();
         let (w_step, wq) = quantize_weight_planes(&planes, p, q, bins, k, cfg.weight_format);
         let x_step = cfg.x_step(k);
         let dq = w_step.iter().map(|&s| s * x_step).collect();
@@ -638,9 +639,9 @@ impl QuantizedRnnCell {
         cfg.check_accumulation(q_ih)?;
         cfg.check_accumulation(q_hh)?;
         let (w_step_ih, mut c_ih) =
-            quantize_weight_planes(&[w_ih.wplanes(true)], p, q_ih, bins, k, cfg.weight_format);
+            quantize_weight_planes(&[w_ih.wplanes()], p, q_ih, bins, k, cfg.weight_format);
         let (w_step_hh, mut c_hh) =
-            quantize_weight_planes(&[w_hh.wplanes(true)], p, q_hh, bins, k, cfg.weight_format);
+            quantize_weight_planes(&[w_hh.wplanes()], p, q_hh, bins, k, cfg.weight_format);
         let x_step = cfg.x_step(k);
         let h_step = k as f32 / cfg.input_format.max_code() as f32;
         Ok(Self {

@@ -85,8 +85,10 @@ pub(crate) fn isa() -> Isa {
 /// `xbase + shifts[e] + j·jstride + t·step` of both `x` planes — every
 /// caller's block-major planes (`jstride` = bins · lanes; conv adds one
 /// plane shift per kernel offset). Row `u`'s weight for `(e, j)` is element
-/// `wbase + u·wstride + j` of offset `e`'s weight planes, and its `len`
-/// output lanes start at `abase + u·astride` of the accumulator planes.
+/// `wbase + u·wrow + j·wcol` of offset `e`'s weight planes — the one
+/// `[bin][q][p]` plane set read as `(1, p)` by the forward product and as
+/// `(p, 1)` by the transpose apply — and its `len` output lanes start at
+/// `abase + u·astride` of the accumulator planes.
 pub(crate) struct RowSweep<'a> {
     pub x: (&'a [f32], &'a [f32]),
     pub xbase: usize,
@@ -94,11 +96,23 @@ pub(crate) struct RowSweep<'a> {
     pub jstride: usize,
     pub step: usize,
     pub wbase: usize,
-    pub wstride: usize,
+    pub wrow: usize,
+    pub wcol: usize,
     pub q: usize,
     pub len: usize,
     pub abase: usize,
     pub astride: usize,
+}
+
+impl RowSweep<'_> {
+    /// The span of `plane` a tile of `tl` rows reads, `wbase` through its
+    /// last weight — bounds-checked here, once per offset, so the column
+    /// loops index it at `u·wrow + j·wcol` for `u < tl`, `j < q`. Needs
+    /// `tl, q ≥ 1`.
+    #[inline]
+    fn tile_weights<'w>(&self, tl: usize, plane: &'w [f32]) -> &'w [f32] {
+        &plane[self.wbase..=self.wbase + (tl - 1) * self.wrow + (self.q - 1) * self.wcol]
+    }
 }
 
 /// Register-resident f32 MAC over a tile of `tl ≤ 4` block rows: row `u`'s
@@ -186,9 +200,10 @@ fn cmac_rows_scalar<'w>(
             let mut si = [0.0f32; LANES];
             for (e, &shift) in s.shifts.iter().enumerate() {
                 let (wre, wim) = w(e);
-                let row = s.wbase + u * s.wstride;
+                let (wre, wim) = (s.tile_weights(tl, wre), s.tile_weights(tl, wim));
                 for j in 0..s.q {
-                    let (wr, wi) = (wre[row + j], wim[row + j]);
+                    let wo = u * s.wrow + j * s.wcol;
+                    let (wr, wi) = (wre[wo], wim[wo]);
                     let xo = s.xbase + shift + j * s.jstride + t0 * s.step;
                     for t in 0..n {
                         let (xr, xi) = (x_re[xo + t * s.step], x_im[xo + t * s.step]);
@@ -519,18 +534,6 @@ mod x86 {
         madd_pair, qmac_rows_lanes, qmac_scalar, qpack_scalar, unpack_pair, QSweep, RowSweep,
     };
 
-    /// The `TL` tile rows' `s.q` weights in one plane — bounds-checked
-    /// here, once per offset, so the column loops index rows of exactly
-    /// `s.q` elements with `j < s.q`.
-    #[inline]
-    fn tile_rows<'w, const TL: usize>(plane: &'w [f32], s: &RowSweep<'_>) -> [&'w [f32]; TL] {
-        let mut rows = [&plane[..0]; TL];
-        for (u, row) in rows.iter_mut().enumerate() {
-            *row = &plane[s.wbase + u * s.wstride..][..s.q];
-        }
-        rows
-    }
-
     /// `n ≤ 4` lanes at `p`, `step` elements apart; the rest read as zero.
     ///
     /// # Safety
@@ -557,7 +560,7 @@ mod x86 {
     /// The CPU has SSE2, and for every `e`, `j < s.q`, `t < s.len`,
     /// `u < TL`: `s.xbase + s.shifts[e] + j·s.jstride + t·s.step` indexes
     /// both `s.x` planes and `s.abase + u·s.astride + t` both accumulator
-    /// planes. (Weight rows are sliced with bounds checks.)
+    /// planes. (Weight tiles are range-checked once per offset.)
     #[target_feature(enable = "sse2")]
     pub(super) unsafe fn cmac_rows_sse2<'w, const TL: usize, const REAL: bool, const CONJ: bool>(
         s: &RowSweep<'_>,
@@ -573,20 +576,25 @@ mod x86 {
             let mut ai = [_mm_setzero_ps(); TL];
             for (e, &shift) in s.shifts.iter().enumerate() {
                 let (wre, wim) = w(e);
-                let wr = tile_rows::<TL>(wre, s);
-                let wi = if REAL { wr } else { tile_rows::<TL>(wim, s) };
+                let wr = s.tile_weights(TL, wre).as_ptr();
+                let wi = if REAL {
+                    wr
+                } else {
+                    s.tile_weights(TL, wim).as_ptr()
+                };
                 let xo = s.xbase + shift + t0 * s.step;
                 for j in 0..s.q {
                     let xr = ld4(x_re.add(xo + j * s.jstride), s.step, n);
+                    let wo = |u: usize| u * s.wrow + j * s.wcol;
                     if REAL {
                         for u in 0..TL {
-                            ar[u] = _mm_add_ps(ar[u], _mm_mul_ps(_mm_set1_ps(wr[u][j]), xr));
+                            ar[u] = _mm_add_ps(ar[u], _mm_mul_ps(_mm_set1_ps(*wr.add(wo(u))), xr));
                         }
                         continue;
                     }
                     let xi = ld4(x_im.add(xo + j * s.jstride), s.step, n);
                     for u in 0..TL {
-                        let (wrv, wiv) = (_mm_set1_ps(wr[u][j]), _mm_set1_ps(wi[u][j]));
+                        let (wrv, wiv) = (_mm_set1_ps(*wr.add(wo(u))), _mm_set1_ps(*wi.add(wo(u))));
                         let (rr, ii) = (_mm_mul_ps(wrv, xr), _mm_mul_ps(wiv, xi));
                         let (ri, ir) = (_mm_mul_ps(wrv, xi), _mm_mul_ps(wiv, xr));
                         // conj(w)·x, or w·x for the transpose apply.
@@ -647,22 +655,27 @@ mod x86 {
         let mut ai = [_mm256_setzero_ps(); TL];
         for (e, &shift) in s.shifts.iter().enumerate() {
             let (wre, wim) = w(e);
-            let wr = tile_rows::<TL>(wre, s);
-            let wi = if REAL { wr } else { tile_rows::<TL>(wim, s) };
+            let wr = s.tile_weights(TL, wre).as_ptr();
+            let wi = if REAL {
+                wr
+            } else {
+                s.tile_weights(TL, wim).as_ptr()
+            };
             let xo = s.xbase + shift + t0 * s.step;
             for j in 0..s.q {
                 let xr = ld(x_re.add(xo + j * s.jstride));
+                let wo = |u: usize| u * s.wrow + j * s.wcol;
                 if REAL {
                     for u in 0..TL {
-                        let wrv = _mm256_set1_ps(wr[u][j]);
+                        let wrv = _mm256_set1_ps(*wr.add(wo(u)));
                         ar[u] = _mm256_add_ps(ar[u], _mm256_mul_ps(wrv, xr));
                     }
                     continue;
                 }
                 let xi = ld(x_im.add(xo + j * s.jstride));
                 for u in 0..TL {
-                    let wrv = _mm256_set1_ps(wr[u][j]);
-                    let wiv = _mm256_set1_ps(wi[u][j]);
+                    let wrv = _mm256_set1_ps(*wr.add(wo(u)));
+                    let wiv = _mm256_set1_ps(*wi.add(wo(u)));
                     let (rr, ii) = (_mm256_mul_ps(wrv, xr), _mm256_mul_ps(wiv, xi));
                     let (ri, ir) = (_mm256_mul_ps(wrv, xi), _mm256_mul_ps(wiv, xr));
                     // conj(w)·x, or w·x for the transpose apply.
@@ -1313,14 +1326,16 @@ mod tests {
         /// f32 row sweep: every host ISA matches the scalar body bitwise
         /// (same association, no FMA) for every tile height, offset and
         /// column count, lane length around the vector widths (tail-only
-        /// included), lane step, misaligned bases, real bins and both weight
-        /// signs — and writes nothing outside its rows' `len` lanes.
+        /// included), lane step, misaligned bases, real bins, both weight
+        /// signs and both weight layouts — rows contiguous, or columns, as
+        /// the transpose and forward sweeps read the one plane set — and
+        /// writes nothing outside its rows' `len` lanes.
         #[test]
         fn cmac_rows_matches_scalar_bitwise(
             (tl, ne, q) in (1usize..=4, 1usize..=3, 1usize..5),
             (len_pick, len_any) in (0usize..12, 1usize..40),
             (step, pad) in (1usize..=2, 0usize..4),
-            (real, conj) in (any::<bool>(), any::<bool>()),
+            (real, conj, col_major) in (any::<bool>(), any::<bool>(), any::<bool>()),
             seed in any::<u64>(),
         ) {
             let len = [1, 3, 7, 8, 9, 17].get(len_pick).copied().unwrap_or(len_any);
@@ -1335,12 +1350,13 @@ mod tests {
                     .collect()
             };
             let shifts: Vec<usize> = (0..ne).map(|e| (e * 5 + pad) % 7).collect();
-            let (jstride, wstride, astride) = (len * step + pad, q + pad, len + pad);
+            let (jstride, astride) = (len * step + pad, len + pad);
+            let (wrow, wcol) = if col_major { (1, tl + pad) } else { (q + pad, 1) };
             // Planes end exactly at the last element a sweep may touch.
             let shift = shifts.iter().max().expect("ne ≥ 1");
             let x_len = pad + shift + (q - 1) * jstride + (len - 1) * step + 1;
             let (x_re, x_im) = (fill(x_len, seed), fill(x_len, seed ^ 0xabcd));
-            let w_len = pad + (tl - 1) * wstride + q;
+            let w_len = pad + (tl - 1) * wrow + (q - 1) * wcol + 1;
             let wp: Vec<(Vec<f32>, Vec<f32>)> = (0..ne as u64)
                 .map(|e| (fill(w_len, seed ^ (e + 1)), fill(w_len, seed ^ (e + 9))))
                 .collect();
@@ -1352,7 +1368,8 @@ mod tests {
                 jstride,
                 step,
                 wbase: pad,
-                wstride,
+                wrow,
+                wcol,
                 q,
                 len,
                 abase: pad,

@@ -306,6 +306,9 @@ struct Conn {
     last_activity: Instant,
     /// Stop reading, flush what is owed, then close (protocol error).
     closing: bool,
+    /// The protocol error's verdict, held until the last reply owed ahead
+    /// of it is encoded, so it is the last frame before the hang-up.
+    verdict: Option<Reply>,
     /// Peer half-closed its write side; drain replies, then close.
     read_eof: bool,
     /// Interest currently registered with the poller.
@@ -661,6 +664,7 @@ impl IoLoop<'_> {
             parked: None,
             last_activity: now,
             closing: false,
+            verdict: None,
             read_eof: false,
             interest: Interest::READABLE,
         });
@@ -820,6 +824,11 @@ impl IoLoop<'_> {
             if !self.take_input(slot, conn) {
                 return false;
             }
+            if conn.inflight == 0 {
+                if let Some(verdict) = conn.verdict.take() {
+                    frame::append_reply(NO_REQUEST, &verdict, &mut conn.wbuf);
+                }
+            }
             // Flushing shrinks the write backlog. If input was paused on
             // it, frames already buffered in `asm` (or a parked request)
             // are owed another pass now: no readiness event will come for
@@ -871,16 +880,15 @@ impl IoLoop<'_> {
                             conn.parked = Some(back);
                         }
                     }
-                    // Strict rejection: a typed Malformed verdict under
-                    // the id that answers no request, drain what is owed,
-                    // hang up — a peer that framed one request wrong has
-                    // desynchronized the stream.
+                    // Strict rejection: drain what is owed, then a typed
+                    // Malformed verdict under the id that answers no
+                    // request, then hang up — a peer that framed one
+                    // request wrong has desynchronized the stream.
                     Err(e) => {
-                        let verdict = Reply::Error {
+                        conn.verdict = Some(Reply::Error {
                             code: ErrorCode::Malformed,
                             message: e.to_string(),
-                        };
-                        frame::append_reply(NO_REQUEST, &verdict, &mut conn.wbuf);
+                        });
                         conn.closing = true;
                     }
                 }

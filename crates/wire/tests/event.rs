@@ -3,8 +3,8 @@
 //! ids, stalled half-frame connections and peers that flood without
 //! reading are reaped without a dedicated thread, paused input resumes
 //! when the pipeline or the write backlog drains, the connection cap
-//! holds, a peer that frames a request wrong gets one typed verdict, and
-//! teardown is prompt and complete.
+//! holds, a peer that frames a request wrong gets its owed replies and
+//! then one typed verdict, and teardown is prompt and complete.
 
 mod common;
 
@@ -618,6 +618,54 @@ fn malformed_frames_get_a_typed_error_then_disconnect() {
     let mut wire = WireClient::connect(addr).unwrap();
     assert_eq!(wire.infer("fast", &[1.0; 8]).unwrap(), vec![3.0; 8]);
     drop(wire);
+    drop_poll(|| server.connection_count(), 0);
+    server.shutdown();
+}
+
+/// Garbage behind a request still in flight: the server answers that
+/// request under its id first, then sends the Malformed verdict as the
+/// last frame, then hangs up — a client stops reading at the verdict, so
+/// a reply written after it would be lost.
+#[test]
+fn malformed_verdict_follows_the_replies_still_owed() {
+    let registry = slow_fast_registry(Duration::from_millis(150));
+    let server =
+        EventServer::bind("127.0.0.1:0", Arc::clone(&registry), EventConfig::default()).unwrap();
+
+    let mut raw = TcpStream::connect(server.local_addr()).unwrap();
+    raw.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
+    let mut buf = Vec::new();
+    frame::encode_request_v3(
+        5,
+        &Request::Infer {
+            model: "slow".to_string(),
+            deadline_micros: 0,
+            input: vec![4.0; 4],
+        },
+        &mut buf,
+    );
+    frame::write_frame(&mut raw, &buf).unwrap();
+    raw.write_all(b"GET / HTTP/1.1\r\n\r\n").unwrap();
+
+    let mut rbuf = Vec::new();
+    frame::read_frame(&mut raw, &mut rbuf).unwrap();
+    let (tag, reply) = frame::decode_reply_tagged(&rbuf).unwrap();
+    assert_eq!(tag, Some(5), "the owed reply must precede the verdict");
+    assert_eq!(
+        reply,
+        Reply::Infer {
+            output: vec![4.0; 4]
+        }
+    );
+    frame::read_frame(&mut raw, &mut rbuf).unwrap();
+    match frame::decode_reply_tagged(&rbuf).unwrap() {
+        (None, Reply::Error { code, .. }) => assert_eq!(code, ErrorCode::Malformed),
+        other => panic!("expected the Malformed verdict, got {other:?}"),
+    }
+    let mut rest = Vec::new();
+    raw.read_to_end(&mut rest).unwrap();
+    assert!(rest.is_empty(), "the verdict must be the last frame");
+    drop(raw);
     drop_poll(|| server.connection_count(), 0);
     server.shutdown();
 }
